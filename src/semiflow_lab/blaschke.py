@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import HypothesisError, MultiplicityError
+from .errors import DomainError, HypothesisError, MultiplicityError
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ def blaschke_eval(B: BlaschkeProduct, z: complex) -> complex:
     val = B.phase
     for a in B.zeros:
         val *= b_factor(a, z)
-    if B.zeros and abs(z) <= 1.0 - 1e-9:
-        assert abs(val) < 1.0, "finite Blaschke product left the disc"
+    if B.zeros and abs(z) <= 1.0 - 1e-9 and not abs(val) < 1.0:
+        raise DomainError(f"finite Blaschke product left the disc at {z}")
     return val
 
 

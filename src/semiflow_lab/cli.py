@@ -55,19 +55,6 @@ SUBCOMMANDS = (
 )
 
 
-def _worker_cap() -> int:
-    # Parallel sweeps are currently executed on a single worker; the variable
-    # is validated so configs stay portable.
-    raw = os.environ.get("SEMIFLOW_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SEMIFLOW_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError("SEMIFLOW_THREADS must be >= 1")
-    return cap
-
-
 def _digest(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -168,7 +155,7 @@ def run_flow_check(config, rng):
 def run_cocycle_check(config, rng):
     flow = flow_from_json(_require(config, "flow"))
     weight = weight_from_json(_require(config, "weight"))
-    wsg = WeightedSemigroup(flow, weight, int(config.get("quadrature_order", 16)))
+    wsg = WeightedSemigroup(flow, weight)
     n = int(config.get("n_points", 50))
     radius = float(config.get("z_radius", 0.8))
     t_lo, t_hi = config.get("t_range", [0.0, 1.0])
@@ -216,7 +203,7 @@ def run_generator_check(config, rng):
     flow = flow_from_json(_require(config, "flow"))
     weight = weight_from_json(_require(config, "weight"))
     f = fn_from_json(_require(config, "function"))
-    wsg = WeightedSemigroup(flow, weight, int(config.get("quadrature_order", 16)))
+    wsg = WeightedSemigroup(flow, weight)
     norm = _norm_from_config(config.get("norm", {}))
     ladder = config.get("t_ladder", [0.1 * 2 ** (-k) for k in range(7)])
     lo, hi = config.get("ratio_window", [0.3, 0.7])
@@ -259,7 +246,7 @@ def run_transfer_check(config, rng):
     flow = flow_from_json(_require(config, "flow"))
     weight = weight_from_json(_require(config, "weight"))
     f = fn_from_json(_require(config, "function"))
-    wsg = WeightedSemigroup(flow, weight, int(config.get("quadrature_order", 16)))
+    wsg = WeightedSemigroup(flow, weight)
     n = int(config.get("n_points", 20))
     radius = float(config.get("z_radius", 0.7))
     t = float(config.get("t", 0.5))
@@ -335,10 +322,13 @@ def run_bloch_gap(config, rng):
         gc.levels[-1].t / gc.levels[0].t, 1.0 / 32.0,
     )
 
+    if gc.flow is not flow:
+        # the construction runs in the frame rotated by gamma0; so must the weights
+        weights = [w.rotated(gc.gamma0) for w in weights]
     tables = {}
     bound_sets = []
     for idx, weight in enumerate(weights):
-        wsg = WeightedSemigroup(flow, weight, int(config.get("quadrature_order", 16)))
+        wsg = WeightedSemigroup(gc.flow, weight)
         rep = bloch_gap(gc, wsg, grid)
         bound_sets.append(tuple(r.lower_bound for r in rep.rows))
         worst_cancel = max(
@@ -493,7 +483,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        _worker_cap()
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):

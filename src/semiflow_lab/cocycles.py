@@ -2,25 +2,23 @@
 
 The multiplicative cocycle attached to an analytic weight g is
 m_t(z) = exp(integral_0^t g(phi_s(z)) ds).  The integral (never the
-exponential) is the accumulated object: composite Gauss-Legendre panels are
-summed first and exponentiated once, which sidesteps any branch ambiguity.
-A coboundary m_t(z) = alpha(phi_t(z))/alpha(z) is evaluated directly.
+exponential) is the accumulated object: it rides along the orbit in the
+variational system and is exponentiated once, which sidesteps any branch
+ambiguity.  A coboundary m_t(z) = alpha(phi_t(z))/alpha(z) is evaluated directly.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property
 
 from .analytic import (
     AnalyticFn,
     Compose,
     Constant,
     GridSpec,
+    Polynomial,
     Product,
     Quotient,
     bloch_norm_grid,
@@ -29,7 +27,12 @@ from .analytic import (
     taylor,
 )
 from .errors import QuadratureError, SingularityError
-from .flows import ConformalMap, FlowModel, extrapolate_to_zero
+from .flows import DEFAULT_TOL, ConformalMap, FlowModel, OdeFlow, RotatedFlow, extrapolate_to_zero
+from .flows import _check_start, _integrate
+
+# DP5(4) local errors scale with the largest state met along the way, so an
+# integral that swells this far above its end value has lost its digits.
+SWELL_LIMIT = 1e3
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,12 @@ class Weight:
     """Analytic weight g; induces the exponential cocycle."""
 
     g: AnalyticFn
+
+    def rotated(self, gamma: complex) -> "Weight":
+        """g(gamma z): the weight in the frame of RotatedFlow(flow, gamma)."""
+        if isinstance(self.g, Constant):
+            return self
+        return Weight(Compose(self.g, Polynomial((0.0, gamma))))
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,13 @@ class Coboundary:
     alpha: AnalyticFn
     fixed_point: complex | None = None
 
+    def rotated(self, gamma: complex) -> "Coboundary":
+        """alpha(gamma z), with its allowed zero at p / gamma."""
+        p = self.fixed_point
+        return Coboundary(
+            Compose(self.alpha, Polynomial((0.0, gamma))), None if p is None else p / gamma
+        )
+
 
 @dataclass(frozen=True)
 class WeightedSemigroup:
@@ -53,57 +69,55 @@ class WeightedSemigroup:
 
     flow: FlowModel
     weight: Weight | Coboundary
-    quadrature_order: int = 16
+
+    @property
+    def _swept(self) -> bool:
+        """True when the cocycle needs the variational sweep (a non-constant Weight)."""
+        return isinstance(self.weight, Weight) and not isinstance(self.weight.g, Constant)
+
+    @cached_property
+    def _variational_trees(self):
+        """(G, G', g, g') for the sweep's right-hand side, built once per semigroup."""
+        G = self.flow.generator_fn()
+        if G is None:
+            raise ValueError("flow lacks a closed-form vector field")
+        g = self.weight.g
+        return G, G.derivative(), g, g.derivative()
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(order: int):
-    return np.polynomial.legendre.leggauss(order)
+def _flow_tol(flow: FlowModel) -> float:
+    """The tolerance the flow integrates at; closed-form flows get DEFAULT_TOL."""
+    while isinstance(flow, RotatedFlow):
+        flow = flow.inner
+    return flow.tol if isinstance(flow, OdeFlow) else DEFAULT_TOL
 
 
-def _trajectory_quadrature(flow, z, t, order, integrands, n_panels, tol=None):
-    """Composite Gauss-Legendre sums of s -> F(phi_s(z), d_z phi_s(z)) over [0, t].
+def _sweep(wsg: WeightedSemigroup, z: complex, t: float):
+    """(phi_t(z), phi_t'(z), I_t, J_t) from one integrator sweep along the orbit.
 
-    Nodes are visited in increasing s and the flow state is advanced from one
-    node to the next (with its spatial derivative), so each refinement pass
-    costs a single sweep along the trajectory.
+    Integrates the variational system y = (w, v, I, J) with w' = G(w),
+    v' = G'(w) v, I' = g(w), J' = g'(w) v from (z, 1, 0, 0) (Hairer, Norsett
+    & Wanner, Solving ODEs I, sec. I.14), so I_t is the integral of g along
+    the orbit and J_t its z-derivative.  Refuses with QuadratureError when
+    I or J swelled far above its end value on the way.
     """
-    xs, ws = _gl_nodes(order)
-    totals = [0.0 + 0.0j for _ in integrands]
-    s_prev = 0.0
-    w_state = complex(z)
-    v_state = 1.0 + 0.0j
-    for p in range(n_panels):
-        a = t * p / n_panels
-        b = t * (p + 1) / n_panels
-        half = (b - a) / 2.0
-        mid = (a + b) / 2.0
-        for x, wt in zip(xs, ws):
-            s = mid + half * x
-            w_state, dloc = flow.advance_with_derivative(w_state, s - s_prev, tol)
-            v_state *= dloc
-            s_prev = s
-            for i, fn in enumerate(integrands):
-                totals[i] += wt * half * fn(w_state, v_state)
-    return totals
+    z = _check_start(z, t)
+    G, Gp, g, gp = wsg._variational_trees
+    peak = 0.0
 
+    def rhs(y):
+        nonlocal peak
+        w, v, I, J = y
+        peak = max(peak, abs(I), abs(J))
+        return (G.eval_anywhere(w), Gp.eval_anywhere(w) * v,
+                g.eval_anywhere(w), gp.eval_anywhere(w) * v)
 
-def _refined_quadrature(wsg, z, t, integrands, tol=None):
-    """One halving refinement estimates the panel error; refuse to return junk."""
-    base = max(1, math.ceil(t / 0.5))
-    coarse = _trajectory_quadrature(
-        wsg.flow, z, t, wsg.quadrature_order, integrands, base, tol
-    )
-    for n_panels in (2 * base, 4 * base):
-        fine = _trajectory_quadrature(
-            wsg.flow, z, t, wsg.quadrature_order, integrands, n_panels, tol
+    w, v, I, J = _integrate(rhs, (z, 1.0, 0.0, 0.0), float(t), _flow_tol(wsg.flow))
+    if peak > SWELL_LIMIT * (1.0 + abs(I) + abs(J)):
+        raise QuadratureError(
+            f"cocycle integral swelled to {peak:.3e} on the way to {max(abs(I), abs(J)):.3e}"
         )
-        err = max(abs(c - f) for c, f in zip(coarse, fine))
-        scale = 1.0 + max(abs(f) for f in fine)
-        if err <= 1e-10 * scale:
-            return fine
-        coarse = fine
-    raise QuadratureError(f"panel refinement stalled at error {err:.3e}")
+    return w, v, I, J
 
 
 def cocycle_eval(wsg: WeightedSemigroup, z: complex, t: float) -> complex:
@@ -114,14 +128,10 @@ def cocycle_eval(wsg: WeightedSemigroup, z: complex, t: float) -> complex:
         raise ValueError("cocycle time must be >= 0")
     if t == 0.0:
         return 1.0 + 0.0j
-    g = wsg.weight.g
-    if isinstance(g, Constant):
-        # Constant weight integrates exactly; also covers the g == 0 shortcut.
-        return cmath.exp(g.value * t)
-    (integral,) = _refined_quadrature(wsg, z, t, [lambda w, v: g.eval(w)])
-    value = cmath.exp(integral)
-    assert abs(value) > 0.0
-    return value
+    if wsg._swept:
+        return cmath.exp(_sweep(wsg, z, t)[2])
+    # Constant weight integrates exactly; also covers the g == 0 shortcut.
+    return cmath.exp(wsg.weight.g.value * t)
 
 
 def coboundary_eval(
@@ -139,7 +149,8 @@ def coboundary_eval(
     if abs(az) == 0.0:
         raise SingularityError(f"alpha vanishes at {z}")
     value = alpha.eval(flow.advance(z, t)) / az
-    assert abs(value) > 0.0
+    if abs(value) == 0.0:
+        raise SingularityError(f"alpha vanishes on the orbit of {z} at t = {t}")
     return value
 
 
@@ -175,42 +186,38 @@ def apply_weighted(wsg: WeightedSemigroup, f, z: complex, t: float) -> complex:
     """W_t f(z) = m_t(z) f(phi_t(z))."""
     if t == 0.0:
         return f.eval(z) if isinstance(f, AnalyticFn) else complex(f(z))
-    w = wsg.flow.advance(z, t)
+    if wsg._swept:
+        w, _, integral, _ = _sweep(wsg, z, t)
+        m = cmath.exp(integral)
+    else:
+        w = wsg.flow.advance(z, t)
+        m = _cocycle_value(wsg, z, t)
     fw = f.eval(w) if isinstance(f, AnalyticFn) else complex(f(w))
-    return _cocycle_value(wsg, z, t) * fw
+    return m * fw
 
 
 def _cocycle_with_z_derivative(wsg, z, t):
-    """(m_t(z), m_t'(z)).  For a weight, m' = m * integral g'(phi_s) d_z phi_s ds
-    on the same quadrature grid; for a coboundary, the quotient rule in closed
-    form.  Finite differences would inject O(h) noise into cancellation checks,
-    hence the differentiated integral."""
-    if t == 0.0:
-        return 1.0 + 0.0j, 0.0 + 0.0j
+    """(m_t(z), m_t'(z), phi_t(z), phi_t'(z)).  For a non-constant weight all
+    four come from one sweep, with m' = m J_t; for a coboundary, the quotient
+    rule in closed form.  Finite differences would inject O(h) noise into
+    cancellation checks, hence the differentiated integral."""
+    if wsg._swept:
+        w, dw, integral, d_integral = _sweep(wsg, z, t)
+        m = cmath.exp(integral)
+        return m, m * d_integral, w, dw
+    w, dw = wsg.flow.advance_with_derivative(z, t)
     weight = wsg.weight
     if isinstance(weight, Weight):
-        g = weight.g
-        if isinstance(g, Constant):
-            return cmath.exp(g.value * t), 0.0 + 0.0j
-        gp = g.derivative()
-        integral, d_integral = _refined_quadrature(
-            wsg,
-            z,
-            t,
-            [lambda w, v: g.eval(w), lambda w, v: gp.eval(w) * v],
-        )
-        m = cmath.exp(integral)
-        return m, m * d_integral
+        return cmath.exp(weight.g.value * t), 0.0 + 0.0j, w, dw
     alpha = weight.alpha
     ap = alpha.derivative()
     az = alpha.eval(z)
     if abs(az) == 0.0:
         raise SingularityError(f"alpha vanishes at {z}")
-    w, dw = wsg.flow.advance_with_derivative(z, t)
     aw = alpha.eval(w)
     m = aw / az
     mp = (ap.eval(w) * dw * az - aw * ap.eval(z)) / (az * az)
-    return m, mp
+    return m, mp, w, dw
 
 
 def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z: complex, t: float) -> complex:
@@ -218,8 +225,7 @@ def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z: complex, t: 
     fp = f.derivative()
     if t == 0.0:
         return fp.eval(z)
-    m, mp = _cocycle_with_z_derivative(wsg, z, t)
-    w, dw = wsg.flow.advance_with_derivative(z, t)
+    m, mp, w, dw = _cocycle_with_z_derivative(wsg, z, t)
     return mp * f.eval(w) + m * fp.eval(w) * dw
 
 

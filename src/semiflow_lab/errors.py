@@ -31,7 +31,7 @@ class NoConvergence(SemiflowError):
 
 
 class QuadratureError(SemiflowError):
-    """Panel refinement failed to converge to the requested tolerance."""
+    """A cocycle integral swelled far above its end value along the orbit."""
 
 
 class MultiplicityError(SemiflowError):

@@ -27,7 +27,7 @@ from .errors import (
 
 ESCAPE_RADIUS = 1.0 - 1e-12
 DEFAULT_TOL = 1e-10
-MAX_STEPS = 1_000_000
+MAX_STEPS = 10_000
 
 # Dormand-Prince 5(4) tableau (autonomous right-hand sides, so no c nodes).
 _DP_A = (
@@ -187,33 +187,37 @@ class GeneratorSpec:
         return self.fn.derivative()
 
 
+def _check_start(z: complex, t: float) -> complex:
+    """z as a complex number, once z lies in the open disc and t >= 0."""
+    z = complex(z)
+    if abs(z) >= 1.0:
+        raise DomainError(f"{z} not inside the open unit disc")
+    if t < 0:
+        raise ValueError("semiflow time must be >= 0")
+    return z
+
+
 class FlowModel:
     """Common interface: closed-form or integrated evaluation of phi_t."""
 
     def advance(self, z: complex, t: float, tol: float | None = None) -> complex:
-        z = complex(z)
-        if abs(z) >= 1.0:
-            raise DomainError(f"{z} not inside the open unit disc")
-        if t < 0:
-            raise ValueError("semiflow time must be >= 0")
+        z = _check_start(z, t)
         if t == 0.0:
             return z
         w = self._advance(z, float(t), tol)
-        assert abs(w) < 1.0, "flow left the disc"
+        if not abs(w) < 1.0:
+            raise EscapeError(f"flow left the disc at {w}")
         return w
 
     def advance_with_derivative(
         self, z: complex, t: float, tol: float | None = None
     ):
-        z = complex(z)
-        if abs(z) >= 1.0:
-            raise DomainError(f"{z} not inside the open unit disc")
-        if t < 0:
-            raise ValueError("semiflow time must be >= 0")
+        z = _check_start(z, t)
         if t == 0.0:
             return z, 1.0 + 0.0j
         w, dw = self._advance_with_derivative(z, float(t), tol)
-        assert abs(w) < 1.0, "flow left the disc"
+        if not abs(w) < 1.0:
+            raise EscapeError(f"flow left the disc at {w}")
         return w, dw
 
     def _advance(self, z, t, tol):
@@ -424,9 +428,6 @@ class _HyperbolicDilation(FlowModel):
         return Product(
             (Constant(self.rate), Quotient(self.h.forward, self.h.forward_derivative))
         )
-
-    def to_json(self):
-        return {"type": "automorphism", "kind": "hyperbolic", "rate": self.rate}
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,7 @@ def bloch_gap(gc: GapConstruction, wsg: WeightedSemigroup, grid: GridSpec) -> Ga
     Reports (a) the certified pointwise lower bound |f'(r_n)|(1 - r_n),
     which does not involve the weight at all, (b) the grid supremum of
     |d/dz[W_{t_n} f - f]| (1 - |z|^2), and (c) the cancellation residual
-    |d/dz[W_{t_n} f](r_n)|, which the double zeros force to quadrature
+    |d/dz[W_{t_n} f](r_n)|, which the double zeros force to integration
     tolerance.
     """
     if wsg.flow is not gc.flow:

@@ -111,7 +111,7 @@ def test_criterion_04_generator_consistency_ladder():
     flow = radial_flow(1e-12)
     ladder = [0.1 * 2 ** (-k) for k in range(7)]
     # degree 8 keeps the truncation tail (the residual scale when g = z,
-    # where W_t fixes e^z exactly) well above the quadrature noise floor
+    # where W_t fixes e^z exactly) well above the integration noise floor
     functions = {
         "1": sl.Constant(1),
         "z": sl.Identity(),

@@ -126,6 +126,27 @@ def test_bloch_gap_subcommand(tmp_path):
     assert (tmp_path / "out" / "gap_weight_1.csv").exists()
 
 
+def test_bloch_gap_rotated_base_point(tmp_path):
+    # gamma0 = i: the construction runs in the rotated frame, and so must the weights
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "flow": RADIAL,
+            "weights": [
+                {"type": "weight", "g": {"op": "const", "value": [1, 0]}},
+                {"type": "weight", "g": {"op": "id"}},
+                {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [-1, 0]]}},
+            ],
+            "gamma0": [0, 1],
+            "N": 3,
+        },
+    )
+    assert run("bloch-gap", cfg, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] and len(report["tables"]) == 3
+
+
 def test_bloch_gap_auto_subcommand(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -206,11 +227,3 @@ def test_metadata_is_separate(tmp_path):
     assert "wall_clock_seconds" in meta and "timestamp" in meta
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "timestamp" not in report
-
-
-def test_thread_cap_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("SEMIFLOW_THREADS", "zero")
-    cfg = write_config(tmp_path, "c.json", {"flow": RADIAL, "n_points": 5})
-    assert run("flow-check", cfg, tmp_path / "out") == 2
-    monkeypatch.setenv("SEMIFLOW_THREADS", "2")
-    assert run("flow-check", cfg, tmp_path / "out") == 0

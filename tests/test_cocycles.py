@@ -39,11 +39,30 @@ def test_cocycle_eval_rejects_coboundary():
         sl.cocycle_eval(wsg, 0.4, 0.5)
 
 
-def test_cocycle_quadrature_error_on_near_pole():
-    # pole 1e-9 off the orbit: panel refinement cannot settle and must refuse
-    g = sl.Quotient(sl.Constant(1), sl.Polynomial([-0.5 - 1e-9j, 1]))
-    wsg = sl.WeightedSemigroup(radial_flow(), sl.Weight(g))
+def pole_weight(p):
+    return sl.Weight(sl.Quotient(sl.Constant(1), sl.Polynomial([-p, 1])))
+
+
+def test_cocycle_step_budget_on_near_pole():
+    # pole 1e-9 off the orbit of 0.9: at tol 1e-12 the sweep cannot meet the
+    # tolerance within the step budget and must refuse
+    wsg = sl.WeightedSemigroup(radial_flow(), pole_weight(0.5 + 1e-9j))
+    with pytest.raises(sl.EscapeError):
+        sl.cocycle_eval(wsg, 0.9, 2.0)
+
+
+def test_cocycle_swell_refused_on_near_pole():
+    # at tol 1e-10 the sweep finishes, but the integral swells about 5e6 times
+    # above its end value on the way past the pole: its digits are gone
+    wsg = sl.WeightedSemigroup(radial_flow(1e-10), pole_weight(0.5 + 1e-9j))
     with pytest.raises(sl.QuadratureError):
+        sl.cocycle_eval(wsg, 0.9, 2.0)
+
+
+def test_cocycle_step_budget_on_orbit_pole():
+    # the orbit 0.9 e^{-s} runs through the pole at 0.5
+    wsg = sl.WeightedSemigroup(radial_flow(), pole_weight(0.5))
+    with pytest.raises(sl.EscapeError):
         sl.cocycle_eval(wsg, 0.9, 2.0)
 
 
@@ -54,6 +73,15 @@ def test_coboundary_examples():
     got = sl.coboundary_eval(alpha, flow, 0.5, math.log(2))
     assert abs(got - 1.5) < 1e-10
     assert sl.coboundary_eval(alpha, flow, 0.5, 0.0) == pytest.approx(1.0)
+
+
+def test_coboundary_zero_on_orbit_is_typed():
+    class ToOrigin(sl.FlowModel):
+        def _advance(self, z, t, tol):
+            return 0.0j
+
+    with pytest.raises(sl.SingularityError):
+        sl.coboundary_eval(sl.Identity(), ToOrigin(), 0.5, 1.0)
 
 
 def test_coboundary_guarded_zero():

@@ -43,6 +43,21 @@ def test_escape_guard_is_loud():
         flow.advance(0.9, 2.0)
 
 
+def test_flow_leaving_the_disc_is_typed():
+    # a typed error, not an assert: the guard must survive python -O
+    class ToCircle(sl.FlowModel):
+        def _advance(self, z, t, tol):
+            return 1.0
+
+        def _advance_with_derivative(self, z, t, tol):
+            return 1.0, 1.0
+
+    with pytest.raises(sl.EscapeError):
+        ToCircle().advance(0.5, 1.0)
+    with pytest.raises(sl.EscapeError):
+        ToCircle().advance_with_derivative(0.5, 1.0)
+
+
 def test_disc_invariance(rng):
     for flow in flow_corpus().values():
         for z in random_disc_points(rng, 10, 0.8):
