@@ -1,11 +1,13 @@
 """Expression trees for functions analytic on the unit disc.
 
-Trees are immutable and evaluate to plain Python complex numbers.
+Trees are immutable.  Evaluation takes one point, a Python complex, or a
+batch, a complex ndarray, through the same code (see ``pointwise``).
 ``derivative`` returns a new tree computing the exact analytic derivative
 (chain/product/quotient rules applied symbolically, no simplification).
 Quotient and Log carry explicit singularity guards: small excluded discs
 around known zeros of the denominator / argument.  Evaluation either
-returns a finite value or raises; it never returns inf/nan.
+returns finite values or raises; it never returns inf/nan.  A batch raises
+the error of the first point that would raise on its own.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blaschke import BlaschkeProduct, blaschke_derivative, blaschke_eval
-from .errors import DomainError, SingularityError
+from .errors import ConfigError, DomainError, SingularityError, config_parser
+from .pointwise import exp, full, log, nonfinite, points, raise_at
 
 DEFAULT_GUARD_RADIUS = 1e-9
 
@@ -32,35 +35,33 @@ class AnalyticFn:
 
     guards: tuple = ()
 
-    def eval(self, z: complex) -> complex:
-        """Evaluate at a point of the open unit disc."""
-        z = complex(z)
-        if abs(z) >= 1.0:
-            raise DomainError(f"{z} is not inside the open unit disc")
+    def eval(self, z):
+        """Evaluate at a point of the open unit disc, or at each point of an array."""
+        z = points(z)
+        raise_at(abs(z) >= 1.0, z, DomainError, "{} is not inside the open unit disc")
         w = self._eval(z)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise SingularityError(f"non-finite value at {z}")
+        raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
         return w
 
     __call__ = eval
 
-    def eval_anywhere(self, z: complex) -> complex:
+    def eval_anywhere(self, z):
         """Evaluate without the disc check (for maps whose range leaves the disc)."""
-        w = self._eval(complex(z))
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise SingularityError(f"non-finite value at {z}")
+        z = points(z)
+        w = self._eval(z)
+        raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
         return w
 
-    def _eval(self, z: complex) -> complex:
+    def _eval(self, z):
         raise NotImplementedError
 
     def derivative(self) -> "AnalyticFn":
         raise NotImplementedError
 
-    def _check_guards(self, z: complex) -> None:
+    def _check_guards(self, z) -> None:
         for center, radius in self.guards:
-            if abs(z - center) <= radius:
-                raise SingularityError(f"{z} inside guard disc around {center}")
+            raise_at(abs(z - center) <= radius, z, SingularityError,
+                     "{} inside guard disc around {}", center)
 
     # Arithmetic sugar; scalars are promoted to Constant.
     def __add__(self, other):
@@ -105,7 +106,9 @@ class Constant(AnalyticFn):
         object.__setattr__(self, "value", complex(self.value))
 
     def _eval(self, z):
-        return self.value
+        # The one leaf that ignores z: a batch gets the value at each point.
+        # The hottest node, so ``full`` is written out here.
+        return np.full(z.shape, self.value) if isinstance(z, np.ndarray) else self.value
 
     def derivative(self):
         return Constant(0.0)
@@ -136,8 +139,10 @@ class Polynomial(AnalyticFn):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
     def _eval(self, z):
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
+        if len(self.coeffs) < 2:  # a constant: spread it over a batch
+            return full(z, self.coeffs[0] if self.coeffs else 0.0)
+        acc = self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
             acc = acc * z + c
         return acc
 
@@ -167,8 +172,7 @@ class Mobius(AnalyticFn):
 
     def _eval(self, z):
         den = self.c * z + self.d
-        if den == 0:
-            raise SingularityError(f"Mobius pole at {z}")
+        raise_at(den == 0, z, SingularityError, "Mobius pole at {}")
         return (self.a * z + self.b) / den
 
     def derivative(self):
@@ -202,7 +206,7 @@ class Exp(AnalyticFn):
     inner: AnalyticFn
 
     def _eval(self, z):
-        return cmath.exp(self.inner._eval(z))
+        return exp(self.inner._eval(z))
 
     def derivative(self):
         return Product((Exp(self.inner), self.inner.derivative()))
@@ -231,9 +235,8 @@ class Log(AnalyticFn):
     def _eval(self, z):
         self._check_guards(z)
         w = self.inner._eval(z)
-        if w == 0:
-            raise SingularityError(f"log of zero at {z}")
-        return cmath.log(w)
+        raise_at(w == 0, z, SingularityError, "log of zero at {}")
+        return log(w)
 
     def derivative(self):
         return Quotient(self.inner.derivative(), self.inner, guards=self.guards)
@@ -255,7 +258,12 @@ class Sum(AnalyticFn):
         object.__setattr__(self, "terms", tuple(self.terms))
 
     def _eval(self, z):
-        return sum((t._eval(z) for t in self.terms), 0.0 + 0.0j)
+        if not self.terms:
+            return full(z, 0.0)
+        acc = self.terms[0]._eval(z)
+        for t in self.terms[1:]:
+            acc = acc + t._eval(z)
+        return acc
 
     def derivative(self):
         return Sum(tuple(t.derivative() for t in self.terms))
@@ -272,9 +280,11 @@ class Product(AnalyticFn):
         object.__setattr__(self, "factors", tuple(self.factors))
 
     def _eval(self, z):
-        acc = 1.0 + 0.0j
-        for f in self.factors:
-            acc *= f._eval(z)
+        if not self.factors:
+            return full(z, 1.0)
+        acc = self.factors[0]._eval(z)
+        for f in self.factors[1:]:
+            acc = acc * f._eval(z)
         return acc
 
     def derivative(self):
@@ -307,8 +317,7 @@ class Quotient(AnalyticFn):
     def _eval(self, z):
         self._check_guards(z)
         d = self.den._eval(z)
-        if d == 0:
-            raise SingularityError(f"denominator vanishes at {z}")
+        raise_at(d == 0, z, SingularityError, "denominator vanishes at {}")
         return self.num._eval(z) / d
 
     def derivative(self):
@@ -357,8 +366,8 @@ class Power(AnalyticFn):
 
     def _eval(self, z):
         w = self.inner._eval(z)
-        if self.k < 0 and w == 0:
-            raise SingularityError(f"negative power of zero at {z}")
+        if self.k < 0:
+            raise_at(w == 0, z, SingularityError, "negative power of zero at {}")
         return w ** self.k
 
     def derivative(self):
@@ -432,6 +441,7 @@ def _json2guards(obj):
     return tuple((_p2c(c), float(r)) for c, r in obj)
 
 
+@config_parser
 def fn_from_json(obj: dict) -> AnalyticFn:
     """Rebuild an expression tree from its JSON form."""
     op = obj["op"]
@@ -469,7 +479,7 @@ def fn_from_json(obj: dict) -> AnalyticFn:
         return BlaschkeFn(BlaschkeProduct.from_json(obj))
     if op == "blaschke_derivative":
         return _BlaschkeDerivative(BlaschkeProduct.from_json(obj))
-    raise ValueError(f"unknown op {op!r}")
+    raise ConfigError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +508,18 @@ class TaylorSeries:
         return acc
 
 
-def _call(f, z: complex) -> complex:
+def _call(f, z: np.ndarray) -> np.ndarray:
     # Norm helpers accept either a tree or a bare callable (e.g. a semigroup
-    # residual z -> (W_t f(z) - f(z))/t - A f(z)).
+    # residual z -> (W_t f(z) - f(z))/t - A f(z)); either gets the whole
+    # ndarray of sample points in one call.
     if isinstance(f, AnalyticFn):
         return f.eval(z)
-    return complex(f(z))
+    return np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
+
+
+def _circle(r: float, M: int) -> np.ndarray:
+    """The M points r e^{2 pi i j/M}, j = 0..M-1."""
+    return r * np.exp(2j * np.pi * np.arange(M) / M)
 
 
 def taylor(f, N: int, r: float) -> TaylorSeries:
@@ -518,11 +534,7 @@ def taylor(f, N: int, r: float) -> TaylorSeries:
     if N < 0:
         raise ValueError("N must be >= 0")
     M = max(4 * N, 128)
-    samples = np.array(
-        [_call(f, r * cmath.exp(2j * math.pi * j / M)) for j in range(M)],
-        dtype=complex,
-    )
-    hat = np.fft.fft(samples) / M
+    hat = np.fft.fft(_call(f, _circle(r, M))) / M
     coeffs = [hat[k] / (r ** k) for k in range(N + 1)]
     return TaylorSeries(tuple(coeffs), N)
 
@@ -541,9 +553,7 @@ def hp_norm_boundary(f, p: float, r: float, M: int = 256) -> float:
         raise ValueError("p must be >= 1")
     if M < 64:
         raise ValueError("need at least 64 boundary samples")
-    total = 0.0
-    for j in range(M):
-        total += abs(_call(f, r * cmath.exp(2j * math.pi * j / M))) ** p
+    total = float(np.sum(np.abs(_call(f, _circle(r, M))) ** p))
     return (total / M) ** (1.0 / p)
 
 
@@ -609,6 +619,7 @@ class GridSpec:
         }
 
     @classmethod
+    @config_parser
     def from_json(cls, obj):
         return cls(
             tuple(obj["radii"]),
@@ -621,11 +632,12 @@ def bloch_norm_grid(f, grid: GridSpec, derivative=None) -> float:
     """|f(0)| + max over the grid of |f'(z)| (1 - |z|^2).
 
     A lower bound for the Bloch norm, nondecreasing under grid refinement.
-    ``derivative`` may be supplied for non-tree callables.
+    ``derivative`` may be supplied for non-tree callables.  Both are called
+    once, on an ndarray: f on the origin alone, the derivative on the grid.
     """
     if derivative is None:
         derivative = f.derivative()
-    best = 0.0
-    for z in grid.iter_points():
-        best = max(best, abs(_call(derivative, z)) * (1.0 - abs(z) ** 2))
-    return abs(_call(f, 0.0 + 0.0j)) + best
+    zs = np.fromiter(grid.iter_points(), dtype=complex)
+    weighted = np.abs(_call(derivative, zs)) * (1.0 - np.abs(zs) ** 2)
+    best = float(np.max(weighted, initial=0.0))
+    return abs(complex(_call(f, np.zeros(1, dtype=complex))[0])) + best

@@ -12,7 +12,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, HypothesisError, MultiplicityError
+import numpy as np
+
+from .errors import DomainError, HypothesisError, MultiplicityError, config_parser
+from .pointwise import full, outside, points, raise_at
 
 
 @dataclass(frozen=True)
@@ -41,6 +44,7 @@ class BlaschkeProduct:
         }
 
     @classmethod
+    @config_parser
     def from_json(cls, obj: dict) -> "BlaschkeProduct":
         zeros = [complex(re, im) for re, im in obj["zeros"]]
         return cls(tuple(zeros), float(obj.get("theta", 0.0)))
@@ -53,32 +57,34 @@ def radial_zeros(count: int, ratio: float = 0.5) -> tuple:
     return tuple(complex(1.0 - ratio ** n) for n in range(1, count + 1))
 
 
-def b_factor(a: complex, z: complex) -> complex:
+def b_factor(a: complex, z):
     """Single factor (|a|/a)*(a-z)/(1 - conj(a)*z); equals z when a = 0."""
     a = complex(a)
-    z = complex(z)
+    z = points(z)
     if a == 0:
         return z
     return (abs(a) / a) * (a - z) / (1.0 - a.conjugate() * z)
 
 
-def _b_factor_derivative(a: complex, z: complex) -> complex:
+def _b_factor_derivative(a: complex, z):
     # d/dz of b_factor: (|a|/a)*(|a|^2 - 1)/(1 - conj(a) z)^2; equals 1 when a = 0.
     a = complex(a)
     if a == 0:
         return 1.0 + 0.0j
-    den = 1.0 - a.conjugate() * complex(z)
+    den = 1.0 - a.conjugate() * z
     return (abs(a) / a) * (abs(a) ** 2 - 1.0) / (den * den)
 
 
-def blaschke_eval(B: BlaschkeProduct, z: complex) -> complex:
-    """Evaluate the product; |z| <= 1 allowed so boundary modulus can be checked."""
-    z = complex(z)
-    val = B.phase
+def blaschke_eval(B: BlaschkeProduct, z):
+    """Evaluate the product at a point or an array of points; |z| <= 1 allowed
+    so boundary modulus can be checked."""
+    z = points(z)
+    val = full(z, B.phase)
     for a in B.zeros:
-        val *= b_factor(a, z)
-    if B.zeros and abs(z) <= 1.0 - 1e-9 and not abs(val) < 1.0:
-        raise DomainError(f"finite Blaschke product left the disc at {z}")
+        val = val * b_factor(a, z)
+    if B.zeros:
+        raise_at((abs(z) <= 1.0 - 1e-9) & outside(val), z, DomainError,
+                 "finite Blaschke product left the disc at {}")
     return val
 
 
@@ -88,10 +94,10 @@ def blaschke_derivative(B: BlaschkeProduct, z: complex) -> complex:
     At a zero z_k every other term vanishes through its b_k factor, so the
     formula has no cancellation there.
     """
-    z = complex(z)
+    z = points(z)
     n = len(B.zeros)
     if n == 0:
-        return 0.0 + 0.0j
+        return full(z, 0.0)
     factors = [b_factor(a, z) for a in B.zeros]
     prefix = [1.0 + 0.0j] * (n + 1)
     for k in range(n):
@@ -99,7 +105,7 @@ def blaschke_derivative(B: BlaschkeProduct, z: complex) -> complex:
     suffix = [1.0 + 0.0j] * (n + 1)
     for k in range(n - 1, -1, -1):
         suffix[k] = suffix[k + 1] * factors[k]
-    total = 0.0 + 0.0j
+    total = full(z, 0.0)
     for k, a in enumerate(B.zeros):
         total += _b_factor_derivative(a, z) * prefix[k] * suffix[k + 1]
     return B.phase * total
@@ -278,11 +284,8 @@ def gpv_bound_check(
     rows = []
     beta_hat = math.inf
     for i, a, defl in zip(marked, centers, deflated):
-        disc = PseudoDisc(a, alpha)
-        local = min(
-            abs(blaschke_derivative(B, z)) * (1.0 - abs(a))
-            for z in disc.sample(n_radii=5, n_angles=n_angles)
-        )
+        zs = np.array(PseudoDisc(a, alpha).sample(n_radii=5, n_angles=n_angles))
+        local = float(np.min(np.abs(blaschke_derivative(B, zs)) * (1.0 - abs(a))))
         beta_hat = min(beta_hat, local)
         rows.append(GpvRow(index=i, center=a, deflated=defl, beta_local=local))
     if not rows:

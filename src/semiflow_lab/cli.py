@@ -302,6 +302,8 @@ def run_bloch_gap(config, rng):
     flow = flow_from_json(_require(config, "flow"))
     weights = [weight_from_json(w) for w in _require(config, "weights")]
     gamma0 = _pair(config.get("gamma0", [1.0, 0.0]))
+    if abs(abs(gamma0) - 1.0) > 1e-12:
+        raise ConfigError(f"gamma0 = {gamma0} must be unimodular")
     N = int(config.get("N", 6))
     t_start = float(config.get("t_start", 0.5))
     gc = construct_case1(flow, gamma0, N, t_start)

@@ -5,6 +5,8 @@ m_t(z) = exp(integral_0^t g(phi_s(z)) ds).  The integral (never the
 exponential) is the accumulated object: it rides along the orbit in the
 variational system and is exponentiated once, which sidesteps any branch
 ambiguity.  A coboundary m_t(z) = alpha(phi_t(z))/alpha(z) is evaluated directly.
+The sweep, ``apply_weighted`` and ``weighted_z_derivative`` take one point or
+an ndarray of points; a batch shares one integrator run.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from .analytic import (
     h2_norm,
     taylor,
 )
-from .errors import QuadratureError, SingularityError
+from .errors import ConfigError, QuadratureError, SingularityError, config_parser
 from .flows import DEFAULT_TOL, ConformalMap, FlowModel, OdeFlow, RotatedFlow, extrapolate_to_zero
 from .flows import _check_start, _integrate
+from .pointwise import exp, full, larger, points, raise_at
 
 # DP5(4) local errors scale with the largest state met along the way, so an
 # integral that swells this far above its end value has lost its digits.
@@ -92,65 +95,68 @@ def _flow_tol(flow: FlowModel) -> float:
     return flow.tol if isinstance(flow, OdeFlow) else DEFAULT_TOL
 
 
-def _sweep(wsg: WeightedSemigroup, z: complex, t: float):
+def _sweep(wsg: WeightedSemigroup, z, t: float):
     """(phi_t(z), phi_t'(z), I_t, J_t) from one integrator sweep along the orbit.
 
     Integrates the variational system y = (w, v, I, J) with w' = G(w),
     v' = G'(w) v, I' = g(w), J' = g'(w) v from (z, 1, 0, 0) (Hairer, Norsett
     & Wanner, Solving ODEs I, sec. I.14), so I_t is the integral of g along
     the orbit and J_t its z-derivative.  Refuses with QuadratureError when
-    I or J swelled far above its end value on the way.
+    I or J swelled far above its end value on the way, at any point of z.
     """
     z = _check_start(z, t)
     G, Gp, g, gp = wsg._variational_trees
-    peak = 0.0
+    peak = abs(full(z, 0.0))  # largest |I|, |J| so far, per point
 
     def rhs(y):
         nonlocal peak
         w, v, I, J = y
-        peak = max(peak, abs(I), abs(J))
+        peak = larger(peak, larger(abs(I), abs(J)))
         return (G.eval_anywhere(w), Gp.eval_anywhere(w) * v,
                 g.eval_anywhere(w), gp.eval_anywhere(w) * v)
 
     w, v, I, J = _integrate(rhs, (z, 1.0, 0.0, 0.0), float(t), _flow_tol(wsg.flow))
-    if peak > SWELL_LIMIT * (1.0 + abs(I) + abs(J)):
-        raise QuadratureError(
-            f"cocycle integral swelled to {peak:.3e} on the way to {max(abs(I), abs(J)):.3e}"
-        )
+    swell = peak / (1.0 + abs(I) + abs(J))
+    raise_at(swell > SWELL_LIMIT, swell, QuadratureError,
+             "cocycle integral swelled {:.3e} times above its end value")
     return w, v, I, J
 
 
-def cocycle_eval(wsg: WeightedSemigroup, z: complex, t: float) -> complex:
+def cocycle_eval(wsg: WeightedSemigroup, z, t: float):
     """m_t(z) for a Weight-type semigroup."""
     if not isinstance(wsg.weight, Weight):
         raise TypeError("cocycle_eval needs a Weight; use coboundary_eval instead")
     if t < 0:
         raise ValueError("cocycle time must be >= 0")
     if t == 0.0:
-        return 1.0 + 0.0j
+        return full(z, 1.0)
     if wsg._swept:
-        return cmath.exp(_sweep(wsg, z, t)[2])
+        return exp(_sweep(wsg, z, t)[2])
     # Constant weight integrates exactly; also covers the g == 0 shortcut.
-    return cmath.exp(wsg.weight.g.value * t)
+    return full(z, cmath.exp(wsg.weight.g.value * t))
 
 
 def coboundary_eval(
     alpha: AnalyticFn,
     flow: FlowModel,
-    z: complex,
+    z,
     t: float,
     fixed_point: complex | None = None,
-) -> complex:
+):
     """m_t(z) = alpha(phi_t(z)) / alpha(z)."""
-    z = complex(z)
-    if fixed_point is not None and abs(z - complex(fixed_point)) <= 1e-12:
-        raise SingularityError("evaluation at the allowed zero of alpha")
+    z = points(z)
+    return _coboundary_ratio(alpha, z, flow.advance(z, t), t, fixed_point)
+
+
+def _coboundary_ratio(alpha: AnalyticFn, z, w, t: float, fixed_point: complex | None):
+    """alpha(w) / alpha(z) for w = phi_t(z): the coboundary cocycle m_t(z)."""
+    if fixed_point is not None:
+        raise_at(abs(z - complex(fixed_point)) <= 1e-12, z, SingularityError,
+                 "evaluation at the allowed zero {} of alpha")
     az = alpha.eval(z)
-    if abs(az) == 0.0:
-        raise SingularityError(f"alpha vanishes at {z}")
-    value = alpha.eval(flow.advance(z, t)) / az
-    if abs(value) == 0.0:
-        raise SingularityError(f"alpha vanishes on the orbit of {z} at t = {t}")
+    raise_at(az == 0, z, SingularityError, "alpha vanishes at {}")
+    value = alpha.eval(w) / az
+    raise_at(value == 0, z, SingularityError, "alpha vanishes on the orbit of {} at t = {}", t)
     return value
 
 
@@ -182,18 +188,22 @@ def weight_generator_fd(wsg: WeightedSemigroup, z: complex, h_ladder) -> complex
     return extrapolate_to_zero(h_ladder, vals)
 
 
-def apply_weighted(wsg: WeightedSemigroup, f, z: complex, t: float) -> complex:
-    """W_t f(z) = m_t(z) f(phi_t(z))."""
+def apply_weighted(wsg: WeightedSemigroup, f, z, t: float):
+    """W_t f(z) = m_t(z) f(phi_t(z)), at a point or at each point of an array."""
+    z = points(z)
     if t == 0.0:
-        return f.eval(z) if isinstance(f, AnalyticFn) else complex(f(z))
+        return f.eval(z) if isinstance(f, AnalyticFn) else f(z)
+    weight = wsg.weight
     if wsg._swept:
         w, _, integral, _ = _sweep(wsg, z, t)
-        m = cmath.exp(integral)
+        m = exp(integral)
+    elif isinstance(weight, Weight):
+        w = wsg.flow.advance(z, t)
+        m = cocycle_eval(wsg, z, t)
     else:
         w = wsg.flow.advance(z, t)
-        m = _cocycle_value(wsg, z, t)
-    fw = f.eval(w) if isinstance(f, AnalyticFn) else complex(f(w))
-    return m * fw
+        m = _coboundary_ratio(weight.alpha, z, w, t, weight.fixed_point)
+    return m * (f.eval(w) if isinstance(f, AnalyticFn) else f(w))
 
 
 def _cocycle_with_z_derivative(wsg, z, t):
@@ -203,25 +213,25 @@ def _cocycle_with_z_derivative(wsg, z, t):
     cancellation checks, hence the differentiated integral."""
     if wsg._swept:
         w, dw, integral, d_integral = _sweep(wsg, z, t)
-        m = cmath.exp(integral)
+        m = exp(integral)
         return m, m * d_integral, w, dw
     w, dw = wsg.flow.advance_with_derivative(z, t)
     weight = wsg.weight
     if isinstance(weight, Weight):
-        return cmath.exp(weight.g.value * t), 0.0 + 0.0j, w, dw
+        return full(z, cmath.exp(weight.g.value * t)), full(z, 0.0), w, dw
     alpha = weight.alpha
     ap = alpha.derivative()
     az = alpha.eval(z)
-    if abs(az) == 0.0:
-        raise SingularityError(f"alpha vanishes at {z}")
+    raise_at(az == 0, z, SingularityError, "alpha vanishes at {}")
     aw = alpha.eval(w)
     m = aw / az
     mp = (ap.eval(w) * dw * az - aw * ap.eval(z)) / (az * az)
     return m, mp, w, dw
 
 
-def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z: complex, t: float) -> complex:
-    """d/dz [m_t f(phi_t)](z) = m_t'(z) f(phi_t(z)) + m_t(z) f'(phi_t(z)) phi_t'(z)."""
+def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z, t: float):
+    """d/dz [m_t f(phi_t)](z) = m_t'(z) f(phi_t(z)) + m_t(z) f'(phi_t(z)) phi_t'(z),
+    at a point or at each point of an array."""
     fp = f.derivative()
     if t == 0.0:
         return fp.eval(z)
@@ -333,11 +343,14 @@ def coboundary_similarity_check(
     t: float,
     fixed_point: complex | None = None,
 ) -> float:
-    """Residual of the similarity m_t f(phi_t) = (1/alpha) (alpha f)(phi_t)."""
-    m = coboundary_eval(alpha, flow, z, t, fixed_point)
-    lhs = m * f.eval(flow.advance(z, t))
-    alpha_f = Product((alpha, f))
-    rhs = alpha_f.eval(flow.advance(z, t)) / alpha.eval(z)
+    """Residual of the similarity m_t f(phi_t) = (1/alpha) (alpha f)(phi_t).
+
+    Both sides read the same phi_t(z), from one advance.
+    """
+    z = points(z)
+    w = flow.advance(z, t)
+    lhs = _coboundary_ratio(alpha, z, w, t, fixed_point) * f.eval(w)
+    rhs = Product((alpha, f)).eval(w) / alpha.eval(z)
     return abs(lhs - rhs)
 
 
@@ -367,6 +380,7 @@ def transfer_conjugation_check(
     return abs(lhs - rhs)
 
 
+@config_parser
 def weight_from_json(obj: dict):
     from .analytic import fn_from_json
 
@@ -378,7 +392,7 @@ def weight_from_json(obj: dict):
             fn_from_json(obj["alpha"]),
             None if fp is None else complex(fp[0], fp[1]),
         )
-    raise ValueError(f"unknown weight type {obj['type']!r}")
+    raise ConfigError(f"unknown weight type {obj['type']!r}")
 
 
 def weight_to_json(weight) -> dict:

@@ -1,5 +1,7 @@
 """Exception types shared across the laboratory modules."""
 
+import functools
+
 
 class SemiflowError(Exception):
     """Base class for all errors raised by this package."""
@@ -60,3 +62,21 @@ class BisectionError(SemiflowError):
 
 class ConfigError(SemiflowError):
     """Malformed experiment configuration."""
+
+
+def config_parser(parse):
+    """Report a malformed JSON object handed to ``parse`` as ConfigError.
+
+    A missing key, a wrong type or a bad value reaches a parser as KeyError,
+    TypeError, IndexError or ValueError; the CLI maps ConfigError to exit
+    code 2.  A ConfigError from a nested parser passes through unchanged.
+    """
+
+    @functools.wraps(parse)
+    def parsed(*args):
+        try:
+            return parse(*args)
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            raise ConfigError(f"{parse.__name__}: {type(exc).__name__}: {exc}") from exc
+
+    return parsed

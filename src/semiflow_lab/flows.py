@@ -5,6 +5,8 @@ initial-value problem dw/dt = G(w), w(0) = z (adaptive Dormand-Prince 5(4)),
 closed-form linearization models phi_t = h^{-1}(e^{-ct} h) and
 phi_t = h^{-1}(h + ct) through a conformal map h, and disc-automorphism
 families.  All flow objects are immutable and their operations pure.
+``advance`` and ``advance_with_derivative`` take one start point or an
+ndarray of them; a batch shares one adaptive step sequence.
 """
 
 from __future__ import annotations
@@ -18,82 +20,84 @@ import numpy as np
 
 from .analytic import AnalyticFn, Compose, Constant, Mobius, Polynomial, Product, Quotient
 from .errors import (
+    ConfigError,
     DomainError,
     EscapeError,
     InverseError,
     ModelError,
     NoConvergence,
+    config_parser,
 )
+from .pointwise import full, larger, outside, points, raise_at, sup, where
 
 ESCAPE_RADIUS = 1.0 - 1e-12
 DEFAULT_TOL = 1e-10
 MAX_STEPS = 10_000
 
-# Dormand-Prince 5(4) tableau (autonomous right-hand sides, so no c nodes).
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
+# Dormand-Prince 5(4) tableau (autonomous right-hand sides, so no c nodes),
+# non-zero entries only.  Row 7 of A is the fifth-order weights B, and its
+# stage is the first stage of the next step (first same as last).
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_C1, _C3, _C4, _C5, _C6, _C7 = (
+    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
+)  # fourth-order weights
 
 
 def _integrate(rhs, y0, t_end: float, tol: float):
     """Adaptive RK5(4) from 0 to t_end on a tuple of complex states.
 
-    y[0] is the disc state and is escape-guarded.  Plain complex arithmetic
-    is used throughout: the state has one or two components and small numpy
-    arrays would dominate the runtime.
+    y[0] is the disc state and is escape-guarded.  Each component is a Python
+    complex, or, for a batch, an ndarray with one entry per point (a scalar
+    component is spread over the batch of y0[0]).  The points of a batch share
+    one step sequence, and the error norm is the largest scaled error over
+    the points and components.
     """
-    y = tuple(complex(c) for c in y0)
-    n = len(y)
-    t = 0.0
-    if abs(y[0]) >= ESCAPE_RADIUS:
-        raise EscapeError(f"initial state {y[0]} at the escape radius")
+    y = tuple(full(y0[0], c) for c in y0)
+    raise_at(abs(y[0]) >= ESCAPE_RADIUS, y[0], EscapeError, "initial state {} at the escape radius")
     if t_end == 0.0:
         return y
+    t = 0.0
     h = min(t_end, 0.1)
     steps = 0
+    k1 = rhs(y)
     while t < t_end:
         if steps >= MAX_STEPS:
             raise EscapeError("step budget exhausted; tolerance unattainable")
         steps += 1
         h = min(h, t_end - t)
-        k = [rhs(y)]
-        for i in range(1, 7):
-            row = _DP_A[i]
-            yi = tuple(
-                y[m] + h * sum(row[s] * k[s][m] for s in range(i)) for m in range(n)
-            )
-            k.append(rhs(yi))
+        k2 = rhs(tuple(a + h * (_A21 * p) for a, p in zip(y, k1)))
+        k3 = rhs(tuple(a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)))
+        k4 = rhs(tuple(
+            a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)
+        ))
+        k5 = rhs(tuple(
+            a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+        ))
+        k6 = rhs(tuple(
+            a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
+            for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+        ))
         y5 = tuple(
-            y[m] + h * sum(_DP_B5[s] * k[s][m] for s in range(7)) for m in range(n)
+            a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
+            for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
         )
+        k7 = rhs(y5)
         err = 0.0
-        for m in range(n):
-            y4m = y[m] + h * sum(_DP_B4[s] * k[s][m] for s in range(7))
-            scale = tol + tol * max(abs(y[m]), abs(y5[m]))
-            err = max(err, abs(y5[m] - y4m) / scale)
+        for a, b, p, r, s, u, v, x in zip(y, y5, k1, k3, k4, k5, k6, k7):
+            y4 = a + h * (_C1 * p + _C3 * r + _C4 * s + _C5 * u + _C6 * v + _C7 * x)
+            err = max(err, sup(abs(b - y4) / (tol + tol * larger(abs(a), abs(b)))))
         if err <= 1.0:
             t += h
-            y = y5
-            if abs(y[0]) >= ESCAPE_RADIUS:
-                raise EscapeError(
-                    f"trajectory reached |w| = {abs(y[0]):.17f} at t = {t}"
-                )
+            y, k1 = y5, k7
+            modulus = abs(y[0])
+            raise_at(modulus >= ESCAPE_RADIUS, modulus, EscapeError,
+                     "trajectory reached |w| = {:.17f} at t = {}", t)
         factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if h <= 0.0 or not math.isfinite(h):
@@ -122,25 +126,32 @@ class ConformalMap:
     def forward_derivative(self) -> AnalyticFn:
         return self.forward.derivative()
 
-    def map(self, z: complex) -> complex:
+    def map(self, z):
         return self.forward.eval_anywhere(z)
 
-    def map_derivative(self, z: complex) -> complex:
+    def map_derivative(self, z):
         return self.forward_derivative.eval_anywhere(z)
 
-    def inverse_at(self, w: complex, seed: complex | None = None) -> complex:
+    def inverse_at(self, w, seed=None):
+        """h^{-1}(w) at a point or an array of points.
+
+        Newton iterates the whole batch; a point stops moving once it has
+        converged, and the call fails if any point does not converge.
+        """
         if self.inverse is not None:
             return self.inverse.eval_anywhere(w)
-        x = complex(self.newton.seed if seed is None else seed)
+        w = points(w)
+        x = full(w, self.newton.seed if seed is None else seed)
+        miss = True
         for _ in range(self.newton.max_iter):
             fx = self.forward.eval_anywhere(x)
-            if abs(fx - w) <= self.newton.tol:
+            miss = abs(fx - w) > self.newton.tol
+            if not np.any(miss):
                 return x
             dfx = self.forward_derivative.eval_anywhere(x)
-            if dfx == 0:
-                raise InverseError(f"critical point hit while inverting at {w}")
-            x = x - (fx - w) / dfx
-        raise InverseError(f"Newton did not converge inverting at {w}")
+            raise_at(miss & (dfx == 0), w, InverseError, "critical point hit while inverting at {}")
+            x = where(miss, x - (fx - w) / dfx, x)
+        raise_at(miss, w, InverseError, "Newton did not converge inverting at {}")
 
     def to_json(self):
         obj = {"forward": self.forward.to_json()}
@@ -187,38 +198,38 @@ class GeneratorSpec:
         return self.fn.derivative()
 
 
-def _check_start(z: complex, t: float) -> complex:
-    """z as a complex number, once z lies in the open disc and t >= 0."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"{z} not inside the open unit disc")
+def _check_start(z, t: float):
+    """z as a complex number or array, once z lies in the open disc and t >= 0."""
+    z = points(z)
+    raise_at(abs(z) >= 1.0, z, DomainError, "{} not inside the open unit disc")
     if t < 0:
         raise ValueError("semiflow time must be >= 0")
     return z
 
 
-class FlowModel:
-    """Common interface: closed-form or integrated evaluation of phi_t."""
+def _check_inside(w, error, what: str):
+    raise_at(outside(w), w, error, what + " left the disc at {}")
+    return w
 
-    def advance(self, z: complex, t: float, tol: float | None = None) -> complex:
+
+class FlowModel:
+    """Common interface: closed-form or integrated evaluation of phi_t.
+
+    z is one start point or an ndarray of them; the result has its shape.
+    """
+
+    def advance(self, z, t: float, tol: float | None = None):
         z = _check_start(z, t)
         if t == 0.0:
             return z
-        w = self._advance(z, float(t), tol)
-        if not abs(w) < 1.0:
-            raise EscapeError(f"flow left the disc at {w}")
-        return w
+        return _check_inside(self._advance(z, float(t), tol), EscapeError, "flow")
 
-    def advance_with_derivative(
-        self, z: complex, t: float, tol: float | None = None
-    ):
+    def advance_with_derivative(self, z, t: float, tol: float | None = None):
         z = _check_start(z, t)
         if t == 0.0:
-            return z, 1.0 + 0.0j
+            return z, full(z, 1.0)
         w, dw = self._advance_with_derivative(z, float(t), tol)
-        if not abs(w) < 1.0:
-            raise EscapeError(f"flow left the disc at {w}")
-        return w, dw
+        return _check_inside(w, EscapeError, "flow"), dw
 
     def _advance(self, z, t, tol):
         raise NotImplementedError
@@ -284,10 +295,7 @@ class KoenigsSpiral(FlowModel):
 
     def _advance(self, z, t, tol):
         u = cmath.exp(-self.c * t) * self.h.map(z)
-        w = self.h.inverse_at(u, seed=z)
-        if abs(w) >= 1.0:
-            raise InverseError(f"inverse left the disc at {w}")
-        return w
+        return _check_inside(self.h.inverse_at(u, seed=z), InverseError, "inverse")
 
     def _advance_with_derivative(self, z, t, tol):
         w = self._advance(z, t, tol)
@@ -321,10 +329,7 @@ class KoenigsTranslate(FlowModel):
 
     def _advance(self, z, t, tol):
         u = self.h.map(z) + self.c * t
-        w = self.h.inverse_at(u, seed=z)
-        if abs(w) >= 1.0:
-            raise InverseError(f"inverse left the disc at {w}")
-        return w
+        return _check_inside(self.h.inverse_at(u, seed=z), InverseError, "inverse")
 
     def _advance_with_derivative(self, z, t, tol):
         w = self._advance(z, t, tol)
@@ -414,10 +419,7 @@ class _HyperbolicDilation(FlowModel):
 
     def _advance(self, z, t, tol):
         u = math.exp(self.rate * t) * self.h.map(z)
-        w = self.h.inverse_at(u, seed=z)
-        if abs(w) >= 1.0:
-            raise InverseError(f"inverse left the disc at {w}")
-        return w
+        return _check_inside(self.h.inverse_at(u, seed=z), InverseError, "inverse")
 
     def _advance_with_derivative(self, z, t, tol):
         w = self._advance(z, t, tol)
@@ -657,6 +659,7 @@ def automorphism_fixed_points(flow: FlowModel):
     return _mobius_fixed_points(*_fit_mobius(flow))
 
 
+@config_parser
 def flow_from_json(obj: dict) -> FlowModel:
     from .analytic import fn_from_json
 
@@ -679,9 +682,10 @@ def flow_from_json(obj: dict) -> FlowModel:
         return RotatedFlow(
             flow_from_json(obj["inner"]), complex(obj["gamma"][0], obj["gamma"][1])
         )
-    raise ValueError(f"unknown flow type {kind!r}")
+    raise ConfigError(f"unknown flow type {kind!r}")
 
 
+@config_parser
 def map_from_json(obj) -> ConformalMap:
     from .analytic import fn_from_json
 
@@ -692,7 +696,7 @@ def map_from_json(obj) -> ConformalMap:
             "reflected_cayley": reflected_cayley_map,
         }
         if obj not in named:
-            raise ValueError(f"unknown named map {obj!r}")
+            raise ConfigError(f"unknown named map {obj!r}")
         return named[obj]()
     forward = fn_from_json(obj["forward"])
     if "inverse" in obj:

@@ -15,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analytic import AnalyticFn, BlaschkeFn, Compose, GridSpec, Polynomial, Power, Product, Sum, bloch_norm_grid
 from .blaschke import (
     BlaschkeProduct,
@@ -26,6 +28,7 @@ from .errors import (
     BisectionError,
     CaseMismatch,
     DepthExceeded,
+    DomainError,
     InterpolationError,
     ModelError,
 )
@@ -129,7 +132,7 @@ def construct_case1(
         raise DepthExceeded(f"N = {N} exceeds the double-precision depth cap {DEPTH_CAP}")
     gamma0 = complex(gamma0)
     if abs(abs(gamma0) - 1.0) > 1e-12:
-        raise ValueError("gamma0 must be unimodular")
+        raise DomainError(f"gamma0 = {gamma0} must be unimodular")
     work = flow if gamma0 == 1.0 else RotatedFlow(flow, gamma0)
     if isinstance(flow, Automorphism):
         raise CaseMismatch("automorphism flows keep the boundary on the boundary")
@@ -241,15 +244,14 @@ def bloch_gap(gc: GapConstruction, wsg: WeightedSemigroup, grid: GridSpec) -> Ga
     for lv in gc.levels:
         if not grid.contains_point(complex(lv.r)):
             raise ValueError(f"grid must include the construction point r_{lv.n} = {lv.r}")
-    grid_points = list(grid.iter_points())
+    zs = np.fromiter(grid.iter_points(), dtype=complex)
+    fp_grid = fp.eval(zs)
     rows = []
     for lv in gc.levels:
         fpr = fp.eval(lv.r)
         lower = abs(fpr) * (1.0 - lv.r)
-        gap = 0.0
-        for z in grid_points:
-            d = weighted_z_derivative(wsg, f, z, lv.t) - fp.eval(z)
-            gap = max(gap, abs(d) * (1.0 - abs(z) ** 2))
+        d = weighted_z_derivative(wsg, f, zs, lv.t) - fp_grid
+        gap = float(np.max(np.abs(d) * (1.0 - np.abs(zs) ** 2), initial=0.0))
         cancel = abs(weighted_z_derivative(wsg, f, lv.r, lv.t))
         rows.append(
             GapRow(

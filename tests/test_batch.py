@@ -1,0 +1,160 @@
+"""One code path for a point and for a batch of points.
+
+Every evaluation layer takes a Python complex or a complex ndarray.  These
+tests pin that a batch gives what the same points give one at a time, and
+that a batch with one offending point raises the typed error that point
+raises on its own.
+"""
+
+import cmath
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import semiflow_lab as sl
+from conftest import flow_corpus, fn_corpus, random_disc_points, weight_corpus
+from semiflow_lab.cocycles import _flow_tol
+
+
+def radial_flow(tol=1e-12):
+    return sl.ode_flow(sl.Polynomial([0, -1]), tol)
+
+
+def pole_weight(p):
+    return sl.Weight(sl.Quotient(sl.Constant(1), sl.Polynomial([-p, 1])))
+
+
+def test_tree_batch_matches_pointwise(rng):
+    zs = np.array(random_disc_points(rng, 64, 0.8))
+    for f in fn_corpus():
+        for tree in (f, f.derivative()):
+            batch = tree.eval(zs)
+            single = np.array([tree.eval(z) for z in zs])
+            assert isinstance(batch, np.ndarray) and batch.shape == zs.shape
+            assert np.max(np.abs(batch - single)) <= 1e-15 * np.max(np.abs(single))
+
+
+def test_scalar_evaluation_stays_python_complex():
+    for f in fn_corpus():
+        assert type(f.eval(0.3 - 0.1j)) is complex
+    assert type(radial_flow().advance(0.3, 0.5)) is complex
+
+
+# The guard disc around the pole 0.5 is wider than the pole: only the guard refuses 0.5004.
+GUARDED = sl.Quotient(
+    sl.Constant(1), sl.Polynomial([-0.5, 1]), guards=sl.analytic.guard_points([0.5], radius=1e-3)
+)
+
+
+@pytest.mark.parametrize(
+    "tree, bad, error",
+    [
+        (GUARDED, 0.5004, sl.SingularityError),
+        (sl.Mobius(1, 0, 1, -0.5), 0.5, sl.SingularityError),
+        (sl.Identity(), 1.2, sl.DomainError),
+        (sl.Exp(sl.Polynomial([0, 800])), 0.95, sl.SingularityError),
+    ],
+    ids=["guarded-quotient", "mobius-pole", "outside-disc", "exp-overflow"],
+)
+def test_offending_point_raises_in_any_slot(tree, bad, error):
+    with pytest.raises(error):
+        tree.eval(bad)
+    good = [0.1, -0.2j, 0.3 + 0.3j]
+    for slot in range(len(good) + 1):
+        batch = np.array(good[:slot] + [bad] + good[slot:], dtype=complex)
+        with pytest.raises(error, match=re.escape(str(complex(bad)))):
+            tree.eval(batch)
+
+
+@pytest.mark.parametrize("fname", sorted(flow_corpus()))
+def test_batched_semigroup_matches_pointwise(fname, rng):
+    # A batch shares one step sequence, a single point takes its own, so the
+    # two agree to the integration tolerance, not to roundoff.
+    flow = flow_corpus(1e-12)[fname]
+    zs = np.array(random_disc_points(rng, 16, 0.8))
+    f = sl.Exp(sl.Identity())
+    for wname, weight in weight_corpus().items():
+        wsg = sl.WeightedSemigroup(flow, weight)
+        bound = 10 * _flow_tol(flow)
+        for t in (0.0, 0.3, 1.1):
+            for op in (sl.apply_weighted, sl.weighted_z_derivative):
+                batch = op(wsg, f, zs, t)
+                single = np.array([op(wsg, f, z, t) for z in zs])
+                assert batch.shape == zs.shape
+                assert np.all(np.abs(batch - single) <= bound * (1 + np.abs(single))), (wname, t, op)
+
+
+def test_batched_newton_inverse_matches_pointwise(rng):
+    h = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1))
+    zs = np.array(random_disc_points(rng, 12, 0.7))
+    ws = h.map(zs)
+    batch = h.inverse_at(ws, seed=0.9 * zs)
+    single = np.array([h.inverse_at(w, seed=0.9 * z) for z, w in zip(zs, ws)])
+    assert np.max(np.abs(batch - single)) <= 1e-14
+    stubborn = sl.ConformalMap(forward=h.forward, newton=sl.NewtonInverse(max_iter=3))
+    with pytest.raises(sl.InverseError):
+        stubborn.inverse_at(np.array([h.map(0.0), h.map(0.95)]))
+
+
+@pytest.mark.parametrize("tol, error", [(1e-10, sl.QuadratureError), (1e-12, sl.EscapeError)])
+def test_near_pole_point_refused_in_a_batch(tol, error):
+    # the point 0.9 of the near-pole tests in test_cocycles.py, next to a harmless one
+    wsg = sl.WeightedSemigroup(radial_flow(tol), pole_weight(0.5 + 1e-9j))
+    with pytest.raises(error):
+        sl.cocycle_eval(wsg, np.array([0.2j, 0.9]), 2.0)
+
+
+def test_flow_leaving_the_disc_is_typed_in_a_batch():
+    class HalfOut(sl.FlowModel):
+        def _advance(self, z, t, tol):
+            return np.where(z.real > 0, 1.0 + 0j, z)
+
+    with pytest.raises(sl.EscapeError):
+        HalfOut().advance(np.array([-0.5, 0.5]), 1.0)
+
+
+def test_norms_call_a_bare_callable_once_with_an_ndarray():
+    seen = []
+
+    def square(z):
+        seen.append(z)
+        return z * z
+
+    assert sl.h2_norm(sl.taylor(square, 4, 0.5)) == pytest.approx(1.0)
+    assert sl.hp_norm_boundary(square, 2, 0.5) == pytest.approx(0.25)
+    grid = sl.GridSpec((0.0, 0.5), (1, 8))
+    assert sl.bloch_norm_grid(square, grid, derivative=lambda z: 2 * z) == pytest.approx(0.75)
+    assert all(isinstance(z, np.ndarray) for z in seen)
+    assert len(seen) == 3  # taylor, hp_norm_boundary and f(0) in bloch_norm_grid
+
+
+disc_points = st.builds(
+    lambda r, a: r * cmath.exp(1j * a),
+    st.floats(0.0, 0.95),
+    st.floats(0.0, 2 * cmath.pi),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(disc_points, st.just(0.5004 + 0j)), min_size=1, max_size=12))
+def test_batch_raises_iff_some_point_raises(zs):
+    # the guarded quotient refuses its guard disc, which 0.5004 lies in
+    singles = []
+    for z in zs:
+        try:
+            singles.append(GUARDED.eval(z))
+        except sl.SingularityError:
+            singles.append(None)
+    batch = np.array(zs, dtype=complex)
+    if any(v is None for v in singles):
+        with pytest.raises(sl.SingularityError):
+            GUARDED.eval(batch)
+    else:
+        got = GUARDED.eval(batch)
+        assert np.max(np.abs(got - np.array(singles))) <= 1e-15 * np.max(np.abs(got))
+        wsg = sl.WeightedSemigroup(radial_flow(), sl.Weight(sl.Identity()))
+        m = sl.cocycle_eval(wsg, batch, 0.4)
+        assert np.allclose(m, np.exp(batch * (1 - np.exp(-0.4))), rtol=0, atol=1e-12)

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from semiflow_lab.cli import main
 
@@ -201,6 +202,32 @@ def test_exit_code_on_config_error(tmp_path):
     assert run("flow-check", str(bad), tmp_path / "out") == 2
     missing = write_config(tmp_path, "missing.json", {})
     assert run("flow-check", missing, tmp_path / "out2") == 2
+
+
+GAP_WEIGHTS = [{"type": "weight", "g": {"op": "const", "value": [1, 0]}}]
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload",
+    [
+        ("flow-check", {"flow": {"type": "ode", "G": {"op": "nope"}}}),
+        ("flow-check", {"flow": {"type": "ode"}}),
+        ("flow-check", {"flow": {"type": "warp"}}),
+        ("flow-check", {"flow": {"type": "ode", "G": {"op": "poly"}}}),
+        ("flow-check", {"flow": {"type": "ode", "G": 5}}),
+        ("flow-check", {"flow": {"type": "koenigs", "mode": "spin", "h": "cayley", "c": [0, 1]}}),
+        ("cocycle-check", {"flow": RADIAL, "weight": {"type": "mystery"}}),
+        ("cocycle-check", {"flow": RADIAL, "weight": {"type": "weight"}}),
+        ("transfer-check", {"map": "nope", "flow": RADIAL, "weight": {"type": "weight", "g": {"op": "id"}},
+                            "function": {"op": "id"}}),
+        ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "gamma0": [0, 2]}),
+        ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "gamma0": [0, 0]}),
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, subcommand, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run(subcommand, cfg, tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_csv_bodies_deterministic(tmp_path):

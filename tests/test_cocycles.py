@@ -233,6 +233,23 @@ def test_coboundary_similarity():
     assert sl.coboundary_similarity_check(alpha, flow, sl.Identity(), 0.4, 0.0) == 0.0
 
 
+def test_coboundary_similarity_advances_once(monkeypatch):
+    # both sides of the similarity read the same phi_t(z)
+    calls = []
+    advance = sl.OdeFlow._advance
+
+    def counted(self, z, t, tol):
+        calls.append(z)
+        return advance(self, z, t, tol)
+
+    monkeypatch.setattr(sl.OdeFlow, "_advance", counted)
+    resid = sl.coboundary_similarity_check(
+        sl.Polynomial([1, -1]), radial_flow(), sl.Exp(sl.Identity()), 0.3 + 0.1j, 0.7
+    )
+    assert resid <= 1e-14
+    assert len(calls) == 1
+
+
 def test_transfer_generator_identity_map():
     G, g = sl.Polynomial([0, -1]), sl.Identity()
     G1, g1 = sl.transfer_generator(sl.identity_map(), G, g)

@@ -15,6 +15,12 @@ def case1():
     return sl.construct_case1(radial_flow(), 1.0, N=6, t_start=0.5)
 
 
+@pytest.mark.parametrize("gamma0", [2j, 0.0])
+def test_case1_rejects_non_unimodular_base_point(gamma0):
+    with pytest.raises(sl.DomainError):
+        sl.construct_case1(radial_flow(), gamma0, N=2)
+
+
 def test_case1_levels_match_closed_form(case1):
     # w_n recorded by the integrator agrees with e^{-t_n} r_n
     for lv in case1.levels:
