@@ -67,16 +67,73 @@ def _require(config: dict, key: str):
 
 
 def _pair(v) -> complex:
-    return complex(v[0], v[1])
+    try:
+        if isinstance(v, (list, tuple)) and len(v) == 2:
+            return complex(v[0], v[1])
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"expected a [re, im] pair, got {v!r}")
 
 
-def _random_points(rng, n: int, radius: float):
+def _finite(key: str, v, least: float = -math.inf) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v < least:
+        bound = f" >= {least}" if least > -math.inf else ""
+        raise ConfigError(f"config key {key!r} must be a finite number{bound}, got {v!r}")
+    return float(v)
+
+
+def _number(config: dict, key: str, default, least: float = -math.inf):
+    """config[key] as a finite float >= least; ``default`` when the key is absent."""
+    return _finite(key, config[key], least) if key in config else default
+
+
+def _count(config: dict, key: str, default: int, least: int = 1) -> int:
+    """config[key] as an integer >= least; ``default`` when the key is absent."""
+    v = config.get(key, default)
+    integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    if isinstance(v, bool) or not integral or v < least:
+        raise ConfigError(f"config key {key!r} must be an integer >= {least}, got {v!r}")
+    return int(v)
+
+
+def _numbers(config: dict, key: str, default: list, count: int | None = None) -> list:
+    """config[key] as a non-empty list of finite floats (``count`` of them, when given)."""
+    v = config.get(key, default)
+    if not isinstance(v, list) or not v or count is not None and len(v) != count:
+        raise ConfigError(f"config key {key!r} must be a list of {count or 'some'} numbers, got {v!r}")
+    return [_finite(key, x) for x in v]
+
+
+def _time_range(config: dict, default: list):
+    """config["t_range"] as times 0 <= lo <= hi."""
+    lo, hi = _numbers(config, "t_range", default, 2)
+    if not 0.0 <= lo <= hi:
+        raise ConfigError(f"config key 't_range' must hold times 0 <= lo <= hi, got {[lo, hi]}")
+    return lo, hi
+
+
+def _ladder(config: dict, key: str, default: list) -> list:
+    """config[key] as a strictly decreasing list of positive steps."""
+    ladder = _numbers(config, key, default)
+    if ladder[-1] <= 0.0 or any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError(f"config key {key!r} must decrease strictly and stay positive, got {ladder}")
+    return ladder
+
+
+def random_disc_points(rng, n: int, radius: float):
+    """n points drawn uniformly from the closed disc of the given radius."""
     pts = []
     while len(pts) < n:
         z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
         if abs(z) <= radius:
             pts.append(z)
     return pts
+
+
+def _table(zs, *columns):
+    """One CSV row [z_re, z_im, *columns] per point of zs; a scalar column repeats."""
+    cells = [np.broadcast_to(c, (len(zs),)).tolist() for c in columns]
+    return [[z.real, z.imag, *row] for z, *row in zip(np.asarray(zs).tolist(), *cells)]
 
 
 class Verdicts:
@@ -101,9 +158,9 @@ class Verdicts:
 def run_flow_trace(config, rng):
     flow = flow_from_json(_require(config, "flow"))
     z0 = _pair(_require(config, "z0"))
-    t_max = float(config.get("t_max", 2.0))
-    n = int(config.get("samples", 50))
-    traj = flow_trace(flow, z0, t_max, n, config.get("tol"))
+    t_max = _number(config, "t_max", 2.0)
+    n = _count(config, "samples", 50)
+    traj = flow_trace(flow, z0, t_max, n, _number(config, "tol", None))
     verdicts = Verdicts()
     inside = all(abs(complex(row[1], row[2])) < 1.0 for row in traj.to_csv_rows())
     verdicts.add("trajectory-inside-disc", inside)
@@ -113,33 +170,29 @@ def run_flow_trace(config, rng):
 
 def run_flow_check(config, rng):
     flow = flow_from_json(_require(config, "flow"))
-    n = int(config.get("n_points", 50))
-    radius = float(config.get("z_radius", 0.8))
-    t_lo, t_hi = config.get("t_range", [0.0, 2.0])
-    thr_semi = float(config.get("semigroup_threshold", 1e-8))
-    ladder = config.get("generator_ladder", [5e-3, 2.5e-3, 1.25e-3])
-    thr_gen = float(config.get("generator_threshold", 1e-6))
+    n = _count(config, "n_points", 50)
+    radius = _number(config, "z_radius", 0.8, least=0.0)
+    t_lo, t_hi = _time_range(config, [0.0, 2.0])
+    thr_semi = _number(config, "semigroup_threshold", 1e-8)
+    ladder = _ladder(config, "generator_ladder", [5e-3, 2.5e-3, 1.25e-3])
+    thr_gen = _number(config, "generator_threshold", 1e-6)
 
-    rows = []
-    worst_semi = 0.0
-    for z in _random_points(rng, n, radius):
-        s = rng.uniform(t_lo, t_hi)
-        t = rng.uniform(t_lo, t_hi)
-        resid = check_semigroup(flow, z, s, t)
-        worst_semi = max(worst_semi, resid)
-        rows.append([z.real, z.imag, s, t, resid])
+    zs = random_disc_points(rng, n, radius)
+    s, t = np.array([(rng.uniform(t_lo, t_hi), rng.uniform(t_lo, t_hi)) for _ in zs]).T
+    resid = check_semigroup(flow, np.array(zs), s, t)
+    worst_semi = float(resid.max())
+    rows = _table(zs, s, t, resid)
     verdicts = Verdicts()
     verdicts.add("semigroup-identity", worst_semi <= thr_semi, worst_semi, thr_semi)
 
     G = flow.generator_fn()
     gen_rows = []
     if G is not None:
-        worst_gen = 0.0
-        for z in _random_points(rng, min(n, 30), radius):
-            est = generator_fd(flow, z, ladder)
-            mismatch = abs(est - G.eval(z))
-            worst_gen = max(worst_gen, mismatch)
-            gen_rows.append([z.real, z.imag, est.real, est.imag, mismatch])
+        zs = np.array(random_disc_points(rng, min(n, 30), radius))
+        est = generator_fd(flow, zs, ladder)
+        mismatch = abs(est - G.eval(zs))
+        worst_gen = float(mismatch.max())
+        gen_rows = _table(zs, est.real, est.imag, mismatch)
         verdicts.add("generator-round-trip", worst_gen <= thr_gen, worst_gen, thr_gen)
     tables = {
         "semigroup_residuals": (["z_re", "z_im", "s", "t", "residual"], rows),
@@ -156,36 +209,30 @@ def run_cocycle_check(config, rng):
     flow = flow_from_json(_require(config, "flow"))
     weight = weight_from_json(_require(config, "weight"))
     wsg = WeightedSemigroup(flow, weight)
-    n = int(config.get("n_points", 50))
-    radius = float(config.get("z_radius", 0.8))
-    t_lo, t_hi = config.get("t_range", [0.0, 1.0])
-    thr_id = float(config.get("identity_threshold", 1e-8))
-    ladder = config.get("fd_ladder", [1e-2, 5e-3, 2.5e-3])
-    thr_fd = float(config.get("fd_threshold", 1e-6))
+    n = _count(config, "n_points", 50)
+    radius = _number(config, "z_radius", 0.8, least=0.0)
+    t_lo, t_hi = _time_range(config, [0.0, 1.0])
+    thr_id = _number(config, "identity_threshold", 1e-8)
+    ladder = _ladder(config, "fd_ladder", [1e-2, 5e-3, 2.5e-3])
+    thr_fd = _number(config, "fd_threshold", 1e-6)
 
-    rows = []
-    worst = 0.0
-    for z in _random_points(rng, n, radius):
-        s = rng.uniform(t_lo, t_hi)
-        t = rng.uniform(t_lo, t_hi)
-        resid = check_cocycle_identity(wsg, z, s, t)
-        worst = max(worst, resid)
-        rows.append([z.real, z.imag, s, t, resid])
+    zs = random_disc_points(rng, n, radius)
+    s, t = np.array([(rng.uniform(t_lo, t_hi), rng.uniform(t_lo, t_hi)) for _ in zs]).T
+    resid = check_cocycle_identity(wsg, np.array(zs), s, t)
+    worst = float(resid.max())
     verdicts = Verdicts()
     verdicts.add("cocycle-identity", worst <= thr_id, worst, thr_id)
 
-    g_tree = weight_fn(wsg)
-    worst_fd = 0.0
-    fd_rows = []
-    for z in _random_points(rng, min(n, 20), radius):
-        est = weight_generator_fd(wsg, z, ladder)
-        mismatch = abs(est - g_tree.eval(z))
-        worst_fd = max(worst_fd, mismatch)
-        fd_rows.append([z.real, z.imag, est.real, est.imag, mismatch])
+    zs_fd = np.array(random_disc_points(rng, min(n, 20), radius))
+    est = weight_generator_fd(wsg, zs_fd, ladder)
+    mismatch = abs(est - weight_fn(wsg).eval(zs_fd))
+    worst_fd = float(mismatch.max())
     verdicts.add("weight-derivative-round-trip", worst_fd <= thr_fd, worst_fd, thr_fd)
     tables = {
-        "cocycle_identity": (["z_re", "z_im", "s", "t", "residual"], rows),
-        "weight_roundtrip": (["z_re", "z_im", "fd_re", "fd_im", "mismatch"], fd_rows),
+        "cocycle_identity": (["z_re", "z_im", "s", "t", "residual"], _table(zs, s, t, resid)),
+        "weight_roundtrip": (
+            ["z_re", "z_im", "fd_re", "fd_im", "mismatch"], _table(zs_fd, est.real, est.imag, mismatch)
+        ),
     }
     return verdicts, tables
 
@@ -193,7 +240,7 @@ def run_cocycle_check(config, rng):
 def _norm_from_config(obj):
     kind = obj.get("type", "h2")
     if kind == "h2":
-        return H2Norm(N=int(obj.get("N", 64)), r=float(obj.get("r", 0.9)))
+        return H2Norm(N=_count(obj, "N", 64), r=_number(obj, "r", 0.9))
     if kind == "bloch":
         return BlochGridNorm(GridSpec.from_json(obj["grid"]))
     raise ConfigError(f"unknown norm type {kind!r}")
@@ -205,8 +252,8 @@ def run_generator_check(config, rng):
     f = fn_from_json(_require(config, "function"))
     wsg = WeightedSemigroup(flow, weight)
     norm = _norm_from_config(config.get("norm", {}))
-    ladder = config.get("t_ladder", [0.1 * 2 ** (-k) for k in range(7)])
-    lo, hi = config.get("ratio_window", [0.3, 0.7])
+    ladder = _ladder(config, "t_ladder", [0.1 * 2 ** (-k) for k in range(7)])
+    lo, hi = _numbers(config, "ratio_window", [0.3, 0.7], 2)
     table = generator_consistency(wsg, f, norm, ladder)
     verdicts = Verdicts()
     ratios = table.ratios()
@@ -225,20 +272,17 @@ def run_coboundary_check(config, rng):
     flow = flow_from_json(_require(config, "flow"))
     alpha = fn_from_json(_require(config, "alpha"))
     f = fn_from_json(_require(config, "function"))
-    n = int(config.get("n_points", 50))
-    radius = float(config.get("z_radius", 0.8))
-    t_lo, t_hi = config.get("t_range", [0.0, 1.0])
-    thr = float(config.get("threshold", 1e-12))
-    rows = []
-    worst = 0.0
-    for z in _random_points(rng, n, radius):
-        t = rng.uniform(t_lo, t_hi)
-        resid = coboundary_similarity_check(alpha, flow, f, z, t)
-        worst = max(worst, resid)
-        rows.append([z.real, z.imag, t, resid])
+    n = _count(config, "n_points", 50)
+    radius = _number(config, "z_radius", 0.8, least=0.0)
+    t_lo, t_hi = _time_range(config, [0.0, 1.0])
+    thr = _number(config, "threshold", 1e-12)
+    zs = random_disc_points(rng, n, radius)
+    t = np.array([rng.uniform(t_lo, t_hi) for _ in zs])
+    resid = coboundary_similarity_check(alpha, flow, f, np.array(zs), t)
+    worst = float(resid.max())
     verdicts = Verdicts()
     verdicts.add("coboundary-similarity", worst <= thr, worst, thr)
-    return verdicts, {"similarity": (["z_re", "z_im", "t", "residual"], rows)}
+    return verdicts, {"similarity": (["z_re", "z_im", "t", "residual"], _table(zs, t, resid))}
 
 
 def run_transfer_check(config, rng):
@@ -247,19 +291,16 @@ def run_transfer_check(config, rng):
     weight = weight_from_json(_require(config, "weight"))
     f = fn_from_json(_require(config, "function"))
     wsg = WeightedSemigroup(flow, weight)
-    n = int(config.get("n_points", 20))
-    radius = float(config.get("z_radius", 0.7))
-    t = float(config.get("t", 0.5))
-    thr = float(config.get("threshold", 1e-9))
-    rows = []
-    worst = 0.0
-    for z in _random_points(rng, n, radius):
-        resid = transfer_conjugation_check(h, wsg, f, z, t)
-        worst = max(worst, resid)
-        rows.append([z.real, z.imag, t, resid])
+    n = _count(config, "n_points", 20)
+    radius = _number(config, "z_radius", 0.7, least=0.0)
+    t = _number(config, "t", 0.5, least=0.0)
+    thr = _number(config, "threshold", 1e-9)
+    zs = random_disc_points(rng, n, radius)
+    resid = transfer_conjugation_check(h, wsg, f, np.array(zs), t)
+    worst = float(resid.max())
     verdicts = Verdicts()
     verdicts.add("conjugation-round-trip", worst <= thr, worst, thr)
-    return verdicts, {"transfer": (["z_re", "z_im", "t", "residual"], rows)}
+    return verdicts, {"transfer": (["z_re", "z_im", "t", "residual"], _table(zs, t, resid))}
 
 
 def _zeros_from_config(config):
@@ -267,14 +308,14 @@ def _zeros_from_config(config):
         return tuple(_pair(p) for p in config["zeros"])
     fam = config.get("family", {"kind": "geometric", "count": 12})
     if fam.get("kind", "geometric") == "geometric":
-        return radial_zeros(int(fam.get("count", 12)), float(fam.get("ratio", 0.5)))
+        return radial_zeros(_count(fam, "count", 12), _number(fam, "ratio", 0.5))
     raise ConfigError("provide either 'zeros' or a geometric 'family'")
 
 
 def run_gpv(config, rng):
     zeros = _zeros_from_config(config)
-    alpha = float(config.get("alpha", 0.1))
-    samples = int(config.get("samples_per_disc", 80))
+    alpha = _number(config, "alpha", 0.1)
+    samples = _count(config, "samples_per_disc", 80)
     B = BlaschkeProduct(zeros)
     report = gpv_bound_check(B, alpha=alpha, samples_per_disc=samples)
     verdicts = Verdicts()
@@ -304,8 +345,8 @@ def run_bloch_gap(config, rng):
     gamma0 = _pair(config.get("gamma0", [1.0, 0.0]))
     if abs(abs(gamma0) - 1.0) > 1e-12:
         raise ConfigError(f"gamma0 = {gamma0} must be unimodular")
-    N = int(config.get("N", 6))
-    t_start = float(config.get("t_start", 0.5))
+    N = _count(config, "N", 6)
+    t_start = _number(config, "t_start", 0.5)
     gc = construct_case1(flow, gamma0, N, t_start)
     base = config.get("grid", {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 8, 16, 16], "points": []})
     pts = [ [lv.r, 0.0] for lv in gc.levels ]
@@ -355,12 +396,12 @@ def run_bloch_gap(config, rng):
 
 def run_bloch_gap_auto(config, rng):
     flow = flow_from_json(_require(config, "flow"))
-    N = int(config.get("N", 6))
-    gc = construct_case2(flow, N, float(config.get("t_first_cap", 1.0)))
-    angle_thr = float(config.get("angle_threshold", 1e-9))
-    lo, hi = config.get("ratio_window", [0.8, 1.2])
-    from_n = int(config.get("ratio_from_n", 4))
-    sep_thr = float(config.get("min_separation", 0.1))
+    N = _count(config, "N", 6)
+    gc = construct_case2(flow, N, _number(config, "t_first_cap", 1.0))
+    angle_thr = _number(config, "angle_threshold", 1e-9)
+    lo, hi = _numbers(config, "ratio_window", [0.8, 1.2], 2)
+    from_n = _count(config, "ratio_from_n", 4, least=0)
+    sep_thr = _number(config, "min_separation", 0.1)
     verdicts = Verdicts()
     worst_angle = max(
         abs(cmath.phase(lv.w - 1.0) - gc.target_angle) for lv in gc.levels
@@ -390,7 +431,7 @@ def run_separability(config, rng):
     if isinstance(rot_cfg, list):
         rotations = [float(v) for v in rot_cfg]
     else:
-        count = int(rot_cfg.get("count", 8))
+        count = _count(rot_cfg, "count", 8)
         rotations = [2.0 * math.pi * k / count for k in range(count)]
     base = config.get("grid", {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 16, 32, 32], "points": []})
     pts = list(base.get("points", []))

@@ -6,14 +6,17 @@ exponential) is the accumulated object: it rides along the orbit in the
 variational system and is exponentiated once, which sidesteps any branch
 ambiguity.  A coboundary m_t(z) = alpha(phi_t(z))/alpha(z) is evaluated directly.
 The sweep, ``apply_weighted`` and ``weighted_z_derivative`` take one point or
-an ndarray of points; a batch shares one integrator run.
+an ndarray of points; a batch shares one integrator run.  The sweep, the
+cocycles, ``apply_weighted`` and the checks also take an ndarray with a time
+per point.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .analytic import (
     AnalyticFn,
@@ -31,7 +34,7 @@ from .analytic import (
 from .errors import ConfigError, QuadratureError, SingularityError, config_parser
 from .flows import DEFAULT_TOL, ConformalMap, FlowModel, OdeFlow, RotatedFlow, extrapolate_to_zero
 from .flows import _check_start, _integrate
-from .pointwise import exp, full, larger, points, raise_at
+from .pointwise import exp, full, larger, points, raise_at, times
 
 # DP5(4) local errors scale with the largest state met along the way, so an
 # integral that swells this far above its end value has lost its digits.
@@ -95,7 +98,7 @@ def _flow_tol(flow: FlowModel) -> float:
     return flow.tol if isinstance(flow, OdeFlow) else DEFAULT_TOL
 
 
-def _sweep(wsg: WeightedSemigroup, z, t: float):
+def _sweep(wsg: WeightedSemigroup, z, t):
     """(phi_t(z), phi_t'(z), I_t, J_t) from one integrator sweep along the orbit.
 
     Integrates the variational system y = (w, v, I, J) with w' = G(w),
@@ -104,7 +107,7 @@ def _sweep(wsg: WeightedSemigroup, z, t: float):
     the orbit and J_t its z-derivative.  Refuses with QuadratureError when
     I or J swelled far above its end value on the way, at any point of z.
     """
-    z = _check_start(z, t)
+    z, t = _check_start(z, t)
     G, Gp, g, gp = wsg._variational_trees
     peak = abs(full(z, 0.0))  # largest |I|, |J| so far, per point
 
@@ -115,41 +118,43 @@ def _sweep(wsg: WeightedSemigroup, z, t: float):
         return (G.eval_anywhere(w), Gp.eval_anywhere(w) * v,
                 g.eval_anywhere(w), gp.eval_anywhere(w) * v)
 
-    w, v, I, J = _integrate(rhs, (z, 1.0, 0.0, 0.0), float(t), _flow_tol(wsg.flow))
+    w, v, I, J = _integrate(rhs, (z, 1.0, 0.0, 0.0), t, _flow_tol(wsg.flow))
     swell = peak / (1.0 + abs(I) + abs(J))
     raise_at(swell > SWELL_LIMIT, swell, QuadratureError,
              "cocycle integral swelled {:.3e} times above its end value")
     return w, v, I, J
 
 
-def cocycle_eval(wsg: WeightedSemigroup, z, t: float):
+def cocycle_eval(wsg: WeightedSemigroup, z, t):
     """m_t(z) for a Weight-type semigroup."""
     if not isinstance(wsg.weight, Weight):
         raise TypeError("cocycle_eval needs a Weight; use coboundary_eval instead")
-    if t < 0:
+    z, t = times(points(z), t)
+    if np.any(t < 0):
         raise ValueError("cocycle time must be >= 0")
-    if t == 0.0:
+    if isinstance(t, float) and t == 0.0:
         return full(z, 1.0)
     if wsg._swept:
         return exp(_sweep(wsg, z, t)[2])
     # Constant weight integrates exactly; also covers the g == 0 shortcut.
-    return full(z, cmath.exp(wsg.weight.g.value * t))
+    return full(z, exp(wsg.weight.g.value * t))
 
 
 def coboundary_eval(
     alpha: AnalyticFn,
     flow: FlowModel,
     z,
-    t: float,
+    t,
     fixed_point: complex | None = None,
 ):
     """m_t(z) = alpha(phi_t(z)) / alpha(z)."""
-    z = points(z)
+    z, t = times(points(z), t)
     return _coboundary_ratio(alpha, z, flow.advance(z, t), t, fixed_point)
 
 
-def _coboundary_ratio(alpha: AnalyticFn, z, w, t: float, fixed_point: complex | None):
-    """alpha(w) / alpha(z) for w = phi_t(z): the coboundary cocycle m_t(z)."""
+def _coboundary_ratio(alpha: AnalyticFn, z, w, t, fixed_point: complex | None):
+    """alpha(w) / alpha(z) for w = phi_t(z): the coboundary cocycle m_t(z).
+    A refusal names the offending point and its own time."""
     if fixed_point is not None:
         raise_at(abs(z - complex(fixed_point)) <= 1e-12, z, SingularityError,
                  "evaluation at the allowed zero {} of alpha")
@@ -160,7 +165,7 @@ def _coboundary_ratio(alpha: AnalyticFn, z, w, t: float, fixed_point: complex | 
     return value
 
 
-def _cocycle_value(wsg: WeightedSemigroup, z: complex, t: float) -> complex:
+def _cocycle_value(wsg: WeightedSemigroup, z, t):
     if isinstance(wsg.weight, Weight):
         return cocycle_eval(wsg, z, t)
     return coboundary_eval(
@@ -168,19 +173,30 @@ def _cocycle_value(wsg: WeightedSemigroup, z: complex, t: float) -> complex:
     )
 
 
-def check_cocycle_identity(
-    wsg: WeightedSemigroup, z: complex, s: float, t: float
-) -> float:
-    """Residual |m_{t+s}(z) - m_s(z) m_t(phi_s(z))|."""
-    direct = _cocycle_value(wsg, z, s + t)
-    stepped = _cocycle_value(wsg, z, s) * _cocycle_value(
-        wsg, wsg.flow.advance(z, s), t
-    )
-    return abs(direct - stepped)
+def _cocycle_and_flow(wsg: WeightedSemigroup, z, t):
+    """(m_t(z), phi_t(z)) from one sweep, or from one advance and the weight's
+    exact formula."""
+    weight = wsg.weight
+    if wsg._swept:
+        w, _, integral, _ = _sweep(wsg, z, t)
+        return exp(integral), w
+    w = wsg.flow.advance(z, t)
+    if isinstance(weight, Weight):
+        return cocycle_eval(wsg, z, t), w
+    return _coboundary_ratio(weight.alpha, z, w, t, weight.fixed_point), w
 
 
-def weight_generator_fd(wsg: WeightedSemigroup, z: complex, h_ladder) -> complex:
-    """Extrapolated (m_h(z) - 1)/h: recovers g, or G alpha'/alpha for a coboundary."""
+def check_cocycle_identity(wsg: WeightedSemigroup, z, s, t):
+    """Residual |m_{s+t}(z) - m_s(z) m_t(phi_s(z))|; m_s(z) and phi_s(z) come
+    from one sweep."""
+    z, s = times(points(z), s)
+    m_s, w_s = _cocycle_and_flow(wsg, z, s)
+    return abs(_cocycle_value(wsg, z, s + t) - m_s * _cocycle_value(wsg, w_s, t))
+
+
+def weight_generator_fd(wsg: WeightedSemigroup, z, h_ladder):
+    """Extrapolated (m_h(z) - 1)/h: recovers g, or G alpha'/alpha for a coboundary.
+    Each rung evaluates the cocycle at every point of z in one call."""
     h_ladder = list(h_ladder)
     if not h_ladder or any(h <= 0 for h in h_ladder):
         raise ValueError("ladder must be positive")
@@ -188,21 +204,12 @@ def weight_generator_fd(wsg: WeightedSemigroup, z: complex, h_ladder) -> complex
     return extrapolate_to_zero(h_ladder, vals)
 
 
-def apply_weighted(wsg: WeightedSemigroup, f, z, t: float):
+def apply_weighted(wsg: WeightedSemigroup, f, z, t):
     """W_t f(z) = m_t(z) f(phi_t(z)), at a point or at each point of an array."""
-    z = points(z)
-    if t == 0.0:
+    z, t = times(points(z), t)
+    if isinstance(t, float) and t == 0.0:
         return f.eval(z) if isinstance(f, AnalyticFn) else f(z)
-    weight = wsg.weight
-    if wsg._swept:
-        w, _, integral, _ = _sweep(wsg, z, t)
-        m = exp(integral)
-    elif isinstance(weight, Weight):
-        w = wsg.flow.advance(z, t)
-        m = cocycle_eval(wsg, z, t)
-    else:
-        w = wsg.flow.advance(z, t)
-        m = _coboundary_ratio(weight.alpha, z, w, t, weight.fixed_point)
+    m, w = _cocycle_and_flow(wsg, z, t)
     return m * (f.eval(w) if isinstance(f, AnalyticFn) else f(w))
 
 
@@ -218,7 +225,7 @@ def _cocycle_with_z_derivative(wsg, z, t):
     w, dw = wsg.flow.advance_with_derivative(z, t)
     weight = wsg.weight
     if isinstance(weight, Weight):
-        return full(z, cmath.exp(weight.g.value * t)), full(z, 0.0), w, dw
+        return full(z, exp(weight.g.value * t)), full(z, 0.0), w, dw
     alpha = weight.alpha
     ap = alpha.derivative()
     az = alpha.eval(z)
@@ -339,15 +346,15 @@ def coboundary_similarity_check(
     alpha: AnalyticFn,
     flow: FlowModel,
     f: AnalyticFn,
-    z: complex,
-    t: float,
+    z,
+    t,
     fixed_point: complex | None = None,
-) -> float:
+):
     """Residual of the similarity m_t f(phi_t) = (1/alpha) (alpha f)(phi_t).
 
     Both sides read the same phi_t(z), from one advance.
     """
-    z = points(z)
+    z, t = times(points(z), t)
     w = flow.advance(z, t)
     lhs = _coboundary_ratio(alpha, z, w, t, fixed_point) * f.eval(w)
     rhs = Product((alpha, f)).eval(w) / alpha.eval(z)
@@ -361,23 +368,20 @@ def transfer_generator(h: ConformalMap, G: AnalyticFn, g: AnalyticFn):
     return G1, g1
 
 
-def transfer_conjugation_check(
-    h: ConformalMap, wsg: WeightedSemigroup, f: AnalyticFn, z: complex, t: float
-) -> float:
+def transfer_conjugation_check(h: ConformalMap, wsg: WeightedSemigroup, f: AnalyticFn, z, t):
     """Residual of the conjugated semigroup against the direct disc evaluation.
 
     The transferred flow is psi_t = h o phi_t o h^{-1} with cocycle
     mu_t = m_t o h^{-1}; every map goes through a forward/inverse round
-    trip so the inversion path is genuinely exercised.
+    trip so the inversion path is genuinely exercised.  Each side is one
+    ``apply_weighted`` call, so one sweep per orbit.
     """
-    lhs = apply_weighted(wsg, f, z, t)
-    w = h.map(z)
-    z_back = h.inverse_at(w, seed=z)
-    mu = _cocycle_value(wsg, z_back, t)
-    phi = wsg.flow.advance(z_back, t)
-    psi = h.map(phi)
-    rhs = mu * f.eval(h.inverse_at(psi, seed=phi))
-    return abs(lhs - rhs)
+    z_back = h.inverse_at(h.map(z), seed=z)
+
+    def round_trip_f(phi):
+        return f.eval(h.inverse_at(h.map(phi), seed=phi))
+
+    return abs(apply_weighted(wsg, f, z, t) - apply_weighted(wsg, round_trip_f, z_back, t))
 
 
 @config_parser

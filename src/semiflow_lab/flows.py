@@ -28,11 +28,13 @@ from .errors import (
     NoConvergence,
     config_parser,
 )
-from .pointwise import full, larger, outside, points, raise_at, sup, where
+from .pointwise import exp, full, larger, nonfinite, outside, points, raise_at, sup, times, where
 
 ESCAPE_RADIUS = 1.0 - 1e-12
 DEFAULT_TOL = 1e-10
 MAX_STEPS = 10_000
+# A Newton iterate this far out has left the basin of any preimage in the disc.
+NEWTON_BOUND = 1e6
 
 # Dormand-Prince 5(4) tableau (autonomous right-hand sides, so no c nodes),
 # non-zero entries only.  Row 7 of A is the fifth-order weights B, and its
@@ -48,7 +50,7 @@ _C1, _C3, _C4, _C5, _C6, _C7 = (
 )  # fourth-order weights
 
 
-def _integrate(rhs, y0, t_end: float, tol: float):
+def _integrate(rhs, y0, t_end, tol: float):
     """Adaptive RK5(4) from 0 to t_end on a tuple of complex states.
 
     y[0] is the disc state and is escape-guarded.  Each component is a Python
@@ -56,9 +58,20 @@ def _integrate(rhs, y0, t_end: float, tol: float):
     component is spread over the batch of y0[0]).  The points of a batch share
     one step sequence, and the error norm is the largest scaled error over
     the points and components.
+
+    t_end is a float, or an ndarray of non-negative end times, one per point
+    of a batch.  Per-point end times rescale time: the loop integrates
+    dy/dtau = t_i rhs(y) over tau in [0, 1], so every point ends at tau = 1
+    under the same shared steps; a point with t_i = 0 stays where it is.
     """
     y = tuple(full(y0[0], c) for c in y0)
     raise_at(abs(y[0]) >= ESCAPE_RADIUS, y[0], EscapeError, "initial state {} at the escape radius")
+    scale = None
+    if isinstance(t_end, np.ndarray):
+        scale, t_end, unscaled = t_end, 1.0, rhs
+
+        def rhs(y):
+            return tuple(scale * k for k in unscaled(y))
     if t_end == 0.0:
         return y
     t = 0.0
@@ -97,7 +110,7 @@ def _integrate(rhs, y0, t_end: float, tol: float):
             y, k1 = y5, k7
             modulus = abs(y[0])
             raise_at(modulus >= ESCAPE_RADIUS, modulus, EscapeError,
-                     "trajectory reached |w| = {:.17f} at t = {}", t)
+                     "trajectory reached |w| = {:.17f} at t = {}", t if scale is None else t * scale)
         factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if h <= 0.0 or not math.isfinite(h):
@@ -136,7 +149,8 @@ class ConformalMap:
         """h^{-1}(w) at a point or an array of points.
 
         Newton iterates the whole batch; a point stops moving once it has
-        converged, and the call fails if any point does not converge.
+        converged, and the call fails if any point does not converge or an
+        iterate leaves |x| <= NEWTON_BOUND.
         """
         if self.inverse is not None:
             return self.inverse.eval_anywhere(w)
@@ -151,6 +165,8 @@ class ConformalMap:
             dfx = self.forward_derivative.eval_anywhere(x)
             raise_at(miss & (dfx == 0), w, InverseError, "critical point hit while inverting at {}")
             x = where(miss, x - (fx - w) / dfx, x)
+            raise_at(nonfinite(x) | (abs(x) > NEWTON_BOUND), w, InverseError,
+                     "Newton diverged inverting at {}")
         raise_at(miss, w, InverseError, "Newton did not converge inverting at {}")
 
     def to_json(self):
@@ -198,13 +214,14 @@ class GeneratorSpec:
         return self.fn.derivative()
 
 
-def _check_start(z, t: float):
-    """z as a complex number or array, once z lies in the open disc and t >= 0."""
-    z = points(z)
+def _check_start(z, t):
+    """(z, t) as ``pointwise.times`` gives them, once z lies in the open disc
+    and every time is >= 0."""
+    z, t = times(points(z), t)
     raise_at(abs(z) >= 1.0, z, DomainError, "{} not inside the open unit disc")
-    if t < 0:
+    if np.any(t < 0):
         raise ValueError("semiflow time must be >= 0")
-    return z
+    return z, t
 
 
 def _check_inside(w, error, what: str):
@@ -216,19 +233,20 @@ class FlowModel:
     """Common interface: closed-form or integrated evaluation of phi_t.
 
     z is one start point or an ndarray of them; the result has its shape.
+    t is one time, or an ndarray with a time per point.
     """
 
-    def advance(self, z, t: float, tol: float | None = None):
-        z = _check_start(z, t)
-        if t == 0.0:
+    def advance(self, z, t, tol: float | None = None):
+        z, t = _check_start(z, t)
+        if isinstance(t, float) and t == 0.0:
             return z
-        return _check_inside(self._advance(z, float(t), tol), EscapeError, "flow")
+        return _check_inside(self._advance(z, t, tol), EscapeError, "flow")
 
-    def advance_with_derivative(self, z, t: float, tol: float | None = None):
-        z = _check_start(z, t)
-        if t == 0.0:
+    def advance_with_derivative(self, z, t, tol: float | None = None):
+        z, t = _check_start(z, t)
+        if isinstance(t, float) and t == 0.0:
             return z, full(z, 1.0)
-        w, dw = self._advance_with_derivative(z, float(t), tol)
+        w, dw = self._advance_with_derivative(z, t, tol)
         return _check_inside(w, EscapeError, "flow"), dw
 
     def _advance(self, z, t, tol):
@@ -294,12 +312,12 @@ class KoenigsSpiral(FlowModel):
             raise ModelError("spiral model requires Re c >= 0")
 
     def _advance(self, z, t, tol):
-        u = cmath.exp(-self.c * t) * self.h.map(z)
+        u = exp(-self.c * t) * self.h.map(z)
         return _check_inside(self.h.inverse_at(u, seed=z), InverseError, "inverse")
 
     def _advance_with_derivative(self, z, t, tol):
         w = self._advance(z, t, tol)
-        dw = cmath.exp(-self.c * t) * self.h.map_derivative(z) / self.h.map_derivative(w)
+        dw = exp(-self.c * t) * self.h.map_derivative(z) / self.h.map_derivative(w)
         return w, dw
 
     def generator_fn(self):
@@ -417,13 +435,16 @@ class _HyperbolicDilation(FlowModel):
     h: ConformalMap
     rate: float
 
+    def _dilation(self, t):
+        return np.exp(self.rate * t) if isinstance(t, np.ndarray) else math.exp(self.rate * t)
+
     def _advance(self, z, t, tol):
-        u = math.exp(self.rate * t) * self.h.map(z)
+        u = self._dilation(t) * self.h.map(z)
         return _check_inside(self.h.inverse_at(u, seed=z), InverseError, "inverse")
 
     def _advance_with_derivative(self, z, t, tol):
         w = self._advance(z, t, tol)
-        dw = math.exp(self.rate * t) * self.h.map_derivative(z) / self.h.map_derivative(w)
+        dw = self._dilation(t) * self.h.map_derivative(z) / self.h.map_derivative(w)
         return w, dw
 
     def generator_fn(self):
@@ -487,19 +508,19 @@ def flow_z_derivative(
     return flow.advance_with_derivative(z, t, tol)[1]
 
 
-def check_semigroup(
-    flow: FlowModel, z: complex, s: float, t: float, tol: float | None = None
-) -> float:
-    """Residual |phi_{s+t}(z) - phi_t(phi_s(z))|."""
+def check_semigroup(flow: FlowModel, z, s, t, tol: float | None = None):
+    """Residual |phi_{s+t}(z) - phi_t(phi_s(z))|, at a point or at each point
+    of an array, with times s and t shared or given per point."""
     direct = flow.advance(z, s + t, tol)
     stepped = flow.advance(flow.advance(z, s, tol), t, tol)
     return abs(direct - stepped)
 
 
 def extrapolate_to_zero(hs, vals):
-    """Neville polynomial extrapolation of samples (h_i, v_i) to h = 0."""
+    """Neville polynomial extrapolation of samples (h_i, v_i) to h = 0; each
+    v_i is a value or an array of values, one per point."""
     hs = [float(h) for h in hs]
-    tab = [complex(v) for v in vals]
+    tab = [points(v) for v in vals]
     n = len(tab)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
@@ -507,18 +528,19 @@ def extrapolate_to_zero(hs, vals):
     return tab[-1]
 
 
-def generator_fd(flow: FlowModel, z: complex, h_ladder) -> complex:
+def generator_fd(flow: FlowModel, z, h_ladder):
     """Finite-difference estimate of the vector field: extrapolate (phi_h(z)-z)/h.
 
     The orbit is smooth in t, so the one-sided difference has an error series
     in powers of h and polynomial extrapolation eliminates it order by order.
+    z is a point or an array of points; each rung advances them in one call.
     """
     h_ladder = list(h_ladder)
     if not h_ladder or any(h <= 0 for h in h_ladder):
         raise ValueError("ladder must be positive")
     if any(b >= a for a, b in zip(h_ladder, h_ladder[1:])):
         raise ValueError("ladder must be decreasing")
-    z = complex(z)
+    z = points(z)
     vals = [(flow.advance(z, h, tol=1e-12) - z) / h for h in h_ladder]
     return extrapolate_to_zero(h_ladder, vals)
 

@@ -35,13 +35,24 @@ def full(like, value):
     return complex(value)
 
 
+def times(z, t):
+    """(z, t) for a run from z to time t: a shared t as a float, or, for a time
+    per point, z and t as complex and float ndarrays of one shape."""
+    if not isinstance(t, _ndarray):
+        return z, float(t)
+    shape = np.broadcast_shapes(np.shape(z), t.shape)
+    return np.broadcast_to(z, shape).astype(complex), np.broadcast_to(t, shape).astype(float)
+
+
 def raise_at(mask, z, error, message: str, *args):
     """Raise ``error(message.format(p, *args))`` for the first point p of z where
-    ``mask`` holds; the message is only formatted when it is raised."""
+    ``mask`` holds; an ndarray among ``args`` gives its entry at that point too.
+    The message is only formatted when it is raised."""
     if isinstance(mask, _ndarray):
         if not mask.any():
             return
-        z = np.broadcast_to(z, mask.shape)[mask][0].item()
+        z, *args = (np.broadcast_to(a, mask.shape)[mask][0].item() if isinstance(a, _ndarray) else a
+                    for a in (z, *args))
     elif not mask:
         return
     raise error(message.format(z, *args))

@@ -56,12 +56,3 @@ def weight_corpus():
         "g=z": sl.Weight(sl.Identity()),
         "coboundary-1-z": sl.Coboundary(sl.Polynomial([1, -1])),
     }
-
-
-def random_disc_points(rng, n, radius):
-    pts = []
-    while len(pts) < n:
-        z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-        if abs(z) <= radius:
-            pts.append(z)
-    return pts

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import semiflow_lab as sl
-from conftest import random_disc_points
+from semiflow_lab.cli import random_disc_points
 
 MODULE_START = time.perf_counter()
 

@@ -4,7 +4,8 @@ import math
 import pytest
 
 import semiflow_lab as sl
-from conftest import fn_corpus, random_disc_points
+from conftest import fn_corpus
+from semiflow_lab.cli import random_disc_points
 
 
 def test_eval_identity():

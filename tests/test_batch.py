@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiflow_lab as sl
-from conftest import flow_corpus, fn_corpus, random_disc_points, weight_corpus
+from conftest import flow_corpus, fn_corpus, weight_corpus
+from semiflow_lab.cli import random_disc_points
 from semiflow_lab.cocycles import _flow_tol
 
 
@@ -158,3 +159,115 @@ def test_batch_raises_iff_some_point_raises(zs):
         wsg = sl.WeightedSemigroup(radial_flow(), sl.Weight(sl.Identity()))
         m = sl.cocycle_eval(wsg, batch, 0.4)
         assert np.allclose(m, np.exp(batch * (1 - np.exp(-0.4))), rtol=0, atol=1e-12)
+
+
+# Per-point end times: a time array integrates every point to its own time
+# under one shared step sequence (time rescaled to [0, 1]).
+
+
+def escaping_flow():
+    # phi_t(z) = z e^{5t}: the origin stays, and 0.5 reaches the circle at t = ln(2)/5
+    return sl.ode_flow(sl.Polynomial([0, 5]), 1e-12)
+
+
+@pytest.mark.parametrize("fname", sorted(flow_corpus()))
+def test_time_array_matches_pointwise(fname, rng):
+    flow = flow_corpus(1e-12)[fname]
+    bound = 10 * _flow_tol(flow)
+    zs = np.array(random_disc_points(rng, 16, 0.8))
+    ts = rng.uniform(0.0, 1.5, 16)
+    f = sl.Exp(sl.Identity())
+
+    def close(op, *args):
+        batch = op(*args, zs, ts)
+        single = np.array([op(*args, z, t) for z, t in zip(zs, ts)])
+        assert batch.shape == zs.shape
+        assert np.all(np.abs(batch - single) <= bound * (1 + np.abs(single))), (fname, op)
+
+    close(flow.advance)
+    for weight in weight_corpus().values():
+        wsg = sl.WeightedSemigroup(flow, weight)
+        if isinstance(weight, sl.Weight):
+            close(sl.cocycle_eval, wsg)
+        else:
+            close(lambda z, t: sl.coboundary_eval(weight.alpha, flow, z, t))
+        close(sl.apply_weighted, wsg, f)
+
+
+@pytest.mark.parametrize("fname", sorted(flow_corpus()))
+def test_zero_time_in_an_array_stays_put(fname):
+    flow = flow_corpus()[fname]
+    zs = np.array([0.3, -0.2 + 0.5j, 0.6j])
+    ts = np.array([0.0, 0.7, 0.0])
+    still = ts == 0
+    # an ODE point with no time to go is left untouched; a closed form round-trips through h
+    exact = 0.0 if isinstance(flow, sl.OdeFlow) else 1e-15
+    assert np.all(np.abs(flow.advance(zs, ts) - zs)[still] <= exact)
+    for weight in weight_corpus().values():
+        m = sl.apply_weighted(sl.WeightedSemigroup(flow, weight), sl.Constant(1), zs, ts)
+        assert np.all(np.abs(m[still] - 1) <= exact)
+
+
+def test_negative_time_in_an_array_is_refused():
+    flow = radial_flow()
+    wsg = sl.WeightedSemigroup(flow, sl.Weight(sl.Identity()))
+    zs = np.array([0.1, 0.2, 0.3])
+    for slot in range(3):
+        ts = np.array([0.5, 0.5, 0.5])
+        ts[slot] = -1e-3
+        for call in (
+            lambda: flow.advance(zs, ts),
+            lambda: sl.cocycle_eval(wsg, zs, ts),
+            lambda: sl.apply_weighted(wsg, sl.Identity(), zs, ts),
+            lambda: sl.check_cocycle_identity(wsg, zs, ts, 0.5),
+            lambda: sl.check_semigroup(flow, zs, 0.5, ts),
+        ):
+            with pytest.raises(ValueError, match="time must be >= 0"):
+                call()
+
+
+def test_near_pole_point_at_its_own_time_refused_from_any_slot():
+    # 0.9 passes the pole 0.5 + 1e-9i only on the way to its own time 2.0; the
+    # same start with a short time is harmless (the step-budget form of this
+    # refusal is in test_near_pole_point_refused_in_a_batch)
+    wsg = sl.WeightedSemigroup(radial_flow(1e-10), pole_weight(0.5 + 1e-9j))
+    with pytest.raises(sl.QuadratureError):
+        sl.cocycle_eval(wsg, 0.9, 2.0)
+    good = [(0.2j, 2.0), (0.9, 0.05)]
+    for slot in range(len(good) + 1):
+        zs, ts = zip(*good[:slot], (0.9, 2.0), *good[slot:])
+        with pytest.raises(sl.QuadratureError):
+            sl.cocycle_eval(wsg, np.array(zs), np.array(ts))
+
+
+def test_escape_names_the_points_own_time():
+    flow = escaping_flow()
+    with pytest.raises(sl.EscapeError):
+        flow.advance(0.5, 0.2)
+    good = [(0.0, 5.0), (1e-6, 1.0)]
+    for slot in range(len(good) + 1):
+        zs, ts = zip(*good[:slot], (0.5, 0.2), *good[slot:])
+        with pytest.raises(sl.EscapeError) as info:
+            flow.advance(np.array(zs), np.array(ts))
+        # the escaping point's own time lies in [ln(2)/5, 0.2]; the rescaled time would be >= 0.69
+        t_escape = float(str(info.value).rsplit("t = ", 1)[1])
+        assert np.log(2) / 5 <= t_escape <= 0.2
+
+
+def test_coboundary_refusal_names_the_points_own_time():
+    class ToOrigin(sl.FlowModel):
+        def _advance(self, z, t, tol):
+            return np.where(t > 0.4, 0.0, z)
+
+    with pytest.raises(sl.SingularityError, match=r"orbit of \(0\.5\+0j\) at t = 0\.75$"):
+        sl.coboundary_eval(sl.Identity(), ToOrigin(), np.array([0.3, 0.5]), np.array([0.2, 0.75]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(disc_points, st.floats(0.0, 3.0)), min_size=1, max_size=12))
+def test_cocycle_with_a_time_per_point_matches_closed_form(pairs):
+    zs, ts = (np.array(column) for column in zip(*pairs))
+    wsg = sl.WeightedSemigroup(radial_flow(), sl.Weight(sl.Identity()))
+    m = sl.cocycle_eval(wsg, zs.astype(complex), ts)
+    exact = np.exp(zs * (1 - np.exp(-ts)))
+    assert np.all(np.abs(m - exact) <= 1e-11 * (1 + np.abs(exact)))

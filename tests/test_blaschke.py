@@ -4,7 +4,7 @@ import math
 import pytest
 
 import semiflow_lab as sl
-from conftest import random_disc_points
+from semiflow_lab.cli import random_disc_points
 
 
 def product_corpus():

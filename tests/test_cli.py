@@ -205,6 +205,7 @@ def test_exit_code_on_config_error(tmp_path):
 
 
 GAP_WEIGHTS = [{"type": "weight", "g": {"op": "const", "value": [1, 0]}}]
+G_ID = {"type": "weight", "g": {"op": "id"}}
 
 
 @pytest.mark.parametrize(
@@ -222,6 +223,11 @@ GAP_WEIGHTS = [{"type": "weight", "g": {"op": "const", "value": [1, 0]}}]
                             "function": {"op": "id"}}),
         ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "gamma0": [0, 2]}),
         ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "gamma0": [0, 0]}),
+        ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "gamma0": "x"}),
+        ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "N": "six"}),
+        ("cocycle-check", {"flow": RADIAL, "weight": G_ID, "n_points": "many"}),
+        ("cocycle-check", {"flow": RADIAL, "weight": G_ID, "t_range": [0.0]}),
+        ("cocycle-check", {"flow": RADIAL, "weight": G_ID, "t_range": [-1, 0.5]}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, subcommand, payload):

@@ -4,7 +4,8 @@ import math
 import pytest
 
 import semiflow_lab as sl
-from conftest import flow_corpus, random_disc_points, weight_corpus
+from conftest import flow_corpus, weight_corpus
+from semiflow_lab.cli import random_disc_points
 
 
 def radial_flow(tol=1e-12):
@@ -291,6 +292,24 @@ def test_transfer_conjugation_residual(rng):
     for z in random_disc_points(rng, 10, 0.7):
         resid = sl.transfer_conjugation_check(newton_cayley, wsg, sl.Identity(), z, 0.5)
         assert resid <= 1e-9
+
+
+def test_transfer_conjugation_integrates_once_per_side(monkeypatch):
+    # one integration for the orbit of z and one for the orbit of h^{-1}(h(z))
+    from semiflow_lab import cocycles, flows
+
+    calls = []
+    integrate = flows._integrate
+
+    def counted(rhs, y0, t_end, tol):
+        calls.append(t_end)
+        return integrate(rhs, y0, t_end, tol)
+
+    monkeypatch.setattr(flows, "_integrate", counted)
+    monkeypatch.setattr(cocycles, "_integrate", counted)
+    wsg = sl.WeightedSemigroup(radial_flow(), sl.Weight(sl.Identity()))
+    assert sl.transfer_conjugation_check(sl.cayley_map(), wsg, sl.Identity(), 0.3 + 0.1j, 0.5) <= 1e-12
+    assert len(calls) == 2
 
 
 def test_weight_json_round_trip():

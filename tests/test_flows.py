@@ -1,10 +1,14 @@
 import cmath
 import math
+import re
+import warnings
 
+import numpy as np
 import pytest
 
 import semiflow_lab as sl
-from conftest import flow_corpus, generator_corpus, random_disc_points
+from conftest import flow_corpus, generator_corpus
+from semiflow_lab.cli import random_disc_points
 
 
 def radial_flow(tol=1e-10):
@@ -250,6 +254,18 @@ def test_newton_inverse_failure():
     )
     with pytest.raises(sl.InverseError):
         h.inverse_at(1e6)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batch"])
+def test_newton_divergence_is_typed(batch):
+    # from the seed 0, Newton on the Cayley map walks off towards |x| ~ 1e285
+    h = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1))
+    bad = h.map(0.6015 - 0.2571j)
+    w = np.array([h.map(0.1), bad]) if batch else bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sl.InverseError, match=re.escape(f"Newton diverged inverting at {bad}")):
+            h.inverse_at(w)
 
 
 def test_trajectory_and_trace():

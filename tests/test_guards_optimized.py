@@ -44,6 +44,10 @@ checks = [
     ("point outside the disc", lambda: sl.Identity().eval(np.array([0.1, 1.5])), sl.DomainError),
     ("coboundary zero on the orbit", lambda: sl.coboundary_eval(sl.Identity(), ToOrigin(), batch, 1.0),
      sl.SingularityError),
+    ("negative time in a time array", lambda: sl.ode_flow(sl.Polynomial([0, -1])).advance(batch, np.array([0.5, -0.1])),
+     ValueError),
+    ("escape at a point's own time", lambda: sl.ode_flow(sl.Polynomial([0, 5])).advance(
+        np.array([0.0, 0.5]), np.array([5.0, 0.2])), sl.EscapeError),
 ]
 skipped = []
 for name, call, error in checks:
@@ -64,4 +68,4 @@ def test_guards_hold_under_python_O():
         [sys.executable, "-O", "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "5 guards held" in proc.stdout
+    assert "7 guards held" in proc.stdout
