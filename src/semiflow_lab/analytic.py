@@ -217,7 +217,7 @@ class Exp(AnalyticFn):
 
 @dataclass(frozen=True)
 class Log(AnalyticFn):
-    """Principal-branch logarithm of ``inner``, branch fixed at ``base_point``.
+    """Principal-branch logarithm of ``inner``.
 
     The guard set must cover the zeros of ``inner``.  Integrals of
     logarithmic derivatives elsewhere in the package are accumulated
@@ -225,11 +225,9 @@ class Log(AnalyticFn):
     """
 
     inner: AnalyticFn
-    base_point: complex = 0.0
     guards: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "base_point", complex(self.base_point))
         object.__setattr__(self, "guards", tuple(self.guards))
 
     def _eval(self, z):
@@ -245,7 +243,6 @@ class Log(AnalyticFn):
         return {
             "op": "log",
             "arg": self.inner.to_json(),
-            "base": _c2p(self.base_point),
             "guards": _guards2json(self.guards),
         }
 
@@ -456,11 +453,8 @@ def fn_from_json(obj: dict) -> AnalyticFn:
     if op == "exp":
         return Exp(fn_from_json(obj["arg"]))
     if op == "log":
-        return Log(
-            fn_from_json(obj["arg"]),
-            base_point=_p2c(obj.get("base", [0.0, 0.0])),
-            guards=_json2guards(obj.get("guards", [])),
-        )
+        # a "base" key, written by earlier versions, is ignored
+        return Log(fn_from_json(obj["arg"]), guards=_json2guards(obj.get("guards", [])))
     if op == "sum":
         return Sum(tuple(fn_from_json(t) for t in obj["terms"]))
     if op == "product":

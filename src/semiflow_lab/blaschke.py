@@ -161,6 +161,16 @@ class InterpolationReport:
     interpolating: bool
 
 
+def _deflated(B: BlaschkeProduct, n: int) -> float:
+    """|(B / b_{z_n})(z_n)|: the product without its n-th factor, at its n-th zero."""
+    a = B.zeros[n]
+    v = 1.0
+    for j, b in enumerate(B.zeros):
+        if j != n:
+            v *= abs(b_factor(b, a))
+    return v
+
+
 def interpolation_delta(B: BlaschkeProduct) -> InterpolationReport:
     """delta = min_n |(B / b_{z_n})(z_n)|, evaluated by deflating the product.
 
@@ -173,13 +183,7 @@ def interpolation_delta(B: BlaschkeProduct) -> InterpolationReport:
         for j in range(i + 1, len(zeros)):
             if pseudo_distance(zeros[i], zeros[j]) < 1e-12:
                 raise MultiplicityError(f"repeated zero {zeros[i]}")
-    per = []
-    for n, a in enumerate(zeros):
-        v = 1.0
-        for j, b in enumerate(zeros):
-            if j != n:
-                v *= abs(b_factor(b, a))
-        per.append(v)
+    per = [_deflated(B, n) for n in range(len(zeros))]
     delta = min(per) if per else 1.0
     ratio = None
     if len(zeros) >= 2:
@@ -214,10 +218,6 @@ class GpvReport:
     beta_hat: float
     per_zero: tuple
     truncation_tail: float
-
-    @property
-    def success(self) -> bool:
-        return self.disjoint and self.beta_hat > 0.0
 
     def to_json(self) -> dict:
         return {
@@ -261,14 +261,7 @@ def gpv_bound_check(
         raise ValueError("alpha must lie in (0,1)")
     centers = [B.zeros[i] for i in marked]
 
-    deflated = []
-    for i in marked:
-        a = B.zeros[i]
-        v = 1.0
-        for j, b in enumerate(B.zeros):
-            if j != i:
-                v *= abs(b_factor(b, a))
-        deflated.append(v)
+    deflated = [_deflated(B, i) for i in marked]
     delta = min(deflated) if deflated else 1.0
     if delta == 0.0:
         raise HypothesisError("deflated product vanishes at a marked zero (delta = 0)")

@@ -37,22 +37,9 @@ from .cocycles import (
     weight_from_json,
     weight_generator_fd,
 )
-from .errors import ConfigError, SemiflowError
+from .errors import ConfigError, SemiflowError, config_parser
 from .flows import check_semigroup, flow_from_json, flow_trace, generator_fd, map_from_json
-from .gap import bloch_gap, construct_case1, construct_case2, separability_witness
-
-SUBCOMMANDS = (
-    "flow-trace",
-    "flow-check",
-    "cocycle-check",
-    "generator-check",
-    "coboundary-check",
-    "transfer-check",
-    "gpv",
-    "bloch-gap",
-    "bloch-gap-auto",
-    "separability",
-)
+from .gap import bloch_gap, construct_case1, construct_case2, reduce_rotations, separability_witness
 
 
 def _digest(config: dict) -> str:
@@ -87,13 +74,24 @@ def _number(config: dict, key: str, default, least: float = -math.inf):
     return _finite(key, config[key], least) if key in config else default
 
 
-def _count(config: dict, key: str, default: int, least: int = 1) -> int:
-    """config[key] as an integer >= least; ``default`` when the key is absent."""
-    v = config.get(key, default)
+def _positive(config: dict, key: str, default):
+    """config[key] as a finite float > 0; ``default`` when the key is absent."""
+    v = _number(config, key, default)
+    if v is not None and v <= 0.0:
+        raise ConfigError(f"config key {key!r} must be a finite number > 0, got {v!r}")
+    return v
+
+
+def _integer(key: str, v, least: int = 1) -> int:
     integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()
     if isinstance(v, bool) or not integral or v < least:
         raise ConfigError(f"config key {key!r} must be an integer >= {least}, got {v!r}")
     return int(v)
+
+
+def _count(config: dict, key: str, default: int, least: int = 1) -> int:
+    """config[key] as an integer >= least; ``default`` when the key is absent."""
+    return _integer(key, config.get(key, default), least)
 
 
 def _numbers(config: dict, key: str, default: list, count: int | None = None) -> list:
@@ -102,6 +100,20 @@ def _numbers(config: dict, key: str, default: list, count: int | None = None) ->
     if not isinstance(v, list) or not v or count is not None and len(v) != count:
         raise ConfigError(f"config key {key!r} must be a list of {count or 'some'} numbers, got {v!r}")
     return [_finite(key, x) for x in v]
+
+
+def _object(config: dict, key: str, default: dict) -> dict:
+    """config[key] as a JSON object; ``default`` when the key is absent."""
+    v = config.get(key, default)
+    if not isinstance(v, dict):
+        raise ConfigError(f"config key {key!r} must be a JSON object, got {v!r}")
+    return v
+
+
+def _grid(config: dict, default: dict, extra: list) -> GridSpec:
+    """The grid of config["grid"] (``default`` when absent) with the points ``extra`` added."""
+    grid = GridSpec.from_json(_object(config, "grid", default))
+    return GridSpec(grid.radii, grid.angular, grid.points + tuple(extra))
 
 
 def _time_range(config: dict, default: list):
@@ -158,9 +170,9 @@ class Verdicts:
 def run_flow_trace(config, rng):
     flow = flow_from_json(_require(config, "flow"))
     z0 = _pair(_require(config, "z0"))
-    t_max = _number(config, "t_max", 2.0)
+    t_max = _positive(config, "t_max", 2.0)
     n = _count(config, "samples", 50)
-    traj = flow_trace(flow, z0, t_max, n, _number(config, "tol", None))
+    traj = flow_trace(flow, z0, t_max, n, _positive(config, "tol", None))
     verdicts = Verdicts()
     inside = all(abs(complex(row[1], row[2])) < 1.0 for row in traj.to_csv_rows())
     verdicts.add("trajectory-inside-disc", inside)
@@ -242,7 +254,7 @@ def _norm_from_config(obj):
     if kind == "h2":
         return H2Norm(N=_count(obj, "N", 64), r=_number(obj, "r", 0.9))
     if kind == "bloch":
-        return BlochGridNorm(GridSpec.from_json(obj["grid"]))
+        return BlochGridNorm(GridSpec.from_json(_require(obj, "grid")))
     raise ConfigError(f"unknown norm type {kind!r}")
 
 
@@ -251,7 +263,7 @@ def run_generator_check(config, rng):
     weight = weight_from_json(_require(config, "weight"))
     f = fn_from_json(_require(config, "function"))
     wsg = WeightedSemigroup(flow, weight)
-    norm = _norm_from_config(config.get("norm", {}))
+    norm = _norm_from_config(_object(config, "norm", {}))
     ladder = _ladder(config, "t_ladder", [0.1 * 2 ** (-k) for k in range(7)])
     lo, hi = _numbers(config, "ratio_window", [0.3, 0.7], 2)
     table = generator_consistency(wsg, f, norm, ladder)
@@ -306,7 +318,7 @@ def run_transfer_check(config, rng):
 def _zeros_from_config(config):
     if "zeros" in config:
         return tuple(_pair(p) for p in config["zeros"])
-    fam = config.get("family", {"kind": "geometric", "count": 12})
+    fam = _object(config, "family", {"kind": "geometric", "count": 12})
     if fam.get("kind", "geometric") == "geometric":
         return radial_zeros(_count(fam, "count", 12), _number(fam, "ratio", 0.5))
     raise ConfigError("provide either 'zeros' or a geometric 'family'")
@@ -321,14 +333,14 @@ def run_gpv(config, rng):
     verdicts = Verdicts()
     verdicts.add("pseudo-discs-disjoint", report.disjoint, report.min_pairwise_rho, report.rho_threshold)
     verdicts.add("derivative-lower-bound-positive", report.beta_hat > 0.0, report.beta_hat, 0.0)
-    stab = config.get("stability_counts")
-    if stab:
-        betas = []
-        for count in stab:
-            rep = gpv_bound_check(
-                BlaschkeProduct(radial_zeros(int(count))), alpha=alpha, samples_per_disc=samples
-            )
-            betas.append(rep.beta_hat)
+    if config.get("stability_counts"):
+        betas = [
+            gpv_bound_check(
+                BlaschkeProduct(radial_zeros(_integer("stability_counts", count))),
+                alpha=alpha, samples_per_disc=samples,
+            ).beta_hat
+            for count in _numbers(config, "stability_counts", [])
+        ]
         factor = max(betas) / min(betas)
         verdicts.add("beta-hat-stable", factor < 2.0, factor, 2.0)
     rows = [
@@ -348,11 +360,8 @@ def run_bloch_gap(config, rng):
     N = _count(config, "N", 6)
     t_start = _number(config, "t_start", 0.5)
     gc = construct_case1(flow, gamma0, N, t_start)
-    base = config.get("grid", {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 8, 16, 16], "points": []})
-    pts = [ [lv.r, 0.0] for lv in gc.levels ]
-    grid = GridSpec.from_json(
-        {**base, "points": list(base.get("points", [])) + pts}
-    )
+    grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 8, 16, 16]},
+                 [complex(lv.r) for lv in gc.levels])
     verdicts = Verdicts()
     margins = gc.geom_margins()
     worst_margin = min(
@@ -427,19 +436,14 @@ def run_bloch_gap_auto(config, rng):
 def run_separability(config, rng):
     zeros = _zeros_from_config(config)
     B = BlaschkeProduct(zeros)
-    rot_cfg = config.get("rotations", {"count": 8})
-    if isinstance(rot_cfg, list):
-        rotations = [float(v) for v in rot_cfg]
+    if isinstance(config.get("rotations"), list):
+        rotations = _numbers(config, "rotations", [])
+        config_parser(reduce_rotations)(rotations)  # angles that coincide modulo 2*pi
     else:
-        count = _count(rot_cfg, "count", 8)
+        count = _count(_object(config, "rotations", {"count": 8}), "count", 8)
         rotations = [2.0 * math.pi * k / count for k in range(count)]
-    base = config.get("grid", {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 16, 32, 32], "points": []})
-    pts = list(base.get("points", []))
-    for a in zeros:
-        for th in rotations:
-            q = complex(a) * cmath.exp(1j * th)
-            pts.append([q.real, q.imag])
-    grid = GridSpec.from_json({**base, "points": pts})
+    pts = [a * cmath.exp(1j * th) for a in zeros for th in rotations]
+    grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 16, 32, 32]}, pts)
     rep = separability_witness(B, rotations, grid)
     verdicts = Verdicts()
     if rep.eps_hat is None:
@@ -482,7 +486,7 @@ def _write_atomic(path: str, data: str):
     os.replace(tmp, path)
 
 
-def _write_outputs(out_dir, subcommand, config, verdicts, tables, extras, wall_clock):
+def _write_report(out_dir, subcommand, config, verdicts, tables, error=None):
     os.makedirs(out_dir, exist_ok=True)
     report = {
         "experiment": subcommand,
@@ -492,10 +496,16 @@ def _write_outputs(out_dir, subcommand, config, verdicts, tables, extras, wall_c
         "tables": sorted(tables),
         "version": __version__,
     }
+    if error is not None:
+        report["error"] = {"type": type(error).__name__, "message": str(error)}
     _write_atomic(
         os.path.join(out_dir, "report.json"),
         json.dumps(report, indent=2, sort_keys=True) + "\n",
     )
+
+
+def _write_outputs(out_dir, subcommand, config, verdicts, tables, extras, wall_clock):
+    _write_report(out_dir, subcommand, config, verdicts, tables)
     for name, (header, rows) in tables.items():
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -519,7 +529,7 @@ def main(argv=None) -> int:
         prog="semiflow-lab",
         description="Run semiflow/cocycle laboratory experiments from JSON configs.",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=RUNNERS)
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed for random test points")
@@ -546,20 +556,7 @@ def main(argv=None) -> int:
     except SemiflowError as exc:
         verdicts = Verdicts()
         verdicts.add("execution", False)
-        report = {
-            "experiment": args.subcommand,
-            "config_digest": _digest(config),
-            "passed": False,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "verdicts": verdicts.items,
-            "tables": [],
-            "version": __version__,
-        }
-        os.makedirs(args.out, exist_ok=True)
-        _write_atomic(
-            os.path.join(args.out, "report.json"),
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-        )
+        _write_report(args.out, args.subcommand, config, verdicts, {}, exc)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - start

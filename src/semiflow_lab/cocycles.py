@@ -32,8 +32,8 @@ from .analytic import (
     taylor,
 )
 from .errors import ConfigError, QuadratureError, SingularityError, config_parser
-from .flows import DEFAULT_TOL, ConformalMap, FlowModel, OdeFlow, RotatedFlow, extrapolate_to_zero
-from .flows import _check_start, _integrate
+from .flows import ConformalMap, FlowModel, extrapolate_to_zero
+from .flows import _check_ladder, _check_start, _integrate
 from .pointwise import exp, full, larger, points, raise_at, times
 
 # DP5(4) local errors scale with the largest state met along the way, so an
@@ -91,13 +91,6 @@ class WeightedSemigroup:
         return G, G.derivative(), g, g.derivative()
 
 
-def _flow_tol(flow: FlowModel) -> float:
-    """The tolerance the flow integrates at; closed-form flows get DEFAULT_TOL."""
-    while isinstance(flow, RotatedFlow):
-        flow = flow.inner
-    return flow.tol if isinstance(flow, OdeFlow) else DEFAULT_TOL
-
-
 def _sweep(wsg: WeightedSemigroup, z, t):
     """(phi_t(z), phi_t'(z), I_t, J_t) from one integrator sweep along the orbit.
 
@@ -118,7 +111,7 @@ def _sweep(wsg: WeightedSemigroup, z, t):
         return (G.eval_anywhere(w), Gp.eval_anywhere(w) * v,
                 g.eval_anywhere(w), gp.eval_anywhere(w) * v)
 
-    w, v, I, J = _integrate(rhs, (z, 1.0, 0.0, 0.0), t, _flow_tol(wsg.flow))
+    w, v, I, J = _integrate(rhs, (z, 1.0, 0.0, 0.0), t, wsg.flow.tol)
     swell = peak / (1.0 + abs(I) + abs(J))
     raise_at(swell > SWELL_LIMIT, swell, QuadratureError,
              "cocycle integral swelled {:.3e} times above its end value")
@@ -197,9 +190,7 @@ def check_cocycle_identity(wsg: WeightedSemigroup, z, s, t):
 def weight_generator_fd(wsg: WeightedSemigroup, z, h_ladder):
     """Extrapolated (m_h(z) - 1)/h: recovers g, or G alpha'/alpha for a coboundary.
     Each rung evaluates the cocycle at every point of z in one call."""
-    h_ladder = list(h_ladder)
-    if not h_ladder or any(h <= 0 for h in h_ladder):
-        raise ValueError("ladder must be positive")
+    h_ladder = _check_ladder(h_ladder)
     vals = [(_cocycle_value(wsg, z, h) - 1.0) / h for h in h_ladder]
     return extrapolate_to_zero(h_ladder, vals)
 
@@ -302,11 +293,7 @@ def generator_consistency(
     (W_t f - f)/t - (G f' + g f); the residual of a generator decays
     linearly, so consecutive ratios settle near 1/2.
     """
-    t_ladder = list(t_ladder)
-    if not t_ladder or any(t <= 0 for t in t_ladder):
-        raise ValueError("ladder must be positive")
-    if any(b >= a for a, b in zip(t_ladder, t_ladder[1:])):
-        raise ValueError("ladder must be decreasing")
+    t_ladder = _check_ladder(t_ladder)
     G = wsg.flow.generator_fn()
     if G is None:
         raise ValueError("flow lacks a closed-form vector field")

@@ -203,17 +203,6 @@ def reflected_cayley_map() -> ConformalMap:
     return mobius_map(-1.0, 1.0, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Vector field G driving dw/dt = G(w); the flow is trivial iff G == 0."""
-
-    fn: AnalyticFn
-
-    @cached_property
-    def derivative(self) -> AnalyticFn:
-        return self.fn.derivative()
-
-
 def _check_start(z, t):
     """(z, t) as ``pointwise.times`` gives them, once z lies in the open disc
     and every time is >= 0."""
@@ -233,8 +222,11 @@ class FlowModel:
     """Common interface: closed-form or integrated evaluation of phi_t.
 
     z is one start point or an ndarray of them; the result has its shape.
-    t is one time, or an ndarray with a time per point.
+    t is one time, or an ndarray with a time per point.  Integrations along
+    the orbits (the cocycle sweep too) run at ``tol``.
     """
+
+    tol = DEFAULT_TOL
 
     def advance(self, z, t, tol: float | None = None):
         z, t = _check_start(z, t)
@@ -265,51 +257,51 @@ class FlowModel:
 
 @dataclass(frozen=True)
 class OdeFlow(FlowModel):
-    generator: GeneratorSpec
+    """The solution of dw/dt = G(w), w(0) = z, by adaptive DP5(4) at ``tol``."""
+
+    G: AnalyticFn
     tol: float = DEFAULT_TOL
 
+    @cached_property
+    def _Gp(self) -> AnalyticFn:
+        return self.G.derivative()
+
     def _advance(self, z, t, tol):
-        tol = self.tol if tol is None else tol
-        G = self.generator.fn
-        y = _integrate(lambda y: (G.eval_anywhere(y[0]),), (z,), t, tol)
+        G = self.G
+        y = _integrate(lambda y: (G.eval_anywhere(y[0]),), (z,), t, self.tol if tol is None else tol)
         return y[0]
 
     def _advance_with_derivative(self, z, t, tol):
-        tol = self.tol if tol is None else tol
-        G = self.generator.fn
-        Gp = self.generator.derivative
+        G, Gp = self.G, self._Gp
 
         def rhs(y):
             w, v = y
             return (G.eval_anywhere(w), Gp.eval_anywhere(w) * v)
 
-        y = _integrate(rhs, (z, 1.0), t, tol)
+        y = _integrate(rhs, (z, 1.0), t, self.tol if tol is None else tol)
         return y[0], y[1]
 
     def generator_fn(self):
-        return self.generator.fn
+        return self.G
 
     def to_json(self):
-        return {"type": "ode", "G": self.generator.fn.to_json(), "tol": self.tol}
+        return {"type": "ode", "G": self.G.to_json(), "tol": self.tol}
 
 
 def ode_flow(G: AnalyticFn, tol: float = DEFAULT_TOL) -> OdeFlow:
-    return OdeFlow(GeneratorSpec(G), tol)
+    return OdeFlow(G, tol)
 
 
 @dataclass(frozen=True)
 class KoenigsSpiral(FlowModel):
-    """phi_t = h^{-1}(e^{-ct} h(z)); requires h(0) = 0 and Re c >= 0."""
+    """phi_t = h^{-1}(e^{-ct} h(z)); ``koenigs_flow`` checks a spiral's h(0) = 0
+    and Re c >= 0, and the hyperbolic automorphism has a half-plane h and c < 0."""
 
     h: ConformalMap
     c: complex
 
     def __post_init__(self):
         object.__setattr__(self, "c", complex(self.c))
-        if abs(self.h.map(0.0)) > 1e-12:
-            raise ModelError("spiral model requires h(0) = 0")
-        if self.c.real < 0:
-            raise ModelError("spiral model requires Re c >= 0")
 
     def _advance(self, z, t, tol):
         u = exp(-self.c * t) * self.h.map(z)
@@ -369,6 +361,10 @@ class KoenigsTranslate(FlowModel):
 def koenigs_flow(h: ConformalMap, c: complex, mode: str) -> FlowModel:
     """Build a closed-form flow from a linearization map h and rate c."""
     if mode == "spiral":
+        if abs(h.map(0.0)) > 1e-12:
+            raise ModelError("spiral model requires h(0) = 0")
+        if complex(c).real < 0:
+            raise ModelError("spiral model requires Re c >= 0")
         return KoenigsSpiral(h, c)
     if mode == "translate":
         return KoenigsTranslate(h, c)
@@ -401,9 +397,8 @@ class Automorphism(FlowModel):
             return KoenigsSpiral(identity_map(), -1j * self.omega)
         h = reflected_cayley_map() if self.reflect else cayley_map()
         if self.kind == "hyperbolic":
-            # an expanding dilation is c = -rate in the spiral parametrization,
-            # outside its Re c >= 0 domain; it gets its own closed form
-            return _HyperbolicDilation(h, self.rate)
+            # the dilation e^{rate t} of the half-plane h(D)
+            return KoenigsSpiral(h, -self.rate)
         return KoenigsTranslate(h, 1j * self.speed)
 
     def _advance(self, z, t, tol):
@@ -429,31 +424,6 @@ class Automorphism(FlowModel):
 
 
 @dataclass(frozen=True)
-class _HyperbolicDilation(FlowModel):
-    """h^{-1}(e^{rate t} h(z)) for a half-plane map h (dilation fixes 0 and inf)."""
-
-    h: ConformalMap
-    rate: float
-
-    def _dilation(self, t):
-        return np.exp(self.rate * t) if isinstance(t, np.ndarray) else math.exp(self.rate * t)
-
-    def _advance(self, z, t, tol):
-        u = self._dilation(t) * self.h.map(z)
-        return _check_inside(self.h.inverse_at(u, seed=z), InverseError, "inverse")
-
-    def _advance_with_derivative(self, z, t, tol):
-        w = self._advance(z, t, tol)
-        dw = self._dilation(t) * self.h.map_derivative(z) / self.h.map_derivative(w)
-        return w, dw
-
-    def generator_fn(self):
-        return Product(
-            (Constant(self.rate), Quotient(self.h.forward, self.h.forward_derivative))
-        )
-
-
-@dataclass(frozen=True)
 class RotatedFlow(FlowModel):
     """Conjugation psi_t(z) = conj-rotation gamma^{-1} phi_t(gamma z).
 
@@ -469,6 +439,7 @@ class RotatedFlow(FlowModel):
         if abs(abs(g) - 1.0) > 1e-12:
             raise ModelError("rotation factor must be unimodular")
         object.__setattr__(self, "gamma", g)
+        object.__setattr__(self, "tol", self.inner.tol)
 
     def _advance(self, z, t, tol):
         return self.inner._advance(self.gamma * z, t, tol) / self.gamma
@@ -497,10 +468,6 @@ class RotatedFlow(FlowModel):
 # Flow operations
 
 
-def advance(flow: FlowModel, z: complex, t: float, tol: float | None = None) -> complex:
-    return flow.advance(z, t, tol)
-
-
 def flow_z_derivative(
     flow: FlowModel, z: complex, t: float, tol: float | None = None
 ) -> complex:
@@ -514,6 +481,16 @@ def check_semigroup(flow: FlowModel, z, s, t, tol: float | None = None):
     direct = flow.advance(z, s + t, tol)
     stepped = flow.advance(flow.advance(z, s, tol), t, tol)
     return abs(direct - stepped)
+
+
+def _check_ladder(steps) -> list:
+    """steps as a list, once they are positive and strictly decreasing."""
+    steps = list(steps)
+    if not steps or any(h <= 0 for h in steps):
+        raise ValueError("ladder must be positive")
+    if any(b >= a for a, b in zip(steps, steps[1:])):
+        raise ValueError("ladder must be decreasing")
+    return steps
 
 
 def extrapolate_to_zero(hs, vals):
@@ -535,11 +512,7 @@ def generator_fd(flow: FlowModel, z, h_ladder):
     in powers of h and polynomial extrapolation eliminates it order by order.
     z is a point or an array of points; each rung advances them in one call.
     """
-    h_ladder = list(h_ladder)
-    if not h_ladder or any(h <= 0 for h in h_ladder):
-        raise ValueError("ladder must be positive")
-    if any(b >= a for a, b in zip(h_ladder, h_ladder[1:])):
-        raise ValueError("ladder must be decreasing")
+    h_ladder = _check_ladder(h_ladder)
     z = points(z)
     vals = [(flow.advance(z, h, tol=1e-12) - z) / h for h in h_ladder]
     return extrapolate_to_zero(h_ladder, vals)
@@ -687,7 +660,10 @@ def flow_from_json(obj: dict) -> FlowModel:
 
     kind = obj["type"]
     if kind == "ode":
-        return ode_flow(fn_from_json(obj["G"]), float(obj.get("tol", DEFAULT_TOL)))
+        tol = float(obj.get("tol", DEFAULT_TOL))
+        if not 0.0 < tol < math.inf:
+            raise ConfigError(f"ODE tolerance must be finite and > 0, got {tol!r}")
+        return ode_flow(fn_from_json(obj["G"]), tol)
     if kind == "koenigs":
         return koenigs_flow(
             map_from_json(obj["h"]), complex(obj["c"][0], obj["c"][1]), obj["mode"]

@@ -63,9 +63,6 @@ class GapConstruction:
     min_separation: float | None = None  # case 2: min pairwise rho of the sequence
     target_angle: float | None = None    # case 2: +-3*pi/4
 
-    def pairs(self):
-        return [(lv.r, lv.t, lv.w) for lv in self.levels]
-
     def geom_margins(self):
         """Relative margins of 1-r_n < (1-|w_n|)/2 < (1-r_{n-1})/4 per level."""
         out = []
@@ -392,6 +389,17 @@ class SeparabilityReport:
                 yield [self.rotations[i], self.rotations[j], self.matrix[i][j]]
 
 
+def reduce_rotations(rotations) -> list:
+    """The angles modulo 2*pi, once no two of them coincide there."""
+    rots = [float(th) % (2.0 * math.pi) for th in rotations]
+    for i in range(len(rots)):
+        for j in range(i + 1, len(rots)):
+            d = abs(rots[i] - rots[j])
+            if min(d, 2.0 * math.pi - d) < 1e-12:
+                raise ValueError("rotations must be distinct modulo 2*pi")
+    return rots
+
+
 def separability_witness(
     B: BlaschkeProduct, rotations, grid: GridSpec
 ) -> SeparabilityReport:
@@ -400,12 +408,7 @@ def separability_witness(
     Every pair staying a fixed distance apart is an uncountable discrete
     set, witnessing non-separability of any space containing the products.
     """
-    rots = [float(th) % (2.0 * math.pi) for th in rotations]
-    for i in range(len(rots)):
-        for j in range(i + 1, len(rots)):
-            d = abs(rots[i] - rots[j])
-            if min(d, 2.0 * math.pi - d) < 1e-12:
-                raise ValueError("rotations must be distinct modulo 2*pi")
+    rots = reduce_rotations(rotations)
     if not interpolation_delta(B).interpolating:
         raise InterpolationError("rotation family needs an interpolating product")
     fns = [

@@ -192,6 +192,14 @@ def test_json_round_trip(rng):
             assert abs(g.eval(z) - expected) < 1e-14
 
 
+def test_log_ignores_legacy_base_key():
+    node = {"op": "log", "arg": {"op": "poly", "coeffs": [[1, 0], [-0.5, 0]]}, "base": [0, 0]}
+    f = sl.fn_from_json(node)
+    assert f == sl.Log(sl.Polynomial([1, -0.5]))
+    assert abs(f.eval(0.4) - cmath.log(0.8)) < 1e-15
+    assert "base" not in f.to_json()
+
+
 def test_grid_json_round_trip():
     grid = sl.GridSpec((0.0, 0.4), (1, 8), (0.1 + 0.2j,))
     again = sl.GridSpec.from_json(grid.to_json())

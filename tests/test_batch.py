@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import semiflow_lab as sl
 from conftest import flow_corpus, fn_corpus, weight_corpus
 from semiflow_lab.cli import random_disc_points
-from semiflow_lab.cocycles import _flow_tol
 
 
 def radial_flow(tol=1e-12):
@@ -79,7 +78,7 @@ def test_batched_semigroup_matches_pointwise(fname, rng):
     f = sl.Exp(sl.Identity())
     for wname, weight in weight_corpus().items():
         wsg = sl.WeightedSemigroup(flow, weight)
-        bound = 10 * _flow_tol(flow)
+        bound = 10 * flow.tol
         for t in (0.0, 0.3, 1.1):
             for op in (sl.apply_weighted, sl.weighted_z_derivative):
                 batch = op(wsg, f, zs, t)
@@ -173,7 +172,7 @@ def escaping_flow():
 @pytest.mark.parametrize("fname", sorted(flow_corpus()))
 def test_time_array_matches_pointwise(fname, rng):
     flow = flow_corpus(1e-12)[fname]
-    bound = 10 * _flow_tol(flow)
+    bound = 10 * flow.tol
     zs = np.array(random_disc_points(rng, 16, 0.8))
     ts = rng.uniform(0.0, 1.5, 16)
     f = sl.Exp(sl.Identity())

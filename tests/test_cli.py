@@ -228,12 +228,32 @@ G_ID = {"type": "weight", "g": {"op": "id"}}
         ("cocycle-check", {"flow": RADIAL, "weight": G_ID, "n_points": "many"}),
         ("cocycle-check", {"flow": RADIAL, "weight": G_ID, "t_range": [0.0]}),
         ("cocycle-check", {"flow": RADIAL, "weight": G_ID, "t_range": [-1, 0.5]}),
+        ("gpv", {"stability_counts": [0, 8]}),
+        ("gpv", {"stability_counts": ["x"]}),
+        ("gpv", {"stability_counts": [2.5]}),
+        ("gpv", {"family": "geometric"}),
+        ("separability", {"rotations": [0.0, 6.283185307179586]}),
+        ("separability", {"rotations": ["x"]}),
+        ("separability", {"rotations": 4}),
+        ("generator-check", {"flow": RADIAL, "weight": G_ID, "function": {"op": "id"}, "norm": "h2"}),
+        ("generator-check", {"flow": RADIAL, "weight": G_ID, "function": {"op": "id"},
+                             "norm": {"type": "bloch"}}),
+        ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "N": 2, "grid": [1, 2]}),
+        ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "N": 2,
+                       "grid": {"radii": [0.0], "angular": [1], "points": 5}}),
+        ("flow-trace", {"flow": RADIAL, "z0": [0.5, 0], "t_max": 0}),
+        ("flow-trace", {"flow": RADIAL, "z0": [0.5, 0], "tol": 0}),
+        ("flow-trace", {"flow": RADIAL, "z0": [0.5, 0], "tol": -1}),
+        ("flow-check", {"flow": {**RADIAL, "tol": 0}}),
+        ("flow-check", {"flow": {**RADIAL, "tol": -1}}),
+        ("flow-check", {"flow": {**RADIAL, "tol": float("nan")}}),
     ],
 )
-def test_malformed_config_exits_2(tmp_path, subcommand, payload):
+def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):
     cfg = write_config(tmp_path, "c.json", payload)
     assert run(subcommand, cfg, tmp_path / "out") == 2
     assert not (tmp_path / "out" / "report.json").exists()
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_csv_bodies_deterministic(tmp_path):

@@ -128,6 +128,30 @@ def test_weight_generator_fd_examples():
     assert sl.weight_generator_fd(zero, 0.4, [1e-2, 5e-3, 2.5e-3]) == 0
 
 
+def _ladder_callers():
+    flow = sl.ode_flow(sl.Polynomial([0, -1]), 1e-12)
+    wsg = sl.WeightedSemigroup(flow, sl.Weight(sl.Identity()))
+    return {
+        "generator_fd": lambda ladder: sl.generator_fd(flow, 0.3, ladder),
+        "weight_generator_fd": lambda ladder: sl.weight_generator_fd(wsg, 0.3, ladder),
+        "generator_consistency": lambda ladder: sl.generator_consistency(
+            wsg, sl.Polynomial([0, 0, 1]), sl.H2Norm(N=16), ladder
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["generator_fd", "weight_generator_fd", "generator_consistency"])
+@pytest.mark.parametrize("ladder, message", [
+    ([1e-3, 1e-2, 5e-2], "decreasing"),
+    ([1e-2, 1e-2, 5e-3], "decreasing"),
+    ([1e-2, 0.0], "positive"),
+    ([], "positive"),
+])
+def test_ladders_share_one_check(name, ladder, message):
+    with pytest.raises(ValueError, match=message):
+        _ladder_callers()[name](ladder)
+
+
 def test_apply_weighted():
     flow = radial_flow()
     f = sl.Polynomial([1, 0, 2])

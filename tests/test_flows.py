@@ -187,6 +187,28 @@ def test_classify_hyperbolic():
     assert sorted(round(abs(p + 1), 6) for p in fps)[0] == 0
 
 
+@pytest.mark.parametrize("rate, reflect", [(1.0, False), (0.6, True), (-0.8, False)])
+def test_hyperbolic_automorphism_is_the_cayley_dilation(rate, reflect):
+    # phi_t = h^{-1}(e^{rate t} h(z)) with h the (reflected) Cayley map
+    flow = sl.Automorphism(kind="hyperbolic", rate=rate, reflect=reflect)
+    s = -1.0 if reflect else 1.0
+
+    def exact(z, t):
+        u = np.exp(rate * t) * (1 + s * z) / (1 - s * z)
+        return s * (u - 1) / (u + 1)
+
+    zs = np.array([0.0, 0.3 - 0.2j, -0.5 + 0.4j, 0.7j])
+    for t in (0.25, 1.0, 2.5):
+        assert abs(flow.advance(zs, t) - exact(zs, t)).max() <= 1e-15
+        for z in zs:
+            assert abs(flow.advance(complex(z), t) - exact(z, t)) <= 1e-15
+            h = 1e-5
+            fd = (flow.advance(complex(z) + h, t) - flow.advance(complex(z) - h, t)) / (2 * h)
+            assert abs(sl.flow_z_derivative(flow, complex(z), t) - fd) <= 1e-8
+    est = sl.generator_fd(flow, zs, [5e-3, 2.5e-3, 1.25e-3])
+    assert abs(est - flow.generator_fn().eval(zs)).max() <= 1e-7
+
+
 def test_classify_parabolic():
     flow = sl.Automorphism(kind="parabolic", speed=1.0)
     assert sl.classify_automorphism(flow) == "parabolic"
@@ -298,3 +320,20 @@ def test_flow_json_round_trip(rng):
     auto = sl.Automorphism(kind="parabolic", speed=1.0, reflect=True)
     again = sl.flow_from_json(auto.to_json())
     assert again.advance(0.3, 0.8) == auto.advance(0.3, 0.8)
+
+
+@pytest.mark.parametrize("tol", [0, -1, float("nan"), float("inf")])
+def test_ode_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(sl.ConfigError):
+        sl.flow_from_json({"type": "ode", "G": {"op": "poly", "coeffs": [[0, 0], [-1, 0]]}, "tol": tol})
+
+
+def test_every_flow_carries_its_tolerance():
+    ode = radial_flow(1e-12)
+    assert ode.tol == 1e-12
+    assert sl.RotatedFlow(ode, 1j).tol == 1e-12
+    assert sl.RotatedFlow(sl.RotatedFlow(ode, 1j), -1).tol == 1e-12
+    for flow in (sl.koenigs_flow(sl.cayley_map(), 1j, "translate"),
+                 sl.Automorphism(kind="hyperbolic", rate=1.0),
+                 sl.RotatedFlow(sl.Automorphism(kind="parabolic", speed=1.0), 1j)):
+        assert flow.tol == sl.flows.DEFAULT_TOL
