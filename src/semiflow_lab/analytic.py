@@ -1,13 +1,17 @@
 """Expression trees for functions analytic on the unit disc.
 
 Trees are immutable.  Evaluation takes one point, a Python complex, or a
-batch, a complex ndarray, through the same code (see ``pointwise``).
-``derivative`` returns a new tree computing the exact analytic derivative
-(chain/product/quotient rules applied symbolically, no simplification).
-Quotient and Log carry explicit singularity guards: small excluded discs
-around known zeros of the denominator / argument.  Evaluation either
-returns finite values or raises; it never returns inf/nan.  A batch raises
-the error of the first point that would raise on its own.
+batch, a complex ndarray, through the same code (see ``pointwise``).  Each
+node evaluates through one forward-mode jet, ``_jet(z, order)`` (Griewank &
+Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 3 and 13): order 0
+gives f(z) and no derivative, order 1 gives (f(z), f'(z)) in one recursion,
+by the arithmetic of the exact symbolic ``derivative`` tree (no
+simplification), so the two agree to the last bit.  Quotient and Log carry
+explicit singularity guards: small excluded discs around known zeros of the
+denominator / argument, as a Mobius derivative does around a pole in the
+disc.  Evaluation either returns finite values or raises; it never returns
+inf/nan.  A batch raises the error of the first point that would raise on
+its own.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -31,7 +37,9 @@ def guard_points(points, radius: float = DEFAULT_GUARD_RADIUS):
 
 
 class AnalyticFn:
-    """Base node.  Subclasses implement ``_eval`` and ``derivative``."""
+    """Base node.  Subclasses implement ``_jet`` and ``derivative``.  A value
+    that does not depend on z stays a bare complex in ``_jet``; the entry
+    points spread it over a batch once."""
 
     guards: tuple = ()
 
@@ -39,21 +47,25 @@ class AnalyticFn:
         """Evaluate at a point of the open unit disc, or at each point of an array."""
         z = points(z)
         raise_at(abs(z) >= 1.0, z, DomainError, "{} is not inside the open unit disc")
-        w = self._eval(z)
+        w = self._jet(z, 0)
         raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
-        return w
+        return full(z, w)
 
     __call__ = eval
 
     def eval_anywhere(self, z):
         """Evaluate without the disc check (for maps whose range leaves the disc)."""
         z = points(z)
-        w = self._eval(z)
+        w = self._jet(z, 0)
         raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
-        return w
+        return full(z, w)
 
-    def _eval(self, z):
-        raise NotImplementedError
+    def jet(self, z):
+        """(f(z), f'(z)) from one pass over the tree, without the disc check."""
+        z = points(z)
+        w, dw = self._jet(z, 1)
+        raise_at(nonfinite(w) | nonfinite(dw), z, SingularityError, "non-finite value at {}")
+        return full(z, w), full(z, dw)
 
     def derivative(self) -> "AnalyticFn":
         raise NotImplementedError
@@ -98,6 +110,11 @@ def _as_fn(x) -> "AnalyticFn":
     return Constant(complex(x))
 
 
+# The values of Constant(0.0), Constant(1.0) and Constant(-1.0), which the
+# derivative trees multiply and add just as the jets below do.
+_ZERO, _ONE, _MINUS_ONE = 0j, 1 + 0j, -1 + 0j
+
+
 @dataclass(frozen=True)
 class Constant(AnalyticFn):
     value: complex
@@ -105,10 +122,8 @@ class Constant(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
 
-    def _eval(self, z):
-        # The one leaf that ignores z: a batch gets the value at each point.
-        # The hottest node, so ``full`` is written out here.
-        return np.full(z.shape, self.value) if isinstance(z, np.ndarray) else self.value
+    def _jet(self, z, order):
+        return (self.value, _ZERO) if order else self.value
 
     def derivative(self):
         return Constant(0.0)
@@ -119,14 +134,21 @@ class Constant(AnalyticFn):
 
 @dataclass(frozen=True)
 class Identity(AnalyticFn):
-    def _eval(self, z):
-        return z
+    def _jet(self, z, order):
+        return (z, _ONE) if order else z
 
     def derivative(self):
         return Constant(1.0)
 
     def to_json(self):
         return {"op": "id"}
+
+
+def _horner(coeffs, z):
+    acc = coeffs[-1] if coeffs else _ZERO  # a constant stays bare
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -138,18 +160,19 @@ class Polynomial(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
-    def _eval(self, z):
-        if len(self.coeffs) < 2:  # a constant: spread it over a batch
-            return full(z, self.coeffs[0] if self.coeffs else 0.0)
-        acc = self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
-        return acc
+    @cached_property
+    def _slopes(self) -> tuple:
+        """The derivative's coefficients k a_k, k = 1..d."""
+        return tuple(k * c for k, c in enumerate(self.coeffs))[1:]
+
+    def _jet(self, z, order):
+        value = _horner(self.coeffs, z)
+        return (value, _horner(self._slopes, z)) if order else value
 
     def derivative(self):
         if len(self.coeffs) <= 1:
             return Constant(0.0)
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        return Polynomial(self._slopes)
 
     def to_json(self):
         return {"op": "poly", "coeffs": [_c2p(c) for c in self.coeffs]}
@@ -169,23 +192,25 @@ class Mobius(AnalyticFn):
             object.__setattr__(self, name, complex(getattr(self, name)))
         if abs(self.a * self.d - self.b * self.c) == 0.0:
             raise ValueError("degenerate Mobius map (ad - bc = 0)")
+        pole = -self.d / self.c if self.c != 0 else math.inf
+        object.__setattr__(self, "guards", guard_points([pole]) if abs(pole) < 1.0 else ())
 
-    def _eval(self, z):
+    def _jet(self, z, order):
         den = self.c * z + self.d
         raise_at(den == 0, z, SingularityError, "Mobius pole at {}")
-        return (self.a * z + self.b) / den
+        value = (self.a * z + self.b) / den
+        if not order:
+            return value
+        self._check_guards(z)  # the derivative's guard disc around a pole in the disc
+        square = den ** 2
+        raise_at(square == 0, z, SingularityError, "denominator vanishes at {}")
+        return value, (self.a * self.d - self.b * self.c) / square
 
     def derivative(self):
-        det = self.a * self.d - self.b * self.c
-        guards = ()
-        if self.c != 0:
-            pole = -self.d / self.c
-            if abs(pole) < 1.0:
-                guards = guard_points([pole])
         return Quotient(
-            Constant(det),
+            Constant(self.a * self.d - self.b * self.c),
             Power(Polynomial((self.d, self.c)), 2),
-            guards=guards,
+            guards=self.guards,
         )
 
     def inverse(self) -> "Mobius":
@@ -205,8 +230,10 @@ class Mobius(AnalyticFn):
 class Exp(AnalyticFn):
     inner: AnalyticFn
 
-    def _eval(self, z):
-        return exp(self.inner._eval(z))
+    def _jet(self, z, order):
+        u, du = self.inner._jet(z, 1) if order else (self.inner._jet(z, 0), None)
+        value = exp(u)
+        return (value, value * du) if order else value
 
     def derivative(self):
         return Product((Exp(self.inner), self.inner.derivative()))
@@ -230,11 +257,11 @@ class Log(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "guards", tuple(self.guards))
 
-    def _eval(self, z):
+    def _jet(self, z, order):
         self._check_guards(z)
-        w = self.inner._eval(z)
-        raise_at(w == 0, z, SingularityError, "log of zero at {}")
-        return log(w)
+        u, du = self.inner._jet(z, 1) if order else (self.inner._jet(z, 0), None)
+        raise_at(u == 0, z, SingularityError, "log of zero at {}")
+        return (log(u), du / u) if order else log(u)
 
     def derivative(self):
         return Quotient(self.inner.derivative(), self.inner, guards=self.guards)
@@ -254,13 +281,13 @@ class Sum(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    def _eval(self, z):
+    def _jet(self, z, order):
         if not self.terms:
-            return full(z, 0.0)
-        acc = self.terms[0]._eval(z)
-        for t in self.terms[1:]:
-            acc = acc + t._eval(z)
-        return acc
+            return (_ZERO, _ZERO) if order else _ZERO
+        if not order:
+            return reduce(add, [t._jet(z, 0) for t in self.terms])
+        values, slopes = zip(*[t._jet(z, 1) for t in self.terms])
+        return reduce(add, values), reduce(add, slopes)
 
     def derivative(self):
         return Sum(tuple(t.derivative() for t in self.terms))
@@ -276,13 +303,15 @@ class Product(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
 
-    def _eval(self, z):
+    def _jet(self, z, order):
         if not self.factors:
-            return full(z, 1.0)
-        acc = self.factors[0]._eval(z)
-        for f in self.factors[1:]:
-            acc = acc * f._eval(z)
-        return acc
+            return (_ONE, _ZERO) if order else _ONE
+        if not order:
+            return reduce(mul, [f._jet(z, 0) for f in self.factors])
+        values, slopes = zip(*[f._jet(z, 1) for f in self.factors])
+        # the derivative tree's terms f_0 ... f_k' ... f_n, each multiplied left to right
+        terms = [reduce(mul, values[:k] + (s,) + values[k + 1:]) for k, s in enumerate(slopes)]
+        return reduce(mul, values), reduce(add, terms)
 
     def derivative(self):
         terms = []
@@ -311,11 +340,17 @@ class Quotient(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "guards", tuple(self.guards))
 
-    def _eval(self, z):
+    def _jet(self, z, order):
         self._check_guards(z)
-        d = self.den._eval(z)
-        raise_at(d == 0, z, SingularityError, "denominator vanishes at {}")
-        return self.num._eval(z) / d
+        if not order:
+            d = self.den._jet(z, 0)
+            raise_at(d == 0, z, SingularityError, "denominator vanishes at {}")
+            return self.num._jet(z, 0) / d
+        d, dd = self.den._jet(z, 1)
+        square = d * d  # zero wherever d is
+        raise_at(square == 0, z, SingularityError, "denominator vanishes at {}")
+        n, dn = self.num._jet(z, 1)
+        return n / d, (dn * d + _MINUS_ONE * n * dd) / square
 
     def derivative(self):
         return Quotient(
@@ -343,8 +378,12 @@ class Compose(AnalyticFn):
     outer: AnalyticFn
     inner: AnalyticFn
 
-    def _eval(self, z):
-        return self.outer._eval(self.inner._eval(z))
+    def _jet(self, z, order):
+        if not order:
+            return self.outer._jet(self.inner._jet(z, 0), 0)
+        u, du = self.inner._jet(z, 1)
+        v, dv = self.outer._jet(u, 1)
+        return v, dv * du
 
     def derivative(self):
         return Product((Compose(self.outer.derivative(), self.inner), self.inner.derivative()))
@@ -361,11 +400,13 @@ class Power(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "k", int(self.k))
 
-    def _eval(self, z):
-        w = self.inner._eval(z)
+    def _jet(self, z, order):
+        w, dw = self.inner._jet(z, 1) if order else (self.inner._jet(z, 0), None)
         if self.k < 0:
             raise_at(w == 0, z, SingularityError, "negative power of zero at {}")
-        return w ** self.k
+        if not order:
+            return w ** self.k
+        return w ** self.k, (complex(self.k) * w ** (self.k - 1) * dw if self.k else _ZERO)
 
     def derivative(self):
         if self.k == 0:
@@ -384,8 +425,9 @@ class BlaschkeFn(AnalyticFn):
 
     product: BlaschkeProduct
 
-    def _eval(self, z):
-        return blaschke_eval(self.product, z)
+    def _jet(self, z, order):
+        value = blaschke_eval(self.product, z)
+        return (value, blaschke_derivative(self.product, z)) if order else value
 
     def derivative(self):
         return _BlaschkeDerivative(self.product)
@@ -411,8 +453,9 @@ class _BlaschkeDerivative(AnalyticFn):
 
     product: BlaschkeProduct
 
-    def _eval(self, z):
-        return blaschke_derivative(self.product, z)
+    def _jet(self, z, order):
+        value = blaschke_derivative(self.product, z)
+        return (value, self.derivative()._jet(z, 0)) if order else value
 
     def derivative(self):
         # Second derivatives are rare; fall back to the expanded factor tree.

@@ -37,7 +37,15 @@ from .cocycles import (
     weight_from_json,
     weight_generator_fd,
 )
-from .errors import ConfigError, SemiflowError, config_parser
+from .errors import (
+    ConfigError,
+    SemiflowError,
+    config_integer,
+    config_number,
+    config_pair,
+    config_parser,
+    config_positive,
+)
 from .flows import check_semigroup, flow_from_json, flow_trace, generator_fd, map_from_json
 from .gap import bloch_gap, construct_case1, construct_case2, reduce_rotations, separability_witness
 
@@ -53,45 +61,27 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _pair(v) -> complex:
-    try:
-        if isinstance(v, (list, tuple)) and len(v) == 2:
-            return complex(v[0], v[1])
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"expected a [re, im] pair, got {v!r}")
-
-
-def _finite(key: str, v, least: float = -math.inf) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v < least:
-        bound = f" >= {least}" if least > -math.inf else ""
-        raise ConfigError(f"config key {key!r} must be a finite number{bound}, got {v!r}")
-    return float(v)
-
-
 def _number(config: dict, key: str, default, least: float = -math.inf):
     """config[key] as a finite float >= least; ``default`` when the key is absent."""
-    return _finite(key, config[key], least) if key in config else default
+    return config_number(key, config[key], least) if key in config else default
 
 
 def _positive(config: dict, key: str, default):
     """config[key] as a finite float > 0; ``default`` when the key is absent."""
+    return config_positive(key, config[key]) if key in config else default
+
+
+def _fraction(config: dict, key: str, default: float) -> float:
+    """config[key] as a number strictly between 0 and 1; ``default`` when absent."""
     v = _number(config, key, default)
-    if v is not None and v <= 0.0:
-        raise ConfigError(f"config key {key!r} must be a finite number > 0, got {v!r}")
+    if not 0.0 < v < 1.0:
+        raise ConfigError(f"config key {key!r} must lie strictly between 0 and 1, got {v!r}")
     return v
-
-
-def _integer(key: str, v, least: int = 1) -> int:
-    integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()
-    if isinstance(v, bool) or not integral or v < least:
-        raise ConfigError(f"config key {key!r} must be an integer >= {least}, got {v!r}")
-    return int(v)
 
 
 def _count(config: dict, key: str, default: int, least: int = 1) -> int:
     """config[key] as an integer >= least; ``default`` when the key is absent."""
-    return _integer(key, config.get(key, default), least)
+    return config_integer(key, config.get(key, default), least)
 
 
 def _numbers(config: dict, key: str, default: list, count: int | None = None) -> list:
@@ -99,7 +89,7 @@ def _numbers(config: dict, key: str, default: list, count: int | None = None) ->
     v = config.get(key, default)
     if not isinstance(v, list) or not v or count is not None and len(v) != count:
         raise ConfigError(f"config key {key!r} must be a list of {count or 'some'} numbers, got {v!r}")
-    return [_finite(key, x) for x in v]
+    return [config_number(key, x) for x in v]
 
 
 def _object(config: dict, key: str, default: dict) -> dict:
@@ -169,7 +159,7 @@ class Verdicts:
 
 def run_flow_trace(config, rng):
     flow = flow_from_json(_require(config, "flow"))
-    z0 = _pair(_require(config, "z0"))
+    z0 = config_pair("z0", _require(config, "z0"))
     t_max = _positive(config, "t_max", 2.0)
     n = _count(config, "samples", 50)
     traj = flow_trace(flow, z0, t_max, n, _positive(config, "tol", None))
@@ -317,16 +307,23 @@ def run_transfer_check(config, rng):
 
 def _zeros_from_config(config):
     if "zeros" in config:
-        return tuple(_pair(p) for p in config["zeros"])
+        zeros = config["zeros"]
+        if not isinstance(zeros, list):
+            raise ConfigError(f"config key 'zeros' must be a list of [re, im] pairs, got {zeros!r}")
+        zeros = tuple(config_pair("zeros", p) for p in zeros)
+        for a in zeros:
+            if abs(a) >= 1.0:
+                raise ConfigError(f"config key 'zeros' holds {a}, which is not inside the open disc")
+        return zeros
     fam = _object(config, "family", {"kind": "geometric", "count": 12})
     if fam.get("kind", "geometric") == "geometric":
-        return radial_zeros(_count(fam, "count", 12), _number(fam, "ratio", 0.5))
+        return radial_zeros(_count(fam, "count", 12), _fraction(fam, "ratio", 0.5))
     raise ConfigError("provide either 'zeros' or a geometric 'family'")
 
 
 def run_gpv(config, rng):
     zeros = _zeros_from_config(config)
-    alpha = _number(config, "alpha", 0.1)
+    alpha = _fraction(config, "alpha", 0.1)
     samples = _count(config, "samples_per_disc", 80)
     B = BlaschkeProduct(zeros)
     report = gpv_bound_check(B, alpha=alpha, samples_per_disc=samples)
@@ -336,7 +333,7 @@ def run_gpv(config, rng):
     if config.get("stability_counts"):
         betas = [
             gpv_bound_check(
-                BlaschkeProduct(radial_zeros(_integer("stability_counts", count))),
+                BlaschkeProduct(radial_zeros(config_integer("stability_counts", count))),
                 alpha=alpha, samples_per_disc=samples,
             ).beta_hat
             for count in _numbers(config, "stability_counts", [])
@@ -353,8 +350,11 @@ def run_gpv(config, rng):
 
 def run_bloch_gap(config, rng):
     flow = flow_from_json(_require(config, "flow"))
-    weights = [weight_from_json(w) for w in _require(config, "weights")]
-    gamma0 = _pair(config.get("gamma0", [1.0, 0.0]))
+    weights = _require(config, "weights")
+    if not isinstance(weights, list) or not weights:
+        raise ConfigError(f"config key 'weights' must be a non-empty list of weights, got {weights!r}")
+    weights = [weight_from_json(w) for w in weights]
+    gamma0 = config_pair("gamma0", config.get("gamma0", [1.0, 0.0]))
     if abs(abs(gamma0) - 1.0) > 1e-12:
         raise ConfigError(f"gamma0 = {gamma0} must be unimodular")
     N = _count(config, "N", 6)

@@ -83,12 +83,11 @@ class WeightedSemigroup:
 
     @cached_property
     def _variational_trees(self):
-        """(G, G', g, g') for the sweep's right-hand side, built once per semigroup."""
+        """(G, g) for the sweep's right-hand side, built once per semigroup."""
         G = self.flow.generator_fn()
         if G is None:
             raise ValueError("flow lacks a closed-form vector field")
-        g = self.weight.g
-        return G, G.derivative(), g, g.derivative()
+        return G, self.weight.g
 
 
 def _sweep(wsg: WeightedSemigroup, z, t):
@@ -97,19 +96,20 @@ def _sweep(wsg: WeightedSemigroup, z, t):
     Integrates the variational system y = (w, v, I, J) with w' = G(w),
     v' = G'(w) v, I' = g(w), J' = g'(w) v from (z, 1, 0, 0) (Hairer, Norsett
     & Wanner, Solving ODEs I, sec. I.14), so I_t is the integral of g along
-    the orbit and J_t its z-derivative.  Refuses with QuadratureError when
+    the orbit and J_t its z-derivative.  (G, G') and (g, g') come from one
+    jet each.  Refuses with QuadratureError when
     I or J swelled far above its end value on the way, at any point of z.
     """
     z, t = _check_start(z, t)
-    G, Gp, g, gp = wsg._variational_trees
+    G, g = wsg._variational_trees
     peak = abs(full(z, 0.0))  # largest |I|, |J| so far, per point
 
     def rhs(y):
         nonlocal peak
         w, v, I, J = y
         peak = larger(peak, larger(abs(I), abs(J)))
-        return (G.eval_anywhere(w), Gp.eval_anywhere(w) * v,
-                g.eval_anywhere(w), gp.eval_anywhere(w) * v)
+        (Gw, dG), (gw, dg) = G.jet(w), g.jet(w)
+        return Gw, dG * v, gw, dg * v
 
     w, v, I, J = _integrate(rhs, (z, 1.0, 0.0, 0.0), t, wsg.flow.tol)
     swell = peak / (1.0 + abs(I) + abs(J))
@@ -217,24 +217,22 @@ def _cocycle_with_z_derivative(wsg, z, t):
     weight = wsg.weight
     if isinstance(weight, Weight):
         return full(z, exp(weight.g.value * t)), full(z, 0.0), w, dw
-    alpha = weight.alpha
-    ap = alpha.derivative()
-    az = alpha.eval(z)
+    az, apz = weight.alpha.jet(z)
     raise_at(az == 0, z, SingularityError, "alpha vanishes at {}")
-    aw = alpha.eval(w)
+    aw, apw = weight.alpha.jet(w)
     m = aw / az
-    mp = (ap.eval(w) * dw * az - aw * ap.eval(z)) / (az * az)
+    mp = (apw * dw * az - aw * apz) / (az * az)
     return m, mp, w, dw
 
 
 def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z, t: float):
     """d/dz [m_t f(phi_t)](z) = m_t'(z) f(phi_t(z)) + m_t(z) f'(phi_t(z)) phi_t'(z),
-    at a point or at each point of an array."""
-    fp = f.derivative()
+    at a point or at each point of an array.  f and f' at phi_t(z) come from one jet."""
     if t == 0.0:
-        return fp.eval(z)
+        return f.derivative().eval(z)
     m, mp, w, dw = _cocycle_with_z_derivative(wsg, z, t)
-    return mp * f.eval(w) + m * fp.eval(w) * dw
+    fw, fpw = f.jet(w)
+    return mp * fw + m * fpw * dw
 
 
 def apply_generator(G: AnalyticFn, g: AnalyticFn, f: AnalyticFn) -> AnalyticFn:
@@ -350,7 +348,7 @@ def coboundary_similarity_check(
 
 def transfer_generator(h: ConformalMap, G: AnalyticFn, g: AnalyticFn):
     """Pull a generator pair back through h: ((1/h') G o h, g o h)."""
-    G1 = Quotient(Compose(G, h.forward), h.forward_derivative)
+    G1 = Quotient(Compose(G, h.forward), h.forward.derivative())
     g1 = Compose(g, h.forward)
     return G1, g1
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the laboratory modules."""
+"""Exception types shared across the laboratory modules, and the typed
+checks that turn a malformed config value into ConfigError."""
 
 import functools
+import math
 
 
 class SemiflowError(Exception):
@@ -80,3 +82,35 @@ def config_parser(parse):
             raise ConfigError(f"{parse.__name__}: {type(exc).__name__}: {exc}") from exc
 
     return parsed
+
+
+def config_number(key: str, v, least: float = -math.inf) -> float:
+    """v as a float, once it is a finite JSON number >= least (a string or a
+    bool is not a number)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v < least:
+        bound = f" >= {least}" if least > -math.inf else ""
+        raise ConfigError(f"config key {key!r} must be a finite number{bound}, got {v!r}")
+    return float(v)
+
+
+def config_positive(key: str, v) -> float:
+    """v as a float, once it is a finite JSON number > 0."""
+    v = config_number(key, v)
+    if v <= 0.0:
+        raise ConfigError(f"config key {key!r} must be a finite number > 0, got {v!r}")
+    return v
+
+
+def config_integer(key: str, v, least: int = 1) -> int:
+    """v as an int, once it is an integral JSON number >= least."""
+    integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    if isinstance(v, bool) or not integral or v < least:
+        raise ConfigError(f"config key {key!r} must be an integer >= {least}, got {v!r}")
+    return int(v)
+
+
+def config_pair(key: str, v) -> complex:
+    """v as a complex, once it is a [re, im] pair of finite numbers."""
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise ConfigError(f"config key {key!r} must be a [re, im] pair, got {v!r}")
+    return complex(config_number(key, v[0]), config_number(key, v[1]))

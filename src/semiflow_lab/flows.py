@@ -26,7 +26,11 @@ from .errors import (
     InverseError,
     ModelError,
     NoConvergence,
+    config_integer,
+    config_number,
+    config_pair,
     config_parser,
+    config_positive,
 )
 from .pointwise import exp, full, larger, nonfinite, outside, points, raise_at, sup, times, where
 
@@ -135,15 +139,11 @@ class ConformalMap:
     inverse: AnalyticFn | None = None
     newton: NewtonInverse = NewtonInverse()
 
-    @cached_property
-    def forward_derivative(self) -> AnalyticFn:
-        return self.forward.derivative()
-
     def map(self, z):
         return self.forward.eval_anywhere(z)
 
     def map_derivative(self, z):
-        return self.forward_derivative.eval_anywhere(z)
+        return self.forward.jet(z)[1]
 
     def inverse_at(self, w, seed=None):
         """h^{-1}(w) at a point or an array of points.
@@ -158,11 +158,10 @@ class ConformalMap:
         x = full(w, self.newton.seed if seed is None else seed)
         miss = True
         for _ in range(self.newton.max_iter):
-            fx = self.forward.eval_anywhere(x)
+            fx, dfx = self.forward.jet(x)
             miss = abs(fx - w) > self.newton.tol
             if not np.any(miss):
                 return x
-            dfx = self.forward_derivative.eval_anywhere(x)
             raise_at(miss & (dfx == 0), w, InverseError, "critical point hit while inverting at {}")
             x = where(miss, x - (fx - w) / dfx, x)
             raise_at(nonfinite(x) | (abs(x) > NEWTON_BOUND), w, InverseError,
@@ -262,21 +261,18 @@ class OdeFlow(FlowModel):
     G: AnalyticFn
     tol: float = DEFAULT_TOL
 
-    @cached_property
-    def _Gp(self) -> AnalyticFn:
-        return self.G.derivative()
-
     def _advance(self, z, t, tol):
         G = self.G
         y = _integrate(lambda y: (G.eval_anywhere(y[0]),), (z,), t, self.tol if tol is None else tol)
         return y[0]
 
     def _advance_with_derivative(self, z, t, tol):
-        G, Gp = self.G, self._Gp
+        G = self.G
 
         def rhs(y):
             w, v = y
-            return (G.eval_anywhere(w), Gp.eval_anywhere(w) * v)
+            Gw, dG = G.jet(w)
+            return Gw, dG * v
 
         y = _integrate(rhs, (z, 1.0), t, self.tol if tol is None else tol)
         return y[0], y[1]
@@ -315,7 +311,7 @@ class KoenigsSpiral(FlowModel):
     def generator_fn(self):
         # d/dt h^{-1}(e^{-ct} h(z)) at t=0 equals -c h(z)/h'(z).
         return Product(
-            (Constant(-self.c), Quotient(self.h.forward, self.h.forward_derivative))
+            (Constant(-self.c), Quotient(self.h.forward, self.h.forward.derivative()))
         )
 
     def to_json(self):
@@ -347,7 +343,7 @@ class KoenigsTranslate(FlowModel):
         return w, dw
 
     def generator_fn(self):
-        return Quotient(Constant(self.c), self.h.forward_derivative)
+        return Quotient(Constant(self.c), self.h.forward.derivative())
 
     def to_json(self):
         return {
@@ -656,30 +652,28 @@ def automorphism_fixed_points(flow: FlowModel):
 
 @config_parser
 def flow_from_json(obj: dict) -> FlowModel:
+    """Rebuild a flow from its JSON form; every number goes through the typed
+    config checks, so a string where a number belongs is a ConfigError."""
     from .analytic import fn_from_json
 
     kind = obj["type"]
     if kind == "ode":
-        tol = float(obj.get("tol", DEFAULT_TOL))
-        if not 0.0 < tol < math.inf:
-            raise ConfigError(f"ODE tolerance must be finite and > 0, got {tol!r}")
-        return ode_flow(fn_from_json(obj["G"]), tol)
+        return ode_flow(fn_from_json(obj["G"]), config_positive("tol", obj.get("tol", DEFAULT_TOL)))
     if kind == "koenigs":
-        return koenigs_flow(
-            map_from_json(obj["h"]), complex(obj["c"][0], obj["c"][1]), obj["mode"]
-        )
+        return koenigs_flow(map_from_json(obj["h"]), config_pair("c", obj["c"]), obj["mode"])
     if kind == "automorphism":
+        reflect = obj.get("reflect", False)
+        if not isinstance(reflect, bool):
+            raise ConfigError(f"config key 'reflect' must be true or false, got {reflect!r}")
         return Automorphism(
             kind=obj["kind"],
-            omega=float(obj.get("omega", 0.0)),
-            rate=float(obj.get("rate", 0.0)),
-            speed=float(obj.get("speed", 0.0)),
-            reflect=bool(obj.get("reflect", False)),
+            omega=config_number("omega", obj.get("omega", 0.0)),
+            rate=config_number("rate", obj.get("rate", 0.0)),
+            speed=config_number("speed", obj.get("speed", 0.0)),
+            reflect=reflect,
         )
     if kind == "rotated":
-        return RotatedFlow(
-            flow_from_json(obj["inner"]), complex(obj["gamma"][0], obj["gamma"][1])
-        )
+        return RotatedFlow(flow_from_json(obj["inner"]), config_pair("gamma", obj["gamma"]))
     raise ConfigError(f"unknown flow type {kind!r}")
 
 
@@ -700,12 +694,13 @@ def map_from_json(obj) -> ConformalMap:
     if "inverse" in obj:
         return ConformalMap(forward=forward, inverse=fn_from_json(obj["inverse"]))
     nt = obj.get("newton", {})
-    seed = nt.get("seed", [0.0, 0.0])
+    if not isinstance(nt, dict):
+        raise ConfigError(f"config key 'newton' must be a JSON object, got {nt!r}")
     return ConformalMap(
         forward=forward,
         newton=NewtonInverse(
-            seed=complex(seed[0], seed[1]),
-            max_iter=int(nt.get("max_iter", 50)),
-            tol=float(nt.get("tol", 1e-12)),
+            seed=config_pair("seed", nt.get("seed", [0.0, 0.0])),
+            max_iter=config_integer("max_iter", nt.get("max_iter", 50)),
+            tol=config_positive("tol", nt.get("tol", 1e-12)),
         ),
     )

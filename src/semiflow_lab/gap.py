@@ -33,6 +33,7 @@ from .errors import (
     ModelError,
 )
 from .flows import (
+    ESCAPE_RADIUS,
     Automorphism,
     FlowModel,
     RotatedFlow,
@@ -41,7 +42,12 @@ from .flows import (
     classify_automorphism,
 )
 
-DEPTH_CAP = 24  # 1 - r_n shrinks at least 4x per level; doubles run out near here
+# Level starts r_n = 1 - 2^{-j_n} sit on a dyadic ladder that must stay below
+# the integrator's escape radius.  The two geometric inequalities, each with
+# its margin, force 1 - r_n < (1 - r_{n-1})/4, so j grows by at least 3 a
+# level from j_1 >= 2: N levels need j_N >= 3N - 1.
+LADDER_TOP = max(j for j in range(1, 64) if 1.0 - 2.0 ** (-j) < ESCAPE_RADIUS)
+DEPTH_CAP = (LADDER_TOP + 1) // 3
 GEOM_MARGIN = 1e-3
 
 
@@ -122,11 +128,16 @@ def construct_case1(
     limit satisfies 1 - |phi_{t_n}(1)| < (1 - r_{n-1})/2, then walks
     r = 1 - 2^{-j} upward until both geometric inequalities hold with
     relative margin >= 1e-3 (the next rung acts as the safety retry).
+    Raises DepthExceeded before advancing from a start at or beyond the
+    escape radius: up front when N > DEPTH_CAP, otherwise at the first level
+    whose ladder needs such a start.
     """
     if N < 1:
         raise ValueError("need at least one level")
     if N > DEPTH_CAP:
-        raise DepthExceeded(f"N = {N} exceeds the double-precision depth cap {DEPTH_CAP}")
+        raise DepthExceeded(
+            f"N = {N} exceeds the depth cap {DEPTH_CAP} below the escape radius {ESCAPE_RADIUS}"
+        )
     gamma0 = complex(gamma0)
     if abs(abs(gamma0) - 1.0) > 1e-12:
         raise DomainError(f"gamma0 = {gamma0} must be unimodular")
@@ -152,9 +163,11 @@ def construct_case1(
                 if guard > 200 or t < 1e-300:
                     raise DepthExceeded("time ladder collapsed before the target shrank")
         while True:
+            if j > LADDER_TOP:
+                raise DepthExceeded(
+                    f"level {n} needs a start 1 - 2^-{j} at or beyond the escape radius {ESCAPE_RADIUS}"
+                )
             r = 1.0 - 2.0 ** (-j)
-            if 1.0 - r < 1e-13:
-                raise DepthExceeded("radius ladder exhausted double precision")
             w = work.advance(r, t)
             first_ok = (1.0 - r) <= 0.5 * (1.0 - abs(w)) * (1.0 - GEOM_MARGIN)
             second_ok = True

@@ -29,9 +29,10 @@ def points(z):
 
 
 def full(like, value):
-    """``value`` at every point of ``like``: the bare complex for a scalar."""
+    """``value`` at every point of ``like``: the bare complex for a scalar; a
+    value that is already an array is returned as it is."""
     if isinstance(like, _ndarray):
-        return np.full(like.shape, value, dtype=complex)
+        return value if isinstance(value, _ndarray) else np.full(like.shape, value, dtype=complex)
     return complex(value)
 
 
@@ -62,7 +63,7 @@ def nonfinite(w):
     """Mask of the points where w is infinite or nan."""
     if isinstance(w, _ndarray):
         return ~np.isfinite(w)
-    return not (math.isfinite(w.real) and math.isfinite(w.imag))
+    return not cmath.isfinite(w)
 
 
 def outside(w):

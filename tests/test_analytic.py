@@ -1,7 +1,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiflow_lab as sl
 from conftest import fn_corpus
@@ -209,3 +212,57 @@ def test_grid_json_round_trip():
 def test_taylor_series_rejects_nonfinite():
     with pytest.raises(ValueError):
         sl.TaylorSeries((complex("inf"),), 0)
+
+
+# Jets: one pass over a tree gives (f, f').  Each jet rule performs the
+# arithmetic of the matching derivative tree.
+
+
+def test_jet_matches_eval_and_derivative_tree(rng):
+    zs = np.array(random_disc_points(rng, 400, 0.9))
+    for f in fn_corpus():
+        df = f.derivative()
+        value, slope = f.jet(zs)
+        assert isinstance(value, np.ndarray) and value.shape == slope.shape == zs.shape
+        for got, want in ((value, f.eval(zs)), (slope, df.eval(zs))):
+            assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want))), f
+        for z in zs[:20]:
+            value, slope = f.jet(complex(z))
+            assert type(value) is complex and type(slope) is complex
+            assert abs(value - f.eval(z)) <= 1e-14 * (1 + abs(value)), f
+            assert abs(slope - df.eval(z)) <= 1e-14 * (1 + abs(slope)), f
+
+
+def test_jet_of_a_constant_is_spread_over_a_batch():
+    value, slope = sl.Constant(2 - 1j).jet(np.zeros(3, dtype=complex))
+    assert value.tolist() == [2 - 1j] * 3 and slope.tolist() == [0j] * 3
+    assert sl.Sum(()).eval(np.zeros(2, dtype=complex)).shape == (2,)
+
+
+def test_blaschke_eval_computes_no_derivative(monkeypatch):
+    # order 0 of a jet computes no derivative: evaluating B must not touch B'
+    def forbidden(*args):
+        raise AssertionError("blaschke_derivative called by eval")
+
+    monkeypatch.setattr(sl.analytic, "blaschke_derivative", forbidden)
+    f = sl.Product((sl.BlaschkeFn(sl.BlaschkeProduct((0.3, 0.5j))), sl.Identity()))
+    f.eval(0.2)
+    f.eval(np.array([0.1, -0.4j]))
+    with pytest.raises(AssertionError):
+        f.jet(0.2)
+
+
+disc_points = st.builds(
+    lambda r, a: r * cmath.exp(1j * a), st.floats(0.0, 0.85), st.floats(0.0, 2 * math.pi)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(disc_points, st.sampled_from(range(len(fn_corpus()))))
+def test_jet_matches_centered_difference(z, index):
+    f = fn_corpus()[index]
+    h = 1e-5
+    _, slope = f.jet(z)
+    for step in (h, 1j * h):  # an analytic f' is the same difference in every direction
+        fd = (f.eval(z + step) - f.eval(z - step)) / (2 * step)
+        assert abs(slope - fd) <= 1e-5 * (1 + abs(slope))

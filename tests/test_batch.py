@@ -69,6 +69,39 @@ def test_offending_point_raises_in_any_slot(tree, bad, error):
             tree.eval(batch)
 
 
+POLE = sl.Polynomial([-0.5, 1])  # vanishes at 0.5
+
+
+@pytest.mark.parametrize(
+    "tree, bad",
+    [
+        (GUARDED, 0.5004),
+        (sl.Quotient(sl.Constant(1), POLE), 0.5),
+        (sl.Log(sl.Identity(), guards=sl.analytic.guard_points([0.0], radius=1e-3)), 4e-4),
+        (sl.Log(POLE), 0.5),
+        (sl.Power(POLE, -2), 0.5),
+        (sl.Mobius(1, 0, 1, -0.5), 0.5),
+        (sl.Mobius(1, 0, 1, -0.5), 0.5 + 1e-10j),
+        (sl.Exp(sl.Polynomial([0, 800])), 0.95),
+    ],
+    ids=["guarded-quotient", "quotient-zero", "log-guard", "log-zero", "negative-power",
+         "mobius-pole", "mobius-derivative-guard", "exp-overflow"],
+)
+def test_offending_point_raises_in_any_slot_of_a_jet(tree, bad):
+    # the jet raises what the derivative tree raises; the Mobius guard disc
+    # refuses f' only, so eval still passes the point next to the pole
+    with pytest.raises(sl.SingularityError):
+        tree.derivative().eval(bad)
+    with pytest.raises(sl.SingularityError):
+        tree.jet(bad)
+    good = [0.1, -0.2j, 0.3 + 0.3j]
+    for slot in range(len(good) + 1):
+        batch = np.array(good[:slot] + [bad] + good[slot:], dtype=complex)
+        with pytest.raises(sl.SingularityError, match=re.escape(str(complex(bad)))):
+            tree.jet(batch)
+    assert np.all(np.isfinite(tree.jet(np.array(good, dtype=complex))[1]))
+
+
 @pytest.mark.parametrize("fname", sorted(flow_corpus()))
 def test_batched_semigroup_matches_pointwise(fname, rng):
     # A batch shares one step sequence, a single point takes its own, so the

@@ -204,6 +204,17 @@ def test_exit_code_on_config_error(tmp_path):
     assert run("flow-check", missing, tmp_path / "out2") == 2
 
 
+def test_bloch_gap_too_deep_is_depth_exceeded(tmp_path):
+    # G = -z fits 9 levels below the escape radius; the 10th is refused, typed
+    cfg = write_config(
+        tmp_path, "c.json",
+        {"flow": RADIAL, "weights": [{"type": "weight", "g": {"op": "id"}}], "N": 10},
+    )
+    assert run("bloch-gap", cfg, tmp_path / "out") == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error"]["type"] == "DepthExceeded"
+
+
 GAP_WEIGHTS = [{"type": "weight", "g": {"op": "const", "value": [1, 0]}}]
 G_ID = {"type": "weight", "g": {"op": "id"}}
 
@@ -247,6 +258,14 @@ G_ID = {"type": "weight", "g": {"op": "id"}}
         ("flow-check", {"flow": {**RADIAL, "tol": 0}}),
         ("flow-check", {"flow": {**RADIAL, "tol": -1}}),
         ("flow-check", {"flow": {**RADIAL, "tol": float("nan")}}),
+        ("flow-check", {"flow": {**RADIAL, "tol": "1e-10"}}),
+        ("flow-check", {"flow": {"type": "automorphism", "kind": "hyperbolic", "rate": "2"}}),
+        ("gpv", {"family": {"ratio": 2}}),
+        ("gpv", {"zeros": [[2, 0]]}),
+        ("gpv", {"zeros": 5}),
+        ("gpv", {"alpha": 2}),
+        ("bloch-gap", {"flow": RADIAL, "weights": 5}),
+        ("bloch-gap", {"flow": RADIAL, "weights": []}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):

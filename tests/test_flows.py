@@ -328,6 +328,32 @@ def test_ode_tolerance_must_be_finite_and_positive(tol):
         sl.flow_from_json({"type": "ode", "G": {"op": "poly", "coeffs": [[0, 0], [-1, 0]]}, "tol": tol})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"type": "ode", "G": {"op": "id"}, "tol": "1e-10"},
+        {"type": "automorphism", "kind": "hyperbolic", "rate": "2"},
+        {"type": "automorphism", "kind": "parabolic", "speed": 1.0, "reflect": "false"},
+        {"type": "rotated", "gamma": ["0", 1], "inner": {"type": "ode", "G": {"op": "id"}}},
+        {"type": "koenigs", "mode": "translate", "h": {"forward": {"op": "id"}, "newton": {"tol": "1e-12"}},
+         "c": [0, 1]},
+    ],
+    ids=["ode-tol", "rate", "reflect", "gamma", "newton-tol"],
+)
+def test_flow_numbers_must_be_typed(obj):
+    with pytest.raises(sl.ConfigError, match="config key"):
+        sl.flow_from_json(obj)
+
+
+def test_map_numbers_must_be_typed():
+    forward = {"op": "mobius", "a": [1, 0], "b": [1, 0], "c": [-1, 0], "d": [1, 0]}
+    for newton in ({"tol": "1e-12"}, {"max_iter": "50"}, {"max_iter": 2.5}, {"seed": [0, "0"]}):
+        with pytest.raises(sl.ConfigError, match="config key"):
+            sl.flows.map_from_json({"forward": forward, "newton": newton})
+    h = sl.flows.map_from_json({"forward": forward, "newton": {"tol": 1e-12, "max_iter": 50, "seed": [0, 0]}})
+    assert abs(h.inverse_at(h.map(0.3)) - 0.3) < 1e-12
+
+
 def test_every_flow_carries_its_tolerance():
     ode = radial_flow(1e-12)
     assert ode.tol == 1e-12

@@ -65,6 +65,37 @@ def test_case1_depth_cap():
         sl.construct_case1(radial_flow(), 1.0, N=25)
 
 
+class StartRecorder(sl.OdeFlow):
+    """The radial flow, recording the modulus of every start point it advances."""
+
+    def __init__(self, starts):
+        super().__init__(sl.Polynomial([0, -1]), 1e-12)
+        object.__setattr__(self, "starts", starts)
+
+    def _advance(self, z, t, tol):
+        self.starts.append(float(abs(z).max()) if hasattr(z, "max") else abs(z))
+        return super()._advance(z, t, tol)
+
+
+def test_case1_depth_cap_refuses_before_any_orbit():
+    assert sl.gap.DEPTH_CAP == 13  # 3N - 1 <= 39, the last dyadic rung below the escape radius
+    starts = []
+    with pytest.raises(sl.DepthExceeded):
+        sl.construct_case1(StartRecorder(starts), 1.0, N=sl.gap.DEPTH_CAP + 1)
+    assert starts == []
+
+
+def test_case1_too_deep_for_the_flow_is_depth_exceeded():
+    # on G = -z the levels shrink 8x: level 10 would start at 1 - 2^-40, past the escape radius
+    starts = []
+    gc = sl.construct_case1(StartRecorder(starts), 1.0, N=9)
+    assert 1 - gc.levels[-1].r == 2.0 ** -37
+    starts.clear()
+    with pytest.raises(sl.DepthExceeded, match="level 10"):
+        sl.construct_case1(StartRecorder(starts), 1.0, N=10)
+    assert starts and max(starts) < sl.flows.ESCAPE_RADIUS
+
+
 def test_case1_other_boundary_point():
     gamma = cmath.exp(1j * math.pi / 3)
     gc = sl.construct_case1(radial_flow(), gamma, N=3, t_start=0.5)

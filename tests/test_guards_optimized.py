@@ -41,6 +41,9 @@ checks = [
     ("flow leaving the disc", lambda: ToCircle().advance(batch, 1.0), sl.EscapeError),
     ("integrator escape", lambda: sl.ode_flow(sl.Polynomial([0, 5])).advance(batch, 2.0), sl.EscapeError),
     ("guarded quotient", lambda: guarded.eval(batch), sl.SingularityError),
+    ("guarded quotient through a jet", lambda: guarded.jet(batch), sl.SingularityError),
+    ("guard disc around an in-disc Mobius pole", lambda: sl.Mobius(1, 0, 1, -0.5).jet(
+        np.array([0.1, 0.5 + 1e-10j])), sl.SingularityError),
     ("point outside the disc", lambda: sl.Identity().eval(np.array([0.1, 1.5])), sl.DomainError),
     ("coboundary zero on the orbit", lambda: sl.coboundary_eval(sl.Identity(), ToOrigin(), batch, 1.0),
      sl.SingularityError),
@@ -68,4 +71,4 @@ def test_guards_hold_under_python_O():
         [sys.executable, "-O", "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "7 guards held" in proc.stdout
+    assert "9 guards held" in proc.stdout
