@@ -25,7 +25,8 @@ from operator import add, mul
 import numpy as np
 
 from .blaschke import BlaschkeProduct, blaschke_derivative, blaschke_eval
-from .errors import ConfigError, DomainError, SingularityError, config_parser
+from .errors import ConfigError, DomainError, SingularityError, config_integer, config_pair
+from .errors import config_parser, config_positive
 from .pointwise import exp, full, log, nonfinite, points, raise_at
 
 DEFAULT_GUARD_RADIUS = 1e-9
@@ -469,16 +470,12 @@ def _c2p(c: complex):
     return [c.real, c.imag]
 
 
-def _p2c(p) -> complex:
-    return complex(p[0], p[1])
-
-
 def _guards2json(guards):
     return [[_c2p(c), r] for c, r in guards]
 
 
 def _json2guards(obj):
-    return tuple((_p2c(c), float(r)) for c, r in obj)
+    return tuple((config_pair("guards", c), config_positive("guards", r)) for c, r in obj)
 
 
 @config_parser
@@ -486,13 +483,13 @@ def fn_from_json(obj: dict) -> AnalyticFn:
     """Rebuild an expression tree from its JSON form."""
     op = obj["op"]
     if op == "const":
-        return Constant(_p2c(obj["value"]))
+        return Constant(config_pair("value", obj["value"]))
     if op == "id":
         return Identity()
     if op == "poly":
-        return Polynomial(tuple(_p2c(c) for c in obj["coeffs"]))
+        return Polynomial(tuple(config_pair("coeffs", c) for c in obj["coeffs"]))
     if op == "mobius":
-        return Mobius(_p2c(obj["a"]), _p2c(obj["b"]), _p2c(obj["c"]), _p2c(obj["d"]))
+        return Mobius(*(config_pair(key, obj[key]) for key in "abcd"))
     if op == "exp":
         return Exp(fn_from_json(obj["arg"]))
     if op == "log":
@@ -511,7 +508,7 @@ def fn_from_json(obj: dict) -> AnalyticFn:
     if op == "compose":
         return Compose(fn_from_json(obj["outer"]), fn_from_json(obj["inner"]))
     if op == "power":
-        return Power(fn_from_json(obj["arg"]), int(obj["k"]))
+        return Power(fn_from_json(obj["arg"]), config_integer("k", obj["k"], least=-math.inf))
     if op == "blaschke":
         return BlaschkeFn(BlaschkeProduct.from_json(obj))
     if op == "blaschke_derivative":
@@ -661,7 +658,7 @@ class GridSpec:
         return cls(
             tuple(obj["radii"]),
             tuple(obj["angular"]),
-            tuple(_p2c(p) for p in obj.get("points", [])),
+            tuple(config_pair("points", p) for p in obj.get("points", [])),
         )
 
 

@@ -2,8 +2,7 @@
 
 A product is stored as its zero list (multiplicity by repetition) plus a
 unimodular phase e^{i*theta}.  Infinite products are represented by
-truncation; ``truncation_error_bound`` gives the tail control
-|B_N(z) - B(z)| <= 2 * sum_{k>N}(1 - |z_k|) / (1 - |z|).
+truncation.
 """
 
 from __future__ import annotations
@@ -14,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, MultiplicityError, config_parser
+from .errors import DomainError, HypothesisError, MultiplicityError, config_number, config_pair
+from .errors import config_parser
 from .pointwise import full, outside, points, raise_at
 
 
@@ -46,8 +46,8 @@ class BlaschkeProduct:
     @classmethod
     @config_parser
     def from_json(cls, obj: dict) -> "BlaschkeProduct":
-        zeros = [complex(re, im) for re, im in obj["zeros"]]
-        return cls(tuple(zeros), float(obj.get("theta", 0.0)))
+        zeros = tuple(config_pair("zeros", a) for a in obj["zeros"])
+        return cls(zeros, config_number("theta", obj.get("theta", 0.0)))
 
 
 def radial_zeros(count: int, ratio: float = 0.5) -> tuple:
@@ -294,15 +294,3 @@ def gpv_bound_check(
         per_zero=tuple(rows),
         truncation_tail=truncation_tail,
     )
-
-
-def blaschke_condition_sum(zeros) -> float:
-    """Partial sum of the convergence condition sum_k (1 - |z_k|)."""
-    return float(sum(1.0 - abs(complex(a)) for a in zeros))
-
-
-def truncation_error_bound(tail_sum: float, abs_z: float) -> float:
-    """Bound on |B_N(z) - B(z)| from the dropped tail: 2*tail_sum/(1 - |z|)."""
-    if abs_z >= 1.0:
-        raise ValueError("bound only valid inside the disc")
-    return 2.0 * tail_sum / (1.0 - abs_z)

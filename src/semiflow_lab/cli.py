@@ -187,23 +187,17 @@ def run_flow_check(config, rng):
     verdicts = Verdicts()
     verdicts.add("semigroup-identity", worst_semi <= thr_semi, worst_semi, thr_semi)
 
-    G = flow.generator_fn()
-    gen_rows = []
-    if G is not None:
-        zs = np.array(random_disc_points(rng, min(n, 30), radius))
-        est = generator_fd(flow, zs, ladder)
-        mismatch = abs(est - G.eval(zs))
-        worst_gen = float(mismatch.max())
-        gen_rows = _table(zs, est.real, est.imag, mismatch)
-        verdicts.add("generator-round-trip", worst_gen <= thr_gen, worst_gen, thr_gen)
+    zs = np.array(random_disc_points(rng, min(n, 30), radius))
+    est = generator_fd(flow, zs, ladder)
+    mismatch = abs(est - flow.generator_fn().eval(zs))
+    worst_gen = float(mismatch.max())
+    verdicts.add("generator-round-trip", worst_gen <= thr_gen, worst_gen, thr_gen)
     tables = {
         "semigroup_residuals": (["z_re", "z_im", "s", "t", "residual"], rows),
+        "generator_roundtrip": (
+            ["z_re", "z_im", "fd_re", "fd_im", "mismatch"], _table(zs, est.real, est.imag, mismatch)
+        ),
     }
-    if gen_rows:
-        tables["generator_roundtrip"] = (
-            ["z_re", "z_im", "fd_re", "fd_im", "mismatch"],
-            gen_rows,
-        )
     return verdicts, tables
 
 

@@ -5,6 +5,8 @@ m_t(z) = exp(integral_0^t g(phi_s(z)) ds).  The integral (never the
 exponential) is the accumulated object: it rides along the orbit in the
 variational system and is exponentiated once, which sidesteps any branch
 ambiguity.  A coboundary m_t(z) = alpha(phi_t(z))/alpha(z) is evaluated directly.
+Every reader takes m_t (and m_t', phi_t, phi_t') from one kernel, ``_cocycle``,
+which decides the weight kind once.
 The sweep, ``apply_weighted`` and ``weighted_z_derivative`` take one point or
 an ndarray of points; a batch shares one integrator run.  The sweep, the
 cocycles, ``apply_weighted`` and the checks also take an ndarray with a time
@@ -84,10 +86,7 @@ class WeightedSemigroup:
     @cached_property
     def _variational_trees(self):
         """(G, g) for the sweep's right-hand side, built once per semigroup."""
-        G = self.flow.generator_fn()
-        if G is None:
-            raise ValueError("flow lacks a closed-form vector field")
-        return G, self.weight.g
+        return self.flow.generator_fn(), self.weight.g
 
 
 def _sweep(wsg: WeightedSemigroup, z, t):
@@ -118,19 +117,59 @@ def _sweep(wsg: WeightedSemigroup, z, t):
     return w, v, I, J
 
 
+def _cocycle(wsg: WeightedSemigroup, z, t, order):
+    """The cocycle kernel: (m_t(z), phi_t(z)) at order 0, (m_t(z), m_t'(z),
+    phi_t(z), phi_t'(z)) at order 1, and m_t(z) alone at order None.
+
+    A non-constant weight reads all four from one sweep, with m' = m J_t:
+    finite differences would inject O(h) noise into cancellation checks.  A
+    constant weight or a coboundary advances the flow once and applies its
+    exact formula; a constant weight's m_t alone needs no flow.
+    """
+    z, t = times(points(z), t)
+    if np.any(t < 0):
+        raise ValueError("cocycle time must be >= 0")
+    weight = wsg.weight
+    if wsg._swept:
+        w, dw, integral, d_integral = _sweep(wsg, z, t)
+        m = exp(integral)
+        mp = m * d_integral if order else None
+    else:
+        if isinstance(weight, Weight):
+            m, mp = full(z, exp(weight.g.value * t)), full(z, 0.0)
+            if order is None:
+                return m
+        w, dw = wsg.flow.advance_with_derivative(z, t) if order else (wsg.flow.advance(z, t), None)
+        if isinstance(weight, Coboundary):
+            m, mp = _coboundary(weight, z, t, w, dw)
+    return m if order is None else (m, w) if order == 0 else (m, mp, w, dw)
+
+
+def _coboundary(weight: Coboundary, z, t, w, dw):
+    """(m_t(z), m_t'(z)) = (alpha(w)/alpha(z), its z-derivative) for w = phi_t(z)
+    and dw = phi_t'(z); m_t' is None when dw is.  Refuses at the allowed zero
+    of alpha, where alpha(z) = 0 and where alpha vanishes on the orbit, each
+    time naming the point of z."""
+    alpha, p = weight.alpha, weight.fixed_point
+    if p is not None:
+        raise_at(abs(z - complex(p)) <= 1e-12, z, SingularityError,
+                 "evaluation at the allowed zero {} of alpha")
+    az, apz = (alpha.eval(z), None) if dw is None else alpha.jet(z)
+    raise_at(az == 0, z, SingularityError, "alpha vanishes at {}")
+    aw, apw = (alpha.eval(w), None) if dw is None else alpha.jet(w)
+    m = aw / az
+    raise_at(m == 0, z, SingularityError, "alpha vanishes on the orbit of {} at t = {}", t)
+    return m, None if dw is None else (apw * dw * az - aw * apz) / (az * az)
+
+
 def cocycle_eval(wsg: WeightedSemigroup, z, t):
     """m_t(z) for a Weight-type semigroup."""
     if not isinstance(wsg.weight, Weight):
         raise TypeError("cocycle_eval needs a Weight; use coboundary_eval instead")
     z, t = times(points(z), t)
-    if np.any(t < 0):
-        raise ValueError("cocycle time must be >= 0")
     if isinstance(t, float) and t == 0.0:
         return full(z, 1.0)
-    if wsg._swept:
-        return exp(_sweep(wsg, z, t)[2])
-    # Constant weight integrates exactly; also covers the g == 0 shortcut.
-    return full(z, exp(wsg.weight.g.value * t))
+    return _cocycle(wsg, z, t, None)
 
 
 def coboundary_eval(
@@ -141,57 +180,22 @@ def coboundary_eval(
     fixed_point: complex | None = None,
 ):
     """m_t(z) = alpha(phi_t(z)) / alpha(z)."""
-    z, t = times(points(z), t)
-    return _coboundary_ratio(alpha, z, flow.advance(z, t), t, fixed_point)
-
-
-def _coboundary_ratio(alpha: AnalyticFn, z, w, t, fixed_point: complex | None):
-    """alpha(w) / alpha(z) for w = phi_t(z): the coboundary cocycle m_t(z).
-    A refusal names the offending point and its own time."""
-    if fixed_point is not None:
-        raise_at(abs(z - complex(fixed_point)) <= 1e-12, z, SingularityError,
-                 "evaluation at the allowed zero {} of alpha")
-    az = alpha.eval(z)
-    raise_at(az == 0, z, SingularityError, "alpha vanishes at {}")
-    value = alpha.eval(w) / az
-    raise_at(value == 0, z, SingularityError, "alpha vanishes on the orbit of {} at t = {}", t)
-    return value
-
-
-def _cocycle_value(wsg: WeightedSemigroup, z, t):
-    if isinstance(wsg.weight, Weight):
-        return cocycle_eval(wsg, z, t)
-    return coboundary_eval(
-        wsg.weight.alpha, wsg.flow, z, t, wsg.weight.fixed_point
-    )
-
-
-def _cocycle_and_flow(wsg: WeightedSemigroup, z, t):
-    """(m_t(z), phi_t(z)) from one sweep, or from one advance and the weight's
-    exact formula."""
-    weight = wsg.weight
-    if wsg._swept:
-        w, _, integral, _ = _sweep(wsg, z, t)
-        return exp(integral), w
-    w = wsg.flow.advance(z, t)
-    if isinstance(weight, Weight):
-        return cocycle_eval(wsg, z, t), w
-    return _coboundary_ratio(weight.alpha, z, w, t, weight.fixed_point), w
+    return _cocycle(WeightedSemigroup(flow, Coboundary(alpha, fixed_point)), z, t, None)
 
 
 def check_cocycle_identity(wsg: WeightedSemigroup, z, s, t):
     """Residual |m_{s+t}(z) - m_s(z) m_t(phi_s(z))|; m_s(z) and phi_s(z) come
     from one sweep."""
     z, s = times(points(z), s)
-    m_s, w_s = _cocycle_and_flow(wsg, z, s)
-    return abs(_cocycle_value(wsg, z, s + t) - m_s * _cocycle_value(wsg, w_s, t))
+    m_s, w_s = _cocycle(wsg, z, s, 0)
+    return abs(_cocycle(wsg, z, s + t, None) - m_s * _cocycle(wsg, w_s, t, None))
 
 
 def weight_generator_fd(wsg: WeightedSemigroup, z, h_ladder):
     """Extrapolated (m_h(z) - 1)/h: recovers g, or G alpha'/alpha for a coboundary.
     Each rung evaluates the cocycle at every point of z in one call."""
     h_ladder = _check_ladder(h_ladder)
-    vals = [(_cocycle_value(wsg, z, h) - 1.0) / h for h in h_ladder]
+    vals = [(_cocycle(wsg, z, h, None) - 1.0) / h for h in h_ladder]
     return extrapolate_to_zero(h_ladder, vals)
 
 
@@ -200,29 +204,8 @@ def apply_weighted(wsg: WeightedSemigroup, f, z, t):
     z, t = times(points(z), t)
     if isinstance(t, float) and t == 0.0:
         return f.eval(z) if isinstance(f, AnalyticFn) else f(z)
-    m, w = _cocycle_and_flow(wsg, z, t)
+    m, w = _cocycle(wsg, z, t, 0)
     return m * (f.eval(w) if isinstance(f, AnalyticFn) else f(w))
-
-
-def _cocycle_with_z_derivative(wsg, z, t):
-    """(m_t(z), m_t'(z), phi_t(z), phi_t'(z)).  For a non-constant weight all
-    four come from one sweep, with m' = m J_t; for a coboundary, the quotient
-    rule in closed form.  Finite differences would inject O(h) noise into
-    cancellation checks, hence the differentiated integral."""
-    if wsg._swept:
-        w, dw, integral, d_integral = _sweep(wsg, z, t)
-        m = exp(integral)
-        return m, m * d_integral, w, dw
-    w, dw = wsg.flow.advance_with_derivative(z, t)
-    weight = wsg.weight
-    if isinstance(weight, Weight):
-        return full(z, exp(weight.g.value * t)), full(z, 0.0), w, dw
-    az, apz = weight.alpha.jet(z)
-    raise_at(az == 0, z, SingularityError, "alpha vanishes at {}")
-    aw, apw = weight.alpha.jet(w)
-    m = aw / az
-    mp = (apw * dw * az - aw * apz) / (az * az)
-    return m, mp, w, dw
 
 
 def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z, t: float):
@@ -230,7 +213,7 @@ def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z, t: float):
     at a point or at each point of an array.  f and f' at phi_t(z) come from one jet."""
     if t == 0.0:
         return f.derivative().eval(z)
-    m, mp, w, dw = _cocycle_with_z_derivative(wsg, z, t)
+    m, mp, w, dw = _cocycle(wsg, z, t, 1)
     fw, fpw = f.jet(w)
     return mp * fw + m * fpw * dw
 
@@ -245,8 +228,6 @@ def weight_fn(wsg: WeightedSemigroup) -> AnalyticFn:
     if isinstance(wsg.weight, Weight):
         return wsg.weight.g
     G = wsg.flow.generator_fn()
-    if G is None:
-        raise ValueError("flow lacks a closed-form vector field")
     alpha = wsg.weight.alpha
     guards = ()
     if wsg.weight.fixed_point is not None:
@@ -293,8 +274,6 @@ def generator_consistency(
     """
     t_ladder = _check_ladder(t_ladder)
     G = wsg.flow.generator_fn()
-    if G is None:
-        raise ValueError("flow lacks a closed-form vector field")
     g = weight_fn(wsg)
     Af = apply_generator(G, g, f)
     fp = f.derivative()
@@ -340,8 +319,8 @@ def coboundary_similarity_check(
     Both sides read the same phi_t(z), from one advance.
     """
     z, t = times(points(z), t)
-    w = flow.advance(z, t)
-    lhs = _coboundary_ratio(alpha, z, w, t, fixed_point) * f.eval(w)
+    m, w = _cocycle(WeightedSemigroup(flow, Coboundary(alpha, fixed_point)), z, t, 0)
+    lhs = m * f.eval(w)
     rhs = Product((alpha, f)).eval(w) / alpha.eval(z)
     return abs(lhs - rhs)
 

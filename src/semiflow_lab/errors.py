@@ -101,11 +101,12 @@ def config_positive(key: str, v) -> float:
     return v
 
 
-def config_integer(key: str, v, least: int = 1) -> int:
+def config_integer(key: str, v, least: float = 1) -> int:
     """v as an int, once it is an integral JSON number >= least."""
     integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()
     if isinstance(v, bool) or not integral or v < least:
-        raise ConfigError(f"config key {key!r} must be an integer >= {least}, got {v!r}")
+        bound = f" >= {least}" if least > -math.inf else ""
+        raise ConfigError(f"config key {key!r} must be an integer{bound}, got {v!r}")
     return int(v)
 
 

@@ -246,9 +246,9 @@ class FlowModel:
     def _advance_with_derivative(self, z, t, tol):
         raise NotImplementedError
 
-    def generator_fn(self) -> AnalyticFn | None:
-        """The vector field as an expression tree, when available in closed form."""
-        return None
+    def generator_fn(self) -> AnalyticFn:
+        """The vector field G = d phi_t / dt at t = 0, as an expression tree."""
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -446,11 +446,7 @@ class RotatedFlow(FlowModel):
 
     def generator_fn(self):
         G = self.inner.generator_fn()
-        if G is None:
-            return None
-        return Product(
-            (Constant(1.0 / self.gamma), Compose(G, Polynomial((0.0, self.gamma))))
-        )
+        return Product((Constant(1.0 / self.gamma), Compose(G, Polynomial((0.0, self.gamma)))))
 
     def to_json(self):
         return {

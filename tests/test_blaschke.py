@@ -170,23 +170,6 @@ def test_gpv_zero_delta_raises():
         sl.gpv_bound_check(B, marked=[0], alpha=0.1)
 
 
-def test_condition_sum():
-    assert sl.blaschke_condition_sum([]) == 0
-    assert sl.blaschke_condition_sum(sl.radial_zeros(8)) == pytest.approx(1 - 2.0 ** -8)
-    assert sl.blaschke_condition_sum([0.5, 0.5]) == pytest.approx(1.0)
-
-
-def test_truncation_error_bound():
-    # dropping zeros with gap sum 2^-10 changes the product by at most this
-    zeros = sl.radial_zeros(14)
-    head = sl.BlaschkeProduct(zeros[:10])
-    full = sl.BlaschkeProduct(zeros)
-    tail = sl.blaschke_condition_sum(zeros[10:])
-    for z in (0.0, 0.3 + 0.2j, -0.5):
-        bound = sl.truncation_error_bound(tail, abs(z))
-        assert abs(sl.blaschke_eval(head, z) - sl.blaschke_eval(full, z)) <= bound
-
-
 def test_pseudo_disc_sampling():
     disc = sl.PseudoDisc(0.6, 0.2)
     pts = disc.sample()

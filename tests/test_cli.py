@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -266,6 +267,16 @@ G_ID = {"type": "weight", "g": {"op": "id"}}
         ("gpv", {"alpha": 2}),
         ("bloch-gap", {"flow": RADIAL, "weights": 5}),
         ("bloch-gap", {"flow": RADIAL, "weights": []}),
+        ("generator-check", {"flow": RADIAL, "weight": G_ID,
+                             "function": {"op": "power", "arg": {"op": "id"}, "k": "2"}}),
+        ("generator-check", {"flow": RADIAL, "weight": G_ID,
+                             "function": {"op": "power", "arg": {"op": "id"}, "k": 2.7}}),
+        ("generator-check", {"flow": RADIAL, "weight": G_ID,
+                             "function": {"op": "quotient", "num": {"op": "id"},
+                                          "den": {"op": "poly", "coeffs": [[-0.95, 0], [1, 0]]},
+                                          "guards": [[[0.95, 0], "1e-3"]]}}),
+        ("generator-check", {"flow": RADIAL, "weight": G_ID,
+                             "function": {"op": "blaschke", "zeros": [[0.5, 0]], "theta": "1"}}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):
@@ -299,3 +310,26 @@ def test_metadata_is_separate(tmp_path):
     assert "wall_clock_seconds" in meta and "timestamp" in meta
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "timestamp" not in report
+
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = {
+    "bloch_gap_auto_parabolic": "bloch-gap-auto",
+    "bloch_gap_radial": "bloch-gap",
+    "coboundary_check": "coboundary-check",
+    "cocycle_check_linear_weight": "cocycle-check",
+    "flow_check_radial": "flow-check",
+    "flow_trace_parabolic": "flow-trace",
+    "generator_check_square": "generator-check",
+    "gpv_geometric": "gpv",
+    "separability_rotations": "separability",
+    "transfer_check_cayley": "transfer-check",
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_shipped_config_passes(tmp_path, path):
+    out = tmp_path / "out"
+    assert main([SHIPPED[path.stem], "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
+    verdicts = json.loads((out / "report.json").read_text())["verdicts"]
+    assert verdicts and all(v["passed"] for v in verdicts)

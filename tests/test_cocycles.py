@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 import semiflow_lab as sl
@@ -90,6 +91,13 @@ def test_coboundary_guarded_zero():
     alpha = sl.Polynomial([0, 1])  # vanishes at the fixed point 0
     with pytest.raises(sl.SingularityError):
         sl.coboundary_eval(alpha, flow, 0.0, 0.5, fixed_point=0.0)
+    # m_t and m_t' refuse alike near the allowed zero, alone or in a batch slot
+    wsg = sl.WeightedSemigroup(flow, sl.Coboundary(alpha, 0.0))
+    message = r"^evaluation at the allowed zero \(1e-13\+0j\) of alpha$"
+    for op in (sl.apply_weighted, sl.weighted_z_derivative):
+        for z in (1e-13, np.array([0.3, 1e-13])):
+            with pytest.raises(sl.SingularityError, match=message):
+                op(wsg, sl.Identity(), z, 0.5)
 
 
 def test_cocycle_identity_residuals(rng):
