@@ -232,9 +232,14 @@ class Exp(AnalyticFn):
     inner: AnalyticFn
 
     def _jet(self, z, order):
-        u, du = self.inner._jet(z, 1) if order else (self.inner._jet(z, 0), None)
+        if not order:
+            return exp(self.inner._jet(z, 0))
+        u, du = self.inner._jet(z, 1)
         value = exp(u)
-        return (value, value * du) if order else value
+        # an overflowed value makes value * du inf or nan, which the finiteness
+        # mask of jet refuses with a SingularityError naming the point
+        with np.errstate(over="ignore", invalid="ignore"):
+            return value, value * du
 
     def derivative(self):
         return Product((Exp(self.inner), self.inner.derivative()))

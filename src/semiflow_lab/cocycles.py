@@ -33,9 +33,9 @@ from .analytic import (
     h2_norm,
     taylor,
 )
-from .errors import ConfigError, QuadratureError, SingularityError, config_parser
+from .errors import ConfigError, DomainError, QuadratureError, SingularityError, config_parser
 from .flows import ConformalMap, FlowModel, extrapolate_to_zero
-from .flows import _check_ladder, _check_start, _integrate
+from .flows import _check_ladder, _integrate
 from .pointwise import exp, full, larger, points, raise_at, times
 
 # DP5(4) local errors scale with the largest state met along the way, so an
@@ -90,7 +90,8 @@ class WeightedSemigroup:
 
 
 def _sweep(wsg: WeightedSemigroup, z, t):
-    """(phi_t(z), phi_t'(z), I_t, J_t) from one integrator sweep along the orbit.
+    """(phi_t(z), phi_t'(z), I_t, J_t) from one integrator sweep along the orbit,
+    for z and t as the kernel has checked them.
 
     Integrates the variational system y = (w, v, I, J) with w' = G(w),
     v' = G'(w) v, I' = g(w), J' = g'(w) v from (z, 1, 0, 0) (Hairer, Norsett
@@ -99,7 +100,6 @@ def _sweep(wsg: WeightedSemigroup, z, t):
     jet each.  Refuses with QuadratureError when
     I or J swelled far above its end value on the way, at any point of z.
     """
-    z, t = _check_start(z, t)
     G, g = wsg._variational_trees
     peak = abs(full(z, 0.0))  # largest |I|, |J| so far, per point
 
@@ -124,11 +124,13 @@ def _cocycle(wsg: WeightedSemigroup, z, t, order):
     A non-constant weight reads all four from one sweep, with m' = m J_t:
     finite differences would inject O(h) noise into cancellation checks.  A
     constant weight or a coboundary advances the flow once and applies its
-    exact formula; a constant weight's m_t alone needs no flow.
+    exact formula; a constant weight's m_t alone needs no flow.  The start is
+    checked first, so no reader returns a value for a point outside the disc.
     """
     z, t = times(points(z), t)
     if np.any(t < 0):
         raise ValueError("cocycle time must be >= 0")
+    raise_at(abs(z) >= 1.0, z, DomainError, "{} not inside the open unit disc")
     weight = wsg.weight
     if wsg._swept:
         w, dw, integral, d_integral = _sweep(wsg, z, t)
@@ -166,9 +168,6 @@ def cocycle_eval(wsg: WeightedSemigroup, z, t):
     """m_t(z) for a Weight-type semigroup."""
     if not isinstance(wsg.weight, Weight):
         raise TypeError("cocycle_eval needs a Weight; use coboundary_eval instead")
-    z, t = times(points(z), t)
-    if isinstance(t, float) and t == 0.0:
-        return full(z, 1.0)
     return _cocycle(wsg, z, t, None)
 
 
@@ -208,10 +207,12 @@ def apply_weighted(wsg: WeightedSemigroup, f, z, t):
     return m * (f.eval(w) if isinstance(f, AnalyticFn) else f(w))
 
 
-def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z, t: float):
+def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z, t):
     """d/dz [m_t f(phi_t)](z) = m_t'(z) f(phi_t(z)) + m_t(z) f'(phi_t(z)) phi_t'(z),
-    at a point or at each point of an array.  f and f' at phi_t(z) come from one jet."""
-    if t == 0.0:
+    at a point or at each point of an array, with t shared or given per point.
+    f and f' at phi_t(z) come from one jet."""
+    z, t = times(points(z), t)
+    if isinstance(t, float) and t == 0.0:
         return f.derivative().eval(z)
     m, mp, w, dw = _cocycle(wsg, z, t, 1)
     fw, fpw = f.jet(w)

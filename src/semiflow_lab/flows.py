@@ -32,7 +32,7 @@ from .errors import (
     config_parser,
     config_positive,
 )
-from .pointwise import exp, full, larger, nonfinite, outside, points, raise_at, sup, times, where
+from .pointwise import exp, full, nonfinite, outside, points, raise_at, times, where
 
 ESCAPE_RADIUS = 1.0 - 1e-12
 DEFAULT_TOL = 1e-10
@@ -55,29 +55,38 @@ _C1, _C3, _C4, _C5, _C6, _C7 = (
 
 
 def _integrate(rhs, y0, t_end, tol: float):
-    """Adaptive RK5(4) from 0 to t_end on a tuple of complex states.
+    """Adaptive RK5(4) from 0 to t_end; returns the state as a tuple of components.
 
-    y[0] is the disc state and is escape-guarded.  Each component is a Python
-    complex, or, for a batch, an ndarray with one entry per point (a scalar
-    component is spread over the batch of y0[0]).  The points of a batch share
+    y0 is a tuple of complex components, and y[0] is the disc state, which is
+    escape-guarded.  A Python-complex start keeps the state as a tuple of
+    Python complexes.  An ndarray start y0[0] is a batch: the state is one
+    complex array of shape (components, points), a scalar component spread
+    over the points, so each stage is one numpy expression over the whole
+    array; rhs gets that array (its rows are the components) and returns one
+    array of the batch's shape per component.  The points of a batch share
     one step sequence, and the error norm is the largest scaled error over
     the points and components.
 
-    t_end is a float, or an ndarray of non-negative end times, one per point
-    of a batch.  Per-point end times rescale time: the loop integrates
+    t_end is a float, or, for a batch, an ndarray of non-negative end times,
+    one per point.  Per-point end times rescale time: the loop integrates
     dy/dtau = t_i rhs(y) over tau in [0, 1], so every point ends at tau = 1
     under the same shared steps; a point with t_i = 0 stays where it is.
     """
-    y = tuple(full(y0[0], c) for c in y0)
-    raise_at(abs(y[0]) >= ESCAPE_RADIUS, y[0], EscapeError, "initial state {} at the escape radius")
     scale = None
     if isinstance(t_end, np.ndarray):
-        scale, t_end, unscaled = t_end, 1.0, rhs
+        scale, t_end = t_end, 1.0
+    if isinstance(y0[0], np.ndarray):
+        y, step = np.array([full(y0[0], c) for c in y0]), _stacked_step
+        unstacked = rhs
 
         def rhs(y):
-            return tuple(scale * k for k in unscaled(y))
+            k = np.array(unstacked(y))
+            return k if scale is None else scale * k
+    else:
+        y, step = tuple(complex(c) for c in y0), _tuple_step
+    raise_at(abs(y[0]) >= ESCAPE_RADIUS, y[0], EscapeError, "initial state {} at the escape radius")
     if t_end == 0.0:
-        return y
+        return tuple(y)
     t = 0.0
     h = min(t_end, 0.1)
     steps = 0
@@ -87,28 +96,7 @@ def _integrate(rhs, y0, t_end, tol: float):
             raise EscapeError("step budget exhausted; tolerance unattainable")
         steps += 1
         h = min(h, t_end - t)
-        k2 = rhs(tuple(a + h * (_A21 * p) for a, p in zip(y, k1)))
-        k3 = rhs(tuple(a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)))
-        k4 = rhs(tuple(
-            a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)
-        ))
-        k5 = rhs(tuple(
-            a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
-            for a, p, q, r, s in zip(y, k1, k2, k3, k4)
-        ))
-        k6 = rhs(tuple(
-            a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
-            for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
-        ))
-        y5 = tuple(
-            a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
-            for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
-        )
-        k7 = rhs(y5)
-        err = 0.0
-        for a, b, p, r, s, u, v, x in zip(y, y5, k1, k3, k4, k5, k6, k7):
-            y4 = a + h * (_C1 * p + _C3 * r + _C4 * s + _C5 * u + _C6 * v + _C7 * x)
-            err = max(err, sup(abs(b - y4) / (tol + tol * larger(abs(a), abs(b)))))
+        y5, k7, err = step(rhs, y, k1, h, tol)
         if err <= 1.0:
             t += h
             y, k1 = y5, k7
@@ -119,7 +107,48 @@ def _integrate(rhs, y0, t_end, tol: float):
         h *= min(5.0, max(0.2, factor))
         if h <= 0.0 or not math.isfinite(h):
             raise EscapeError("step size collapsed")
-    return y
+    return tuple(y)
+
+
+def _tuple_step(rhs, y, k1, h, tol):
+    """One DP5(4) trial step on a tuple of Python complexes: (y5, k7, err)."""
+    k2 = rhs(tuple(a + h * (_A21 * p) for a, p in zip(y, k1)))
+    k3 = rhs(tuple(a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)))
+    k4 = rhs(tuple(
+        a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)
+    ))
+    k5 = rhs(tuple(
+        a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
+        for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+    ))
+    k6 = rhs(tuple(
+        a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
+        for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+    ))
+    y5 = tuple(
+        a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
+        for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
+    )
+    k7 = rhs(y5)
+    err = 0.0
+    for a, b, p, r, s, u, v, x in zip(y, y5, k1, k3, k4, k5, k6, k7):
+        y4 = a + h * (_C1 * p + _C3 * r + _C4 * s + _C5 * u + _C6 * v + _C7 * x)
+        err = max(err, abs(b - y4) / (tol + tol * max(abs(a), abs(b))))
+    return y5, k7, err
+
+
+def _stacked_step(rhs, y, k1, h, tol):
+    """One DP5(4) trial step on a (components, points) array: (y5, k7, err)."""
+    k2 = rhs(y + h * (_A21 * k1))
+    k3 = rhs(y + h * (_A31 * k1 + _A32 * k2))
+    k4 = rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+    y5 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    k7 = rhs(y5)
+    y4 = y + h * (_C1 * k1 + _C3 * k3 + _C4 * k4 + _C5 * k5 + _C6 * k6 + _C7 * k7)
+    err = float((abs(y5 - y4) / (tol + tol * np.maximum(abs(y), abs(y5)))).max())
+    return y5, k7, err
 
 
 @dataclass(frozen=True)

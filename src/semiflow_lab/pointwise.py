@@ -88,11 +88,6 @@ def larger(a, b):
     return max(a, b)
 
 
-def sup(x) -> float:
-    """The largest value of x over the points."""
-    return float(x.max()) if isinstance(x, _ndarray) else x
-
-
 def exp(w):
     """Complex exponential; an overflow gives inf, which the finiteness check turns away."""
     if isinstance(w, _ndarray):

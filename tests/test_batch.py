@@ -87,6 +87,7 @@ POLE = sl.Polynomial([-0.5, 1])  # vanishes at 0.5
     ids=["guarded-quotient", "quotient-zero", "log-guard", "log-zero", "negative-power",
          "mobius-pole", "mobius-derivative-guard", "exp-overflow"],
 )
+@pytest.mark.filterwarnings("error")
 def test_offending_point_raises_in_any_slot_of_a_jet(tree, bad):
     # the jet raises what the derivative tree raises; the Mobius guard disc
     # refuses f' only, so eval still passes the point next to the pole
@@ -303,3 +304,35 @@ def test_cocycle_with_a_time_per_point_matches_closed_form(pairs):
     m = sl.cocycle_eval(wsg, zs.astype(complex), ts)
     exact = np.exp(zs * (1 - np.exp(-ts)))
     assert np.all(np.abs(m - exact) <= 1e-11 * (1 + np.abs(exact)))
+
+
+def test_weighted_z_derivative_with_a_time_per_point():
+    # only a float t = 0 takes the shortcut; a zero entry goes through the
+    # kernel and gives f'(z) there
+    wsg = sl.WeightedSemigroup(radial_flow(), sl.Weight(sl.Identity()))
+    f = sl.Exp(sl.Identity())
+    zs = np.array([0.1, 0.2, -0.3j, 0.5 + 0.1j])
+    ts = np.array([0.1, 0.0, 0.7, 0.2])
+    batch = sl.weighted_z_derivative(wsg, f, zs, ts)
+    single = np.array([sl.weighted_z_derivative(wsg, f, z, t) for z, t in zip(zs, ts)])
+    assert batch.shape == zs.shape
+    assert np.all(np.abs(batch - single) <= 10 * wsg.flow.tol * (1 + np.abs(single)))
+    assert abs(batch[1] - f.derivative().eval(zs[1])) <= 1e-15 * abs(batch[1])
+
+
+@pytest.mark.parametrize("g, t", [(sl.Identity(), 0.0), (sl.Constant(1), 0.3)], ids=["g=z-t=0", "g=1"])
+def test_cocycle_start_outside_the_disc_is_refused(g, t):
+    # neither the zero time nor a constant weight's exp(g t) skips the start check
+    wsg = sl.WeightedSemigroup(radial_flow(), sl.Weight(g))
+    f = sl.Identity()
+    for call in (
+        lambda z: sl.cocycle_eval(wsg, z, t),
+        lambda z: sl.apply_weighted(wsg, f, z, t),
+        lambda z: sl.weighted_z_derivative(wsg, f, z, t),
+    ):
+        with pytest.raises(sl.DomainError, match=re.escape("(1.5+0j)")):
+            call(1.5)
+    good = [0.2, -0.3j]
+    for slot in range(len(good) + 1):
+        with pytest.raises(sl.DomainError, match=re.escape("(1.5+0j)")):
+            sl.cocycle_eval(wsg, np.array(good[:slot] + [1.5] + good[slot:], dtype=complex), t)
