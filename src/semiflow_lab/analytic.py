@@ -76,39 +76,8 @@ class AnalyticFn:
             raise_at(abs(z - center) <= radius, z, SingularityError,
                      "{} inside guard disc around {}", center)
 
-    # Arithmetic sugar; scalars are promoted to Constant.
-    def __add__(self, other):
-        return Sum((self, _as_fn(other)))
-
-    def __radd__(self, other):
-        return Sum((_as_fn(other), self))
-
-    def __sub__(self, other):
-        return Sum((self, Product((Constant(-1.0), _as_fn(other)))))
-
-    def __rsub__(self, other):
-        return Sum((_as_fn(other), Product((Constant(-1.0), self))))
-
-    def __mul__(self, other):
-        return Product((self, _as_fn(other)))
-
-    def __rmul__(self, other):
-        return Product((_as_fn(other), self))
-
-    def __truediv__(self, other):
-        return Quotient(self, _as_fn(other))
-
-    def __neg__(self):
-        return Product((Constant(-1.0), self))
-
     def to_json(self) -> dict:
         raise NotImplementedError
-
-
-def _as_fn(x) -> "AnalyticFn":
-    if isinstance(x, AnalyticFn):
-        return x
-    return Constant(complex(x))
 
 
 # The values of Constant(0.0), Constant(1.0) and Constant(-1.0), which the
@@ -671,12 +640,16 @@ def bloch_norm_grid(f, grid: GridSpec, derivative=None) -> float:
     """|f(0)| + max over the grid of |f'(z)| (1 - |z|^2).
 
     A lower bound for the Bloch norm, nondecreasing under grid refinement.
-    ``derivative`` may be supplied for non-tree callables.  Both are called
-    once, on an ndarray: f on the origin alone, the derivative on the grid.
+    A tree's f' comes from its jet; ``derivative`` must be supplied for a
+    non-tree callable.  Both are called once, on an ndarray: f on the origin
+    alone, the derivative on the grid.
     """
-    if derivative is None:
-        derivative = f.derivative()
     zs = np.fromiter(grid.iter_points(), dtype=complex)
-    weighted = np.abs(_call(derivative, zs)) * (1.0 - np.abs(zs) ** 2)
-    best = float(np.max(weighted, initial=0.0))
-    return abs(complex(_call(f, np.zeros(1, dtype=complex))[0])) + best
+    slopes = f.jet(zs)[1] if derivative is None else _call(derivative, zs)
+    return bloch_norm_values(_call(f, np.zeros(1, dtype=complex))[0], slopes, zs)
+
+
+def bloch_norm_values(f0, slopes, zs) -> float:
+    """|f(0)| + max_k |f'(z_k)| (1 - |z_k|^2), from f(0) and the slopes f'(z_k)."""
+    weighted = np.abs(slopes) * (1.0 - np.abs(zs) ** 2)
+    return abs(complex(f0)) + float(np.max(weighted, initial=0.0))

@@ -236,7 +236,7 @@ def run_cocycle_check(config, rng):
 def _norm_from_config(obj):
     kind = obj.get("type", "h2")
     if kind == "h2":
-        return H2Norm(N=_count(obj, "N", 64), r=_number(obj, "r", 0.9))
+        return H2Norm(N=_count(obj, "N", 64), r=_fraction(obj, "r", 0.9))
     if kind == "bloch":
         return BlochGridNorm(GridSpec.from_json(_require(obj, "grid")))
     raise ConfigError(f"unknown norm type {kind!r}")
@@ -352,7 +352,7 @@ def run_bloch_gap(config, rng):
     if abs(abs(gamma0) - 1.0) > 1e-12:
         raise ConfigError(f"gamma0 = {gamma0} must be unimodular")
     N = _count(config, "N", 6)
-    t_start = _number(config, "t_start", 0.5)
+    t_start = _positive(config, "t_start", 0.5)
     gc = construct_case1(flow, gamma0, N, t_start)
     grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 8, 16, 16]},
                  [complex(lv.r) for lv in gc.levels])
@@ -400,7 +400,7 @@ def run_bloch_gap(config, rng):
 def run_bloch_gap_auto(config, rng):
     flow = flow_from_json(_require(config, "flow"))
     N = _count(config, "N", 6)
-    gc = construct_case2(flow, N, _number(config, "t_first_cap", 1.0))
+    gc = construct_case2(flow, N, _positive(config, "t_first_cap", 1.0))
     angle_thr = _number(config, "angle_threshold", 1e-9)
     lo, hi = _numbers(config, "ratio_window", [0.8, 1.2], 2)
     from_n = _count(config, "ratio_from_n", 4, least=0)

@@ -28,12 +28,14 @@ from .analytic import (
     Polynomial,
     Product,
     Quotient,
+    Sum,
     bloch_norm_grid,
     guard_points,
     h2_norm,
     taylor,
 )
-from .errors import ConfigError, DomainError, QuadratureError, SingularityError, config_parser
+from .errors import ConfigError, DomainError, QuadratureError, SingularityError
+from .errors import config_pair, config_parser
 from .flows import ConformalMap, FlowModel, extrapolate_to_zero
 from .flows import _check_ladder, _integrate
 from .pointwise import exp, full, larger, points, raise_at, times
@@ -213,7 +215,8 @@ def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z, t):
     f and f' at phi_t(z) come from one jet."""
     z, t = times(points(z), t)
     if isinstance(t, float) and t == 0.0:
-        return f.derivative().eval(z)
+        raise_at(abs(z) >= 1.0, z, DomainError, "{} is not inside the open unit disc")
+        return f.jet(z)[1]
     m, mp, w, dw = _cocycle(wsg, z, t, 1)
     fw, fpw = f.jet(w)
     return mp * fw + m * fpw * dw
@@ -221,7 +224,7 @@ def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z, t):
 
 def apply_generator(G: AnalyticFn, g: AnalyticFn, f: AnalyticFn) -> AnalyticFn:
     """The candidate semigroup generator applied to f: G f' + g f, as a tree."""
-    return Product((G, f.derivative())) + Product((g, f))
+    return Sum((Product((G, f.derivative())), Product((g, f))))
 
 
 def weight_fn(wsg: WeightedSemigroup) -> AnalyticFn:
@@ -277,8 +280,6 @@ def generator_consistency(
     G = wsg.flow.generator_fn()
     g = weight_fn(wsg)
     Af = apply_generator(G, g, f)
-    fp = f.derivative()
-    Afp = Af.derivative()
 
     def residual_norm(t: float) -> float:
         def value(z):
@@ -288,9 +289,7 @@ def generator_consistency(
             return h2_norm(taylor(value, norm.N, norm.r))
         if isinstance(norm, BlochGridNorm):
             def deriv(z):
-                return (
-                    weighted_z_derivative(wsg, f, z, t) - fp.eval(z)
-                ) / t - Afp.eval(z)
+                return (weighted_z_derivative(wsg, f, z, t) - f.jet(z)[1]) / t - Af.jet(z)[1]
 
             return bloch_norm_grid(value, norm.grid, derivative=deriv)
         raise TypeError(f"unknown norm spec {norm!r}")
@@ -359,7 +358,7 @@ def weight_from_json(obj: dict):
         fp = obj.get("fixed_point")
         return Coboundary(
             fn_from_json(obj["alpha"]),
-            None if fp is None else complex(fp[0], fp[1]),
+            None if fp is None else config_pair("fixed_point", fp),
         )
     raise ConfigError(f"unknown weight type {obj['type']!r}")
 

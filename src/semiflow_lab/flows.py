@@ -489,13 +489,6 @@ class RotatedFlow(FlowModel):
 # Flow operations
 
 
-def flow_z_derivative(
-    flow: FlowModel, z: complex, t: float, tol: float | None = None
-) -> complex:
-    """Spatial derivative d phi_t / dz, by the variational equation or chain rule."""
-    return flow.advance_with_derivative(z, t, tol)[1]
-
-
 def check_semigroup(flow: FlowModel, z, s, t, tol: float | None = None):
     """Residual |phi_{s+t}(z) - phi_t(phi_s(z))|, at a point or at each point
     of an array, with times s and t shared or given per point."""

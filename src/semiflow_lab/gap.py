@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import AnalyticFn, BlaschkeFn, Compose, GridSpec, Polynomial, Power, Product, Sum, bloch_norm_grid
+from .analytic import AnalyticFn, BlaschkeFn, Compose, GridSpec, Polynomial, Power, Product, bloch_norm_values
 from .blaschke import (
     BlaschkeProduct,
     interpolation_delta,
@@ -250,16 +250,14 @@ def bloch_gap(gc: GapConstruction, wsg: WeightedSemigroup, grid: GridSpec) -> Ga
         if wsg.flow.to_json() != gc.flow.to_json():
             raise ValueError("semigroup flow differs from the construction flow")
     f = build_test_function(gc)
-    fp = f.derivative()
     for lv in gc.levels:
         if not grid.contains_point(complex(lv.r)):
             raise ValueError(f"grid must include the construction point r_{lv.n} = {lv.r}")
     zs = np.fromiter(grid.iter_points(), dtype=complex)
-    fp_grid = fp.eval(zs)
+    fp_grid = f.jet(zs)[1]
     rows = []
     for lv in gc.levels:
-        fpr = fp.eval(lv.r)
-        lower = abs(fpr) * (1.0 - lv.r)
+        lower = abs(f.jet(lv.r)[1]) * (1.0 - lv.r)
         d = weighted_z_derivative(wsg, f, zs, lv.t) - fp_grid
         gap = float(np.max(np.abs(d) * (1.0 - np.abs(zs) ** 2), initial=0.0))
         cancel = abs(weighted_z_derivative(wsg, f, lv.r, lv.t))
@@ -420,19 +418,24 @@ def separability_witness(
 
     Every pair staying a fixed distance apart is an uncountable discrete
     set, witnessing non-separability of any space containing the products.
+    Each rotation is evaluated once, at the origin and by one jet on the
+    grid; a pair's gap is the Bloch grid norm of the differences.
     """
     rots = reduce_rotations(rotations)
     if not interpolation_delta(B).interpolating:
         raise InterpolationError("rotation family needs an interpolating product")
-    fns = [
-        Compose(BlaschkeFn(B), Polynomial((0.0, cmath.exp(-1j * th)))) for th in rots
-    ]
-    n = len(fns)
+    zs = np.fromiter(grid.iter_points(), dtype=complex)
+    origin = np.zeros(1, dtype=complex)
+    values, slopes = [], []
+    for th in rots:
+        f = Compose(BlaschkeFn(B), Polynomial((0.0, cmath.exp(-1j * th))))
+        values.append(f.eval(origin)[0])
+        slopes.append(f.jet(zs)[1])
+    n = len(rots)
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            diff = Sum((fns[i], Product((Polynomial((-1.0,)), fns[j]))))
-            gapv = bloch_norm_grid(diff, grid)
+            gapv = bloch_norm_values(values[i] - values[j], slopes[i] - slopes[j], zs)
             matrix[i][j] = gapv
             matrix[j][i] = gapv
     off = [matrix[i][j] for i in range(n) for j in range(i + 1, n)]

@@ -218,6 +218,8 @@ def test_bloch_gap_too_deep_is_depth_exceeded(tmp_path):
 
 GAP_WEIGHTS = [{"type": "weight", "g": {"op": "const", "value": [1, 0]}}]
 G_ID = {"type": "weight", "g": {"op": "id"}}
+PARABOLIC = {"type": "automorphism", "kind": "parabolic", "speed": 1.0, "reflect": True}
+COBOUNDARY = {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [-1, 0]]}}
 
 
 @pytest.mark.parametrize(
@@ -277,6 +279,14 @@ G_ID = {"type": "weight", "g": {"op": "id"}}
                                           "guards": [[[0.95, 0], "1e-3"]]}}),
         ("generator-check", {"flow": RADIAL, "weight": G_ID,
                              "function": {"op": "blaschke", "zeros": [[0.5, 0]], "theta": "1"}}),
+        ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "t_start": 0}),
+        ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "t_start": -0.5}),
+        ("bloch-gap-auto", {"flow": PARABOLIC, "t_first_cap": -1}),
+        ("bloch-gap-auto", {"flow": PARABOLIC, "t_first_cap": 0}),
+        ("cocycle-check", {"flow": RADIAL, "weight": {**COBOUNDARY, "fixed_point": [True, 0]}}),
+        ("cocycle-check", {"flow": RADIAL, "weight": {**COBOUNDARY, "fixed_point": [0.5, 0, 9]}}),
+        ("generator-check", {"flow": RADIAL, "weight": G_ID, "function": {"op": "id"},
+                             "norm": {"type": "h2", "r": 1.5}}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):

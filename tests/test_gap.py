@@ -241,3 +241,28 @@ def test_separability_requires_interpolating_product():
     grid = sl.GridSpec((0.0, 0.5), (1, 8))
     with pytest.raises((sl.InterpolationError, sl.MultiplicityError)):
         sl.separability_witness(B, [0.0, 1.0], grid)
+
+
+@pytest.mark.parametrize(
+    "zeros, rotations",
+    [
+        (sl.radial_zeros(10), [2.0 * math.pi * k / 8 for k in range(8)]),
+        ((0.5 + 0.1j, 0.8 - 0.2j, 0.3 + 0.6j), [0.1, 1.0, 2.5, 4.0]),
+    ],
+)
+def test_separability_matrix_equals_the_difference_tree_norms(zeros, rotations):
+    # each rotation is evaluated once on the grid; every pairwise gap must be
+    # the grid Bloch norm of the explicit difference tree B_i - B_j, bit for bit
+    B = sl.BlaschkeProduct(zeros)
+    coarse = separability_grid(B.zeros, rotations)
+    for grid in (coarse, coarse.refine()):
+        rep = sl.separability_witness(B, rotations, grid)
+        fns = [
+            sl.Compose(sl.BlaschkeFn(B), sl.Polynomial((0.0, cmath.exp(-1j * th))))
+            for th in rep.rotations
+        ]
+        for i in range(len(fns)):
+            for j in range(i + 1, len(fns)):
+                diff = sl.Sum((fns[i], sl.Product((sl.Polynomial((-1.0,)), fns[j]))))
+                want = sl.bloch_norm_grid(diff, grid, derivative=diff.derivative())
+                assert rep.matrix[i][j] == rep.matrix[j][i] == want
