@@ -2,16 +2,17 @@
 
 Trees are immutable.  Evaluation takes one point, a Python complex, or a
 batch, a complex ndarray, through the same code (see ``pointwise``).  Each
-node evaluates through one forward-mode jet, ``_jet(z, order)`` (Griewank &
-Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 3 and 13): order 0
-gives f(z) and no derivative, order 1 gives (f(z), f'(z)) in one recursion,
-by the arithmetic of the exact symbolic ``derivative`` tree (no
-simplification), so the two agree to the last bit.  Quotient and Log carry
-explicit singularity guards: small excluded discs around known zeros of the
-denominator / argument, as a Mobius derivative does around a pole in the
-disc.  Evaluation either returns finite values or raises; it never returns
-inf/nan.  A batch raises the error of the first point that would raise on
-its own.
+node has one differentiation rule, its Taylor-mode jet ``_jet(z, order)``
+(Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13):
+the coefficients f(z), f'(z), ..., f^(k)(z)/k! in one recursion.  The first
+two keep the product, quotient and chain rules as written out; the later
+ones follow each node's recurrence.  ``derivative()`` returns a
+``Derivative`` node, which reads its argument's jet one order higher.
+Quotient and Log carry explicit singularity guards: small excluded discs
+around known zeros of the denominator / argument, as a Mobius derivative
+does around a pole in the disc.  Evaluation either returns finite values or
+raises; it never returns inf/nan.  A batch raises the error of the first
+point that would raise on its own.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ def guard_points(points, radius: float = DEFAULT_GUARD_RADIUS):
 
 
 class AnalyticFn:
-    """Base node.  Subclasses implement ``_jet`` and ``derivative``.  A value
+    """Base node.  Subclasses implement ``_jet``: order 0 returns the value,
+    order k >= 1 the tuple of the k + 1 Taylor coefficients.  A coefficient
     that does not depend on z stays a bare complex in ``_jet``; the entry
     points spread it over a batch once."""
 
@@ -69,7 +71,8 @@ class AnalyticFn:
         return full(z, w), full(z, dw)
 
     def derivative(self) -> "AnalyticFn":
-        raise NotImplementedError
+        """f' as a node that reads this tree's jets one order higher."""
+        return Derivative(self)
 
     def _check_guards(self, z) -> None:
         for center, radius in self.guards:
@@ -80,9 +83,24 @@ class AnalyticFn:
         raise NotImplementedError
 
 
-# The values of Constant(0.0), Constant(1.0) and Constant(-1.0), which the
-# derivative trees multiply and add just as the jets below do.
 _ZERO, _ONE, _MINUS_ONE = 0j, 1 + 0j, -1 + 0j
+
+
+def _cauchy(a, b) -> tuple:
+    """The product of two truncated series of one length (a convolution)."""
+    return tuple(sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a)))
+
+
+def _compose(outer, inner) -> tuple:
+    """Coefficients 2.. of v(u), from v's coefficients at u_0 and u's: the sum
+    over m >= 1 of v_m (u - u_0)^m.  (Coefficient 1 is v_1 u_1.)  A short
+    ``outer`` stands for a v whose later coefficients vanish."""
+    zeros = (_ZERO,) * (len(inner) - 1)
+    rise, power, total = (_ZERO, *inner[1:]), (_ONE, *zeros), (_ZERO, *zeros)
+    for v in outer[1:]:
+        power = _cauchy(power, rise)
+        total = tuple(t + v * c for t, c in zip(total, power))
+    return total[2:]
 
 
 @dataclass(frozen=True)
@@ -93,10 +111,9 @@ class Constant(AnalyticFn):
         object.__setattr__(self, "value", complex(self.value))
 
     def _jet(self, z, order):
-        return (self.value, _ZERO) if order else self.value
-
-    def derivative(self):
-        return Constant(0.0)
+        if order < 2:  # the hot cases pay for no padding
+            return (self.value, _ZERO) if order else self.value
+        return (self.value,) + (_ZERO,) * order
 
     def to_json(self):
         return {"op": "const", "value": _c2p(self.value)}
@@ -105,10 +122,9 @@ class Constant(AnalyticFn):
 @dataclass(frozen=True)
 class Identity(AnalyticFn):
     def _jet(self, z, order):
-        return (z, _ONE) if order else z
-
-    def derivative(self):
-        return Constant(1.0)
+        if order < 2:
+            return (z, _ONE) if order else z
+        return (z, _ONE) + (_ZERO,) * (order - 1)
 
     def to_json(self):
         return {"op": "id"}
@@ -137,12 +153,11 @@ class Polynomial(AnalyticFn):
 
     def _jet(self, z, order):
         value = _horner(self.coeffs, z)
-        return (value, _horner(self._slopes, z)) if order else value
-
-    def derivative(self):
-        if len(self.coeffs) <= 1:
-            return Constant(0.0)
-        return Polynomial(self._slopes)
+        if order < 2:
+            return (value, _horner(self._slopes, z)) if order else value
+        # coefficient j of p is coefficient j - 1 of p', over j
+        slopes = Polynomial(self._slopes)._jet(z, order - 1)
+        return (value, slopes[0], *[c / j for j, c in enumerate(slopes[1:], 2)])
 
     def to_json(self):
         return {"op": "poly", "coeffs": [_c2p(c) for c in self.coeffs]}
@@ -167,21 +182,16 @@ class Mobius(AnalyticFn):
 
     def _jet(self, z, order):
         den = self.c * z + self.d
-        raise_at(den == 0, z, SingularityError, "Mobius pole at {}")
-        value = (self.a * z + self.b) / den
         if not order:
-            return value
-        self._check_guards(z)  # the derivative's guard disc around a pole in the disc
-        square = den ** 2
-        raise_at(square == 0, z, SingularityError, "denominator vanishes at {}")
-        return value, (self.a * self.d - self.b * self.c) / square
-
-    def derivative(self):
-        return Quotient(
-            Constant(self.a * self.d - self.b * self.c),
-            Power(Polynomial((self.d, self.c)), 2),
-            guards=self.guards,
-        )
+            raise_at(den == 0, z, SingularityError, "Mobius pole at {}")
+            return (self.a * z + self.b) / den
+        square = den ** 2  # zero wherever den is, so one check serves both
+        raise_at(square == 0, z, SingularityError, "Mobius pole at {}")
+        self._check_guards(z)  # the derivatives' guard disc around a pole in the disc
+        coeffs = ((self.a * z + self.b) / den, (self.a * self.d - self.b * self.c) / square)
+        for _ in range(order - 1):  # f_j = (ad - bc) (-c)^(j-1) / den^(j+1)
+            coeffs += (coeffs[-1] * -self.c / den,)
+        return coeffs
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
@@ -203,15 +213,15 @@ class Exp(AnalyticFn):
     def _jet(self, z, order):
         if not order:
             return exp(self.inner._jet(z, 0))
-        u, du = self.inner._jet(z, 1)
-        value = exp(u)
-        # an overflowed value makes value * du inf or nan, which the finiteness
-        # mask of jet refuses with a SingularityError naming the point
+        u = self.inner._jet(z, order)
+        value = exp(u[0])
+        # an overflowed value makes the coefficients inf or nan, which the
+        # finiteness mask of jet refuses with a SingularityError naming the point
         with np.errstate(over="ignore", invalid="ignore"):
-            return value, value * du
-
-    def derivative(self):
-        return Product((Exp(self.inner), self.inner.derivative()))
+            coeffs = (value, value * u[1])
+            for j in range(2, order + 1):  # j f_j = sum_i i u_i f_(j-i), from f' = f u'
+                coeffs += (sum(i * u[i] * coeffs[j - i] for i in range(1, j + 1)) / j,)
+        return coeffs
 
     def to_json(self):
         return {"op": "exp", "arg": self.inner.to_json()}
@@ -234,12 +244,15 @@ class Log(AnalyticFn):
 
     def _jet(self, z, order):
         self._check_guards(z)
-        u, du = self.inner._jet(z, 1) if order else (self.inner._jet(z, 0), None)
-        raise_at(u == 0, z, SingularityError, "log of zero at {}")
-        return (log(u), du / u) if order else log(u)
-
-    def derivative(self):
-        return Quotient(self.inner.derivative(), self.inner, guards=self.guards)
+        u = self.inner._jet(z, order)
+        base = u[0] if order else u
+        raise_at(base == 0, z, SingularityError, "log of zero at {}")
+        if not order:
+            return log(base)
+        coeffs = (log(base), u[1] / base)
+        for j in range(2, order + 1):  # u_0 f_j = u_j - sum_(i<j) (i/j) f_i u_(j-i), from u f' = u'
+            coeffs += ((u[j] - sum(i * coeffs[i] * u[j - i] for i in range(1, j)) / j) / base,)
+        return coeffs
 
     def to_json(self):
         return {
@@ -258,14 +271,10 @@ class Sum(AnalyticFn):
 
     def _jet(self, z, order):
         if not self.terms:
-            return (_ZERO, _ZERO) if order else _ZERO
+            return (_ZERO,) * (order + 1) if order else _ZERO
         if not order:
             return reduce(add, [t._jet(z, 0) for t in self.terms])
-        values, slopes = zip(*[t._jet(z, 1) for t in self.terms])
-        return reduce(add, values), reduce(add, slopes)
-
-    def derivative(self):
-        return Sum(tuple(t.derivative() for t in self.terms))
+        return tuple(reduce(add, column) for column in zip(*[t._jet(z, order) for t in self.terms]))
 
     def to_json(self):
         return {"op": "sum", "terms": [t.to_json() for t in self.terms]}
@@ -280,27 +289,15 @@ class Product(AnalyticFn):
 
     def _jet(self, z, order):
         if not self.factors:
-            return (_ONE, _ZERO) if order else _ONE
+            return (_ONE,) + (_ZERO,) * order if order else _ONE
         if not order:
             return reduce(mul, [f._jet(z, 0) for f in self.factors])
-        values, slopes = zip(*[f._jet(z, 1) for f in self.factors])
-        # the derivative tree's terms f_0 ... f_k' ... f_n, each multiplied left to right
+        jets = [f._jet(z, order) for f in self.factors]
+        values, slopes, *_ = zip(*jets)
+        # the terms f_0 ... f_k' ... f_n, each multiplied left to right
         terms = [reduce(mul, values[:k] + (s,) + values[k + 1:]) for k, s in enumerate(slopes)]
-        return reduce(mul, values), reduce(add, terms)
-
-    def derivative(self):
-        terms = []
-        for k in range(len(self.factors)):
-            terms.append(
-                Product(
-                    self.factors[:k]
-                    + (self.factors[k].derivative(),)
-                    + self.factors[k + 1 :]
-                )
-            )
-        if not terms:
-            return Constant(0.0)
-        return Sum(tuple(terms))
+        coeffs = (reduce(mul, values), reduce(add, terms))
+        return coeffs + reduce(_cauchy, jets)[2:] if order > 1 else coeffs
 
     def to_json(self):
         return {"op": "product", "factors": [f.to_json() for f in self.factors]}
@@ -321,23 +318,14 @@ class Quotient(AnalyticFn):
             d = self.den._jet(z, 0)
             raise_at(d == 0, z, SingularityError, "denominator vanishes at {}")
             return self.num._jet(z, 0) / d
-        d, dd = self.den._jet(z, 1)
-        square = d * d  # zero wherever d is
+        d = self.den._jet(z, order)
+        square = d[0] * d[0]  # zero wherever d is
         raise_at(square == 0, z, SingularityError, "denominator vanishes at {}")
-        n, dn = self.num._jet(z, 1)
-        return n / d, (dn * d + _MINUS_ONE * n * dd) / square
-
-    def derivative(self):
-        return Quotient(
-            Sum(
-                (
-                    Product((self.num.derivative(), self.den)),
-                    Product((Constant(-1.0), self.num, self.den.derivative())),
-                )
-            ),
-            Product((self.den, self.den)),
-            guards=self.guards,
-        )
+        n = self.num._jet(z, order)
+        coeffs = (n[0] / d[0], (n[1] * d[0] + _MINUS_ONE * n[0] * d[1]) / square)
+        for j in range(2, order + 1):  # d_0 q_j = n_j - sum_(i>=1) d_i q_(j-i), from d q = n
+            coeffs += ((n[j] - sum(map(mul, d[1:j + 1], reversed(coeffs)))) / d[0],)
+        return coeffs
 
     def to_json(self):
         return {
@@ -356,12 +344,10 @@ class Compose(AnalyticFn):
     def _jet(self, z, order):
         if not order:
             return self.outer._jet(self.inner._jet(z, 0), 0)
-        u, du = self.inner._jet(z, 1)
-        v, dv = self.outer._jet(u, 1)
-        return v, dv * du
-
-    def derivative(self):
-        return Product((Compose(self.outer.derivative(), self.inner), self.inner.derivative()))
+        u = self.inner._jet(z, order)
+        v = self.outer._jet(u[0], order)
+        coeffs = (v[0], v[1] * u[1])
+        return coeffs + _compose(v, u) if order > 1 else coeffs
 
     def to_json(self):
         return {"op": "compose", "outer": self.outer.to_json(), "inner": self.inner.to_json()}
@@ -376,19 +362,22 @@ class Power(AnalyticFn):
         object.__setattr__(self, "k", int(self.k))
 
     def _jet(self, z, order):
-        w, dw = self.inner._jet(z, 1) if order else (self.inner._jet(z, 0), None)
+        w = self.inner._jet(z, order)
+        base = w[0] if order else w
         if self.k < 0:
-            raise_at(w == 0, z, SingularityError, "negative power of zero at {}")
+            raise_at(base == 0, z, SingularityError, "negative power of zero at {}")
+        value = base ** self.k
         if not order:
-            return w ** self.k
-        return w ** self.k, (complex(self.k) * w ** (self.k - 1) * dw if self.k else _ZERO)
-
-    def derivative(self):
-        if self.k == 0:
-            return Constant(0.0)
-        return Product(
-            (Constant(self.k), Power(self.inner, self.k - 1), self.inner.derivative())
-        )
+            return value
+        coeffs = (value, complex(self.k) * base ** (self.k - 1) * w[1] if self.k else _ZERO)
+        if order > 1:
+            # t^k's coefficients C(k, m) t^(k-m) at the base, C(k, m) = k (k-1) ... (k-m+1)/m!;
+            # for k >= 0 they stop at m = k, so no power divides by a base that may vanish
+            outer = (value,)
+            for m in range(1, (order if self.k < 0 else min(order, self.k)) + 1):
+                outer += (math.prod(range(self.k, self.k - m, -1)) / math.factorial(m) * base ** (self.k - m),)
+            coeffs += _compose(outer, w)
+        return coeffs
 
     def to_json(self):
         return {"op": "power", "arg": self.inner.to_json(), "k": self.k}
@@ -402,42 +391,44 @@ class BlaschkeFn(AnalyticFn):
 
     def _jet(self, z, order):
         value = blaschke_eval(self.product, z)
-        return (value, blaschke_derivative(self.product, z)) if order else value
-
-    def derivative(self):
-        return _BlaschkeDerivative(self.product)
-
-    def as_factor_tree(self) -> AnalyticFn:
-        """Equivalent explicit tree: phase times one Mobius factor per zero."""
-        factors = [Constant(self.product.phase)]
-        for a in self.product.zeros:
-            if a == 0:
-                factors.append(Mobius(1.0, 0.0, 0.0, 1.0))
-            else:
-                u = abs(a) / a
-                factors.append(Mobius(-u, u * a, -a.conjugate(), 1.0))
-        return Product(tuple(factors))
+        if not order:
+            return value
+        coeffs = (value, blaschke_derivative(self.product, z))
+        if order > 1:
+            # coefficients 2.. from the product of the phase and the factors
+            # (|a| - (|a|/a) z)/(1 - conj(a) z), z for a = 0
+            factors = [Mobius(-abs(a) / a, abs(a), -a.conjugate(), 1.0) if a else Identity()
+                       for a in self.product.zeros]
+            coeffs += Product((Constant(self.product.phase), *factors))._jet(z, order)[2:]
+        return coeffs
 
     def to_json(self):
         return {"op": "blaschke", **self.product.to_json()}
 
 
 @dataclass(frozen=True)
-class _BlaschkeDerivative(AnalyticFn):
-    """Derivative of a Blaschke product via the cancellation-free sum formula."""
+class Derivative(AnalyticFn):
+    """The n-th derivative of ``inner``.  Its jet of order k is inner's jet of
+    order k + n, shifted: coefficient j is (j + n)!/j! times inner's j + n."""
 
-    product: BlaschkeProduct
+    inner: AnalyticFn
+    n: int = 1
 
     def _jet(self, z, order):
-        value = blaschke_derivative(self.product, z)
-        return (value, self.derivative()._jet(z, 0)) if order else value
+        n = self.n
+        coeffs = self.inner._jet(z, order + n)
+        shifted = (coeffs[1] if n == 1 else math.factorial(n) * coeffs[n],)  # f' is the slope, bit for bit
+        for j in range(1, order + 1):
+            shifted += (math.perm(j + n, n) * coeffs[j + n],)
+        return shifted if order else shifted[0]
 
     def derivative(self):
-        # Second derivatives are rare; fall back to the expanded factor tree.
-        return BlaschkeFn(self.product).as_factor_tree().derivative().derivative()
+        return Derivative(self.inner, self.n + 1)  # one node, whatever the order
 
     def to_json(self):
-        return {"op": "blaschke_derivative", **self.product.to_json()}
+        if self.n == 1 and isinstance(self.inner, BlaschkeFn):
+            return {"op": "blaschke_derivative", **self.inner.product.to_json()}
+        raise ValueError(f"the tree schema has no op for derivative {self.n} of {type(self.inner).__name__}")
 
 
 def _c2p(c: complex):
@@ -486,7 +477,7 @@ def fn_from_json(obj: dict) -> AnalyticFn:
     if op == "blaschke":
         return BlaschkeFn(BlaschkeProduct.from_json(obj))
     if op == "blaschke_derivative":
-        return _BlaschkeDerivative(BlaschkeProduct.from_json(obj))
+        return Derivative(BlaschkeFn(BlaschkeProduct.from_json(obj)))
     raise ConfigError(f"unknown op {op!r}")
 
 

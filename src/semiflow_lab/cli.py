@@ -61,9 +61,12 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _number(config: dict, key: str, default, least: float = -math.inf):
-    """config[key] as a finite float >= least; ``default`` when the key is absent."""
-    return config_number(key, config[key], least) if key in config else default
+def _number(config: dict, key: str, default, least: float = -math.inf, below: float = math.inf):
+    """config[key] as a finite float, least <= v < below; ``default`` when the key is absent."""
+    v = config_number(key, config[key], least) if key in config else default
+    if not v < below:
+        raise ConfigError(f"config key {key!r} must be a number below {below}, got {v!r}")
+    return v
 
 
 def _positive(config: dict, key: str, default):
@@ -106,11 +109,12 @@ def _grid(config: dict, default: dict, extra: list) -> GridSpec:
     return GridSpec(grid.radii, grid.angular, grid.points + tuple(extra))
 
 
-def _time_range(config: dict, default: list):
-    """config["t_range"] as times 0 <= lo <= hi."""
-    lo, hi = _numbers(config, "t_range", default, 2)
-    if not 0.0 <= lo <= hi:
-        raise ConfigError(f"config key 't_range' must hold times 0 <= lo <= hi, got {[lo, hi]}")
+def _window(config: dict, key: str, default: list, least: float = -math.inf):
+    """config[key] as a pair of numbers least <= lo <= hi."""
+    lo, hi = _numbers(config, key, default, 2)
+    if not least <= lo <= hi:
+        bound = f"{least:g} <= " if least > -math.inf else ""
+        raise ConfigError(f"config key {key!r} must hold numbers {bound}lo <= hi, got {[lo, hi]}")
     return lo, hi
 
 
@@ -173,8 +177,8 @@ def run_flow_trace(config, rng):
 def run_flow_check(config, rng):
     flow = flow_from_json(_require(config, "flow"))
     n = _count(config, "n_points", 50)
-    radius = _number(config, "z_radius", 0.8, least=0.0)
-    t_lo, t_hi = _time_range(config, [0.0, 2.0])
+    radius = _number(config, "z_radius", 0.8, least=0.0, below=1.0)
+    t_lo, t_hi = _window(config, "t_range", [0.0, 2.0], least=0.0)
     thr_semi = _number(config, "semigroup_threshold", 1e-8)
     ladder = _ladder(config, "generator_ladder", [5e-3, 2.5e-3, 1.25e-3])
     thr_gen = _number(config, "generator_threshold", 1e-6)
@@ -206,8 +210,8 @@ def run_cocycle_check(config, rng):
     weight = weight_from_json(_require(config, "weight"))
     wsg = WeightedSemigroup(flow, weight)
     n = _count(config, "n_points", 50)
-    radius = _number(config, "z_radius", 0.8, least=0.0)
-    t_lo, t_hi = _time_range(config, [0.0, 1.0])
+    radius = _number(config, "z_radius", 0.8, least=0.0, below=1.0)
+    t_lo, t_hi = _window(config, "t_range", [0.0, 1.0], least=0.0)
     thr_id = _number(config, "identity_threshold", 1e-8)
     ladder = _ladder(config, "fd_ladder", [1e-2, 5e-3, 2.5e-3])
     thr_fd = _number(config, "fd_threshold", 1e-6)
@@ -249,7 +253,7 @@ def run_generator_check(config, rng):
     wsg = WeightedSemigroup(flow, weight)
     norm = _norm_from_config(_object(config, "norm", {}))
     ladder = _ladder(config, "t_ladder", [0.1 * 2 ** (-k) for k in range(7)])
-    lo, hi = _numbers(config, "ratio_window", [0.3, 0.7], 2)
+    lo, hi = _window(config, "ratio_window", [0.3, 0.7])
     table = generator_consistency(wsg, f, norm, ladder)
     verdicts = Verdicts()
     ratios = table.ratios()
@@ -269,8 +273,8 @@ def run_coboundary_check(config, rng):
     alpha = fn_from_json(_require(config, "alpha"))
     f = fn_from_json(_require(config, "function"))
     n = _count(config, "n_points", 50)
-    radius = _number(config, "z_radius", 0.8, least=0.0)
-    t_lo, t_hi = _time_range(config, [0.0, 1.0])
+    radius = _number(config, "z_radius", 0.8, least=0.0, below=1.0)
+    t_lo, t_hi = _window(config, "t_range", [0.0, 1.0], least=0.0)
     thr = _number(config, "threshold", 1e-12)
     zs = random_disc_points(rng, n, radius)
     t = np.array([rng.uniform(t_lo, t_hi) for _ in zs])
@@ -288,7 +292,7 @@ def run_transfer_check(config, rng):
     f = fn_from_json(_require(config, "function"))
     wsg = WeightedSemigroup(flow, weight)
     n = _count(config, "n_points", 20)
-    radius = _number(config, "z_radius", 0.7, least=0.0)
+    radius = _number(config, "z_radius", 0.7, least=0.0, below=1.0)
     t = _number(config, "t", 0.5, least=0.0)
     thr = _number(config, "threshold", 1e-9)
     zs = random_disc_points(rng, n, radius)
@@ -402,7 +406,7 @@ def run_bloch_gap_auto(config, rng):
     N = _count(config, "N", 6)
     gc = construct_case2(flow, N, _positive(config, "t_first_cap", 1.0))
     angle_thr = _number(config, "angle_threshold", 1e-9)
-    lo, hi = _numbers(config, "ratio_window", [0.8, 1.2], 2)
+    lo, hi = _window(config, "ratio_window", [0.8, 1.2])
     from_n = _count(config, "ratio_from_n", 4, least=0)
     sep_thr = _number(config, "min_separation", 0.1)
     verdicts = Verdicts()

@@ -25,8 +25,10 @@ def fn_corpus():
         sl.Sum((sl.Identity(), sl.Exp(sl.Identity()))),
         sl.Product((sl.Polynomial([0, 1]), sl.Exp(sl.Identity()), sl.Constant(3))),
         sl.Quotient(sl.Constant(1), sl.Polynomial([1, -0.5])),
+        sl.Quotient(sl.Exp(sl.Identity()), sl.Polynomial([2, 0.5, 1])),  # a curved denominator
         sl.Compose(sl.Exp(sl.Identity()), sl.Polynomial([0, 0, 1])),
         sl.Power(sl.Polynomial([0.5, 0.5]), 3),
+        sl.Power(sl.Polynomial([2, 1, 0.5]), -2),
         sl.BlaschkeFn(blaschke),
     ]
 

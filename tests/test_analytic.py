@@ -214,8 +214,10 @@ def test_taylor_series_rejects_nonfinite():
         sl.TaylorSeries((complex("inf"),), 0)
 
 
-# Jets: one pass over a tree gives (f, f').  Each jet rule performs the
-# arithmetic of the matching derivative tree, so the two agree bit for bit.
+# Jets: one pass over a tree gives its Taylor coefficients.  f.derivative()
+# is a Derivative node that reads f's jet one order up, so its value is the
+# jet's slope to the last bit; the references independent of the jet code are
+# the Cauchy coefficients and the centred differences below.
 
 
 def test_jet_matches_eval_and_derivative_tree(rng):
@@ -264,3 +266,72 @@ def test_jet_matches_centered_difference(z, index):
     for step in (h, 1j * h):  # an analytic f' is the same difference in every direction
         fd = (f.eval(z + step) - f.eval(z - step)) / (2 * step)
         assert abs(slope - fd) <= 1e-5 * (1 + abs(slope))
+
+
+@settings(max_examples=60, deadline=None)
+@given(disc_points, st.sampled_from(range(len(fn_corpus()))), st.sampled_from([1, 2]))
+def test_higher_derivatives_match_centered_difference(z, index, n):
+    # f'' (n = 1) and f''' (n = 2): the slope of the derivative node one order
+    # up against centred differences of the slope one order down
+    lower = fn_corpus()[index]
+    for _ in range(n - 1):
+        lower = lower.derivative()
+    h = 1e-5
+    _, slope = lower.derivative().jet(z)
+    for step in (h, 1j * h):
+        fd = (lower.jet(z + step)[1] - lower.jet(z - step)[1]) / (2 * step)
+        assert abs(slope - fd) <= 1e-5 * (1 + abs(slope))
+
+
+def test_derivative_chains_match_cauchy_coefficients_at_the_origin():
+    # f^(k)(0)/k!, k = 0..3, read from chains of derivative nodes, against the
+    # FFT Cauchy coefficients on |z| = 1/2; tolerance 1e-10 relative to the
+    # largest of the five.  Each node's jet slope is checked one order up.
+    for f in fn_corpus():
+        want = sl.taylor(f, 8, 0.5).coeffs[:5]
+        scale = max(abs(c) for c in want)
+        node = f
+        for k in range(4):
+            value, slope = node.jet(0j)
+            assert value == node.eval(0)
+            assert abs(value / math.factorial(k) - want[k]) <= 1e-10 * scale, (f, k)
+            assert abs(slope / math.factorial(k + 1) - want[k + 1]) <= 1e-10 * scale, (f, k)
+            node = node.derivative()
+        assert node == sl.Derivative(f, 4)  # a chain stays one node
+
+
+def test_power_of_a_vanishing_base_has_finite_higher_derivatives():
+    # (z - 1/2)^3: the jet never divides by the base, which vanishes at 1/2
+    f = sl.Power(sl.Polynomial([-0.5, 1]), 3)
+    zs = np.array([0.5, 0.1j, -0.3])
+    second, third = f.derivative().derivative(), f.derivative().derivative().derivative()
+    assert np.allclose(second.eval(zs), 6 * (zs - 0.5), rtol=0, atol=1e-15)
+    assert second.eval(zs)[0] == 0
+    assert np.allclose(third.eval(zs), 6, rtol=0, atol=1e-15)
+    assert second.jet(0.5) == (0j, 6 + 0j)
+
+
+def test_blaschke_derivative_op(rng):
+    B = sl.BlaschkeProduct((0, 0.3, -0.4 + 0.2j, 0.5j), theta=0.7)
+    node = {"op": "blaschke_derivative", **B.to_json()}
+    f = sl.fn_from_json(node)
+    assert f == sl.Derivative(sl.BlaschkeFn(B)) == sl.BlaschkeFn(B).derivative()
+    assert f.to_json() == node and sl.fn_from_json(f.to_json()) == f
+    zs = np.array(random_disc_points(rng, 64, 0.9))
+    assert np.array_equal(f.eval(zs), sl.blaschke_derivative(B, zs))
+    for z in zs[:8].tolist():
+        assert f.eval(z) == sl.blaschke_derivative(B, z)
+    # B'' from the product of the factors' series, against B' by differences
+    h = 1e-5
+    for z in zs[:20].tolist():
+        _, second = f.jet(z)
+        for step in (h, 1j * h):
+            fd = (sl.blaschke_derivative(B, z + step) - sl.blaschke_derivative(B, z - step)) / (2 * step)
+            assert abs(second - fd) <= 1e-5 * (1 + abs(second))
+
+
+def test_only_a_blaschke_derivative_has_a_json_op():
+    with pytest.raises(ValueError):
+        sl.Identity().derivative().to_json()
+    with pytest.raises(ValueError):
+        sl.BlaschkeFn(sl.BlaschkeProduct((0.3,))).derivative().derivative().to_json()

@@ -89,7 +89,7 @@ POLE = sl.Polynomial([-0.5, 1])  # vanishes at 0.5
 )
 @pytest.mark.filterwarnings("error")
 def test_offending_point_raises_in_any_slot_of_a_jet(tree, bad):
-    # the jet raises what the derivative tree raises; the Mobius guard disc
+    # the jet raises what the derivative node raises; the Mobius guard disc
     # refuses f' only, so eval still passes the point next to the pole
     with pytest.raises(sl.SingularityError):
         tree.derivative().eval(bad)

@@ -287,6 +287,15 @@ COBOUNDARY = {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [
         ("cocycle-check", {"flow": RADIAL, "weight": {**COBOUNDARY, "fixed_point": [0.5, 0, 9]}}),
         ("generator-check", {"flow": RADIAL, "weight": G_ID, "function": {"op": "id"},
                              "norm": {"type": "h2", "r": 1.5}}),
+        # sampling radii must lie in [0, 1), and windows must have lo <= hi
+        ("flow-check", {"flow": RADIAL, "z_radius": 1.5}),
+        ("cocycle-check", {"flow": RADIAL, "weight": G_ID, "z_radius": 1.0}),
+        ("coboundary-check", {"flow": RADIAL, "alpha": COBOUNDARY["alpha"], "function": {"op": "id"},
+                              "z_radius": 1.5}),
+        ("transfer-check", {"flow": RADIAL, "weight": G_ID, "function": {"op": "id"}, "z_radius": 1.5}),
+        ("generator-check", {"flow": RADIAL, "weight": G_ID, "function": {"op": "id"},
+                             "ratio_window": [0.7, 0.3]}),
+        ("bloch-gap-auto", {"flow": PARABOLIC, "ratio_window": [1.2, 0.8]}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):

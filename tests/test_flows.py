@@ -138,6 +138,21 @@ def test_generator_fd_cayley_translate():
     assert abs(est - 0.5) < 1e-6  # c (1-z)^2 / 2 at z = 0
 
 
+def test_cayley_translate_generator_jet_is_the_closed_form(rng):
+    # G = c/h' with h = (1 + z)/(1 - z) and c = i is (i/2)(1 - z)^2, so
+    # G' = -i(1 - z); G' reads h'' from h's jet, to a few ulps
+    G = sl.koenigs_flow(sl.cayley_map(), 1j, "translate").generator_fn()
+    zs = np.array(random_disc_points(rng, 50, 0.9))
+    tol = 4 * np.finfo(float).eps
+    value, slope = G.jet(zs)
+    assert np.all(abs(value - 0.5j * (1 - zs) ** 2) <= tol * abs(value))
+    assert np.all(abs(slope + 1j * (1 - zs)) <= tol * abs(slope))
+    for z in zs.tolist():
+        value, slope = G.jet(z)
+        assert abs(value - 0.5j * (1 - z) ** 2) <= tol * abs(value)
+        assert abs(slope + 1j * (1 - z)) <= tol * abs(slope)
+
+
 def test_koenigs_spiral_requires_fixed_origin():
     with pytest.raises(sl.ModelError):
         sl.koenigs_flow(sl.cayley_map(), 1.0, "spiral")
