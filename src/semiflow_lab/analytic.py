@@ -26,8 +26,8 @@ from operator import add, mul
 import numpy as np
 
 from .blaschke import BlaschkeProduct, blaschke_derivative, blaschke_eval
-from .errors import ConfigError, DomainError, SingularityError, config_integer, config_pair
-from .errors import config_parser, config_positive
+from .errors import ConfigError, DomainError, SingularityError, config_integer, config_number
+from .errors import config_pair, config_parser, config_positive
 from .pointwise import exp, full, log, nonfinite, points, raise_at
 
 DEFAULT_GUARD_RADIUS = 1e-9
@@ -621,8 +621,8 @@ class GridSpec:
     @config_parser
     def from_json(cls, obj):
         return cls(
-            tuple(obj["radii"]),
-            tuple(obj["angular"]),
+            tuple(config_number("radii", r) for r in obj["radii"]),
+            tuple(config_integer("angular", m) for m in obj["angular"]),
             tuple(config_pair("points", p) for p in obj.get("points", [])),
         )
 

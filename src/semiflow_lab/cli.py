@@ -40,6 +40,7 @@ from .cocycles import (
 from .errors import (
     ConfigError,
     SemiflowError,
+    config_flag,
     config_integer,
     config_number,
     config_pair,
@@ -166,7 +167,10 @@ def run_flow_trace(config, rng):
     z0 = config_pair("z0", _require(config, "z0"))
     t_max = _positive(config, "t_max", 2.0)
     n = _count(config, "samples", 50)
-    traj = flow_trace(flow, z0, t_max, n, _positive(config, "tol", None))
+    times = [t_max * k / n for k in range(n + 1)]  # flow_trace samples times[1:]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"config key 't_max' = {t_max!r} is too small for {n} distinct sample times")
+    traj = flow_trace(flow, z0, t_max, n)
     verdicts = Verdicts()
     inside = all(abs(complex(row[1], row[2])) < 1.0 for row in traj.to_csv_rows())
     verdicts.add("trajectory-inside-disc", inside)
@@ -306,8 +310,8 @@ def run_transfer_check(config, rng):
 def _zeros_from_config(config):
     if "zeros" in config:
         zeros = config["zeros"]
-        if not isinstance(zeros, list):
-            raise ConfigError(f"config key 'zeros' must be a list of [re, im] pairs, got {zeros!r}")
+        if not isinstance(zeros, list) or not zeros:
+            raise ConfigError(f"config key 'zeros' must be a non-empty list of [re, im] pairs, got {zeros!r}")
         zeros = tuple(config_pair("zeros", p) for p in zeros)
         for a in zeros:
             if abs(a) >= 1.0:
@@ -433,6 +437,7 @@ def run_bloch_gap_auto(config, rng):
 
 def run_separability(config, rng):
     zeros = _zeros_from_config(config)
+    refine = config_flag("refine", config.get("refine", True))
     B = BlaschkeProduct(zeros)
     if isinstance(config.get("rotations"), list):
         rotations = _numbers(config, "rotations", [])
@@ -448,7 +453,7 @@ def run_separability(config, rng):
         verdicts.add("pairwise-gaps-positive", True, None, 0.0)
         return verdicts, {"separability": (["theta_i", "theta_j", "gap"], [])}
     verdicts.add("pairwise-gaps-positive", rep.eps_hat > 0.0, rep.eps_hat, 0.0)
-    if config.get("refine", True):
+    if refine:
         rep2 = separability_witness(B, rotations, grid.refine())
         drift = abs(rep2.eps_hat - rep.eps_hat) / rep.eps_hat
         verdicts.add("eps-hat-grid-stable", drift <= 0.2, drift, 0.2)

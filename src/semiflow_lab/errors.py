@@ -110,6 +110,13 @@ def config_integer(key: str, v, least: float = 1) -> int:
     return int(v)
 
 
+def config_flag(key: str, v) -> bool:
+    """v, once it is a JSON true or false (a string or a number is not a flag)."""
+    if not isinstance(v, bool):
+        raise ConfigError(f"config key {key!r} must be true or false, got {v!r}")
+    return v
+
+
 def config_pair(key: str, v) -> complex:
     """v as a complex, once it is a [re, im] pair of finite numbers."""
     if not isinstance(v, (list, tuple)) or len(v) != 2:

@@ -26,6 +26,7 @@ from .errors import (
     InverseError,
     ModelError,
     NoConvergence,
+    config_flag,
     config_integer,
     config_number,
     config_pair,
@@ -250,29 +251,29 @@ class FlowModel:
     """Common interface: closed-form or integrated evaluation of phi_t.
 
     z is one start point or an ndarray of them; the result has its shape.
-    t is one time, or an ndarray with a time per point.  Integrations along
-    the orbits (the cocycle sweep too) run at ``tol``.
+    t is one time, or an ndarray with a time per point.  Every integration
+    along an orbit (the cocycle sweep too) runs at the flow's ``tol``.
     """
 
     tol = DEFAULT_TOL
 
-    def advance(self, z, t, tol: float | None = None):
+    def advance(self, z, t):
         z, t = _check_start(z, t)
         if isinstance(t, float) and t == 0.0:
             return z
-        return _check_inside(self._advance(z, t, tol), EscapeError, "flow")
+        return _check_inside(self._advance(z, t), EscapeError, "flow")
 
-    def advance_with_derivative(self, z, t, tol: float | None = None):
+    def advance_with_derivative(self, z, t):
         z, t = _check_start(z, t)
         if isinstance(t, float) and t == 0.0:
             return z, full(z, 1.0)
-        w, dw = self._advance_with_derivative(z, t, tol)
+        w, dw = self._advance_with_derivative(z, t)
         return _check_inside(w, EscapeError, "flow"), dw
 
-    def _advance(self, z, t, tol):
+    def _advance(self, z, t):
         raise NotImplementedError
 
-    def _advance_with_derivative(self, z, t, tol):
+    def _advance_with_derivative(self, z, t):
         raise NotImplementedError
 
     def generator_fn(self) -> AnalyticFn:
@@ -290,12 +291,12 @@ class OdeFlow(FlowModel):
     G: AnalyticFn
     tol: float = DEFAULT_TOL
 
-    def _advance(self, z, t, tol):
+    def _advance(self, z, t):
         G = self.G
-        y = _integrate(lambda y: (G.eval_anywhere(y[0]),), (z,), t, self.tol if tol is None else tol)
+        y = _integrate(lambda y: (G.eval_anywhere(y[0]),), (z,), t, self.tol)
         return y[0]
 
-    def _advance_with_derivative(self, z, t, tol):
+    def _advance_with_derivative(self, z, t):
         G = self.G
 
         def rhs(y):
@@ -303,7 +304,7 @@ class OdeFlow(FlowModel):
             Gw, dG = G.jet(w)
             return Gw, dG * v
 
-        y = _integrate(rhs, (z, 1.0), t, self.tol if tol is None else tol)
+        y = _integrate(rhs, (z, 1.0), t, self.tol)
         return y[0], y[1]
 
     def generator_fn(self):
@@ -318,82 +319,66 @@ def ode_flow(G: AnalyticFn, tol: float = DEFAULT_TOL) -> OdeFlow:
 
 
 @dataclass(frozen=True)
-class KoenigsSpiral(FlowModel):
-    """phi_t = h^{-1}(e^{-ct} h(z)); ``koenigs_flow`` checks a spiral's h(0) = 0
-    and Re c >= 0, and the hyperbolic automorphism has a half-plane h and c < 0."""
+class KoenigsFlow(FlowModel):
+    """phi_t = h^{-1}(L_t h(z)), with L_t u = e^{-ct} u (mode 'spiral') or
+    u + ct (mode 'translate').
+
+    ``koenigs_flow`` checks a spiral's h(0) = 0 and Re c >= 0; the hyperbolic
+    automorphism is a spiral with a half-plane h and c < 0, and a translate's
+    image domain must absorb the ray +ct.
+    """
 
     h: ConformalMap
     c: complex
+    mode: str
 
     def __post_init__(self):
+        if self.mode not in ("spiral", "translate"):
+            raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "c", complex(self.c))
 
-    def _advance(self, z, t, tol):
-        u = exp(-self.c * t) * self.h.map(z)
+    def _advance(self, z, t):
+        if self.mode == "spiral":
+            u = exp(-self.c * t) * self.h.map(z)
+        else:
+            u = self.h.map(z) + self.c * t
         return _check_inside(self.h.inverse_at(u, seed=z), InverseError, "inverse")
 
-    def _advance_with_derivative(self, z, t, tol):
-        w = self._advance(z, t, tol)
-        dw = exp(-self.c * t) * self.h.map_derivative(z) / self.h.map_derivative(w)
-        return w, dw
+    def _advance_with_derivative(self, z, t):
+        w = self._advance(z, t)
+        dh = self.h.map_derivative(z)
+        if self.mode == "spiral":
+            dh = exp(-self.c * t) * dh
+        return w, dh / self.h.map_derivative(w)
 
     def generator_fn(self):
-        # d/dt h^{-1}(e^{-ct} h(z)) at t=0 equals -c h(z)/h'(z).
-        return Product(
-            (Constant(-self.c), Quotient(self.h.forward, self.h.forward.derivative()))
-        )
-
-    def to_json(self):
-        return {
-            "type": "koenigs",
-            "mode": "spiral",
-            "h": self.h.to_json(),
-            "c": [self.c.real, self.c.imag],
-        }
-
-
-@dataclass(frozen=True)
-class KoenigsTranslate(FlowModel):
-    """phi_t = h^{-1}(h(z) + ct); the image domain must absorb the ray +ct."""
-
-    h: ConformalMap
-    c: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", complex(self.c))
-
-    def _advance(self, z, t, tol):
-        u = self.h.map(z) + self.c * t
-        return _check_inside(self.h.inverse_at(u, seed=z), InverseError, "inverse")
-
-    def _advance_with_derivative(self, z, t, tol):
-        w = self._advance(z, t, tol)
-        dw = self.h.map_derivative(z) / self.h.map_derivative(w)
-        return w, dw
-
-    def generator_fn(self):
+        # d/dt h^{-1}(L_t h(z)) at t = 0: -c h(z)/h'(z) or c/h'(z)
+        if self.mode == "spiral":
+            return Product(
+                (Constant(-self.c), Quotient(self.h.forward, self.h.forward.derivative()))
+            )
         return Quotient(Constant(self.c), self.h.forward.derivative())
 
     def to_json(self):
         return {
             "type": "koenigs",
-            "mode": "translate",
+            "mode": self.mode,
             "h": self.h.to_json(),
             "c": [self.c.real, self.c.imag],
         }
 
 
-def koenigs_flow(h: ConformalMap, c: complex, mode: str) -> FlowModel:
+def koenigs_flow(h: ConformalMap, c: complex, mode: str) -> KoenigsFlow:
     """Build a closed-form flow from a linearization map h and rate c."""
     if mode == "spiral":
         if abs(h.map(0.0)) > 1e-12:
             raise ModelError("spiral model requires h(0) = 0")
         if complex(c).real < 0:
             raise ModelError("spiral model requires Re c >= 0")
-        return KoenigsSpiral(h, c)
-    if mode == "translate":
-        return KoenigsTranslate(h, c)
-    raise ValueError(f"unknown mode {mode!r}")
+    return KoenigsFlow(h, c, mode)
+
+
+_AUTOMORPHISM_KINDS = ("elliptic", "hyperbolic", "parabolic")
 
 
 @dataclass(frozen=True)
@@ -413,24 +398,24 @@ class Automorphism(FlowModel):
     reflect: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("elliptic", "hyperbolic", "parabolic"):
+        if self.kind not in _AUTOMORPHISM_KINDS:
             raise ModelError(f"unknown automorphism kind {self.kind!r}")
 
     @cached_property
     def _model(self) -> FlowModel:
         if self.kind == "elliptic":
-            return KoenigsSpiral(identity_map(), -1j * self.omega)
+            return KoenigsFlow(identity_map(), -1j * self.omega, "spiral")
         h = reflected_cayley_map() if self.reflect else cayley_map()
         if self.kind == "hyperbolic":
             # the dilation e^{rate t} of the half-plane h(D)
-            return KoenigsSpiral(h, -self.rate)
-        return KoenigsTranslate(h, 1j * self.speed)
+            return KoenigsFlow(h, -self.rate, "spiral")
+        return KoenigsFlow(h, 1j * self.speed, "translate")
 
-    def _advance(self, z, t, tol):
-        return self._model._advance(z, t, tol)
+    def _advance(self, z, t):
+        return self._model._advance(z, t)
 
-    def _advance_with_derivative(self, z, t, tol):
-        return self._model._advance_with_derivative(z, t, tol)
+    def _advance_with_derivative(self, z, t):
+        return self._model._advance_with_derivative(z, t)
 
     def generator_fn(self):
         return self._model.generator_fn()
@@ -466,11 +451,11 @@ class RotatedFlow(FlowModel):
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "tol", self.inner.tol)
 
-    def _advance(self, z, t, tol):
-        return self.inner._advance(self.gamma * z, t, tol) / self.gamma
+    def _advance(self, z, t):
+        return self.inner._advance(self.gamma * z, t) / self.gamma
 
-    def _advance_with_derivative(self, z, t, tol):
-        w, dw = self.inner._advance_with_derivative(self.gamma * z, t, tol)
+    def _advance_with_derivative(self, z, t):
+        w, dw = self.inner._advance_with_derivative(self.gamma * z, t)
         return w / self.gamma, dw
 
     def generator_fn(self):
@@ -489,11 +474,11 @@ class RotatedFlow(FlowModel):
 # Flow operations
 
 
-def check_semigroup(flow: FlowModel, z, s, t, tol: float | None = None):
+def check_semigroup(flow: FlowModel, z, s, t):
     """Residual |phi_{s+t}(z) - phi_t(phi_s(z))|, at a point or at each point
     of an array, with times s and t shared or given per point."""
-    direct = flow.advance(z, s + t, tol)
-    stepped = flow.advance(flow.advance(z, s, tol), t, tol)
+    direct = flow.advance(z, s + t)
+    stepped = flow.advance(flow.advance(z, s), t)
     return abs(direct - stepped)
 
 
@@ -528,7 +513,7 @@ def generator_fd(flow: FlowModel, z, h_ladder):
     """
     h_ladder = _check_ladder(h_ladder)
     z = points(z)
-    vals = [(flow.advance(z, h, tol=1e-12) - z) / h for h in h_ladder]
+    vals = [(flow.advance(z, h) - z) / h for h in h_ladder]
     return extrapolate_to_zero(h_ladder, vals)
 
 
@@ -540,14 +525,12 @@ class BoundaryOrbit:
     increments: tuple
 
 
-def boundary_orbit(
-    flow: FlowModel, gamma0: complex, t: float, r_ladder=None
-) -> BoundaryOrbit:
+def boundary_orbit(flow: FlowModel, gamma0: complex, t: float) -> BoundaryOrbit:
     """Radial limit of phi_t toward the boundary point gamma0.
 
-    Walks r upward along the ladder, Aitken-extrapolates the values, flags
-    convergence when the Cauchy increments drop below 1e-6 and reports
-    whether the limit lands strictly inside the disc.
+    Walks r = 1 - 2^-j upward (j = 3, ..., 30), Aitken-extrapolates the
+    values, flags convergence when the Cauchy increments drop below 1e-6 and
+    reports whether the limit lands strictly inside the disc.
     """
     if t <= 0:
         raise ValueError("boundary orbit needs t > 0")
@@ -555,9 +538,7 @@ def boundary_orbit(
     if gamma0 == 0:
         raise ValueError("gamma0 must be unimodular")
     gamma0 /= abs(gamma0)
-    if r_ladder is None:
-        r_ladder = [1.0 - 2.0 ** (-j) for j in range(3, 31)]
-    vals = [flow.advance(r * gamma0, t) for r in r_ladder]
+    vals = [flow.advance((1.0 - 2.0 ** (-j)) * gamma0, t) for j in range(3, 31)]
     incs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     if len(incs) >= 6:
         head = max(incs[:3])
@@ -600,15 +581,13 @@ class Trajectory:
             yield [t, w.real, w.imag, dw.real, dw.imag]
 
 
-def flow_trace(
-    flow: FlowModel, z0: complex, t_max: float, n: int, tol: float | None = None
-) -> Trajectory:
+def flow_trace(flow: FlowModel, z0: complex, t_max: float, n: int) -> Trajectory:
     if n < 1 or t_max <= 0:
         raise ValueError("need n >= 1 samples and t_max > 0")
     samples = []
     for k in range(1, n + 1):
         t = t_max * k / n
-        w, dw = flow.advance_with_derivative(z0, t, tol)
+        w, dw = flow.advance_with_derivative(z0, t)
         samples.append((t, w, dw))
     return Trajectory(tuple(samples))
 
@@ -617,16 +596,16 @@ def flow_trace(
 # Automorphism classification
 
 
-def _fit_mobius(flow: FlowModel, t: float = 1.0):
-    """Least-squares Mobius fit of phi_t from point evaluations."""
+def _fit_mobius(flow: FlowModel):
+    """Least-squares Mobius fit of phi_1 from point evaluations."""
     zs = [0.0 + 0.0j, 0.3 + 0.0j, -0.4j]
-    ws = [flow.advance(z, t) for z in zs]
+    ws = [flow.advance(z, 1.0) for z in zs]
     rows = [[z, 1.0, -z * w, -w] for z, w in zip(zs, ws)]
     _, _, vh = np.linalg.svd(np.array(rows, dtype=complex))
     a, b, c, d = vh[-1].conjugate()
     mob = Mobius(a, b, c, d)
     for z in (0.15 + 0.25j, -0.5 + 0.1j, 0.6j):
-        if abs(mob.eval_anywhere(z) - flow.advance(z, t)) > 1e-9:
+        if abs(mob.eval_anywhere(z) - flow.advance(z, 1.0)) > 1e-9:
             raise ModelError("time-1 map is not a Mobius transformation")
     return a, b, c, d
 
@@ -643,7 +622,7 @@ def _mobius_fixed_points(a, b, c, d):
     return [((a - d) + root) / (2.0 * c), ((a - d) - root) / (2.0 * c)]
 
 
-def classify_automorphism(flow: FlowModel, tol: float = 1e-9) -> str:
+def classify_automorphism(flow: FlowModel) -> str:
     """'elliptic', 'hyperbolic' or 'parabolic' from the time-1 map.
 
     Fits a Mobius transformation to phi_1, normalizes it to unit determinant
@@ -658,7 +637,7 @@ def classify_automorphism(flow: FlowModel, tol: float = 1e-9) -> str:
     if abs(tr2.imag) > 1e-6:
         raise ModelError("time-1 map does not preserve the disc")
     x = tr2.real
-    if abs(x - 4.0) <= tol:
+    if abs(x - 4.0) <= 1e-9:
         return "parabolic"
     return "elliptic" if x < 4.0 else "hyperbolic"
 
@@ -680,18 +659,21 @@ def flow_from_json(obj: dict) -> FlowModel:
     if kind == "koenigs":
         return koenigs_flow(map_from_json(obj["h"]), config_pair("c", obj["c"]), obj["mode"])
     if kind == "automorphism":
-        reflect = obj.get("reflect", False)
-        if not isinstance(reflect, bool):
-            raise ConfigError(f"config key 'reflect' must be true or false, got {reflect!r}")
+        if obj["kind"] not in _AUTOMORPHISM_KINDS:
+            raise ConfigError(f"unknown automorphism kind {obj['kind']!r}")
         return Automorphism(
             kind=obj["kind"],
             omega=config_number("omega", obj.get("omega", 0.0)),
             rate=config_number("rate", obj.get("rate", 0.0)),
             speed=config_number("speed", obj.get("speed", 0.0)),
-            reflect=reflect,
+            reflect=config_flag("reflect", obj.get("reflect", False)),
         )
     if kind == "rotated":
-        return RotatedFlow(flow_from_json(obj["inner"]), config_pair("gamma", obj["gamma"]))
+        inner = flow_from_json(obj["inner"])
+        gamma = config_pair("gamma", obj["gamma"])
+        if abs(abs(gamma) - 1.0) > 1e-12:
+            raise ConfigError(f"config key 'gamma' must be unimodular, got {gamma}")
+        return RotatedFlow(inner, gamma)
     raise ConfigError(f"unknown flow type {kind!r}")
 
 

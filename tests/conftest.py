@@ -48,6 +48,7 @@ def flow_corpus(tol=1e-10):
         name: sl.ode_flow(G, tol) for name, G in generator_corpus().items()
     }
     flows["cayley-parabolic"] = sl.koenigs_flow(sl.cayley_map(), 1j, "translate")
+    flows["mobius-spiral"] = sl.koenigs_flow(sl.mobius_map(1, 0, -0.5, 1), 1.0, "spiral")
     return flows
 
 

@@ -143,7 +143,7 @@ def test_near_pole_point_refused_in_a_batch(tol, error):
 
 def test_flow_leaving_the_disc_is_typed_in_a_batch():
     class HalfOut(sl.FlowModel):
-        def _advance(self, z, t, tol):
+        def _advance(self, z, t):
             return np.where(z.real > 0, 1.0 + 0j, z)
 
     with pytest.raises(sl.EscapeError):
@@ -289,7 +289,7 @@ def test_escape_names_the_points_own_time():
 
 def test_coboundary_refusal_names_the_points_own_time():
     class ToOrigin(sl.FlowModel):
-        def _advance(self, z, t, tol):
+        def _advance(self, z, t):
             return np.where(t > 0.4, 0.0, z)
 
     with pytest.raises(sl.SingularityError, match=r"orbit of \(0\.5\+0j\) at t = 0\.75$"):

@@ -256,8 +256,9 @@ COBOUNDARY = {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [
         ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "N": 2,
                        "grid": {"radii": [0.0], "angular": [1], "points": 5}}),
         ("flow-trace", {"flow": RADIAL, "z0": [0.5, 0], "t_max": 0}),
-        ("flow-trace", {"flow": RADIAL, "z0": [0.5, 0], "tol": 0}),
-        ("flow-trace", {"flow": RADIAL, "z0": [0.5, 0], "tol": -1}),
+        # sample times t_max k / n that round together: the first to 0, or two later ones
+        ("flow-trace", {"flow": RADIAL, "z0": [0.5, 0], "t_max": 5e-324, "samples": 50}),
+        ("flow-trace", {"flow": RADIAL, "z0": [0.5, 0], "t_max": 2e-322, "samples": 50}),
         ("flow-check", {"flow": {**RADIAL, "tol": 0}}),
         ("flow-check", {"flow": {**RADIAL, "tol": -1}}),
         ("flow-check", {"flow": {**RADIAL, "tol": float("nan")}}),
@@ -296,6 +297,15 @@ COBOUNDARY = {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [
         ("generator-check", {"flow": RADIAL, "weight": G_ID, "function": {"op": "id"},
                              "ratio_window": [0.7, 0.3]}),
         ("bloch-gap-auto", {"flow": PARABOLIC, "ratio_window": [1.2, 0.8]}),
+        ("flow-check", {"flow": {"type": "automorphism", "kind": "loxodromic"}}),
+        ("flow-check", {"flow": {"type": "rotated", "gamma": [2, 0], "inner": RADIAL}}),
+        ("generator-check", {"flow": RADIAL, "weight": G_ID, "function": {"op": "id"},
+                             "norm": {"type": "bloch", "grid": {"radii": ["0.5"], "angular": [8]}}}),
+        ("generator-check", {"flow": RADIAL, "weight": G_ID, "function": {"op": "id"},
+                             "norm": {"type": "bloch", "grid": {"radii": [0.5], "angular": [2.7]}}}),
+        ("separability", {"rotations": {"count": 2}, "refine": "false"}),
+        ("gpv", {"zeros": []}),
+        ("separability", {"zeros": []}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):

@@ -79,7 +79,7 @@ def test_coboundary_examples():
 
 def test_coboundary_zero_on_orbit_is_typed():
     class ToOrigin(sl.FlowModel):
-        def _advance(self, z, t, tol):
+        def _advance(self, z, t):
             return 0.0j
 
     with pytest.raises(sl.SingularityError):
@@ -271,9 +271,9 @@ def test_coboundary_similarity_advances_once(monkeypatch):
     calls = []
     advance = sl.OdeFlow._advance
 
-    def counted(self, z, t, tol):
+    def counted(self, z, t):
         calls.append(z)
-        return advance(self, z, t, tol)
+        return advance(self, z, t)
 
     monkeypatch.setattr(sl.OdeFlow, "_advance", counted)
     resid = sl.coboundary_similarity_check(

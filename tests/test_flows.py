@@ -50,10 +50,10 @@ def test_escape_guard_is_loud():
 def test_flow_leaving_the_disc_is_typed():
     # a typed error, not an assert: the guard must survive python -O
     class ToCircle(sl.FlowModel):
-        def _advance(self, z, t, tol):
+        def _advance(self, z, t):
             return 1.0
 
-        def _advance_with_derivative(self, z, t, tol):
+        def _advance_with_derivative(self, z, t):
             return 1.0, 1.0
 
     with pytest.raises(sl.EscapeError):
@@ -261,11 +261,11 @@ def test_boundary_orbit_trivial_flow():
 
 class _OscillatingFlow(sl.FlowModel):
     # not a semiflow; radial values bounce so the ladder increments never decay
-    def _advance(self, z, t, tol):
+    def _advance(self, z, t):
         return 0.5 * math.sin(1.0 / (1.0 - abs(z)))
 
-    def _advance_with_derivative(self, z, t, tol):
-        return self._advance(z, t, tol), 1.0
+    def _advance_with_derivative(self, z, t):
+        return self._advance(z, t), 1.0
 
 
 def test_boundary_orbit_no_convergence():

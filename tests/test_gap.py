@@ -72,9 +72,9 @@ class StartRecorder(sl.OdeFlow):
         super().__init__(sl.Polynomial([0, -1]), 1e-12)
         object.__setattr__(self, "starts", starts)
 
-    def _advance(self, z, t, tol):
+    def _advance(self, z, t):
         self.starts.append(float(abs(z).max()) if hasattr(z, "max") else abs(z))
-        return super()._advance(z, t, tol)
+        return super()._advance(z, t)
 
 
 def test_case1_depth_cap_refuses_before_any_orbit():

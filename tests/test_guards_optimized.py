@@ -23,12 +23,12 @@ if __debug__:
 
 
 class ToCircle(sl.FlowModel):
-    def _advance(self, z, t, tol):
+    def _advance(self, z, t):
         return z / abs(z)
 
 
 class ToOrigin(sl.FlowModel):
-    def _advance(self, z, t, tol):
+    def _advance(self, z, t):
         return 0.0 * z
 
 
