@@ -458,7 +458,7 @@ def fn_from_json(obj: dict) -> AnalyticFn:
     if op == "exp":
         return Exp(fn_from_json(obj["arg"]))
     if op == "log":
-        # a "base" key, written by earlier versions, is ignored
+        obj.get("base")  # written by earlier versions; read and discarded
         return Log(fn_from_json(obj["arg"]), guards=_json2guards(obj.get("guards", [])))
     if op == "sum":
         return Sum(tuple(fn_from_json(t) for t in obj["terms"]))
@@ -510,10 +510,13 @@ class TaylorSeries:
 def _call(f, z: np.ndarray) -> np.ndarray:
     # Norm helpers accept either a tree or a bare callable (e.g. a semigroup
     # residual z -> (W_t f(z) - f(z))/t - A f(z)); either gets the whole
-    # ndarray of sample points in one call.
+    # ndarray of sample points in one call, and either is refused at the
+    # first point where its value is not finite.
     if isinstance(f, AnalyticFn):
         return f.eval(z)
-    return np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
+    w = np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
+    raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
+    return w
 
 
 def _circle(r: float, M: int) -> np.ndarray:
@@ -606,9 +609,6 @@ class GridSpec:
             else:
                 counts.append(2 * max(self.angular))
         return GridSpec(tuple(new_radii), tuple(counts), self.points)
-
-    def contains_point(self, p: complex, tol: float = 1e-12) -> bool:
-        return any(abs(q - complex(p)) <= tol for q in self.iter_points())
 
     def to_json(self):
         return {

@@ -5,6 +5,12 @@ machine-readable reports: report.json (verdicts and summary numbers), one
 CSV per table, and metadata.json (wall clock; kept separate so reruns with
 the same config produce byte-identical report and CSV bodies).  Exit code
 0 iff every verdict passes.
+
+Every JSON object of a config records the keys its readers read, and a key
+that nothing read is a config error (exit 2), also when a numerical error
+ended the run.  So each runner reads all its keys before any numerical work,
+and builds its flow last: a Koenigs spiral whose h(0) != 0 raises ModelError
+there.
 """
 
 from __future__ import annotations
@@ -47,8 +53,35 @@ from .errors import (
     config_parser,
     config_positive,
 )
-from .flows import check_semigroup, flow_from_json, flow_trace, generator_fd, map_from_json
+from .flows import check_semigroup, flow_from_json, generator_fd, map_from_json
 from .gap import bloch_gap, construct_case1, construct_case2, reduce_rotations, separability_witness
+
+
+class _Config(dict):
+    """A JSON object of the loaded config that records which of its keys were read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _unread(obj, path: str = ""):
+    """The key paths, nested objects included, that no reader of the config read."""
+    if isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _unread(v, f"{path}[{i}]")
+    elif isinstance(obj, _Config):
+        for key, v in obj.items():
+            where = f"{path}.{key}" if path else key
+            yield from _unread(v, where) if key in obj.read else (where,)
 
 
 def _digest(config: dict) -> str:
@@ -104,7 +137,7 @@ def _object(config: dict, key: str, default: dict) -> dict:
     return v
 
 
-def _grid(config: dict, default: dict, extra: list) -> GridSpec:
+def _grid(config: dict, default: dict, extra=()) -> GridSpec:
     """The grid of config["grid"] (``default`` when absent) with the points ``extra`` added."""
     grid = GridSpec.from_json(_object(config, "grid", default))
     return GridSpec(grid.radii, grid.angular, grid.points + tuple(extra))
@@ -163,29 +196,29 @@ class Verdicts:
 
 
 def run_flow_trace(config, rng):
-    flow = flow_from_json(_require(config, "flow"))
     z0 = config_pair("z0", _require(config, "z0"))
     t_max = _positive(config, "t_max", 2.0)
     n = _count(config, "samples", 50)
-    times = [t_max * k / n for k in range(n + 1)]  # flow_trace samples times[1:]
+    times = [t_max * k / n for k in range(n + 1)]  # the samples are times[1:]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError(f"config key 't_max' = {t_max!r} is too small for {n} distinct sample times")
-    traj = flow_trace(flow, z0, t_max, n)
+    flow = flow_from_json(_require(config, "flow"))
+    ts = np.array(times[1:])
+    w, dw = flow.advance_with_derivative(z0, ts)  # one orbit, sampled at per-point end times
     verdicts = Verdicts()
-    inside = all(abs(complex(row[1], row[2])) < 1.0 for row in traj.to_csv_rows())
-    verdicts.add("trajectory-inside-disc", inside)
-    tables = {"trajectory": (["t", "re", "im", "dre", "dim"], list(traj.to_csv_rows()))}
-    return verdicts, tables
+    verdicts.add("trajectory-inside-disc", bool(np.all(abs(w) < 1.0)))
+    rows = np.column_stack([ts, w.real, w.imag, dw.real, dw.imag]).tolist()
+    return verdicts, {"trajectory": (["t", "re", "im", "dre", "dim"], rows)}
 
 
 def run_flow_check(config, rng):
-    flow = flow_from_json(_require(config, "flow"))
     n = _count(config, "n_points", 50)
     radius = _number(config, "z_radius", 0.8, least=0.0, below=1.0)
     t_lo, t_hi = _window(config, "t_range", [0.0, 2.0], least=0.0)
     thr_semi = _number(config, "semigroup_threshold", 1e-8)
     ladder = _ladder(config, "generator_ladder", [5e-3, 2.5e-3, 1.25e-3])
     thr_gen = _number(config, "generator_threshold", 1e-6)
+    flow = flow_from_json(_require(config, "flow"))
 
     zs = random_disc_points(rng, n, radius)
     s, t = np.array([(rng.uniform(t_lo, t_hi), rng.uniform(t_lo, t_hi)) for _ in zs]).T
@@ -210,15 +243,14 @@ def run_flow_check(config, rng):
 
 
 def run_cocycle_check(config, rng):
-    flow = flow_from_json(_require(config, "flow"))
     weight = weight_from_json(_require(config, "weight"))
-    wsg = WeightedSemigroup(flow, weight)
     n = _count(config, "n_points", 50)
     radius = _number(config, "z_radius", 0.8, least=0.0, below=1.0)
     t_lo, t_hi = _window(config, "t_range", [0.0, 1.0], least=0.0)
     thr_id = _number(config, "identity_threshold", 1e-8)
     ladder = _ladder(config, "fd_ladder", [1e-2, 5e-3, 2.5e-3])
     thr_fd = _number(config, "fd_threshold", 1e-6)
+    wsg = WeightedSemigroup(flow_from_json(_require(config, "flow")), weight)
 
     zs = random_disc_points(rng, n, radius)
     s, t = np.array([(rng.uniform(t_lo, t_hi), rng.uniform(t_lo, t_hi)) for _ in zs]).T
@@ -251,13 +283,12 @@ def _norm_from_config(obj):
 
 
 def run_generator_check(config, rng):
-    flow = flow_from_json(_require(config, "flow"))
     weight = weight_from_json(_require(config, "weight"))
     f = fn_from_json(_require(config, "function"))
-    wsg = WeightedSemigroup(flow, weight)
     norm = _norm_from_config(_object(config, "norm", {}))
     ladder = _ladder(config, "t_ladder", [0.1 * 2 ** (-k) for k in range(7)])
     lo, hi = _window(config, "ratio_window", [0.3, 0.7])
+    wsg = WeightedSemigroup(flow_from_json(_require(config, "flow")), weight)
     table = generator_consistency(wsg, f, norm, ladder)
     verdicts = Verdicts()
     ratios = table.ratios()
@@ -273,13 +304,13 @@ def run_generator_check(config, rng):
 
 
 def run_coboundary_check(config, rng):
-    flow = flow_from_json(_require(config, "flow"))
     alpha = fn_from_json(_require(config, "alpha"))
     f = fn_from_json(_require(config, "function"))
     n = _count(config, "n_points", 50)
     radius = _number(config, "z_radius", 0.8, least=0.0, below=1.0)
     t_lo, t_hi = _window(config, "t_range", [0.0, 1.0], least=0.0)
     thr = _number(config, "threshold", 1e-12)
+    flow = flow_from_json(_require(config, "flow"))
     zs = random_disc_points(rng, n, radius)
     t = np.array([rng.uniform(t_lo, t_hi) for _ in zs])
     resid = coboundary_similarity_check(alpha, flow, f, np.array(zs), t)
@@ -291,14 +322,13 @@ def run_coboundary_check(config, rng):
 
 def run_transfer_check(config, rng):
     h = map_from_json(config.get("map", "cayley"))
-    flow = flow_from_json(_require(config, "flow"))
     weight = weight_from_json(_require(config, "weight"))
     f = fn_from_json(_require(config, "function"))
-    wsg = WeightedSemigroup(flow, weight)
     n = _count(config, "n_points", 20)
     radius = _number(config, "z_radius", 0.7, least=0.0, below=1.0)
     t = _number(config, "t", 0.5, least=0.0)
     thr = _number(config, "threshold", 1e-9)
+    wsg = WeightedSemigroup(flow_from_json(_require(config, "flow")), weight)
     zs = random_disc_points(rng, n, radius)
     resid = transfer_conjugation_check(h, wsg, f, np.array(zs), t)
     worst = float(resid.max())
@@ -327,18 +357,20 @@ def run_gpv(config, rng):
     zeros = _zeros_from_config(config)
     alpha = _fraction(config, "alpha", 0.1)
     samples = _count(config, "samples_per_disc", 80)
+    counts = []
+    if config.get("stability_counts"):
+        counts = [config_integer("stability_counts", c) for c in _numbers(config, "stability_counts", [])]
     B = BlaschkeProduct(zeros)
     report = gpv_bound_check(B, alpha=alpha, samples_per_disc=samples)
     verdicts = Verdicts()
     verdicts.add("pseudo-discs-disjoint", report.disjoint, report.min_pairwise_rho, report.rho_threshold)
     verdicts.add("derivative-lower-bound-positive", report.beta_hat > 0.0, report.beta_hat, 0.0)
-    if config.get("stability_counts"):
+    if counts:
         betas = [
             gpv_bound_check(
-                BlaschkeProduct(radial_zeros(config_integer("stability_counts", count))),
-                alpha=alpha, samples_per_disc=samples,
+                BlaschkeProduct(radial_zeros(count)), alpha=alpha, samples_per_disc=samples
             ).beta_hat
-            for count in _numbers(config, "stability_counts", [])
+            for count in counts
         ]
         factor = max(betas) / min(betas)
         verdicts.add("beta-hat-stable", factor < 2.0, factor, 2.0)
@@ -351,7 +383,6 @@ def run_gpv(config, rng):
 
 
 def run_bloch_gap(config, rng):
-    flow = flow_from_json(_require(config, "flow"))
     weights = _require(config, "weights")
     if not isinstance(weights, list) or not weights:
         raise ConfigError(f"config key 'weights' must be a non-empty list of weights, got {weights!r}")
@@ -361,9 +392,8 @@ def run_bloch_gap(config, rng):
         raise ConfigError(f"gamma0 = {gamma0} must be unimodular")
     N = _count(config, "N", 6)
     t_start = _positive(config, "t_start", 0.5)
-    gc = construct_case1(flow, gamma0, N, t_start)
-    grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 8, 16, 16]},
-                 [complex(lv.r) for lv in gc.levels])
+    grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 8, 16, 16]})
+    gc = construct_case1(flow_from_json(_require(config, "flow")), gamma0, N, t_start)
     verdicts = Verdicts()
     margins = gc.geom_margins()
     worst_margin = min(
@@ -376,14 +406,10 @@ def run_bloch_gap(config, rng):
         gc.levels[-1].t / gc.levels[0].t, 1.0 / 32.0,
     )
 
-    if gc.flow is not flow:
-        # the construction runs in the frame rotated by gamma0; so must the weights
-        weights = [w.rotated(gc.gamma0) for w in weights]
     tables = {}
     bound_sets = []
     for idx, weight in enumerate(weights):
-        wsg = WeightedSemigroup(gc.flow, weight)
-        rep = bloch_gap(gc, wsg, grid)
+        rep = bloch_gap(gc, weight, grid)
         bound_sets.append(tuple(r.lower_bound for r in rep.rows))
         worst_cancel = max(
             r.cancellation / max(abs(r.lower_bound / (1.0 - r.r)), 1e-300)
@@ -406,13 +432,13 @@ def run_bloch_gap(config, rng):
 
 
 def run_bloch_gap_auto(config, rng):
-    flow = flow_from_json(_require(config, "flow"))
     N = _count(config, "N", 6)
-    gc = construct_case2(flow, N, _positive(config, "t_first_cap", 1.0))
+    t_first_cap = _positive(config, "t_first_cap", 1.0)
     angle_thr = _number(config, "angle_threshold", 1e-9)
     lo, hi = _window(config, "ratio_window", [0.8, 1.2])
     from_n = _count(config, "ratio_from_n", 4, least=0)
     sep_thr = _number(config, "min_separation", 0.1)
+    gc = construct_case2(flow_from_json(_require(config, "flow")), N, t_first_cap)
     verdicts = Verdicts()
     worst_angle = max(
         abs(cmath.phase(lv.w - 1.0) - gc.target_angle) for lv in gc.levels
@@ -527,6 +553,11 @@ def _write_outputs(out_dir, subcommand, config, verdicts, tables, extras, wall_c
     )
 
 
+def _config_error(message) -> int:
+    print(f"config error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="semiflow-lab",
@@ -540,29 +571,34 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
+            config = json.load(fh, object_hook=_Config)
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
 
     rng = np.random.RandomState(args.seed)
     start = time.perf_counter()
+    result = error = None
     try:
         result = RUNNERS[args.subcommand](config, rng)
-        verdicts, tables = result[0], result[1]
-        extras = result[2] if len(result) > 2 else {}
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _config_error(exc)
     except SemiflowError as exc:
+        error = exc
+    wall = time.perf_counter() - start
+    unread = list(_unread(config))
+    if unread:  # refused before any output, and ahead of a numerical error
+        return _config_error(f"keys that {args.subcommand} does not read: {', '.join(unread)}")
+
+    if error is not None:
         verdicts = Verdicts()
         verdicts.add("execution", False)
-        _write_report(args.out, args.subcommand, config, verdicts, {}, exc)
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        _write_report(args.out, args.subcommand, config, verdicts, {}, error)
+        print(f"{type(error).__name__}: {error}", file=sys.stderr)
         return 1
-    wall = time.perf_counter() - start
+    verdicts, tables = result[0], result[1]
+    extras = result[2] if len(result) > 2 else {}
 
     _write_outputs(args.out, args.subcommand, config, verdicts, tables, extras, wall)
     for v in verdicts.items:

@@ -37,8 +37,8 @@ from .analytic import (
 from .errors import ConfigError, DomainError, QuadratureError, SingularityError
 from .errors import config_pair, config_parser
 from .flows import ConformalMap, FlowModel, extrapolate_to_zero
-from .flows import _check_ladder, _integrate
-from .pointwise import exp, full, larger, points, raise_at, times
+from .flows import _check_ladder, _check_start, _integrate
+from .pointwise import exp, full, larger, nonfinite, points, raise_at, times
 
 # DP5(4) local errors scale with the largest state met along the way, so an
 # integral that swells this far above its end value has lost its digits.
@@ -129,24 +129,29 @@ def _cocycle(wsg: WeightedSemigroup, z, t, order):
     exact formula; a constant weight's m_t alone needs no flow.  The start is
     checked first, so no reader returns a value for a point outside the disc.
     """
-    z, t = times(points(z), t)
-    if np.any(t < 0):
-        raise ValueError("cocycle time must be >= 0")
-    raise_at(abs(z) >= 1.0, z, DomainError, "{} not inside the open unit disc")
+    z, t = _check_start(z, t)
     weight = wsg.weight
     if wsg._swept:
         w, dw, integral, d_integral = _sweep(wsg, z, t)
-        m = exp(integral)
-        mp = m * d_integral if order else None
+        m = _finite(exp(integral), z, t)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned about
+            mp = _finite(m * d_integral, z, t) if order else None
     else:
         if isinstance(weight, Weight):
-            m, mp = full(z, exp(weight.g.value * t)), full(z, 0.0)
+            m, mp = _finite(full(z, exp(weight.g.value * t)), z, t), full(z, 0.0)
             if order is None:
                 return m
         w, dw = wsg.flow.advance_with_derivative(z, t) if order else (wsg.flow.advance(z, t), None)
         if isinstance(weight, Coboundary):
             m, mp = _coboundary(weight, z, t, w, dw)
     return m if order is None else (m, w) if order == 0 else (m, mp, w, dw)
+
+
+def _finite(m, z, t):
+    """m, once it is finite at every point of z: an overflowed cocycle is
+    refused, naming the point and its time."""
+    raise_at(nonfinite(m), z, SingularityError, "non-finite cocycle value at {} at t = {}", t)
+    return m
 
 
 def _coboundary(weight: Coboundary, z, t, w, dw):
@@ -161,27 +166,15 @@ def _coboundary(weight: Coboundary, z, t, w, dw):
     az, apz = (alpha.eval(z), None) if dw is None else alpha.jet(z)
     raise_at(az == 0, z, SingularityError, "alpha vanishes at {}")
     aw, apw = (alpha.eval(w), None) if dw is None else alpha.jet(w)
-    m = aw / az
-    raise_at(m == 0, z, SingularityError, "alpha vanishes on the orbit of {} at t = {}", t)
-    return m, None if dw is None else (apw * dw * az - aw * apz) / (az * az)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in the sweep
+        m = _finite(aw / az, z, t)
+        raise_at(m == 0, z, SingularityError, "alpha vanishes on the orbit of {} at t = {}", t)
+        return m, None if dw is None else _finite((apw * dw * az - aw * apz) / (az * az), z, t)
 
 
 def cocycle_eval(wsg: WeightedSemigroup, z, t):
-    """m_t(z) for a Weight-type semigroup."""
-    if not isinstance(wsg.weight, Weight):
-        raise TypeError("cocycle_eval needs a Weight; use coboundary_eval instead")
+    """m_t(z), for a weight or a coboundary."""
     return _cocycle(wsg, z, t, None)
-
-
-def coboundary_eval(
-    alpha: AnalyticFn,
-    flow: FlowModel,
-    z,
-    t,
-    fixed_point: complex | None = None,
-):
-    """m_t(z) = alpha(phi_t(z)) / alpha(z)."""
-    return _cocycle(WeightedSemigroup(flow, Coboundary(alpha, fixed_point)), z, t, None)
 
 
 def check_cocycle_identity(wsg: WeightedSemigroup, z, s, t):

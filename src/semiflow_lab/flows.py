@@ -561,37 +561,6 @@ def boundary_orbit(flow: FlowModel, gamma0: complex, t: float) -> BoundaryOrbit:
     )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Samples (t, phi_t(z), d phi_t/dz) along one orbit; t strictly increasing."""
-
-    samples: tuple
-
-    def __post_init__(self):
-        last = -1.0
-        for t, w, _ in self.samples:
-            if t <= last:
-                raise ValueError("times must be strictly increasing")
-            if abs(w) >= 1.0:
-                raise ValueError("trajectory value outside the disc")
-            last = t
-
-    def to_csv_rows(self):
-        for t, w, dw in self.samples:
-            yield [t, w.real, w.imag, dw.real, dw.imag]
-
-
-def flow_trace(flow: FlowModel, z0: complex, t_max: float, n: int) -> Trajectory:
-    if n < 1 or t_max <= 0:
-        raise ValueError("need n >= 1 samples and t_max > 0")
-    samples = []
-    for k in range(1, n + 1):
-        t = t_max * k / n
-        w, dw = flow.advance_with_derivative(z0, t)
-        samples.append((t, w, dw))
-    return Trajectory(tuple(samples))
-
-
 # ---------------------------------------------------------------------------
 # Automorphism classification
 
@@ -669,11 +638,10 @@ def flow_from_json(obj: dict) -> FlowModel:
             reflect=config_flag("reflect", obj.get("reflect", False)),
         )
     if kind == "rotated":
-        inner = flow_from_json(obj["inner"])
-        gamma = config_pair("gamma", obj["gamma"])
+        gamma = config_pair("gamma", obj["gamma"])  # read before an inner flow's ModelError can end the run
         if abs(abs(gamma) - 1.0) > 1e-12:
             raise ConfigError(f"config key 'gamma' must be unimodular, got {gamma}")
-        return RotatedFlow(inner, gamma)
+        return RotatedFlow(flow_from_json(obj["inner"]), gamma)
     raise ConfigError(f"unknown flow type {kind!r}")
 
 

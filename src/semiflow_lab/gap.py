@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .blaschke import (
     interpolation_delta,
     pseudo_distance,
 )
-from .cocycles import WeightedSemigroup, weighted_z_derivative
+from .cocycles import Coboundary, Weight, WeightedSemigroup, weighted_z_derivative
 from .errors import (
     BisectionError,
     CaseMismatch,
@@ -236,24 +237,22 @@ class GapReport:
             ]
 
 
-def bloch_gap(gc: GapConstruction, wsg: WeightedSemigroup, grid: GridSpec) -> GapReport:
+def bloch_gap(gc: GapConstruction, weight: Weight | Coboundary, grid: GridSpec) -> GapReport:
     """Per-level Bloch gap of W_{t_n} f - f for the constructed test function.
 
+    W_t is the semigroup of ``weight`` on the construction's flow; for
+    gamma0 != 1 the weight is rotated into the construction's frame first.
     Reports (a) the certified pointwise lower bound |f'(r_n)|(1 - r_n),
-    which does not involve the weight at all, (b) the grid supremum of
-    |d/dz[W_{t_n} f - f]| (1 - |z|^2), and (c) the cancellation residual
-    |d/dz[W_{t_n} f](r_n)|, which the double zeros force to integration
-    tolerance.
+    which does not involve the weight at all, (b) the supremum of
+    |d/dz[W_{t_n} f - f]| (1 - |z|^2) over the grid and the level points
+    r_n, and (c) the cancellation residual |d/dz[W_{t_n} f](r_n)|, which the
+    double zeros force to integration tolerance.
     """
-    if wsg.flow is not gc.flow:
-        # Weights vary across runs; the flow must be the constructed one.
-        if wsg.flow.to_json() != gc.flow.to_json():
-            raise ValueError("semigroup flow differs from the construction flow")
+    if gc.gamma0 != 1.0:
+        weight = weight.rotated(gc.gamma0)
+    wsg = WeightedSemigroup(gc.flow, weight)
     f = build_test_function(gc)
-    for lv in gc.levels:
-        if not grid.contains_point(complex(lv.r)):
-            raise ValueError(f"grid must include the construction point r_{lv.n} = {lv.r}")
-    zs = np.fromiter(grid.iter_points(), dtype=complex)
+    zs = np.fromiter(chain(grid.iter_points(), (lv.r for lv in gc.levels)), dtype=complex)
     fp_grid = f.jet(zs)[1]
     rows = []
     for lv in gc.levels:

@@ -252,7 +252,7 @@ def test_criterion_08_bloch_gap_case1():
     ]
     bound_sets, cancel_ok, delta_hats = [], True, []
     for weight in weights:
-        rep = sl.bloch_gap(gc, sl.WeightedSemigroup(flow, weight), grid)
+        rep = sl.bloch_gap(gc, weight, grid)
         bound_sets.append(tuple(r.lower_bound for r in rep.rows))
         delta_hats.append(rep.delta_hat)
         for row in rep.rows:

@@ -165,6 +165,21 @@ def test_norms_call_a_bare_callable_once_with_an_ndarray():
     assert len(seen) == 3  # taylor, hp_norm_boundary and f(0) in bloch_norm_grid
 
 
+def test_norms_refuse_a_bare_callable_that_is_not_finite():
+    # infinite at 0.5, a sample of every circle and grid below, and finite elsewhere
+    def spike(z):
+        return np.where(z == 0.5, np.inf, z)
+
+    grid = sl.GridSpec((0.0, 0.5), (1, 4))
+    for call in (
+        lambda: sl.taylor(spike, 4, 0.5),
+        lambda: sl.hp_norm_boundary(spike, 2, 0.5, M=64),
+        lambda: sl.bloch_norm_grid(sl.Identity(), grid, derivative=spike),
+    ):
+        with pytest.raises(sl.SingularityError, match=r"^non-finite value at \(0\.5\+0j\)$"):
+            call()
+
+
 disc_points = st.builds(
     lambda r, a: r * cmath.exp(1j * a),
     st.floats(0.0, 0.95),
@@ -220,10 +235,7 @@ def test_time_array_matches_pointwise(fname, rng):
     close(flow.advance)
     for weight in weight_corpus().values():
         wsg = sl.WeightedSemigroup(flow, weight)
-        if isinstance(weight, sl.Weight):
-            close(sl.cocycle_eval, wsg)
-        else:
-            close(lambda z, t: sl.coboundary_eval(weight.alpha, flow, z, t))
+        close(sl.cocycle_eval, wsg)
         close(sl.apply_weighted, wsg, f)
 
 
@@ -293,7 +305,8 @@ def test_coboundary_refusal_names_the_points_own_time():
             return np.where(t > 0.4, 0.0, z)
 
     with pytest.raises(sl.SingularityError, match=r"orbit of \(0\.5\+0j\) at t = 0\.75$"):
-        sl.coboundary_eval(sl.Identity(), ToOrigin(), np.array([0.3, 0.5]), np.array([0.2, 0.75]))
+        sl.cocycle_eval(sl.WeightedSemigroup(ToOrigin(), sl.Coboundary(sl.Identity())),
+                        np.array([0.3, 0.5]), np.array([0.2, 0.75]))
 
 
 @settings(max_examples=30, deadline=None)

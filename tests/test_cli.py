@@ -4,6 +4,7 @@ import pathlib
 import pytest
 
 from semiflow_lab.cli import main
+from semiflow_lab.flows import flow_from_json
 
 RADIAL = {"type": "ode", "G": {"op": "poly", "coeffs": [[0, 0], [-1, 0]]}, "tol": 1e-12}
 
@@ -18,10 +19,19 @@ def run(subcommand, config_path, out_dir):
     return main([subcommand, "--config", config_path, "--out", str(out_dir)])
 
 
+def _refuse_constant(name):
+    raise ValueError(f"report.json holds {name}, which is not JSON")
+
+
+def read_report(out_dir):
+    """report.json of a run; a NaN or an infinity in it fails the test."""
+    return json.loads((out_dir / "report.json").read_text(), parse_constant=_refuse_constant)
+
+
 def test_flow_check_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"flow": RADIAL, "n_points": 10})
     assert run("flow-check", cfg, tmp_path / "out") == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = read_report(tmp_path / "out")
     assert report["passed"]
     assert {v["name"] for v in report["verdicts"]} == {
         "semigroup-identity",
@@ -41,6 +51,21 @@ def test_flow_trace_emits_csv(tmp_path):
     assert len(lines) == 6
 
 
+def test_flow_trace_on_an_ode_flow_matches_one_point_runs(tmp_path):
+    # the samples share one step sequence, so they agree with one-point runs to the flow's tol
+    flow = {**RADIAL, "tol": 1e-10}
+    cfg = write_config(tmp_path, "c.json", {"flow": flow, "z0": [0.5, 0.2], "t_max": 2.0, "samples": 20})
+    assert run("flow-trace", cfg, tmp_path / "out") == 0
+    lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(lines) == 20
+    flow = flow_from_json(flow)
+    for k, line in enumerate(lines, 1):
+        t, re, im, dre, dim = map(float, line.split(","))
+        assert t == 2.0 * k / 20
+        w, dw = flow.advance_with_derivative(0.5 + 0.2j, t)
+        assert abs(complex(re, im) - w) <= 1e-9 and abs(complex(dre, dim) - dw) <= 1e-9
+
+
 def test_generator_check_trivial_zero(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -53,7 +78,7 @@ def test_generator_check_trivial_zero(tmp_path):
         },
     )
     assert run("generator-check", cfg, tmp_path / "out") == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = read_report(tmp_path / "out")
     assert report["verdicts"][0]["name"] == "consistency-trivial-zero"
 
 
@@ -102,7 +127,7 @@ def test_gpv_subcommand(tmp_path):
         {"family": {"kind": "geometric", "count": 12}, "alpha": 0.1, "stability_counts": [8, 14]},
     )
     assert run("gpv", cfg, tmp_path / "out") == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = read_report(tmp_path / "out")
     names = {v["name"] for v in report["verdicts"]}
     assert "pseudo-discs-disjoint" in names and "beta-hat-stable" in names
     gpv = json.loads((tmp_path / "out" / "gpv_report.json").read_text())
@@ -145,7 +170,7 @@ def test_bloch_gap_rotated_base_point(tmp_path):
         },
     )
     assert run("bloch-gap", cfg, tmp_path / "out") == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = read_report(tmp_path / "out")
     assert report["passed"] and len(report["tables"]) == 3
 
 
@@ -173,7 +198,7 @@ def test_exit_code_on_failed_verdict(tmp_path):
         tmp_path, "c.json", {"flow": RADIAL, "n_points": 5, "semigroup_threshold": 1e-30}
     )
     assert run("flow-check", cfg, tmp_path / "out") == 1
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = read_report(tmp_path / "out")
     assert not report["passed"]
 
 
@@ -193,7 +218,7 @@ def test_exit_code_on_module_error(tmp_path):
         },
     )
     assert run("flow-trace", cfg, tmp_path / "out") == 1
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = read_report(tmp_path / "out")
     assert report["error"]["type"] == "ModelError"
 
 
@@ -212,7 +237,7 @@ def test_bloch_gap_too_deep_is_depth_exceeded(tmp_path):
         {"flow": RADIAL, "weights": [{"type": "weight", "g": {"op": "id"}}], "N": 10},
     )
     assert run("bloch-gap", cfg, tmp_path / "out") == 1
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = read_report(tmp_path / "out")
     assert report["error"]["type"] == "DepthExceeded"
 
 
@@ -306,6 +331,13 @@ COBOUNDARY = {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [
         ("separability", {"rotations": {"count": 2}, "refine": "false"}),
         ("gpv", {"zeros": []}),
         ("separability", {"zeros": []}),
+        # keys that nothing reads: a misspelt threshold or count, a retired key, a key in the flow
+        ("flow-check", {"flow": RADIAL, "semigroup_treshold": 1e-30}),
+        ("flow-check", {"flow": RADIAL, "n_point": 5}),
+        ("flow-trace", {"flow": RADIAL, "z0": [0.5, 0], "tol": 0}),
+        ("flow-check", {"flow": {**RADIAL, "tols": 1e-12}}),
+        # an unread key wins over the DepthExceeded that ends the run
+        ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "N": 14, "gird": {}}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):
@@ -313,6 +345,27 @@ def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):
     assert run(subcommand, cfg, tmp_path / "out") == 2
     assert not (tmp_path / "out" / "report.json").exists()
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+OVERFLOW = {"type": "weight", "g": {"op": "const", "value": [1000, 0]}}
+
+
+@pytest.mark.parametrize(
+    "subcommand, payload",
+    [
+        ("cocycle-check", {"flow": RADIAL, "weight": OVERFLOW}),
+        ("cocycle-check", {"flow": RADIAL, "weight": {"type": "weight", "g": {"op": "poly", "coeffs": [[800, 0]]}}}),
+        ("generator-check", {"flow": RADIAL, "weight": OVERFLOW, "function": {"op": "id"},
+                             "t_ladder": [1.0, 0.5]}),
+    ],
+    ids=["constant-weight", "swept-weight", "generator-table"],
+)
+def test_overflowing_cocycle_is_a_singularity(tmp_path, capsys, subcommand, payload):
+    # m_t = e^{1000 t} overflows for t > 0.71, e^{800 t} for t > 0.89: refused, not written as NaN
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run(subcommand, cfg, tmp_path / "out") == 1
+    assert read_report(tmp_path / "out")["error"]["type"] == "SingularityError"
+    assert capsys.readouterr().err.startswith("SingularityError: non-finite")
 
 
 def test_csv_bodies_deterministic(tmp_path):
@@ -337,7 +390,7 @@ def test_metadata_is_separate(tmp_path):
     assert run("flow-check", cfg, tmp_path / "out") == 0
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert "wall_clock_seconds" in meta and "timestamp" in meta
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    report = read_report(tmp_path / "out")
     assert "timestamp" not in report
 
 
@@ -360,5 +413,5 @@ SHIPPED = {
 def test_shipped_config_passes(tmp_path, path):
     out = tmp_path / "out"
     assert main([SHIPPED[path.stem], "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
-    verdicts = json.loads((out / "report.json").read_text())["verdicts"]
+    verdicts = read_report(out)["verdicts"]
     assert verdicts and all(v["passed"] for v in verdicts)

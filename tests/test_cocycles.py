@@ -35,12 +35,6 @@ def test_cocycle_time_zero():
             assert sl.cocycle_eval(wsg, 0.4, 0.0) == 1.0
 
 
-def test_cocycle_eval_rejects_coboundary():
-    wsg = sl.WeightedSemigroup(radial_flow(), sl.Coboundary(sl.Polynomial([1, -1])))
-    with pytest.raises(TypeError):
-        sl.cocycle_eval(wsg, 0.4, 0.5)
-
-
 def pole_weight(p):
     return sl.Weight(sl.Quotient(sl.Constant(1), sl.Polynomial([-p, 1])))
 
@@ -71,10 +65,11 @@ def test_cocycle_step_budget_on_orbit_pole():
 def test_coboundary_examples():
     flow = radial_flow()
     alpha = sl.Polynomial([1, -1])
-    assert sl.coboundary_eval(sl.Constant(1), flow, 0.3, 0.9) == pytest.approx(1.0)
-    got = sl.coboundary_eval(alpha, flow, 0.5, math.log(2))
+    one, wsg = (sl.WeightedSemigroup(flow, sl.Coboundary(a)) for a in (sl.Constant(1), alpha))
+    assert sl.cocycle_eval(one, 0.3, 0.9) == pytest.approx(1.0)
+    got = sl.cocycle_eval(wsg, 0.5, math.log(2))
     assert abs(got - 1.5) < 1e-10
-    assert sl.coboundary_eval(alpha, flow, 0.5, 0.0) == pytest.approx(1.0)
+    assert sl.cocycle_eval(wsg, 0.5, 0.0) == pytest.approx(1.0)
 
 
 def test_coboundary_zero_on_orbit_is_typed():
@@ -83,14 +78,14 @@ def test_coboundary_zero_on_orbit_is_typed():
             return 0.0j
 
     with pytest.raises(sl.SingularityError):
-        sl.coboundary_eval(sl.Identity(), ToOrigin(), 0.5, 1.0)
+        sl.cocycle_eval(sl.WeightedSemigroup(ToOrigin(), sl.Coboundary(sl.Identity())), 0.5, 1.0)
 
 
 def test_coboundary_guarded_zero():
     flow = radial_flow()
     alpha = sl.Polynomial([0, 1])  # vanishes at the fixed point 0
     with pytest.raises(sl.SingularityError):
-        sl.coboundary_eval(alpha, flow, 0.0, 0.5, fixed_point=0.0)
+        sl.cocycle_eval(sl.WeightedSemigroup(flow, sl.Coboundary(alpha, 0.0)), 0.0, 0.5)
     # m_t and m_t' refuse alike near the allowed zero, alone or in a batch slot
     wsg = sl.WeightedSemigroup(flow, sl.Coboundary(alpha, 0.0))
     message = r"^evaluation at the allowed zero \(1e-13\+0j\) of alpha$"
@@ -98,6 +93,27 @@ def test_coboundary_guarded_zero():
         for z in (1e-13, np.array([0.3, 1e-13])):
             with pytest.raises(sl.SingularityError, match=message):
                 op(wsg, sl.Identity(), z, 0.5)
+
+
+@pytest.mark.parametrize(
+    "weight, z, t",
+    [
+        (sl.Weight(sl.Constant(1000)), 0.3, 1.0),  # e^{1000}, with no flow advanced
+        (sl.Weight(sl.Polynomial([800])), 0.3, 1.0),  # e^{800}, through the sweep
+        # alpha(0.74) = e^{-740} is subnormal, and alpha(phi_t) -> 1: the quotient overflows
+        (sl.Coboundary(sl.Exp(sl.Polynomial([0, -1000]))), 0.74, 20.0),
+    ],
+    ids=["constant", "swept", "coboundary"],
+)
+def test_non_finite_cocycle_is_a_singularity(weight, z, t):
+    wsg = sl.WeightedSemigroup(radial_flow(), weight)
+    message = rf"^non-finite cocycle value at \({z}\+0j\) at t = {t}$"
+    # alone, or in a batch whose other point, at a short time, stays finite
+    for zs, ts in ((z, t), (np.array([0.1, z]), np.array([0.1, t]))):
+        with pytest.raises(sl.SingularityError, match=message):
+            sl.cocycle_eval(wsg, zs, ts)
+        with pytest.raises(sl.SingularityError, match=message):
+            sl.weighted_z_derivative(wsg, sl.Identity(), zs, ts)
 
 
 def test_cocycle_identity_residuals(rng):

@@ -305,17 +305,6 @@ def test_newton_divergence_is_typed(batch):
             h.inverse_at(w)
 
 
-def test_trajectory_and_trace():
-    flow = radial_flow()
-    traj = sl.flow_trace(flow, 0.5, 2.0, 10)
-    rows = list(traj.to_csv_rows())
-    assert len(rows) == 10
-    ts = [r[0] for r in rows]
-    assert ts == sorted(ts)
-    with pytest.raises(ValueError):
-        sl.Trajectory(((0.5, 0.2, 1.0), (0.2, 0.1, 1.0)))
-
-
 def test_rotated_flow_conjugation():
     flow = radial_flow(1e-12)
     gamma = cmath.exp(0.7j)

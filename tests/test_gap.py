@@ -138,8 +138,7 @@ def make_grid(gc):
 
 def test_bloch_gap_report(case1):
     grid = make_grid(case1)
-    wsg = sl.WeightedSemigroup(case1.flow, sl.Weight(sl.Constant(0)))
-    rep = sl.bloch_gap(case1, wsg, grid)
+    rep = sl.bloch_gap(case1, sl.Weight(sl.Constant(0)), grid)
     assert rep.delta_hat > 0
     for row in rep.rows:
         assert row.grid_gap >= row.lower_bound - 1e-9
@@ -156,17 +155,16 @@ def test_bloch_gap_weight_independence(case1):
         sl.Weight(sl.Constant(1)),
         sl.Coboundary(sl.Polynomial([1, -1])),
     ):
-        wsg = sl.WeightedSemigroup(case1.flow, weight)
-        rep = sl.bloch_gap(case1, wsg, grid)
+        rep = sl.bloch_gap(case1, weight, grid)
         bounds.append(tuple(r.lower_bound for r in rep.rows))
     assert bounds[0] == bounds[1] == bounds[2]  # bit-exact
 
 
-def test_bloch_gap_requires_construction_points(case1):
-    grid = sl.GridSpec((0.0, 0.5), (1, 8))
-    wsg = sl.WeightedSemigroup(case1.flow, sl.Weight(sl.Constant(0)))
-    with pytest.raises(ValueError):
-        sl.bloch_gap(case1, wsg, grid)
+def test_bloch_gap_adds_the_construction_points(case1):
+    # the level points r_n join every grid, after its own points
+    weight = sl.Weight(sl.Identity())
+    bare = sl.GridSpec((0.0, 0.3, 0.6, 0.85), (1, 8, 12, 12))
+    assert sl.bloch_gap(case1, weight, bare) == sl.bloch_gap(case1, weight, make_grid(case1))
 
 
 def test_case2_parabolic():

@@ -45,8 +45,8 @@ checks = [
     ("guard disc around an in-disc Mobius pole", lambda: sl.Mobius(1, 0, 1, -0.5).jet(
         np.array([0.1, 0.5 + 1e-10j])), sl.SingularityError),
     ("point outside the disc", lambda: sl.Identity().eval(np.array([0.1, 1.5])), sl.DomainError),
-    ("coboundary zero on the orbit", lambda: sl.coboundary_eval(sl.Identity(), ToOrigin(), batch, 1.0),
-     sl.SingularityError),
+    ("coboundary zero on the orbit", lambda: sl.cocycle_eval(
+        sl.WeightedSemigroup(ToOrigin(), sl.Coboundary(sl.Identity())), batch, 1.0), sl.SingularityError),
     ("negative time in a time array", lambda: sl.ode_flow(sl.Polynomial([0, -1])).advance(batch, np.array([0.5, -0.1])),
      ValueError),
     ("escape at a point's own time", lambda: sl.ode_flow(sl.Polynomial([0, 5])).advance(
