@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -213,7 +214,7 @@ class GpvReport:
     delta: float
     alpha: float
     disjoint: bool
-    min_pairwise_rho: float
+    min_pairwise_rho: float | None
     rho_threshold: float
     beta_hat: float
     per_zero: tuple
@@ -267,11 +268,9 @@ def gpv_bound_check(
         raise HypothesisError("deflated product vanishes at a marked zero (delta = 0)")
 
     threshold = pseudo_sum(alpha, alpha)
-    min_rho = math.inf
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            min_rho = min(min_rho, pseudo_distance(centers[i], centers[j]))
-    disjoint = min_rho > threshold
+    rhos = [pseudo_distance(a, b) for a, b in combinations(centers, 2)]
+    min_rho = min(rhos) if rhos else None  # fewer than two discs: disjoint vacuously
+    disjoint = min_rho is None or min_rho > threshold
 
     n_angles = max(8, samples_per_disc // 5)
     rows = []

@@ -54,7 +54,8 @@ from .errors import (
     config_positive,
 )
 from .flows import check_semigroup, flow_from_json, generator_fd, map_from_json
-from .gap import bloch_gap, construct_case1, construct_case2, reduce_rotations, separability_witness
+from .gap import SEPARATION_FLOOR, bloch_gap, construct_case1, construct_case2
+from .gap import reduce_rotations, separability_witness
 
 
 class _Config(dict):
@@ -476,9 +477,9 @@ def run_separability(config, rng):
     rep = separability_witness(B, rotations, grid)
     verdicts = Verdicts()
     if rep.eps_hat is None:
-        verdicts.add("pairwise-gaps-positive", True, None, 0.0)
+        verdicts.add("pairwise-gaps-positive", True, None, SEPARATION_FLOOR)
         return verdicts, {"separability": (["theta_i", "theta_j", "gap"], [])}
-    verdicts.add("pairwise-gaps-positive", rep.eps_hat > 0.0, rep.eps_hat, 0.0)
+    verdicts.add("pairwise-gaps-positive", rep.eps_hat > SEPARATION_FLOOR, rep.eps_hat, SEPARATION_FLOOR)
     if refine:
         rep2 = separability_witness(B, rotations, grid.refine())
         drift = abs(rep2.eps_hat - rep.eps_hat) / rep.eps_hat

@@ -187,10 +187,10 @@ def check_cocycle_identity(wsg: WeightedSemigroup, z, s, t):
 
 def weight_generator_fd(wsg: WeightedSemigroup, z, h_ladder):
     """Extrapolated (m_h(z) - 1)/h: recovers g, or G alpha'/alpha for a coboundary.
-    Each rung evaluates the cocycle at every point of z in one call."""
+    One call evaluates every rung, row i of the (rungs, *z.shape) batch at h_i."""
     h_ladder = _check_ladder(h_ladder)
-    vals = [(_cocycle(wsg, z, h, None) - 1.0) / h for h in h_ladder]
-    return extrapolate_to_zero(h_ladder, vals)
+    hs = np.reshape(h_ladder, (-1,) + (1,) * np.ndim(z))  # a column of times against z
+    return extrapolate_to_zero(h_ladder, (_cocycle(wsg, z, hs, None) - 1.0) / hs)
 
 
 def apply_weighted(wsg: WeightedSemigroup, f, z, t):
@@ -330,15 +330,12 @@ def transfer_conjugation_check(h: ConformalMap, wsg: WeightedSemigroup, f: Analy
 
     The transferred flow is psi_t = h o phi_t o h^{-1} with cocycle
     mu_t = m_t o h^{-1}; every map goes through a forward/inverse round
-    trip so the inversion path is genuinely exercised.  Each side is one
-    ``apply_weighted`` call, so one sweep per orbit.
+    trip so the inversion path is genuinely exercised.  z and its round trip
+    h^{-1}(h(z)) share one cocycle call, so one sweep for both orbits.
     """
-    z_back = h.inverse_at(h.map(z), seed=z)
-
-    def round_trip_f(phi):
-        return f.eval(h.inverse_at(h.map(phi), seed=phi))
-
-    return abs(apply_weighted(wsg, f, z, t) - apply_weighted(wsg, round_trip_f, z_back, t))
+    z, t = times(points(z), t)
+    m, w = _cocycle(wsg, np.stack([z, h.inverse_at(h.map(z), seed=z)]), t, 0)
+    return abs(m[0] * f.eval(w[0]) - m[1] * f.eval(h.inverse_at(h.map(w[1]), seed=w[1])))
 
 
 @config_parser

@@ -509,12 +509,13 @@ def generator_fd(flow: FlowModel, z, h_ladder):
 
     The orbit is smooth in t, so the one-sided difference has an error series
     in powers of h and polynomial extrapolation eliminates it order by order.
-    z is a point or an array of points; each rung advances them in one call.
+    z is a point or an array of points; one call advances every rung, row i
+    of the (rungs, *z.shape) batch to its time h_i.
     """
     h_ladder = _check_ladder(h_ladder)
     z = points(z)
-    vals = [(flow.advance(z, h) - z) / h for h in h_ladder]
-    return extrapolate_to_zero(h_ladder, vals)
+    hs = np.reshape(h_ladder, (-1,) + (1,) * np.ndim(z))  # a column of times against z
+    return extrapolate_to_zero(h_ladder, (flow.advance(z, hs) - z) / hs)
 
 
 @dataclass(frozen=True)
@@ -528,9 +529,10 @@ class BoundaryOrbit:
 def boundary_orbit(flow: FlowModel, gamma0: complex, t: float) -> BoundaryOrbit:
     """Radial limit of phi_t toward the boundary point gamma0.
 
-    Walks r = 1 - 2^-j upward (j = 3, ..., 30), Aitken-extrapolates the
-    values, flags convergence when the Cauchy increments drop below 1e-6 and
-    reports whether the limit lands strictly inside the disc.
+    Advances the ladder r = 1 - 2^-j (j = 3, ..., 30) in one call,
+    Aitken-extrapolates the values, flags convergence when the Cauchy
+    increments drop below 1e-6 and reports whether the limit lands strictly
+    inside the disc.
     """
     if t <= 0:
         raise ValueError("boundary orbit needs t > 0")
@@ -538,7 +540,7 @@ def boundary_orbit(flow: FlowModel, gamma0: complex, t: float) -> BoundaryOrbit:
     if gamma0 == 0:
         raise ValueError("gamma0 must be unimodular")
     gamma0 /= abs(gamma0)
-    vals = [flow.advance((1.0 - 2.0 ** (-j)) * gamma0, t) for j in range(3, 31)]
+    vals = flow.advance((1.0 - 2.0 ** -np.arange(3.0, 31.0)) * gamma0, t).tolist()
     incs = [abs(b - a) for a, b in zip(vals, vals[1:])]
     if len(incs) >= 6:
         head = max(incs[:3])
@@ -566,16 +568,16 @@ def boundary_orbit(flow: FlowModel, gamma0: complex, t: float) -> BoundaryOrbit:
 
 
 def _fit_mobius(flow: FlowModel):
-    """Least-squares Mobius fit of phi_1 from point evaluations."""
-    zs = [0.0 + 0.0j, 0.3 + 0.0j, -0.4j]
-    ws = [flow.advance(z, 1.0) for z in zs]
-    rows = [[z, 1.0, -z * w, -w] for z, w in zip(zs, ws)]
-    _, _, vh = np.linalg.svd(np.array(rows, dtype=complex))
+    """Least-squares Mobius fit of phi_1 from point evaluations: one advance
+    of the three fit points and one of the three check points."""
+    zs = np.array([0.0, 0.3, -0.4j])
+    ws = flow.advance(zs, 1.0)
+    _, _, vh = np.linalg.svd(np.column_stack([zs, np.ones(3), -zs * ws, -ws]))
     a, b, c, d = vh[-1].conjugate()
     mob = Mobius(a, b, c, d)
-    for z in (0.15 + 0.25j, -0.5 + 0.1j, 0.6j):
-        if abs(mob.eval_anywhere(z) - flow.advance(z, 1.0)) > 1e-9:
-            raise ModelError("time-1 map is not a Mobius transformation")
+    check = np.array([0.15 + 0.25j, -0.5 + 0.1j, 0.6j])
+    if np.any(abs(mob.eval_anywhere(check) - flow.advance(check, 1.0)) > 1e-9):
+        raise ModelError("time-1 map is not a Mobius transformation")
     return a, b, c, d
 
 

@@ -50,6 +50,9 @@ from .flows import (
 LADDER_TOP = max(j for j in range(1, 64) if 1.0 - 2.0 ** (-j) < ESCAPE_RADIUS)
 DEPTH_CAP = (LADDER_TOP + 1) // 3
 GEOM_MARGIN = 1e-3
+# A separability gap at or below this is roundoff: the pair's two rotated
+# products coincide, so it witnesses no separation.
+SEPARATION_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,10 +118,6 @@ class GapConstruction:
                     raise ValueError(f"level {m['n']}: second inequality margin too thin")
 
 
-def _radial_limit_modulus(flow: FlowModel, t: float) -> float:
-    return abs(boundary_orbit(flow, 1.0, t).limit)
-
-
 def construct_case1(
     flow: FlowModel, gamma0: complex = 1.0, N: int = 6, t_start: float = 0.5
 ) -> GapConstruction:
@@ -158,7 +157,7 @@ def construct_case1(
             target = 0.5 * (1.0 - prev_r)
             t = t / 4.0
             guard = 0
-            while 1.0 - _radial_limit_modulus(work, t) >= target * (1.0 - GEOM_MARGIN):
+            while 1.0 - abs(boundary_orbit(work, 1.0, t).limit) >= target * (1.0 - GEOM_MARGIN):
                 t /= 2.0
                 guard += 1
                 if guard > 200 or t < 1e-300:
@@ -246,46 +245,43 @@ def bloch_gap(gc: GapConstruction, weight: Weight | Coboundary, grid: GridSpec) 
     which does not involve the weight at all, (b) the supremum of
     |d/dz[W_{t_n} f - f]| (1 - |z|^2) over the grid and the level points
     r_n, and (c) the cancellation residual |d/dz[W_{t_n} f](r_n)|, which the
-    double zeros force to integration tolerance.
+    double zeros force to integration tolerance.  The grid gaps of all levels
+    come from one ``weighted_z_derivative`` call on a (levels, points) batch
+    whose row n runs to t_n.
     """
     if gc.gamma0 != 1.0:
         weight = weight.rotated(gc.gamma0)
     wsg = WeightedSemigroup(gc.flow, weight)
     f = build_test_function(gc)
     zs = np.fromiter(chain(grid.iter_points(), (lv.r for lv in gc.levels)), dtype=complex)
-    fp_grid = f.jet(zs)[1]
-    rows = []
-    for lv in gc.levels:
-        lower = abs(f.jet(lv.r)[1]) * (1.0 - lv.r)
-        d = weighted_z_derivative(wsg, f, zs, lv.t) - fp_grid
-        gap = float(np.max(np.abs(d) * (1.0 - np.abs(zs) ** 2), initial=0.0))
-        cancel = abs(weighted_z_derivative(wsg, f, lv.r, lv.t))
-        rows.append(
-            GapRow(
-                n=lv.n,
-                t=lv.t,
-                r=lv.r,
-                w=lv.w,
-                lower_bound=lower,
-                grid_gap=gap,
-                cancellation=cancel,
-            )
-        )
-    return GapReport(rows=tuple(rows), delta_hat=min(r.lower_bound for r in rows))
+    fp = f.jet(zs)[1]
+    d = weighted_z_derivative(wsg, f, zs, np.array([[lv.t] for lv in gc.levels])) - fp
+    gaps = np.max(np.abs(d) * (1.0 - np.abs(zs) ** 2), axis=1, initial=0.0).tolist()
+    fp_r = np.abs(fp[-len(gc.levels):]).tolist()  # the r_n are the last columns
+    # The cancellation residual re-runs the construction's own one-point orbit,
+    # which reproduces w_n bit for bit.  Read from the batch, whose shared steps
+    # move phi_{t_n}(r_n) at tolerance, the double zero would no longer cancel.
+    rows = tuple(
+        GapRow(n=lv.n, t=lv.t, r=lv.r, w=lv.w, lower_bound=fpr * (1.0 - lv.r), grid_gap=gap,
+               cancellation=abs(weighted_z_derivative(wsg, f, lv.r, lv.t)))
+        for lv, gap, fpr in zip(gc.levels, gaps, fp_r)
+    )
+    return GapReport(rows=rows, delta_hat=min(r.lower_bound for r in rows))
 
 
 def _solve_angle(flow: FlowModel, r: float, target: float, cap: float):
     """Smallest t in (0, cap] with arg(phi_t(r) - 1) = target, or None.
 
-    Samples the continuous angle along the orbit, brackets the first sign
-    change that does not wrap the branch cut, then bisects.
+    Samples the continuous angle along the orbit of r in one advance call,
+    brackets the first sign change that does not wrap the branch cut, then
+    bisects one time at a time.
     """
 
     def angle(t: float) -> float:
         return cmath.phase(flow.advance(r, t) - 1.0)
 
     ts = [cap * 1e-9] + [cap * k / 64.0 for k in range(1, 65)]
-    gs = [angle(t) - target for t in ts]
+    gs = [cmath.phase(w - 1.0) - target for w in flow.advance(r, np.array(ts)).tolist()]
     bracket = None
     for k in range(len(ts) - 1):
         if gs[k] == 0.0:

@@ -9,6 +9,23 @@ def rng():
     return np.random.RandomState(12345)
 
 
+@pytest.fixture
+def integrations(monkeypatch):
+    """The end time of every integrator run the test makes, one entry a run."""
+    from semiflow_lab import cocycles, flows
+
+    calls = []
+    integrate = flows._integrate
+
+    def counted(rhs, y0, t_end, tol):
+        calls.append(t_end)
+        return integrate(rhs, y0, t_end, tol)
+
+    monkeypatch.setattr(flows, "_integrate", counted)
+    monkeypatch.setattr(cocycles, "_integrate", counted)
+    return calls
+
+
 def fn_corpus():
     """Representative expression trees covering every node kind."""
     blaschke = sl.BlaschkeProduct((0.3, -0.4 + 0.2j, 0.5j))

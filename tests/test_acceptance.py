@@ -242,9 +242,7 @@ def test_criterion_08_bloch_gap_case1():
     )
     margins_ok = worst_margin >= 1e-3
 
-    grid = sl.GridSpec(
-        (0.0, 0.3, 0.6, 0.85), (1, 8, 16, 16), tuple(complex(lv.r) for lv in gc.levels)
-    )
+    grid = sl.GridSpec((0.0, 0.3, 0.6, 0.85), (1, 8, 16, 16))  # bloch_gap adds the r_n
     weights = [
         sl.Weight(sl.Constant(0)),
         sl.Weight(sl.Constant(1)),

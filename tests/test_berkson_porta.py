@@ -6,7 +6,8 @@ form G(z) = (tau - z)(1 - conj(tau) z) p(z) with |tau| <= 1 and Re p >= 0
 Python-complex start runs the integrator on a tuple of complexes, an ndarray
 start on one stacked (components, points) array.  A batch shares one step
 sequence and a single point takes its own, so the two agree to the
-integration tolerance, not to roundoff.
+integration tolerance, not to roundoff.  The same holds for the radial
+ladder of ``boundary_orbit``, which advances all its rungs in one batch.
 """
 
 import cmath
@@ -33,6 +34,16 @@ def berkson_porta_flow(tau, p):
     # (tau - z)(1 - conj(tau) z) = tau - (1 + |tau|^2) z + conj(tau) z^2
     G = sl.Polynomial([p * tau, -p * (1 + abs(tau) ** 2), p * tau.conjugate()])
     return sl.ode_flow(G, TOL)
+
+
+class PointByPoint(sl.FlowModel):
+    """The flow, advancing each point of a batch in a run of its own."""
+
+    def __init__(self, flow):
+        self.flow, self.tol = flow, flow.tol
+
+    def _advance(self, z, t):
+        return np.array([self.flow.advance(complex(p), t) for p in z])
 
 
 def columns(pairs):
@@ -83,3 +94,13 @@ def test_semigroup_and_cocycle_identities(tau, p, pairs, s):
         assert np.all(sl.check_semigroup(flow, z, s, t) <= 2 * BOUND)
         m = sl.cocycle_eval(wsg, z, s + t)
         assert np.all(sl.check_cocycle_identity(wsg, z, s, t) <= BOUND * (1 + np.abs(m)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(taus, ps, st.floats(0.0, 2 * cmath.pi), st.floats(0.01, 1.0))
+def test_batched_boundary_orbit_matches_a_scalar_ladder(tau, p, theta, t):
+    flow = berkson_porta_flow(tau, p)
+    gamma0 = cmath.exp(1j * theta)
+    batch = sl.boundary_orbit(flow, gamma0, t).limit
+    rungs = sl.boundary_orbit(PointByPoint(flow), gamma0, t).limit
+    assert abs(batch - rungs) <= BOUND * (1 + abs(rungs))

@@ -128,7 +128,7 @@ def test_interpolation_rejects_multiplicity():
 def test_gpv_single_zero():
     B = sl.BlaschkeProduct((0.5,))
     rep = sl.gpv_bound_check(B, marked=[0], alpha=0.3)
-    assert rep.disjoint
+    assert rep.disjoint and rep.min_pairwise_rho is None  # no pair to measure
     assert rep.beta_hat > 0
 
 

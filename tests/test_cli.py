@@ -1,10 +1,12 @@
 import json
+import math
 import pathlib
 
 import pytest
 
 from semiflow_lab.cli import main
 from semiflow_lab.flows import flow_from_json
+from semiflow_lab.gap import SEPARATION_FLOOR
 
 RADIAL = {"type": "ode", "G": {"op": "poly", "coeffs": [[0, 0], [-1, 0]]}, "tol": 1e-12}
 
@@ -20,12 +22,12 @@ def run(subcommand, config_path, out_dir):
 
 
 def _refuse_constant(name):
-    raise ValueError(f"report.json holds {name}, which is not JSON")
+    raise ValueError(f"a report holds {name}, which is not JSON")
 
 
-def read_report(out_dir):
-    """report.json of a run; a NaN or an infinity in it fails the test."""
-    return json.loads((out_dir / "report.json").read_text(), parse_constant=_refuse_constant)
+def read_report(out_dir, name="report.json"):
+    """A JSON report of a run; a NaN or an infinity in it fails the test."""
+    return json.loads((out_dir / name).read_text(), parse_constant=_refuse_constant)
 
 
 def test_flow_check_passes(tmp_path, capsys):
@@ -134,6 +136,16 @@ def test_gpv_subcommand(tmp_path):
     assert {"delta", "alpha", "disjoint", "beta_hat", "per_zero", "truncation_tail"} <= set(gpv)
 
 
+@pytest.mark.parametrize("payload", [{"family": {"count": 1}}, {"zeros": [[0.5, 0]]}],
+                         ids=["family", "zeros"])
+def test_gpv_on_one_zero_has_no_pairwise_distance(tmp_path, payload):
+    # one pseudo-disc is disjoint vacuously: there is no pair, so no minimum over pairs
+    assert run("gpv", write_config(tmp_path, "c.json", payload), tmp_path / "out") == 0
+    verdict = read_report(tmp_path / "out")["verdicts"][0]
+    assert verdict["name"] == "pseudo-discs-disjoint" and verdict["passed"] and verdict["value"] is None
+    assert read_report(tmp_path / "out", "gpv_report.json")["min_pairwise_rho"] is None
+
+
 def test_bloch_gap_subcommand(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -190,6 +202,17 @@ def test_separability_subcommand(tmp_path):
         {"family": {"kind": "geometric", "count": 8}, "rotations": {"count": 4}, "refine": True},
     )
     assert run("separability", cfg, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("rotations", [[0, math.pi], [math.pi / 2, 3 * math.pi / 2]],
+                         ids=["0-pi", "half-pi"])
+def test_separability_refuses_identical_functions(tmp_path, rotations):
+    # zeros +-1/2 make B even, so the two rotations give one function: a gap of roundoff
+    cfg = write_config(tmp_path, "c.json", {"zeros": [[0.5, 0], [-0.5, 0]], "rotations": rotations})
+    assert run("separability", cfg, tmp_path / "out") == 1
+    verdict = read_report(tmp_path / "out")["verdicts"][0]
+    assert verdict["name"] == "pairwise-gaps-positive" and not verdict["passed"]
+    assert 0.0 < verdict["value"] <= verdict["threshold"] == SEPARATION_FLOOR
 
 
 def test_exit_code_on_failed_verdict(tmp_path):

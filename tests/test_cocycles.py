@@ -152,6 +152,15 @@ def test_weight_generator_fd_examples():
     assert sl.weight_generator_fd(zero, 0.4, [1e-2, 5e-3, 2.5e-3]) == 0
 
 
+@pytest.mark.parametrize("weight", [sl.Weight(sl.Identity()), sl.Coboundary(sl.Polynomial([1, -1]))],
+                         ids=["g=z", "coboundary"])
+def test_weight_generator_fd_integrates_once(integrations, weight):
+    # every rung in one batch, row i at time h_i
+    wsg = sl.WeightedSemigroup(radial_flow(), weight)
+    sl.weight_generator_fd(wsg, np.array([0.1, 0.3 - 0.2j, -0.5j]), [1e-2, 5e-3, 2.5e-3])
+    assert len(integrations) == 1
+
+
 def _ladder_callers():
     flow = sl.ode_flow(sl.Polynomial([0, -1]), 1e-12)
     wsg = sl.WeightedSemigroup(flow, sl.Weight(sl.Identity()))
@@ -342,22 +351,11 @@ def test_transfer_conjugation_residual(rng):
         assert resid <= 1e-9
 
 
-def test_transfer_conjugation_integrates_once_per_side(monkeypatch):
-    # one integration for the orbit of z and one for the orbit of h^{-1}(h(z))
-    from semiflow_lab import cocycles, flows
-
-    calls = []
-    integrate = flows._integrate
-
-    def counted(rhs, y0, t_end, tol):
-        calls.append(t_end)
-        return integrate(rhs, y0, t_end, tol)
-
-    monkeypatch.setattr(flows, "_integrate", counted)
-    monkeypatch.setattr(cocycles, "_integrate", counted)
+def test_transfer_conjugation_integrates_once_per_side(integrations):
+    # one integration for the orbits of z and of h^{-1}(h(z)) together
     wsg = sl.WeightedSemigroup(radial_flow(), sl.Weight(sl.Identity()))
     assert sl.transfer_conjugation_check(sl.cayley_map(), wsg, sl.Identity(), 0.3 + 0.1j, 0.5) <= 1e-12
-    assert len(calls) == 2
+    assert len(integrations) == 1
 
 
 def test_weight_json_round_trip():

@@ -127,6 +127,12 @@ def test_generator_fd_round_trip(rng):
             assert abs(est - G.eval(z)) < 1e-6, name
 
 
+def test_generator_fd_integrates_once(integrations):
+    # every rung in one batch, row i at time h_i
+    sl.generator_fd(radial_flow(), np.array([0.1, 0.3 - 0.2j, -0.5j]), [5e-3, 2.5e-3, 1.25e-3])
+    assert len(integrations) == 1
+
+
 def test_generator_fd_trivial_flow():
     flow = sl.ode_flow(sl.Constant(0.0))
     assert abs(sl.generator_fd(flow, 0.4, [1e-2, 5e-3, 2.5e-3])) < 1e-12
@@ -231,6 +237,12 @@ def test_classify_parabolic():
     assert all(abs(p - 1.0) < 1e-4 for p in fps)
 
 
+def test_classify_automorphism_integrates_twice(integrations):
+    # one run for the three fit points of phi_1, one for the three check points
+    assert sl.classify_automorphism(sl.ode_flow(sl.Polynomial([0, 1j]))) == "elliptic"
+    assert len(integrations) == 2
+
+
 def test_classify_rejects_non_mobius():
     # cubic field: a quadratic one would give a Riccati flow, which is Mobius
     flow = sl.ode_flow(sl.Polynomial([0, -1, 0, 1]))
@@ -252,6 +264,12 @@ def test_boundary_orbit_rotation():
     assert abs(orbit.limit - cmath.exp(1j)) < 1e-6
 
 
+def test_boundary_orbit_integrates_once(integrations):
+    # the 28 ladder points advance in one batch
+    assert sl.boundary_orbit(radial_flow(), 1.0, 0.5).verdict == "inside"
+    assert len(integrations) == 1
+
+
 def test_boundary_orbit_trivial_flow():
     trivial = sl.ode_flow(sl.Constant(0.0))
     orbit = sl.boundary_orbit(trivial, 1.0, 1.0)
@@ -262,7 +280,7 @@ def test_boundary_orbit_trivial_flow():
 class _OscillatingFlow(sl.FlowModel):
     # not a semiflow; radial values bounce so the ladder increments never decay
     def _advance(self, z, t):
-        return 0.5 * math.sin(1.0 / (1.0 - abs(z)))
+        return 0.5 * np.sin(1.0 / (1.0 - abs(z)))
 
     def _advance_with_derivative(self, z, t):
         return self._advance(z, t), 1.0

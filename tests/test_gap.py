@@ -131,13 +131,13 @@ def test_test_function_needs_interpolation():
         sl.build_test_function(gc)
 
 
-def make_grid(gc):
-    pts = tuple(complex(lv.r) for lv in gc.levels)
-    return sl.GridSpec((0.0, 0.3, 0.6, 0.85), (1, 8, 12, 12), pts)
+def make_grid():
+    # bloch_gap adds the level points r_n itself
+    return sl.GridSpec((0.0, 0.3, 0.6, 0.85), (1, 8, 12, 12))
 
 
 def test_bloch_gap_report(case1):
-    grid = make_grid(case1)
+    grid = make_grid()
     rep = sl.bloch_gap(case1, sl.Weight(sl.Constant(0)), grid)
     assert rep.delta_hat > 0
     for row in rep.rows:
@@ -148,7 +148,7 @@ def test_bloch_gap_report(case1):
 
 
 def test_bloch_gap_weight_independence(case1):
-    grid = make_grid(case1)
+    grid = make_grid()
     bounds = []
     for weight in (
         sl.Weight(sl.Constant(0)),
@@ -163,8 +163,19 @@ def test_bloch_gap_weight_independence(case1):
 def test_bloch_gap_adds_the_construction_points(case1):
     # the level points r_n join every grid, after its own points
     weight = sl.Weight(sl.Identity())
-    bare = sl.GridSpec((0.0, 0.3, 0.6, 0.85), (1, 8, 12, 12))
-    assert sl.bloch_gap(case1, weight, bare) == sl.bloch_gap(case1, weight, make_grid(case1))
+    pts = tuple(complex(lv.r) for lv in case1.levels)
+    with_points = sl.GridSpec((0.0, 0.3, 0.6, 0.85), (1, 8, 12, 12), pts)
+    assert sl.bloch_gap(case1, weight, make_grid()) == sl.bloch_gap(case1, weight, with_points)
+
+
+@pytest.mark.parametrize("weight", [
+    sl.Weight(sl.Constant(1)), sl.Weight(sl.Identity()), sl.Coboundary(sl.Polynomial([1, -1]))
+], ids=["g=1", "g=z", "coboundary"])
+def test_bloch_gap_integrates_once_plus_once_per_level(case1, integrations, weight):
+    # one (levels, points) batch for every level's grid, and each level's
+    # one-point cancellation run
+    sl.bloch_gap(case1, weight, make_grid())
+    assert len(integrations) == 1 + len(case1.levels)
 
 
 def test_case2_parabolic():
