@@ -479,8 +479,9 @@ def run_separability(config, rng):
     if rep.eps_hat is None:
         verdicts.add("pairwise-gaps-positive", True, None, SEPARATION_FLOOR)
         return verdicts, {"separability": (["theta_i", "theta_j", "gap"], [])}
-    verdicts.add("pairwise-gaps-positive", rep.eps_hat > SEPARATION_FLOOR, rep.eps_hat, SEPARATION_FLOOR)
-    if refine:
+    separated = rep.eps_hat > SEPARATION_FLOOR
+    verdicts.add("pairwise-gaps-positive", separated, rep.eps_hat, SEPARATION_FLOOR)
+    if refine and separated:  # a drift relative to a roundoff gap measures nothing
         rep2 = separability_witness(B, rotations, grid.refine())
         drift = abs(rep2.eps_hat - rep.eps_hat) / rep.eps_hat
         verdicts.add("eps-hat-grid-stable", drift <= 0.2, drift, 0.2)

@@ -40,7 +40,7 @@ from .flows import ConformalMap, FlowModel, extrapolate_to_zero
 from .flows import _check_ladder, _check_start, _integrate
 from .pointwise import exp, full, larger, nonfinite, points, raise_at, times
 
-# DP5(4) local errors scale with the largest state met along the way, so an
+# DOP853 local errors scale with the largest state met along the way, so an
 # integral that swells this far above its end value has lost its digits.
 SWELL_LIMIT = 1e3
 

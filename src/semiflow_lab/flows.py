@@ -1,10 +1,11 @@
 """Holomorphic semiflows on the unit disc.
 
 Three constructions are supported: numerical integration of the defining
-initial-value problem dw/dt = G(w), w(0) = z (adaptive Dormand-Prince 5(4)),
-closed-form linearization models phi_t = h^{-1}(e^{-ct} h) and
-phi_t = h^{-1}(h + ct) through a conformal map h, and disc-automorphism
-families.  All flow objects are immutable and their operations pure.
+initial-value problem dw/dt = G(w), w(0) = z (adaptive DOP853, the
+Dormand-Prince 8(5,3) pair), closed-form linearization models
+phi_t = h^{-1}(e^{-ct} h) and phi_t = h^{-1}(h + ct) through a conformal
+map h, and disc-automorphism families.  All flow objects are immutable and
+their operations pure.
 ``advance`` and ``advance_with_derivative`` take one start point or an
 ndarray of them; a batch shares one adaptive step sequence.
 """
@@ -15,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -41,22 +43,65 @@ MAX_STEPS = 10_000
 # A Newton iterate this far out has left the basin of any preimage in the disc.
 NEWTON_BOUND = 1e6
 
-# Dormand-Prince 5(4) tableau (autonomous right-hand sides, so no c nodes),
-# non-zero entries only.  Row 7 of A is the fifth-order weights B, and its
-# stage is the first stage of the next step (first same as last).
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_C1, _C3, _C4, _C5, _C6, _C7 = (
-    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40
-)  # fourth-order weights
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# sec. II.10; autonomous right-hand sides, so no c nodes).  Row i of _A
+# forms the input of stage i + 1 from stages 1..i; _B gives the eighth-order
+# solution, whose right-hand side is stage 13, the first stage of the next
+# step (first same as last).  _E5 and _E3 act on all 13 stages and give the
+# fifth- and third-order error estimates.
+_A = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)
+_B = (
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+)
+_E5 = (
+    1.312004499419488073250102996e-2, 0.0, 0.0, 0.0, 0.0, -1.225156446376204440720569753,
+    -4.957589496572501915214079952e-1, 1.664377182454986536961530415,
+    -3.503288487499736816886487290e-1, 3.341791187130174790297318841e-1,
+    8.192320648511571246570742613e-2, -2.235530786388629525884427845e-2, 0.0,
+)
+_E3 = (
+    -1.898007540724076157147023288757e-1, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    -4.22682321323791962932445679177e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 2.26517921983608258118062039631e-2, 0.0,
+)
 
 
 def _integrate(rhs, y0, t_end, tol: float):
-    """Adaptive RK5(4) from 0 to t_end; returns the state as a tuple of components.
+    """Adaptive DOP853 from 0 to t_end; returns the state as a tuple of components.
 
     y0 is a tuple of complex components, and y[0] is the disc state, which is
     escape-guarded.  A Python-complex start keeps the state as a tuple of
@@ -65,8 +110,9 @@ def _integrate(rhs, y0, t_end, tol: float):
     over the points, so each stage is one numpy expression over the whole
     array; rhs gets that array (its rows are the components) and returns one
     array of the batch's shape per component.  The points of a batch share
-    one step sequence, and the error norm is the largest scaled error over
-    the points and components.
+    one step sequence; the fifth- and third-order error norms are each the
+    largest scaled error over the points and components, and ``_error``
+    blends them.
 
     t_end is a float, or, for a batch, an ndarray of non-negative end times,
     one per point.  Per-point end times rescale time: the loop integrates
@@ -97,59 +143,58 @@ def _integrate(rhs, y0, t_end, tol: float):
             raise EscapeError("step budget exhausted; tolerance unattainable")
         steps += 1
         h = min(h, t_end - t)
-        y5, k7, err = step(rhs, y, k1, h, tol)
+        y_new, k_new, err = step(rhs, y, k1, h, tol)
         if err <= 1.0:
             t += h
-            y, k1 = y5, k7
+            y, k1 = y_new, k_new
             modulus = abs(y[0])
             raise_at(modulus >= ESCAPE_RADIUS, modulus, EscapeError,
                      "trajectory reached |w| = {:.17f} at t = {}", t if scale is None else t * scale)
-        factor = 0.9 * (1.0 / err) ** 0.2 if err > 0 else 5.0
+        factor = 0.9 * err ** -0.125 if err > 0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if h <= 0.0 or not math.isfinite(h):
             raise EscapeError("step size collapsed")
     return tuple(y)
 
 
+def _error(n5, n3):
+    """The combined estimate n5^2 / sqrt(n5^2 + 0.01 n3^2) from the scaled
+    fifth- and third-order error norms, in a form whose squares cannot
+    underflow to 0 / 0."""
+    return 0.0 if n5 == 0 else n5 / math.hypot(1.0, 0.1 * n3 / n5)
+
+
 def _tuple_step(rhs, y, k1, h, tol):
-    """One DP5(4) trial step on a tuple of Python complexes: (y5, k7, err)."""
-    k2 = rhs(tuple(a + h * (_A21 * p) for a, p in zip(y, k1)))
-    k3 = rhs(tuple(a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)))
-    k4 = rhs(tuple(
-        a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)
-    ))
-    k5 = rhs(tuple(
-        a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
-        for a, p, q, r, s in zip(y, k1, k2, k3, k4)
-    ))
-    k6 = rhs(tuple(
-        a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
-        for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
-    ))
-    y5 = tuple(
-        a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
-        for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
-    )
-    k7 = rhs(y5)
-    err = 0.0
-    for a, b, p, r, s, u, v, x in zip(y, y5, k1, k3, k4, k5, k6, k7):
-        y4 = a + h * (_C1 * p + _C3 * r + _C4 * s + _C5 * u + _C6 * v + _C7 * x)
-        err = max(err, abs(b - y4) / (tol + tol * max(abs(a), abs(b))))
-    return y5, k7, err
+    """One DOP853 trial step on a tuple of Python complexes: (y_new, k_new, err)."""
+    stages = [[k] for k in k1]  # stages[j][s]: stage s + 1 of component j
+    for row in _A[1:]:
+        k = rhs(tuple([a + h * sum(map(mul, row, col)) for a, col in zip(y, stages)]))
+        for col, kj in zip(stages, k):
+            col.append(kj)
+    y_new = tuple([a + h * sum(map(mul, _B, col)) for a, col in zip(y, stages)])
+    k_new = rhs(y_new)
+    n5 = n3 = 0.0
+    for a, b, col, kj in zip(y, y_new, stages, k_new):
+        col.append(kj)
+        scale = tol + tol * max(abs(a), abs(b))
+        n5 = max(n5, abs(sum(map(mul, _E5, col))) / scale)
+        n3 = max(n3, abs(sum(map(mul, _E3, col))) / scale)
+    return y_new, k_new, _error(h * n5, h * n3)
 
 
 def _stacked_step(rhs, y, k1, h, tol):
-    """One DP5(4) trial step on a (components, points) array: (y5, k7, err)."""
-    k2 = rhs(y + h * (_A21 * k1))
-    k3 = rhs(y + h * (_A31 * k1 + _A32 * k2))
-    k4 = rhs(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = rhs(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = rhs(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-    y5 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = rhs(y5)
-    y4 = y + h * (_C1 * k1 + _C3 * k3 + _C4 * k4 + _C5 * k5 + _C6 * k6 + _C7 * k7)
-    err = float((abs(y5 - y4) / (tol + tol * np.maximum(abs(y), abs(y5)))).max())
-    return y5, k7, err
+    """One DOP853 trial step on a (components, points) array: (y_new, k_new, err)."""
+    K = np.empty((13,) + y.shape, complex)
+    flat = K.reshape(13, -1)  # a view: row @ flat[:i] sums the first i stages
+    K[0] = k1
+    for i in range(1, 12):
+        K[i] = rhs(y + h * (_A[i] @ flat[:i]).reshape(y.shape))
+    y_new = y + h * (_B @ flat[:12]).reshape(y.shape)
+    K[12] = rhs(y_new)
+    scale = tol + tol * np.maximum(abs(y), abs(y_new))
+    n5 = float((abs(_E5 @ flat).reshape(y.shape) / scale).max())
+    n3 = float((abs(_E3 @ flat).reshape(y.shape) / scale).max())
+    return y_new, K[12], _error(h * n5, h * n3)
 
 
 @dataclass(frozen=True)
@@ -286,7 +331,7 @@ class FlowModel:
 
 @dataclass(frozen=True)
 class OdeFlow(FlowModel):
-    """The solution of dw/dt = G(w), w(0) = z, by adaptive DP5(4) at ``tol``."""
+    """The solution of dw/dt = G(w), w(0) = z, by adaptive DOP853 at ``tol``."""
 
     G: AnalyticFn
     tol: float = DEFAULT_TOL

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -210,9 +211,27 @@ def test_separability_refuses_identical_functions(tmp_path, rotations):
     # zeros +-1/2 make B even, so the two rotations give one function: a gap of roundoff
     cfg = write_config(tmp_path, "c.json", {"zeros": [[0.5, 0], [-0.5, 0]], "rotations": rotations})
     assert run("separability", cfg, tmp_path / "out") == 1
-    verdict = read_report(tmp_path / "out")["verdicts"][0]
+    # the refinement drift is skipped: relative to a roundoff gap it measures nothing
+    (verdict,) = read_report(tmp_path / "out")["verdicts"]
     assert verdict["name"] == "pairwise-gaps-positive" and not verdict["passed"]
     assert 0.0 < verdict["value"] <= verdict["threshold"] == SEPARATION_FLOOR
+
+
+def test_separability_zero_gap_is_a_failed_verdict(tmp_path, monkeypatch):
+    # an exact 0.0 gap fails pairwise-gaps-positive and is never divided by
+    from semiflow_lab import cli
+
+    witness = cli.separability_witness
+    monkeypatch.setattr(cli, "separability_witness",
+                        lambda *args: dataclasses.replace(witness(*args), eps_hat=0.0))
+    cfg = write_config(tmp_path, "c.json", {"zeros": [[0.5, 0], [-0.5, 0]],
+                                            "rotations": [math.pi / 2, 3 * math.pi / 2]})
+    assert run("separability", cfg, tmp_path / "out") == 1
+    report = read_report(tmp_path / "out")
+    assert "error" not in report
+    assert [(v["name"], v["passed"], v["value"]) for v in report["verdicts"]] == [
+        ("pairwise-gaps-positive", False, 0.0)
+    ]
 
 
 def test_exit_code_on_failed_verdict(tmp_path):

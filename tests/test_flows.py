@@ -62,6 +62,57 @@ def test_flow_leaving_the_disc_is_typed():
         ToCircle().advance_with_derivative(0.5, 1.0)
 
 
+def test_dop853_tableau_identities():
+    from semiflow_lab.flows import _A, _B, _E3, _E5
+
+    # the DOP853 nodes c_i; the integrator itself needs none (autonomous fields)
+    r6 = math.sqrt(6.0)
+    nodes = (0.0, (6 - r6) / 67.5, (6 - r6) / 45, (6 - r6) / 30, (6 + r6) / 30, 1 / 3, 1 / 4,
+             4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0)
+    assert [len(row) for row in _A] == list(range(12))
+    assert len(_B) == 12 and len(_E5) == len(_E3) == 13
+    for row, c in zip(_A, nodes):
+        assert abs(sum(row) - c) < 1e-14
+    assert abs(sum(_B) - 1.0) < 1e-15
+    assert abs(sum(_E5)) < 1e-15 and abs(sum(_E3)) < 1e-15
+
+
+@pytest.mark.parametrize("tol, evaluations", [(1e-12, 133), (1e-10, 85)])
+@pytest.mark.parametrize("batch", [False, True], ids=["tuple", "stacked"])
+def test_cocycle_sweep_right_hand_side_count(monkeypatch, tol, evaluations, batch):
+    # G = -z, g = z: m_t(z) = exp(z (1 - e^-t)); a DOP853 step costs 12
+    # evaluations (stage 1 is the last stage of the step before)
+    from semiflow_lab import cocycles, flows
+
+    count = 0
+
+    def counted(rhs, y0, t_end, flow_tol):
+        def counted_rhs(y):
+            nonlocal count
+            count += 1
+            return rhs(y)
+
+        return flows._integrate(counted_rhs, y0, t_end, flow_tol)
+
+    monkeypatch.setattr(cocycles, "_integrate", counted)
+    z = 0.5 + 0.3j
+    wsg = sl.WeightedSemigroup(radial_flow(tol), sl.Weight(sl.Identity()))
+    m = sl.cocycle_eval(wsg, np.array([z]) if batch else z, 2.0)
+    assert count == evaluations
+    assert abs(complex(np.ravel(m)[0]) - cmath.exp(z * (1 - math.exp(-2.0)))) < tol
+
+
+@pytest.mark.parametrize("t", [8.7e-231, 5e-324])
+@pytest.mark.parametrize("G", [sl.Constant(0.0), sl.Polynomial([0, -1])], ids=["zero", "-z"])
+@pytest.mark.parametrize("batch", [False, True], ids=["tuple", "stacked"])
+def test_error_estimate_survives_a_subnormal_time(t, G, batch):
+    # at these times the squared error norms underflow to 0 (or the norms are
+    # 0 outright): the combined estimate must not divide 0 by 0
+    z = 0.5 + 0.3j
+    w = sl.ode_flow(G, 1e-12).advance(np.array([z]) if batch else z, t)
+    assert np.all(w == z)
+
+
 def test_disc_invariance(rng):
     for flow in flow_corpus().values():
         for z in random_disc_points(rng, 10, 0.8):
