@@ -21,6 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from operator import add, mul
 
 import numpy as np
@@ -482,81 +483,10 @@ def fn_from_json(obj: dict) -> AnalyticFn:
 
 
 # ---------------------------------------------------------------------------
-# Taylor coefficients and norms
-
-
-@dataclass(frozen=True)
-class TaylorSeries:
-    """Coefficients a_0..a_N of the expansion at the origin."""
-
-    coeffs: tuple
-    order: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-        for c in self.coeffs:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("non-finite Taylor coefficient")
-
-    def eval(self, z: complex) -> complex:
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * complex(z) + c
-        return acc
-
-
-def _call(f, z: np.ndarray) -> np.ndarray:
-    # Norm helpers accept either a tree or a bare callable (e.g. a semigroup
-    # residual z -> (W_t f(z) - f(z))/t - A f(z)); either gets the whole
-    # ndarray of sample points in one call, and either is refused at the
-    # first point where its value is not finite.
-    if isinstance(f, AnalyticFn):
-        return f.eval(z)
-    w = np.broadcast_to(np.asarray(f(z), dtype=complex), z.shape)
-    raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
-    return w
-
-
-def _circle(r: float, M: int) -> np.ndarray:
-    """The M points r e^{2 pi i j/M}, j = 0..M-1."""
-    return r * np.exp(2j * np.pi * np.arange(M) / M)
-
-
-def taylor(f, N: int, r: float) -> TaylorSeries:
-    """Coefficients by uniform circle sampling (discrete Cauchy integral).
-
-    Uses M = max(4N, 128) samples on |z| = r; spectrally accurate for
-    functions analytic on |z| <= r and exact (to roundoff) for polynomials
-    of degree <= N.
-    """
-    if not 0.0 < r < 1.0:
-        raise DomainError("sampling radius must lie in (0,1)")
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    M = max(4 * N, 128)
-    hat = np.fft.fft(_call(f, _circle(r, M))) / M
-    coeffs = [hat[k] / (r ** k) for k in range(N + 1)]
-    return TaylorSeries(tuple(coeffs), N)
-
-
-def h2_norm(s) -> float:
-    """sqrt(sum |a_k|^2): the Hardy H^2 norm of the truncation."""
-    coeffs = s.coeffs if isinstance(s, TaylorSeries) else tuple(s)
-    return math.sqrt(sum(abs(complex(c)) ** 2 for c in coeffs))
-
-
-def hp_norm_boundary(f, p: float, r: float, M: int = 256) -> float:
-    """Integral mean ((1/M) sum_j |f(r e^{2 pi i j/M})|^p)^{1/p}."""
-    if not 0.0 < r < 1.0:
-        raise DomainError("radius must lie in (0,1)")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if M < 64:
-        raise ValueError("need at least 64 boundary samples")
-    total = float(np.sum(np.abs(_call(f, _circle(r, M))) ** p))
-    return (total / M) ** (1.0 / p)
+# Norms.  Each norm object owns its sample points and a reduction over the
+# last axis of a sample array, so a (rows, samples) batch reduces to one norm
+# per row.  ``sample(value, slope)`` reads a function's values, or its
+# slopes, at the points it needs; a circle norm reads no slopes.
 
 
 @dataclass(frozen=True)
@@ -627,20 +557,123 @@ class GridSpec:
         )
 
 
-def bloch_norm_grid(f, grid: GridSpec, derivative=None) -> float:
+def _call(f, z: np.ndarray) -> np.ndarray:
+    # A norm samples a tree or a bare callable (e.g. a semigroup residual
+    # z -> (W_t f(z) - f(z))/t - A f(z)); either gets the whole ndarray of
+    # sample points in one call, and either is refused at the first point
+    # where its value is not finite.  A callable may put rows of a batch in
+    # front of the points.
+    if isinstance(f, AnalyticFn):
+        return f.eval(z)
+    w = np.asarray(f(z), dtype=complex)
+    w = np.broadcast_to(w, np.broadcast_shapes(w.shape, z.shape))
+    raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
+    return w
+
+
+class _CircleNorm:
+    """A norm read off the values at the M points r e^{2 pi i j/M}, j = 0..M-1."""
+
+    def __post_init__(self):
+        if not 0.0 < self.r < 1.0:
+            raise DomainError("sampling radius must lie in (0,1)")
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.r * np.exp(2j * np.pi * np.arange(self.M) / self.M)
+
+    def sample(self, value, slope=None) -> np.ndarray:
+        return _call(value, self.points)
+
+
+@dataclass(frozen=True)
+class H2Norm(_CircleNorm):
+    """sqrt(sum |a_k|^2) over the Taylor coefficients a_0..a_N: the Hardy H^2
+    norm of the truncation.
+
+    The coefficients come from M = max(4N, 128) samples on |z| = r (a
+    discrete Cauchy integral): spectrally accurate for functions analytic on
+    |z| <= r and exact (to roundoff) for polynomials of degree <= N.
+    """
+
+    N: int = 64
+    r: float = 0.9
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.N < 0:
+            raise ValueError("N must be >= 0")
+
+    @property
+    def M(self) -> int:
+        return max(4 * self.N, 128)
+
+    def coefficients(self, samples) -> np.ndarray:
+        """a_0..a_N along the last axis of the samples."""
+        hat = np.fft.fft(samples, axis=-1) / self.M
+        return hat[..., :self.N + 1] / np.array([self.r ** k for k in range(self.N + 1)])
+
+    def reduce(self, samples):
+        c = self.coefficients(samples)
+        moduli = np.hypot(c.real, c.imag)
+        # squared and summed k by k as Python floats are: the reports carry these bits
+        return np.sqrt(reduce(add, np.float_power(np.moveaxis(moduli, -1, 0), 2.0)))
+
+
+@dataclass(frozen=True)
+class HpNorm(_CircleNorm):
+    """The integral mean ((1/M) sum_j |f(r e^{2 pi i j/M})|^p)^{1/p}."""
+
+    p: float
+    r: float
+    M: int = 256
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.p < 1.0:
+            raise ValueError("p must be >= 1")
+        if self.M < 64:
+            raise ValueError("need at least 64 boundary samples")
+
+    def reduce(self, samples):
+        return (np.sum(np.abs(samples) ** self.p, axis=-1) / self.M) ** (1.0 / self.p)
+
+
+@dataclass(frozen=True)
+class BlochGridNorm:
     """|f(0)| + max over the grid of |f'(z)| (1 - |z|^2).
 
     A lower bound for the Bloch norm, nondecreasing under grid refinement.
-    A tree's f' comes from its jet; ``derivative`` must be supplied for a
-    non-tree callable.  Both are called once, on an ndarray: f on the origin
-    alone, the derivative on the grid.
+    Its points are the origin, then the grid's; its samples are f at the
+    origin, then f' at the grid points.
     """
-    zs = np.fromiter(grid.iter_points(), dtype=complex)
-    slopes = f.jet(zs)[1] if derivative is None else _call(derivative, zs)
-    return bloch_norm_values(_call(f, np.zeros(1, dtype=complex))[0], slopes, zs)
+
+    grid: GridSpec
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.fromiter(chain((0j,), self.grid.iter_points()), dtype=complex)
+
+    def sample(self, value, slope) -> np.ndarray:
+        zs = self.points
+        return np.concatenate([_call(value, zs[:1]), _call(slope, zs[1:])], axis=-1)
+
+    def reduce(self, samples):
+        weights = 1.0 - np.abs(self.points[1:]) ** 2
+        f0 = samples[..., 0]
+        return np.hypot(f0.real, f0.imag) + np.max(np.abs(samples[..., 1:]) * weights, axis=-1, initial=0.0)
 
 
-def bloch_norm_values(f0, slopes, zs) -> float:
-    """|f(0)| + max_k |f'(z_k)| (1 - |z_k|^2), from f(0) and the slopes f'(z_k)."""
-    weighted = np.abs(slopes) * (1.0 - np.abs(zs) ** 2)
-    return abs(complex(f0)) + float(np.max(weighted, initial=0.0))
+def taylor(f, N: int, r: float) -> np.ndarray:
+    """Coefficients a_0..a_N of f at the origin, read off ``H2Norm(N, r)``'s samples."""
+    norm = H2Norm(N, r)
+    return norm.coefficients(norm.sample(f))
+
+
+def bloch_norm_grid(f, grid: GridSpec, derivative=None) -> float:
+    """``BlochGridNorm(grid)`` of f.  A tree's f' is ``f.derivative()``;
+    ``derivative`` must be supplied for a non-tree callable.  Each is called
+    once, on an ndarray: f on the origin alone, the derivative on the grid.
+    """
+    norm = BlochGridNorm(grid)
+    return float(norm.reduce(norm.sample(f, f.derivative() if derivative is None else derivative)))

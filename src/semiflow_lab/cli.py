@@ -29,11 +29,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .analytic import GridSpec, fn_from_json
+from .analytic import BlochGridNorm, GridSpec, H2Norm, fn_from_json
 from .blaschke import BlaschkeProduct, gpv_bound_check, radial_zeros
 from .cocycles import (
-    BlochGridNorm,
-    H2Norm,
     WeightedSemigroup,
     check_cocycle_identity,
     coboundary_similarity_check,

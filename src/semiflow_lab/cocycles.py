@@ -24,15 +24,11 @@ from .analytic import (
     AnalyticFn,
     Compose,
     Constant,
-    GridSpec,
     Polynomial,
     Product,
     Quotient,
     Sum,
-    bloch_norm_grid,
     guard_points,
-    h2_norm,
-    taylor,
 )
 from .errors import ConfigError, DomainError, QuadratureError, SingularityError
 from .errors import config_pair, config_parser
@@ -233,17 +229,6 @@ def weight_fn(wsg: WeightedSemigroup) -> AnalyticFn:
 
 
 @dataclass(frozen=True)
-class H2Norm:
-    N: int = 64
-    r: float = 0.9
-
-
-@dataclass(frozen=True)
-class BlochGridNorm:
-    grid: GridSpec
-
-
-@dataclass(frozen=True)
 class ConsistencyTable:
     """Rows (t, residual, ratio) of ||(W_t f - f)/t - A f||; ratio vs previous row."""
 
@@ -265,8 +250,8 @@ def generator_consistency(
 ) -> ConsistencyTable:
     """First-order convergence table certifying the generator G f' + g f.
 
-    For each t in the decreasing ladder, measures the chosen norm of
-    (W_t f - f)/t - (G f' + g f); the residual of a generator decays
+    For each t in the decreasing ladder, measures the norm object ``norm``
+    (``H2Norm``, ``HpNorm`` or ``BlochGridNorm``) of (W_t f - f)/t - (G f' + g f); the residual of a generator decays
     linearly, so consecutive ratios settle near 1/2.
     """
     t_ladder = _check_ladder(t_ladder)
@@ -278,14 +263,10 @@ def generator_consistency(
         def value(z):
             return (apply_weighted(wsg, f, z, t) - f.eval(z)) / t - Af.eval(z)
 
-        if isinstance(norm, H2Norm):
-            return h2_norm(taylor(value, norm.N, norm.r))
-        if isinstance(norm, BlochGridNorm):
-            def deriv(z):
-                return (weighted_z_derivative(wsg, f, z, t) - f.jet(z)[1]) / t - Af.jet(z)[1]
+        def slope(z):
+            return (weighted_z_derivative(wsg, f, z, t) - f.jet(z)[1]) / t - Af.jet(z)[1]
 
-            return bloch_norm_grid(value, norm.grid, derivative=deriv)
-        raise TypeError(f"unknown norm spec {norm!r}")
+        return float(norm.reduce(norm.sample(value, slope)))
 
     rows = []
     prev = None

@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .analytic import AnalyticFn, BlaschkeFn, Compose, GridSpec, Polynomial, Power, Product, bloch_norm_values
+from .analytic import AnalyticFn, BlaschkeFn, BlochGridNorm, Compose, GridSpec, Polynomial, Power, Product
 from .blaschke import (
     BlaschkeProduct,
     interpolation_delta,
@@ -413,24 +413,22 @@ def separability_witness(
 
     Every pair staying a fixed distance apart is an uncountable discrete
     set, witnessing non-separability of any space containing the products.
-    Each rotation is evaluated once, at the origin and by one jet on the
-    grid; a pair's gap is the Bloch grid norm of the differences.
+    Each rotation is sampled once: its value at the origin, its slopes on the grid;
+    a pair's gap is the Bloch grid norm of the difference of their samples.
     """
     rots = reduce_rotations(rotations)
     if not interpolation_delta(B).interpolating:
         raise InterpolationError("rotation family needs an interpolating product")
-    zs = np.fromiter(grid.iter_points(), dtype=complex)
-    origin = np.zeros(1, dtype=complex)
-    values, slopes = [], []
+    norm = BlochGridNorm(grid)
+    samples = []
     for th in rots:
         f = Compose(BlaschkeFn(B), Polynomial((0.0, cmath.exp(-1j * th))))
-        values.append(f.eval(origin)[0])
-        slopes.append(f.jet(zs)[1])
+        samples.append(norm.sample(f, f.derivative()))
     n = len(rots)
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            gapv = bloch_norm_values(values[i] - values[j], slopes[i] - slopes[j], zs)
+            gapv = float(norm.reduce(samples[i] - samples[j]))
             matrix[i][j] = gapv
             matrix[j][i] = gapv
     off = [matrix[i][j] for i in range(n) for j in range(i + 1, n)]

@@ -264,10 +264,8 @@ def test_criterion_08_bloch_gap_case1():
     wsg0 = sl.WeightedSemigroup(flow, sl.Weight(sl.Constant(0)))
     norms = []
     for t in [0.1 * 2 ** (-k) for k in range(7)]:
-        series = sl.taylor(
-            lambda z: sl.apply_weighted(wsg0, sl.Identity(), z, t) - z, 16, 0.9
-        )
-        norms.append(sl.h2_norm(series))
+        h2 = sl.H2Norm(16, 0.9)
+        norms.append(h2.reduce(h2.sample(lambda z: sl.apply_weighted(wsg0, sl.Identity(), z, t) - z)))
     ratios = [b / a for a, b in zip(norms, norms[1:])]
     contrast_ok = norms[-1] < 0.01 and all(0.3 <= q <= 0.7 for q in ratios)
 

@@ -157,12 +157,13 @@ def test_norms_call_a_bare_callable_once_with_an_ndarray():
         seen.append(z)
         return z * z
 
-    assert sl.h2_norm(sl.taylor(square, 4, 0.5)) == pytest.approx(1.0)
-    assert sl.hp_norm_boundary(square, 2, 0.5) == pytest.approx(0.25)
+    h2, hp = sl.H2Norm(4, 0.5), sl.HpNorm(2, 0.5)
+    assert h2.reduce(h2.sample(square)) == pytest.approx(1.0)
+    assert hp.reduce(hp.sample(square)) == pytest.approx(0.25)
     grid = sl.GridSpec((0.0, 0.5), (1, 8))
     assert sl.bloch_norm_grid(square, grid, derivative=lambda z: 2 * z) == pytest.approx(0.75)
     assert all(isinstance(z, np.ndarray) for z in seen)
-    assert len(seen) == 3  # taylor, hp_norm_boundary and f(0) in bloch_norm_grid
+    assert len(seen) == 3  # H2Norm.sample, HpNorm.sample and f(0) in bloch_norm_grid
 
 
 def test_norms_refuse_a_bare_callable_that_is_not_finite():
@@ -173,7 +174,7 @@ def test_norms_refuse_a_bare_callable_that_is_not_finite():
     grid = sl.GridSpec((0.0, 0.5), (1, 4))
     for call in (
         lambda: sl.taylor(spike, 4, 0.5),
-        lambda: sl.hp_norm_boundary(spike, 2, 0.5, M=64),
+        lambda: sl.HpNorm(2, 0.5, M=64).sample(spike),
         lambda: sl.bloch_norm_grid(sl.Identity(), grid, derivative=spike),
     ):
         with pytest.raises(sl.SingularityError, match=r"^non-finite value at \(0\.5\+0j\)$"):

@@ -444,6 +444,7 @@ SHIPPED = {
     "cocycle_check_linear_weight": "cocycle-check",
     "flow_check_radial": "flow-check",
     "flow_trace_parabolic": "flow-trace",
+    "generator_check_bloch": "generator-check",
     "generator_check_square": "generator-check",
     "gpv_geometric": "gpv",
     "separability_rotations": "separability",
