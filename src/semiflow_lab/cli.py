@@ -205,7 +205,8 @@ def run_flow_trace(config, rng):
     ts = np.array(times[1:])
     w, dw = flow.advance_with_derivative(z0, ts)  # one orbit, sampled at per-point end times
     verdicts = Verdicts()
-    verdicts.add("trajectory-inside-disc", bool(np.all(abs(w) < 1.0)))
+    widest = float(abs(w).max())
+    verdicts.add("trajectory-inside-disc", widest < 1.0, widest, 1.0)
     rows = np.column_stack([ts, w.real, w.imag, dw.real, dw.imag]).tolist()
     return verdicts, {"trajectory": (["t", "re", "im", "dre", "dim"], rows)}
 
@@ -415,18 +416,15 @@ def run_bloch_gap(config, rng):
             for r in rep.rows
         )
         verdicts.add(f"cancellation-weight-{idx}", worst_cancel <= 1e-8, worst_cancel, 1e-8)
-        slack = 1e-6
-        verdicts.add(
-            f"grid-gap-dominates-bound-weight-{idx}",
-            all(r.grid_gap >= r.lower_bound - slack for r in rep.rows),
-        )
+        excess = min(r.grid_gap - r.lower_bound for r in rep.rows)
+        verdicts.add(f"grid-gap-dominates-bound-weight-{idx}", excess >= -1e-6, excess, -1e-6)
         verdicts.add(f"uniform-gap-weight-{idx}", rep.delta_hat > 0.0, rep.delta_hat, 0.0)
         tables[f"gap_weight_{idx}"] = (
             ["n", "t_n", "r_n", "w_re", "w_im", "lower_bound", "grid_gap", "cancellation_residual"],
             list(rep.to_csv_rows()),
         )
-    identical = all(bs == bound_sets[0] for bs in bound_sets)
-    verdicts.add("lower-bounds-weight-independent", identical)
+    spread = max(abs(b - b0) for bs in bound_sets for b, b0 in zip(bs, bound_sets[0]))
+    verdicts.add("lower-bounds-weight-independent", spread == 0.0, spread, 0.0)
     return verdicts, tables
 
 

@@ -458,3 +458,5 @@ def test_shipped_config_passes(tmp_path, path):
     assert main([SHIPPED[path.stem], "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
     verdicts = read_report(out)["verdicts"]
     assert verdicts and all(v["passed"] for v in verdicts)
+    # every verdict has a margin: its value against its threshold
+    assert all(v["value"] is not None and v["threshold"] is not None for v in verdicts)
