@@ -614,10 +614,7 @@ class H2Norm(_CircleNorm):
         return hat[..., :self.N + 1] / np.array([self.r ** k for k in range(self.N + 1)])
 
     def reduce(self, samples):
-        c = self.coefficients(samples)
-        moduli = np.hypot(c.real, c.imag)
-        # squared and summed k by k as Python floats are: the reports carry these bits
-        return np.sqrt(reduce(add, np.float_power(np.moveaxis(moduli, -1, 0), 2.0)))
+        return np.linalg.norm(self.coefficients(samples), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -659,9 +656,8 @@ class BlochGridNorm:
         return np.concatenate([_call(value, zs[:1]), _call(slope, zs[1:])], axis=-1)
 
     def reduce(self, samples):
-        weights = 1.0 - np.abs(self.points[1:]) ** 2
-        f0 = samples[..., 0]
-        return np.hypot(f0.real, f0.imag) + np.max(np.abs(samples[..., 1:]) * weights, axis=-1, initial=0.0)
+        weighted = np.abs(samples) * (1.0 - np.abs(self.points) ** 2)  # weight 1 at the origin
+        return weighted[..., 0] + np.max(weighted[..., 1:], axis=-1, initial=0.0)
 
 
 def taylor(f, N: int, r: float) -> np.ndarray:

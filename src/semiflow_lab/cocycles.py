@@ -245,38 +245,29 @@ class ConsistencyTable:
             yield [t, res, "" if ratio is None else ratio]
 
 
-def generator_consistency(
-    wsg: WeightedSemigroup, f: AnalyticFn, norm, t_ladder
-) -> ConsistencyTable:
+def generator_consistency(wsg: WeightedSemigroup, f: AnalyticFn, norm, t_ladder) -> ConsistencyTable:
     """First-order convergence table certifying the generator G f' + g f.
 
     For each t in the decreasing ladder, measures the norm object ``norm``
-    (``H2Norm``, ``HpNorm`` or ``BlochGridNorm``) of (W_t f - f)/t - (G f' + g f); the residual of a generator decays
-    linearly, so consecutive ratios settle near 1/2.
+    (``H2Norm``, ``HpNorm`` or ``BlochGridNorm``) of (W_t f - f)/t - (G f' + g f);
+    the residual of a generator decays linearly, so consecutive ratios settle
+    near 1/2.  One call samples every rung, row i of the (rungs, samples)
+    batch at t_i, and the norm reduces the rows at once.
     """
     t_ladder = _check_ladder(t_ladder)
-    G = wsg.flow.generator_fn()
-    g = weight_fn(wsg)
-    Af = apply_generator(G, g, f)
+    Af = apply_generator(wsg.flow.generator_fn(), weight_fn(wsg), f)
+    ts = np.reshape(t_ladder, (-1, 1))  # a column of times against the sample points
 
-    def residual_norm(t: float) -> float:
-        def value(z):
-            return (apply_weighted(wsg, f, z, t) - f.eval(z)) / t - Af.eval(z)
+    def value(z):
+        return (apply_weighted(wsg, f, z, ts) - f.eval(z)) / ts - Af.eval(z)
 
-        def slope(z):
-            return (weighted_z_derivative(wsg, f, z, t) - f.jet(z)[1]) / t - Af.jet(z)[1]
+    def slope(z):
+        return (weighted_z_derivative(wsg, f, z, ts) - f.jet(z)[1]) / ts - Af.jet(z)[1]
 
-        return float(norm.reduce(norm.sample(value, slope)))
-
-    rows = []
-    prev = None
-    for t in t_ladder:
-        res = residual_norm(t)
-        ratio = None
-        if prev is not None and prev > 1e-14:
-            ratio = res / prev
-        rows.append((t, res, ratio))
-        prev = res
+    residuals = norm.reduce(norm.sample(value, slope)).tolist()
+    rows = [(t_ladder[0], residuals[0], None)]
+    for t, prev, res in zip(t_ladder[1:], residuals, residuals[1:]):
+        rows.append((t, res, res / prev if prev > 1e-14 else None))
     return ConsistencyTable(tuple(rows))
 
 

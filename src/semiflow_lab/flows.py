@@ -115,13 +115,16 @@ def _integrate(rhs, y0, t_end, tol: float):
     blends them.
 
     t_end is a float, or, for a batch, an ndarray of non-negative end times,
-    one per point.  Per-point end times rescale time: the loop integrates
-    dy/dtau = t_i rhs(y) over tau in [0, 1], so every point ends at tau = 1
-    under the same shared steps; a point with t_i = 0 stays where it is.
+    one per point.  Per-point end times rescale time: the loop runs to the
+    longest time T = max t_i and integrates dy/ds = (t_i / T) rhs(y), so every
+    point ends at s = T under the same shared steps, which start as a scalar
+    run to T starts.  A point with t_i = 0 stays where it is, and a batch
+    whose times are all 0 returns its start.
     """
     scale = None
     if isinstance(t_end, np.ndarray):
-        scale, t_end = t_end, 1.0
+        longest = float(t_end.max(initial=0.0))
+        scale, t_end = (t_end / longest if longest > 0.0 else t_end), longest
     if isinstance(y0[0], np.ndarray):
         y, step = np.array([full(y0[0], c) for c in y0]), _stacked_step
         unstacked = rhs

@@ -283,6 +283,41 @@ def test_generator_consistency_bloch_norm():
     assert all(0.3 <= q <= 0.7 for q in ratios)
 
 
+LADDER = [0.1 * 2 ** (-k) for k in range(7)]
+BLOCH = sl.BlochGridNorm(sl.GridSpec((0.0, 0.3, 0.6, 0.85), (1, 8, 16, 16)))
+
+
+@pytest.mark.parametrize("norm, runs", [(sl.H2Norm(N=16), 1), (BLOCH, 2)], ids=["h2", "bloch"])
+def test_generator_consistency_integrates_once_per_reader(integrations, norm, runs):
+    # every rung in one apply_weighted call, and one weighted_z_derivative call for the slopes
+    wsg = sl.WeightedSemigroup(radial_flow(), sl.Weight(sl.Identity()))
+    sl.generator_consistency(wsg, sl.Polynomial([0, 0, 1]), norm, LADDER)
+    assert len(integrations) == runs
+
+
+@pytest.mark.parametrize("norm", [sl.H2Norm(N=16), BLOCH], ids=["h2", "bloch"])
+@pytest.mark.parametrize("weight", [
+    sl.Weight(sl.Constant(0)), sl.Weight(sl.Identity()), sl.Coboundary(sl.Polynomial([2, -1])),
+], ids=["g=0", "g=z", "coboundary"])
+def test_generator_consistency_rows_match_per_rung_runs(weight, norm):
+    from semiflow_lab.cocycles import weight_fn
+
+    wsg = sl.WeightedSemigroup(radial_flow(), weight)
+    f = sl.Polynomial([0, 0, 1])
+    Af = sl.apply_generator(wsg.flow.generator_fn(), weight_fn(wsg), f)
+    table = sl.generator_consistency(wsg, f, norm, LADDER)
+    for t, res, _ in table.rows:
+        # the rung on its own: one run to the shared time t
+        def value(z):
+            return (sl.apply_weighted(wsg, f, z, t) - f.eval(z)) / t - Af.eval(z)
+
+        def slope(z):
+            return (sl.weighted_z_derivative(wsg, f, z, t) - f.jet(z)[1]) / t - Af.jet(z)[1]
+
+        want = norm.reduce(norm.sample(value, slope))
+        assert abs(res - want) <= 1e-9 * want, (t, res, want)
+
+
 def test_coboundary_similarity():
     flow = radial_flow()
     alpha = sl.Polynomial([1, -1])

@@ -102,6 +102,48 @@ def test_cocycle_sweep_right_hand_side_count(monkeypatch, tol, evaluations, batc
     assert abs(complex(np.ravel(m)[0]) - cmath.exp(z * (1 - math.exp(-2.0)))) < tol
 
 
+def evaluations_per_run(monkeypatch):
+    """The right-hand-side evaluations of every flow integration, one entry a run."""
+    from semiflow_lab import flows
+
+    counts = []
+    integrate = flows._integrate
+
+    def counted(rhs, y0, t_end, tol):
+        counts.append(0)
+
+        def counted_rhs(y):
+            counts[-1] += 1
+            return rhs(y)
+
+        return integrate(counted_rhs, y0, t_end, tol)
+
+    monkeypatch.setattr(flows, "_integrate", counted)
+    return counts
+
+
+def test_ladder_batch_starts_with_the_scalar_first_step(monkeypatch):
+    # the generator ladder's 7 rungs against the 256 points of |z| = 0.9: a
+    # batch with a time per point starts with the step of a scalar run to its
+    # longest time, here one DOP853 step of 12 evaluations after the first
+    counts = evaluations_per_run(monkeypatch)
+    flow = radial_flow(1e-12)
+    z = sl.H2Norm().points
+    ladder = np.reshape([0.1 * 2 ** (-k) for k in range(7)], (-1, 1))
+    w = flow.advance(z, ladder)
+    flow.advance(complex(z[0]), 0.1)
+    assert counts == [13, 13]
+    assert np.all(np.abs(w - z * np.exp(-ladder)) <= 1e-12)
+
+
+def test_all_zero_times_return_the_start(monkeypatch):
+    counts = evaluations_per_run(monkeypatch)
+    z = np.array([0.5 + 0.3j, -0.2j])
+    w = radial_flow(1e-12).advance(z, np.zeros((3, 2)))
+    assert np.array_equal(w, np.broadcast_to(z, (3, 2)))
+    assert counts == [0]
+
+
 @pytest.mark.parametrize("t", [8.7e-231, 5e-324])
 @pytest.mark.parametrize("G", [sl.Constant(0.0), sl.Polynomial([0, -1])], ids=["zero", "-z"])
 @pytest.mark.parametrize("batch", [False, True], ids=["tuple", "stacked"])
