@@ -578,7 +578,7 @@ class _CircleNorm:
         if not 0.0 < self.r < 1.0:
             raise DomainError("sampling radius must lie in (0,1)")
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
         return self.r * np.exp(2j * np.pi * np.arange(self.M) / self.M)
 
@@ -647,16 +647,20 @@ class BlochGridNorm:
 
     grid: GridSpec
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
         return np.fromiter(chain((0j,), self.grid.iter_points()), dtype=complex)
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        return 1.0 - np.abs(self.points) ** 2  # 1 at the origin
 
     def sample(self, value, slope) -> np.ndarray:
         zs = self.points
         return np.concatenate([_call(value, zs[:1]), _call(slope, zs[1:])], axis=-1)
 
     def reduce(self, samples):
-        weighted = np.abs(samples) * (1.0 - np.abs(self.points) ** 2)  # weight 1 at the origin
+        weighted = np.abs(samples) * self._weights
         return weighted[..., 0] + np.max(weighted[..., 1:], axis=-1, initial=0.0)
 
 
