@@ -295,17 +295,19 @@ def test_generator_consistency_integrates_once_per_reader(integrations, norm, ru
     assert len(integrations) == runs
 
 
+@pytest.mark.parametrize("ladder", [LADDER, [0.1, 0.06, 0.035, 0.02, 0.011, 0.006, 0.003]],
+                         ids=["dyadic", "uneven"])
 @pytest.mark.parametrize("norm", [sl.H2Norm(N=16), BLOCH], ids=["h2", "bloch"])
 @pytest.mark.parametrize("weight", [
     sl.Weight(sl.Constant(0)), sl.Weight(sl.Identity()), sl.Coboundary(sl.Polynomial([2, -1])),
 ], ids=["g=0", "g=z", "coboundary"])
-def test_generator_consistency_rows_match_per_rung_runs(weight, norm):
+def test_generator_consistency_rows_match_per_rung_runs(weight, norm, ladder):
     from semiflow_lab.cocycles import weight_fn
 
     wsg = sl.WeightedSemigroup(radial_flow(), weight)
     f = sl.Polynomial([0, 0, 1])
     Af = sl.apply_generator(wsg.flow.generator_fn(), weight_fn(wsg), f)
-    table = sl.generator_consistency(wsg, f, norm, LADDER)
+    table = sl.generator_consistency(wsg, f, norm, ladder)
     for t, res, _ in table.rows:
         # the rung on its own: one run to the shared time t
         def value(z):
