@@ -52,7 +52,7 @@ from .errors import (
     config_positive,
 )
 from .flows import check_semigroup, flow_from_json, generator_fd, map_from_json
-from .gap import SEPARATION_FLOOR, bloch_gap, construct_case1, construct_case2
+from .gap import SEPARATION_FLOOR, bloch_gap, bloch_gap_verdicts, construct_case1, construct_case2
 from .gap import reduce_rotations, separability_witness
 
 
@@ -194,6 +194,13 @@ class Verdicts:
         return all(v["passed"] for v in self.items)
 
 
+def _add_window(verdicts, name, ratios, lo, hi):
+    """Verdict ``name``: some ratios, each in [lo, hi].  Its value, against 0, is the least q - lo
+    or hi - q: negative when a ratio lies outside, None when there is none."""
+    value = min((min(q - lo, hi - q) for q in ratios), default=None)
+    verdicts.add(name, value is not None and value >= 0.0, value, 0.0)
+
+
 def run_flow_trace(config, rng):
     z0 = config_pair("z0", _require(config, "z0"))
     t_max = _positive(config, "t_max", 2.0)
@@ -296,9 +303,7 @@ def run_generator_check(config, rng):
         # residuals at the integration-noise floor carry no decay rate
         verdicts.add("consistency-trivial-zero", True, table.max_residual(), 1e-9)
     else:
-        ok = bool(ratios) and all(lo <= q <= hi for q in ratios)
-        worst = max((abs(q - 0.5) for q in ratios), default=None)
-        verdicts.add("consistency-first-order-decay", ok, worst, hi - 0.5)
+        _add_window(verdicts, "consistency-first-order-decay", ratios, lo, hi)
     tables = {"consistency": (["t", "residual", "ratio"], list(table.to_csv_rows()))}
     return verdicts, tables
 
@@ -338,6 +343,8 @@ def run_transfer_check(config, rng):
 
 
 def _zeros_from_config(config):
+    """The listed ``zeros`` or the geometric ``family``'s, and the family's ratio (0.5 for listed zeros)."""
+    ratio = 0.5
     if "zeros" in config:
         zeros = config["zeros"]
         if not isinstance(zeros, list) or not zeros:
@@ -346,19 +353,21 @@ def _zeros_from_config(config):
         for a in zeros:
             if abs(a) >= 1.0:
                 raise ConfigError(f"config key 'zeros' holds {a}, which is not inside the open disc")
-        return zeros
+        return zeros, ratio
     fam = _object(config, "family", {"kind": "geometric", "count": 12})
     if fam.get("kind", "geometric") == "geometric":
-        return radial_zeros(_count(fam, "count", 12), _fraction(fam, "ratio", 0.5))
+        count = _count(fam, "count", 12)
+        ratio = _fraction(fam, "ratio", ratio)
+        return radial_zeros(count, ratio), ratio
     raise ConfigError("provide either 'zeros' or a geometric 'family'")
 
 
 def run_gpv(config, rng):
-    zeros = _zeros_from_config(config)
+    zeros, ratio = _zeros_from_config(config)
     alpha = _fraction(config, "alpha", 0.1)
     samples = _count(config, "samples_per_disc", 80)
     counts = []
-    if config.get("stability_counts"):
+    if "stability_counts" in config:
         counts = [config_integer("stability_counts", c) for c in _numbers(config, "stability_counts", [])]
     B = BlaschkeProduct(zeros)
     report = gpv_bound_check(B, alpha=alpha, samples_per_disc=samples)
@@ -368,7 +377,7 @@ def run_gpv(config, rng):
     if counts:
         betas = [
             gpv_bound_check(
-                BlaschkeProduct(radial_zeros(count)), alpha=alpha, samples_per_disc=samples
+                BlaschkeProduct(radial_zeros(count, ratio)), alpha=alpha, samples_per_disc=samples
             ).beta_hat
             for count in counts
         ]
@@ -394,37 +403,12 @@ def run_bloch_gap(config, rng):
     t_start = _positive(config, "t_start", 0.5)
     grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 8, 16, 16]})
     gc = construct_case1(flow_from_json(_require(config, "flow")), gamma0, N, t_start)
+    reports = [bloch_gap(gc, weight, grid) for weight in weights]
     verdicts = Verdicts()
-    margins = gc.geom_margins()
-    worst_margin = min(
-        [m["first"] for m in margins]
-        + [m["second"] for m in margins if m["second"] is not None]
-    )
-    verdicts.add("geometric-inequality-margins", worst_margin >= 1e-3, worst_margin, 1e-3)
-    verdicts.add(
-        "time-vanishing", gc.levels[-1].t <= gc.levels[0].t / 32.0,
-        gc.levels[-1].t / gc.levels[0].t, 1.0 / 32.0,
-    )
-
-    tables = {}
-    bound_sets = []
-    for idx, weight in enumerate(weights):
-        rep = bloch_gap(gc, weight, grid)
-        bound_sets.append(tuple(r.lower_bound for r in rep.rows))
-        worst_cancel = max(
-            r.cancellation / max(abs(r.lower_bound / (1.0 - r.r)), 1e-300)
-            for r in rep.rows
-        )
-        verdicts.add(f"cancellation-weight-{idx}", worst_cancel <= 1e-8, worst_cancel, 1e-8)
-        excess = min(r.grid_gap - r.lower_bound for r in rep.rows)
-        verdicts.add(f"grid-gap-dominates-bound-weight-{idx}", excess >= -1e-6, excess, -1e-6)
-        verdicts.add(f"uniform-gap-weight-{idx}", rep.delta_hat > 0.0, rep.delta_hat, 0.0)
-        tables[f"gap_weight_{idx}"] = (
-            ["n", "t_n", "r_n", "w_re", "w_im", "lower_bound", "grid_gap", "cancellation_residual"],
-            list(rep.to_csv_rows()),
-        )
-    spread = max(abs(b - b0) for bs in bound_sets for b, b0 in zip(bs, bound_sets[0]))
-    verdicts.add("lower-bounds-weight-independent", spread == 0.0, spread, 0.0)
+    for verdict in bloch_gap_verdicts(gc, reports):
+        verdicts.add(*verdict)
+    header = ["n", "t_n", "r_n", "w_re", "w_im", "lower_bound", "grid_gap", "cancellation_residual"]
+    tables = {f"gap_weight_{idx}": (header, list(rep.to_csv_rows())) for idx, rep in enumerate(reports)}
     return verdicts, tables
 
 
@@ -442,12 +426,7 @@ def run_bloch_gap_auto(config, rng):
     )
     verdicts.add("angle-equation-solved", worst_angle <= angle_thr, worst_angle, angle_thr)
     late = [q for lv, q in zip(gc.levels, gc.ratios) if lv.n >= from_n]
-    verdicts.add(
-        "depth-ratio-window",
-        all(lo <= q <= hi for q in late) and len(late) > 0,
-        max(late) if late else None,
-        hi,
-    )
+    _add_window(verdicts, "depth-ratio-window", late, lo, hi)
     verdicts.add(
         "pseudohyperbolic-separation", gc.min_separation >= sep_thr, gc.min_separation, sep_thr
     )
@@ -459,7 +438,7 @@ def run_bloch_gap_auto(config, rng):
 
 
 def run_separability(config, rng):
-    zeros = _zeros_from_config(config)
+    zeros, _ = _zeros_from_config(config)
     refine = config_flag("refine", config.get("refine", True))
     B = BlaschkeProduct(zeros)
     if isinstance(config.get("rotations"), list):
@@ -500,12 +479,6 @@ RUNNERS = {
 }
 
 
-def _format_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
-
-
 def _write_atomic(path: str, data: str):
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -537,8 +510,7 @@ def _write_outputs(out_dir, subcommand, config, verdicts, tables, extras, wall_c
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(rows)
         _write_atomic(os.path.join(out_dir, f"{name}.csv"), buf.getvalue())
     for name, payload in extras.items():
         _write_atomic(

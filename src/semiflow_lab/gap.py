@@ -50,9 +50,23 @@ from .flows import (
 LADDER_TOP = max(j for j in range(1, 64) if 1.0 - 2.0 ** (-j) < ESCAPE_RADIUS)
 DEPTH_CAP = (LADDER_TOP + 1) // 3
 GEOM_MARGIN = 1e-3
+TIME_VANISHING = 1.0 / 32.0  # the bloch-gap certificate's largest t_N / t_1
+CANCELLATION_LIMIT = 1e-8  # its largest cancellation residual relative to |f'(r_n)|
+GRID_SLACK = -1e-6  # its least grid gap less the certified lower bound: integration tolerance
 # A separability gap at or below this is roundoff: the pair's two rotated
 # products coincide, so it witnesses no separation.
 SEPARATION_FLOOR = 1e-12
+
+
+def _margins(r: float, w: complex, prev_r: float | None):
+    """Relative margins of 1 - r < (1 - |w|)/2 < (1 - prev_r)/4; the second is None
+    without a previous level.  ``advance`` keeps |w| < 1, so (1 - |w|)/2 > 0."""
+    half = 0.5 * (1.0 - abs(w))
+    first = (half - (1.0 - r)) / half
+    if prev_r is None:
+        return first, None
+    quarter = 0.25 * (1.0 - prev_r)
+    return first, (quarter - half) / quarter
 
 
 @dataclass(frozen=True)
@@ -78,22 +92,16 @@ class GapConstruction:
         out = []
         prev_r = None
         for lv in self.levels:
-            half = 0.5 * (1.0 - abs(lv.w))
-            first = (half - (1.0 - lv.r)) / half
-            second = None
-            if prev_r is not None:
-                quarter = 0.25 * (1.0 - prev_r)
-                second = (quarter - half) / quarter
+            first, second = _margins(lv.r, lv.w, prev_r)
             out.append({"n": lv.n, "first": first, "second": second})
             prev_r = lv.r
         return out
 
     def validate(self):
-        """Interleaving, decreasing times and geometric margins; raises on violation.
+        """Interleaving and decreasing times; raises on violation.
 
-        The interleaving chain and margin requirements belong to the
-        radial-limit construction; the automorphism one keeps |w_n| = r_n
-        (rotations preserve moduli) and only needs decreasing times.
+        The interleaving chain belongs to the radial-limit construction; the
+        automorphism one keeps |w_n| = r_n (rotations preserve moduli).
         """
         prev = None
         radial = self.case == "radial-limit"
@@ -110,12 +118,6 @@ class GapConstruction:
                 if radial and not abs(lv.w) > prev.r:
                     raise ValueError(f"level {lv.n}: interleaving broken")
             prev = lv
-        if radial:
-            for m in self.geom_margins():
-                if m["first"] < GEOM_MARGIN:
-                    raise ValueError(f"level {m['n']}: first inequality margin too thin")
-                if m["second"] is not None and m["second"] < GEOM_MARGIN:
-                    raise ValueError(f"level {m['n']}: second inequality margin too thin")
 
 
 def construct_case1(
@@ -169,13 +171,8 @@ def construct_case1(
                 )
             r = 1.0 - 2.0 ** (-j)
             w = work.advance(r, t)
-            first_ok = (1.0 - r) <= 0.5 * (1.0 - abs(w)) * (1.0 - GEOM_MARGIN)
-            second_ok = True
-            if prev_r is not None:
-                second_ok = 0.5 * (1.0 - abs(w)) <= 0.25 * (1.0 - prev_r) * (
-                    1.0 - GEOM_MARGIN
-                )
-            if first_ok and second_ok:
+            first, second = _margins(r, w, prev_r)
+            if first >= GEOM_MARGIN and (second is None or second >= GEOM_MARGIN):
                 break
             j += 1
         levels.append(GapLevel(n=n, t=t, r=r, w=w))
@@ -267,6 +264,30 @@ def bloch_gap(gc: GapConstruction, weight: Weight | Coboundary, grid: GridSpec) 
         for lv, gap, fpr in zip(gc.levels, gaps, fp_r)
     )
     return GapReport(rows=rows, delta_hat=min(r.lower_bound for r in rows))
+
+
+def bloch_gap_verdicts(gc: GapConstruction, reports) -> list:
+    """The bloch-gap certificate as (name, passed, value, threshold) tuples, from ``reports``,
+    one ``bloch_gap`` report of ``gc`` per weight.  The last verdict needs every weight's
+    lower bounds to equal the first weight's: they do not involve the weight."""
+    worst_margin = min(m for gm in gc.geom_margins() for m in (gm["first"], gm["second"]) if m is not None)
+    shrink = gc.levels[-1].t / gc.levels[0].t
+    out = [
+        ("geometric-inequality-margins", worst_margin >= GEOM_MARGIN, worst_margin, GEOM_MARGIN),
+        ("time-vanishing", shrink <= TIME_VANISHING, shrink, TIME_VANISHING),
+    ]
+    for idx, rep in enumerate(reports):
+        cancel = max(r.cancellation / max(abs(r.lower_bound / (1.0 - r.r)), 1e-300) for r in rep.rows)
+        excess = min(r.grid_gap - r.lower_bound for r in rep.rows)
+        out += [
+            (f"cancellation-weight-{idx}", cancel <= CANCELLATION_LIMIT, cancel, CANCELLATION_LIMIT),
+            (f"grid-gap-dominates-bound-weight-{idx}", excess >= GRID_SLACK, excess, GRID_SLACK),
+            (f"uniform-gap-weight-{idx}", rep.delta_hat > 0.0, rep.delta_hat, 0.0),
+        ]
+    first = reports[0].rows
+    spread = max(abs(r.lower_bound - r0.lower_bound) for rep in reports for r, r0 in zip(rep.rows, first))
+    out.append(("lower-bounds-weight-independent", spread == 0.0, spread, 0.0))
+    return out
 
 
 def _solve_angle(flow: FlowModel, r: float, target: float, cap: float):

@@ -248,9 +248,10 @@ def test_criterion_08_bloch_gap_case1():
         sl.Weight(sl.Constant(1)),
         sl.Coboundary(sl.Polynomial([1, -1])),
     ]
-    bound_sets, cancel_ok, delta_hats = [], True, []
+    bound_sets, cancel_ok, delta_hats, reports = [], True, [], []
     for weight in weights:
         rep = sl.bloch_gap(gc, weight, grid)
+        reports.append(rep)
         bound_sets.append(tuple(r.lower_bound for r in rep.rows))
         delta_hats.append(rep.delta_hat)
         for row in rep.rows:
@@ -259,6 +260,10 @@ def test_criterion_08_bloch_gap_case1():
                 cancel_ok = False
     identical = bound_sets[0] == bound_sets[1] == bound_sets[2]
     gap_ok = min(delta_hats) > 0 and gc.levels[-1].t <= gc.levels[0].t / 32.0
+    # the CLI's certificate passes too, and its limits are no looser than the ones pinned here
+    cli_ok = all(passed for _, passed, _, _ in sl.gap.bloch_gap_verdicts(gc, reports)) and (
+        sl.gap.GEOM_MARGIN >= 1e-3 and sl.gap.CANCELLATION_LIMIT <= 1e-8 and sl.gap.TIME_VANISHING <= 1 / 32
+    )
 
     # contrast: on the Hardy norm the same flow IS strongly continuous at f = z
     wsg0 = sl.WeightedSemigroup(flow, sl.Weight(sl.Constant(0)))
@@ -270,15 +275,16 @@ def test_criterion_08_bloch_gap_case1():
     contrast_ok = norms[-1] < 0.01 and all(0.3 <= q <= 0.7 for q in ratios)
 
     elapsed = time.perf_counter() - start
-    ok = margins_ok and identical and cancel_ok and gap_ok and contrast_ok and elapsed < 60.0
+    ok = margins_ok and identical and cancel_ok and gap_ok and contrast_ok and cli_ok and elapsed < 60.0
     report(
         8,
         ok,
         f"margins >= 1e-3 (min {worst_margin:.4f}), bounds bit-identical across weights, "
         f"delta_hat {min(delta_hats):.4g} > 0 with t6/t1 = {gc.levels[-1].t/gc.levels[0].t:.2e}, "
-        f"cancellation <= 1e-8 scale, H2 contrast decays linearly, runtime {elapsed:.1f}s < 60s",
+        f"cancellation <= 1e-8 scale, H2 contrast decays linearly, bloch-gap verdicts pass, "
+        f"runtime {elapsed:.1f}s < 60s",
     )
-    assert margins_ok and identical and cancel_ok and gap_ok and contrast_ok
+    assert margins_ok and identical and cancel_ok and gap_ok and contrast_ok and cli_ok
     assert elapsed < 60.0
 
 

@@ -3,8 +3,11 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
+import semiflow_lab as sl
+from semiflow_lab import cli
 from semiflow_lab.cli import main
 from semiflow_lab.flows import flow_from_json
 from semiflow_lab.gap import SEPARATION_FLOOR
@@ -137,6 +140,19 @@ def test_gpv_subcommand(tmp_path):
     assert {"delta", "alpha", "disjoint", "beta_hat", "per_zero", "truncation_tail"} <= set(gpv)
 
 
+def test_gpv_stability_products_use_the_family_ratio(tmp_path):
+    family = {"kind": "geometric", "count": 10, "ratio": 0.3}
+    cfg = write_config(tmp_path, "c.json", {"family": family, "stability_counts": [6, 10]})
+    run("gpv", cfg, tmp_path / "out")
+    betas = [
+        sl.gpv_bound_check(sl.BlaschkeProduct(sl.radial_zeros(count, 0.3)), alpha=0.1,
+                           samples_per_disc=80).beta_hat
+        for count in (6, 10)
+    ]
+    (verdict,) = [v for v in read_report(tmp_path / "out")["verdicts"] if v["name"] == "beta-hat-stable"]
+    assert verdict["value"] == max(betas) / min(betas)
+
+
 @pytest.mark.parametrize("payload", [{"family": {"count": 1}}, {"zeros": [[0.5, 0]]}],
                          ids=["family", "zeros"])
 def test_gpv_on_one_zero_has_no_pairwise_distance(tmp_path, payload):
@@ -196,6 +212,49 @@ def test_bloch_gap_auto_subcommand(tmp_path):
     assert run("bloch-gap-auto", cfg, tmp_path / "out") == 0
 
 
+def window_verdict(out_dir, name):
+    """The verdict ``name``, checked to report the least distance of a ratio inside its window."""
+    (verdict,) = [v for v in read_report(out_dir)["verdicts"] if v["name"] == name]
+    assert verdict["threshold"] == 0.0
+    assert verdict["passed"] == (verdict["value"] >= 0.0)
+    return verdict
+
+
+@pytest.mark.parametrize("window", [[0.8, 1.2], [1.1, 1.2]])
+def test_depth_ratio_window_value_is_the_least_distance_inside(tmp_path, window):
+    # the late depth ratios (n >= 4) fall from 1.035 to 1.004: a window from 1.1 holds none of them
+    cfg = write_config(tmp_path, "c.json", {"flow": PARABOLIC, "N": 6, "ratio_window": window})
+    code = run("bloch-gap-auto", cfg, tmp_path / "out")
+    rows = [row.split(",") for row in (tmp_path / "out" / "case2.csv").read_text().splitlines()[1:]]
+    late = [float(row[5]) for row in rows if int(row[0]) >= 4]
+    lo, hi = window
+    verdict = window_verdict(tmp_path / "out", "depth-ratio-window")
+    assert verdict["value"] == min(min(q - lo, hi - q) for q in late)
+    assert code == (0 if verdict["passed"] else 1)
+    assert verdict["passed"] == (lo == 0.8)
+
+
+@pytest.mark.parametrize("window", [[0.3, 0.7], [0.45, 0.9], [0.6, 0.9]])
+def test_first_order_decay_value_is_the_least_distance_inside(tmp_path, window):
+    # ratios near 1/2: a window not centred on 1/2 is read from its nearer end
+    payload = json.loads((CONFIGS / "generator_check_square.json").read_text())
+    cfg = write_config(tmp_path, "c.json", {**payload, "ratio_window": window})
+    code = run("generator-check", cfg, tmp_path / "out")
+    rows = (tmp_path / "out" / "consistency.csv").read_text().splitlines()[1:]
+    ratios = [float(row.split(",")[2]) for row in rows if row.split(",")[2]]
+    lo, hi = window
+    verdict = window_verdict(tmp_path / "out", "consistency-first-order-decay")
+    assert verdict["value"] == min(min(q - lo, hi - q) for q in ratios)
+    assert code == (0 if verdict["passed"] else 1)
+    assert verdict["passed"] == (lo < 0.5)
+
+
+def test_numpy_scalar_cells_are_plain_numbers(tmp_path):
+    tables = {"t": (["x", "y"], [[np.float64(0.1), np.float64(1e-300)], [0.25, 3]])}
+    cli._write_outputs(str(tmp_path), "gpv", {}, cli.Verdicts(), tables, {}, 0.0)
+    assert (tmp_path / "t.csv").read_text() == "x,y\n0.1,1e-300\n0.25,3\n"
+
+
 def test_separability_subcommand(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -219,8 +278,6 @@ def test_separability_refuses_identical_functions(tmp_path, rotations):
 
 def test_separability_zero_gap_is_a_failed_verdict(tmp_path, monkeypatch):
     # an exact 0.0 gap fails pairwise-gaps-positive and is never divided by
-    from semiflow_lab import cli
-
     witness = cli.separability_witness
     monkeypatch.setattr(cli, "separability_witness",
                         lambda *args: dataclasses.replace(witness(*args), eps_hat=0.0))
@@ -380,6 +437,11 @@ COBOUNDARY = {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [
         ("flow-check", {"flow": {**RADIAL, "tols": 1e-12}}),
         # an unread key wins over the DepthExceeded that ends the run
         ("bloch-gap", {"flow": RADIAL, "weights": GAP_WEIGHTS, "N": 14, "gird": {}}),
+        # a stability_counts that is not a non-empty list is refused, not skipped
+        ("gpv", {"stability_counts": 0}),
+        ("gpv", {"stability_counts": False}),
+        ("gpv", {"stability_counts": ""}),
+        ("gpv", {"stability_counts": []}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -176,6 +177,87 @@ def test_bloch_gap_integrates_once_plus_once_per_level(case1, integrations, weig
     # one-point cancellation run
     sl.bloch_gap(case1, weight, make_grid())
     assert len(integrations) == 1 + len(case1.levels)
+
+
+GAP_VERDICTS = [
+    "geometric-inequality-margins", "time-vanishing",
+    "cancellation-weight-0", "grid-gap-dominates-bound-weight-0", "uniform-gap-weight-0",
+    "cancellation-weight-1", "grid-gap-dominates-bound-weight-1", "uniform-gap-weight-1",
+    "lower-bounds-weight-independent",
+]
+
+
+@pytest.fixture(scope="module")
+def case1_reports(case1):
+    weights = (sl.Weight(sl.Constant(0)), sl.Coboundary(sl.Polynomial([1, -1])))
+    return [sl.bloch_gap(case1, weight, make_grid()) for weight in weights]
+
+
+def test_bloch_gap_verdicts_pass_on_the_construction(case1, case1_reports):
+    verdicts = sl.gap.bloch_gap_verdicts(case1, case1_reports)
+    assert [v[0] for v in verdicts] == GAP_VERDICTS
+    assert all(passed for _, passed, _, _ in verdicts)
+    assert {name: threshold for name, _, _, threshold in verdicts} == {
+        **dict.fromkeys(GAP_VERDICTS, 0.0),
+        "geometric-inequality-margins": 1e-3, "time-vanishing": 1.0 / 32.0,
+        "cancellation-weight-0": 1e-8, "cancellation-weight-1": 1e-8,
+        "grid-gap-dominates-bound-weight-0": -1e-6, "grid-gap-dominates-bound-weight-1": -1e-6,
+    }
+
+
+def _doctor_row(reports, idx, k, **changes):
+    rows = list(reports[idx].rows)
+    rows[k] = dataclasses.replace(rows[k], **changes)
+    return [*reports[:idx], dataclasses.replace(reports[idx], rows=tuple(rows)), *reports[idx + 1:]]
+
+
+def _thin_first_margin(gc):
+    # the last level's image pushed out until 1 - r is (1 - |w|)/2 less 1e-4 of it
+    lv = gc.levels[-1]
+    w = 1.0 - 2.0 * (1.0 - lv.r) / (1.0 - 1e-4)
+    return dataclasses.replace(gc, levels=gc.levels[:-1] + (dataclasses.replace(lv, w=w),))
+
+
+def _slow_times(gc):
+    lv = gc.levels[-1]
+    return dataclasses.replace(gc, levels=gc.levels[:-1] + (dataclasses.replace(lv, t=gc.levels[0].t / 16),))
+
+
+def _raise_cancellation(reports):
+    row = reports[0].rows[2]
+    return _doctor_row(reports, 0, 2, cancellation=1e-6 * row.lower_bound / (1.0 - row.r))
+
+
+def _sink_grid_gap(reports):
+    row = reports[1].rows[3]
+    return _doctor_row(reports, 1, 3, grid_gap=row.lower_bound - 1e-5)
+
+
+def _zero_delta_hat(reports):
+    return [reports[0], dataclasses.replace(reports[1], delta_hat=0.0)]
+
+
+def _move_a_bound(reports):
+    row = reports[1].rows[0]
+    return _doctor_row(reports, 1, 0, lower_bound=row.lower_bound * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("doctor_gc, doctor_reports, failing, fails", [
+    (_thin_first_margin, None, "geometric-inequality-margins", lambda v, thr: v < thr),
+    (_slow_times, None, "time-vanishing", lambda v, thr: v > thr),
+    (None, _raise_cancellation, "cancellation-weight-0", lambda v, thr: v > thr),
+    (None, _sink_grid_gap, "grid-gap-dominates-bound-weight-1", lambda v, thr: v < thr),
+    (None, _zero_delta_hat, "uniform-gap-weight-1", lambda v, thr: v <= thr),
+    (None, _move_a_bound, "lower-bounds-weight-independent", lambda v, thr: v > thr),
+], ids=["margin", "time", "cancellation", "grid-gap", "delta-hat", "weight-independence"])
+def test_bloch_gap_verdicts_fail_each_rule_alone(case1, case1_reports, doctor_gc, doctor_reports,
+                                                 failing, fails):
+    gc = doctor_gc(case1) if doctor_gc else case1
+    reports = doctor_reports(case1_reports) if doctor_reports else case1_reports
+    verdicts = sl.gap.bloch_gap_verdicts(gc, reports)
+    assert [name for name, passed, _, _ in verdicts if not passed] == [failing]
+    (value, threshold), = [(v, thr) for name, _, v, thr in verdicts if name == failing]
+    assert fails(value, threshold)
 
 
 def test_case2_parabolic():
