@@ -28,7 +28,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, blaschke_derivative, blaschke_eval
 from .errors import ConfigError, DomainError, SingularityError, config_integer, config_number
-from .errors import config_pair, config_parser, config_positive
+from .errors import config_pair, config_parser, config_positive, json_form
 from .pointwise import exp, full, log, nonfinite, points, raise_at
 
 DEFAULT_GUARD_RADIUS = 1e-9
@@ -80,9 +80,6 @@ class AnalyticFn:
             raise_at(abs(z - center) <= radius, z, SingularityError,
                      "{} inside guard disc around {}", center)
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 _ZERO, _ONE, _MINUS_ONE = 0j, 1 + 0j, -1 + 0j
 
@@ -106,6 +103,7 @@ def _compose(outer, inner) -> tuple:
 
 @dataclass(frozen=True)
 class Constant(AnalyticFn):
+    json_tag = {"op": "const"}
     value: complex
 
     def __post_init__(self):
@@ -116,19 +114,15 @@ class Constant(AnalyticFn):
             return (self.value, _ZERO) if order else self.value
         return (self.value,) + (_ZERO,) * order
 
-    def to_json(self):
-        return {"op": "const", "value": _c2p(self.value)}
-
 
 @dataclass(frozen=True)
 class Identity(AnalyticFn):
+    json_tag = {"op": "id"}
+
     def _jet(self, z, order):
         if order < 2:
             return (z, _ONE) if order else z
         return (z, _ONE) + (_ZERO,) * (order - 1)
-
-    def to_json(self):
-        return {"op": "id"}
 
 
 def _horner(coeffs, z):
@@ -142,6 +136,7 @@ def _horner(coeffs, z):
 class Polynomial(AnalyticFn):
     """Coefficients a_0..a_d, evaluated by Horner's rule."""
 
+    json_tag = {"op": "poly"}
     coeffs: tuple
 
     def __post_init__(self):
@@ -160,14 +155,12 @@ class Polynomial(AnalyticFn):
         slopes = Polynomial(self._slopes)._jet(z, order - 1)
         return (value, slopes[0], *[c / j for j, c in enumerate(slopes[1:], 2)])
 
-    def to_json(self):
-        return {"op": "poly", "coeffs": [_c2p(c) for c in self.coeffs]}
-
 
 @dataclass(frozen=True)
 class Mobius(AnalyticFn):
     """(a z + b)/(c z + d) with ad - bc != 0."""
 
+    json_tag = {"op": "mobius"}
     a: complex
     b: complex
     c: complex
@@ -197,24 +190,16 @@ class Mobius(AnalyticFn):
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)
 
-    def to_json(self):
-        return {
-            "op": "mobius",
-            "a": _c2p(self.a),
-            "b": _c2p(self.b),
-            "c": _c2p(self.c),
-            "d": _c2p(self.d),
-        }
-
 
 @dataclass(frozen=True)
 class Exp(AnalyticFn):
-    inner: AnalyticFn
+    json_tag = {"op": "exp"}
+    arg: AnalyticFn
 
     def _jet(self, z, order):
         if not order:
-            return exp(self.inner._jet(z, 0))
-        u = self.inner._jet(z, order)
+            return exp(self.arg._jet(z, 0))
+        u = self.arg._jet(z, order)
         value = exp(u[0])
         # an overflowed value makes the coefficients inf or nan, which the
         # finiteness mask of jet refuses with a SingularityError naming the point
@@ -224,20 +209,18 @@ class Exp(AnalyticFn):
                 coeffs += (sum(i * u[i] * coeffs[j - i] for i in range(1, j + 1)) / j,)
         return coeffs
 
-    def to_json(self):
-        return {"op": "exp", "arg": self.inner.to_json()}
-
 
 @dataclass(frozen=True)
 class Log(AnalyticFn):
-    """Principal-branch logarithm of ``inner``.
+    """Principal-branch logarithm of ``arg``.
 
-    The guard set must cover the zeros of ``inner``.  Integrals of
+    The guard set must cover the zeros of ``arg``.  Integrals of
     logarithmic derivatives elsewhere in the package are accumulated
     additively and exponentiated once, so no branch tracking happens here.
     """
 
-    inner: AnalyticFn
+    json_tag = {"op": "log"}
+    arg: AnalyticFn
     guards: tuple = ()
 
     def __post_init__(self):
@@ -245,7 +228,7 @@ class Log(AnalyticFn):
 
     def _jet(self, z, order):
         self._check_guards(z)
-        u = self.inner._jet(z, order)
+        u = self.arg._jet(z, order)
         base = u[0] if order else u
         raise_at(base == 0, z, SingularityError, "log of zero at {}")
         if not order:
@@ -255,16 +238,10 @@ class Log(AnalyticFn):
             coeffs += ((u[j] - sum(i * coeffs[i] * u[j - i] for i in range(1, j)) / j) / base,)
         return coeffs
 
-    def to_json(self):
-        return {
-            "op": "log",
-            "arg": self.inner.to_json(),
-            "guards": _guards2json(self.guards),
-        }
-
 
 @dataclass(frozen=True)
 class Sum(AnalyticFn):
+    json_tag = {"op": "sum"}
     terms: tuple
 
     def __post_init__(self):
@@ -277,12 +254,10 @@ class Sum(AnalyticFn):
             return reduce(add, [t._jet(z, 0) for t in self.terms])
         return tuple(reduce(add, column) for column in zip(*[t._jet(z, order) for t in self.terms]))
 
-    def to_json(self):
-        return {"op": "sum", "terms": [t.to_json() for t in self.terms]}
-
 
 @dataclass(frozen=True)
 class Product(AnalyticFn):
+    json_tag = {"op": "product"}
     factors: tuple
 
     def __post_init__(self):
@@ -300,12 +275,10 @@ class Product(AnalyticFn):
         coeffs = (reduce(mul, values), reduce(add, terms))
         return coeffs + reduce(_cauchy, jets)[2:] if order > 1 else coeffs
 
-    def to_json(self):
-        return {"op": "product", "factors": [f.to_json() for f in self.factors]}
-
 
 @dataclass(frozen=True)
 class Quotient(AnalyticFn):
+    json_tag = {"op": "quotient"}
     num: AnalyticFn
     den: AnalyticFn
     guards: tuple = ()
@@ -328,17 +301,10 @@ class Quotient(AnalyticFn):
             coeffs += ((n[j] - sum(map(mul, d[1:j + 1], reversed(coeffs)))) / d[0],)
         return coeffs
 
-    def to_json(self):
-        return {
-            "op": "quotient",
-            "num": self.num.to_json(),
-            "den": self.den.to_json(),
-            "guards": _guards2json(self.guards),
-        }
-
 
 @dataclass(frozen=True)
 class Compose(AnalyticFn):
+    json_tag = {"op": "compose"}
     outer: AnalyticFn
     inner: AnalyticFn
 
@@ -350,20 +316,18 @@ class Compose(AnalyticFn):
         coeffs = (v[0], v[1] * u[1])
         return coeffs + _compose(v, u) if order > 1 else coeffs
 
-    def to_json(self):
-        return {"op": "compose", "outer": self.outer.to_json(), "inner": self.inner.to_json()}
-
 
 @dataclass(frozen=True)
 class Power(AnalyticFn):
-    inner: AnalyticFn
+    json_tag = {"op": "power"}
+    arg: AnalyticFn
     k: int
 
     def __post_init__(self):
         object.__setattr__(self, "k", int(self.k))
 
     def _jet(self, z, order):
-        w = self.inner._jet(z, order)
+        w = self.arg._jet(z, order)
         base = w[0] if order else w
         if self.k < 0:
             raise_at(base == 0, z, SingularityError, "negative power of zero at {}")
@@ -379,9 +343,6 @@ class Power(AnalyticFn):
                 outer += (math.prod(range(self.k, self.k - m, -1)) / math.factorial(m) * base ** (self.k - m),)
             coeffs += _compose(outer, w)
         return coeffs
-
-    def to_json(self):
-        return {"op": "power", "arg": self.inner.to_json(), "k": self.k}
 
 
 @dataclass(frozen=True)
@@ -404,7 +365,7 @@ class BlaschkeFn(AnalyticFn):
         return coeffs
 
     def to_json(self):
-        return {"op": "blaschke", **self.product.to_json()}
+        return {"op": "blaschke", **json_form(self.product)}
 
 
 @dataclass(frozen=True)
@@ -428,16 +389,8 @@ class Derivative(AnalyticFn):
 
     def to_json(self):
         if self.n == 1 and isinstance(self.inner, BlaschkeFn):
-            return {"op": "blaschke_derivative", **self.inner.product.to_json()}
+            return {"op": "blaschke_derivative", **json_form(self.inner.product)}
         raise ValueError(f"the tree schema has no op for derivative {self.n} of {type(self.inner).__name__}")
-
-
-def _c2p(c: complex):
-    return [c.real, c.imag]
-
-
-def _guards2json(guards):
-    return [[_c2p(c), r] for c, r in guards]
 
 
 def _json2guards(obj):
@@ -539,13 +492,6 @@ class GridSpec:
             else:
                 counts.append(2 * max(self.angular))
         return GridSpec(tuple(new_radii), tuple(counts), self.points)
-
-    def to_json(self):
-        return {
-            "radii": list(self.radii),
-            "angular": list(self.angular),
-            "points": [_c2p(p) for p in self.points],
-        }
 
     @classmethod
     @config_parser

@@ -38,12 +38,6 @@ class BlaschkeProduct:
     def __len__(self) -> int:
         return len(self.zeros)
 
-    def to_json(self) -> dict:
-        return {
-            "zeros": [[a.real, a.imag] for a in self.zeros],
-            "theta": self.theta,
-        }
-
     @classmethod
     @config_parser
     def from_json(cls, obj: dict) -> "BlaschkeProduct":
@@ -219,26 +213,6 @@ class GpvReport:
     beta_hat: float
     per_zero: tuple
     truncation_tail: float
-
-    def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "disjoint": self.disjoint,
-            "min_pairwise_rho": self.min_pairwise_rho,
-            "rho_threshold": self.rho_threshold,
-            "beta_hat": self.beta_hat,
-            "per_zero": [
-                {
-                    "index": r.index,
-                    "center": [r.center.real, r.center.imag],
-                    "deflated": r.deflated,
-                    "beta_local": r.beta_local,
-                }
-                for r in self.per_zero
-            ],
-            "truncation_tail": self.truncation_tail,
-        }
 
 
 def gpv_bound_check(

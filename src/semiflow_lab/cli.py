@@ -50,6 +50,7 @@ from .errors import (
     config_pair,
     config_parser,
     config_positive,
+    json_form,
 )
 from .flows import check_semigroup, flow_from_json, generator_fd, map_from_json
 from .gap import SEPARATION_FLOOR, bloch_gap, bloch_gap_verdicts, construct_case1, construct_case2
@@ -343,8 +344,7 @@ def run_transfer_check(config, rng):
 
 
 def _zeros_from_config(config):
-    """The listed ``zeros`` or the geometric ``family``'s, and the family's ratio (0.5 for listed zeros)."""
-    ratio = 0.5
+    """The listed ``zeros`` and no ratio, or the geometric ``family``'s zeros and ratio."""
     if "zeros" in config:
         zeros = config["zeros"]
         if not isinstance(zeros, list) or not zeros:
@@ -353,11 +353,11 @@ def _zeros_from_config(config):
         for a in zeros:
             if abs(a) >= 1.0:
                 raise ConfigError(f"config key 'zeros' holds {a}, which is not inside the open disc")
-        return zeros, ratio
+        return zeros, None
     fam = _object(config, "family", {"kind": "geometric", "count": 12})
     if fam.get("kind", "geometric") == "geometric":
         count = _count(fam, "count", 12)
-        ratio = _fraction(fam, "ratio", ratio)
+        ratio = _fraction(fam, "ratio", 0.5)
         return radial_zeros(count, ratio), ratio
     raise ConfigError("provide either 'zeros' or a geometric 'family'")
 
@@ -368,6 +368,8 @@ def run_gpv(config, rng):
     samples = _count(config, "samples_per_disc", 80)
     counts = []
     if "stability_counts" in config:
+        if ratio is None:
+            raise ConfigError("stability_counts need a geometric 'family': listed zeros name no truncations")
         counts = [config_integer("stability_counts", c) for c in _numbers(config, "stability_counts", [])]
     B = BlaschkeProduct(zeros)
     report = gpv_bound_check(B, alpha=alpha, samples_per_disc=samples)
@@ -388,7 +390,7 @@ def run_gpv(config, rng):
         for r in report.per_zero
     ]
     tables = {"gpv": (["index", "re", "im", "deflated", "beta_local"], rows)}
-    return verdicts, tables, {"gpv_report": report.to_json()}
+    return verdicts, tables, {"gpv_report": json_form(report)}
 
 
 def run_bloch_gap(config, rng):

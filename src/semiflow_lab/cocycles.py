@@ -32,8 +32,8 @@ from .analytic import (
 )
 from .errors import ConfigError, DomainError, QuadratureError, SingularityError
 from .errors import config_pair, config_parser
-from .flows import ConformalMap, FlowModel, extrapolate_to_zero
-from .flows import _check_ladder, _check_start, _integrate
+from .flows import ConformalMap, FlowModel
+from .flows import _check_ladder, _check_start, _integrate, _ladder_slope
 from .pointwise import exp, full, larger, nonfinite, points, raise_at, times
 
 # DOP853 local errors scale with the largest state met along the way, so an
@@ -45,6 +45,7 @@ SWELL_LIMIT = 1e3
 class Weight:
     """Analytic weight g; induces the exponential cocycle."""
 
+    json_tag = {"type": "weight"}
     g: AnalyticFn
 
     def rotated(self, gamma: complex) -> "Weight":
@@ -58,6 +59,7 @@ class Weight:
 class Coboundary:
     """Non-vanishing alpha (a zero is allowed only at the flow's fixed point)."""
 
+    json_tag = {"type": "coboundary"}
     alpha: AnalyticFn
     fixed_point: complex | None = None
 
@@ -183,10 +185,8 @@ def check_cocycle_identity(wsg: WeightedSemigroup, z, s, t):
 
 def weight_generator_fd(wsg: WeightedSemigroup, z, h_ladder):
     """Extrapolated (m_h(z) - 1)/h: recovers g, or G alpha'/alpha for a coboundary.
-    One call evaluates every rung, row i of the (rungs, *z.shape) batch at h_i."""
-    h_ladder = _check_ladder(h_ladder)
-    hs = np.reshape(h_ladder, (-1,) + (1,) * np.ndim(z))  # a column of times against z
-    return extrapolate_to_zero(h_ladder, (_cocycle(wsg, z, hs, None) - 1.0) / hs)
+    One call evaluates every rung."""
+    return _ladder_slope(h_ladder, z, lambda hs: _cocycle(wsg, z, hs, None), 1.0)
 
 
 def apply_weighted(wsg: WeightedSemigroup, f, z, t):
@@ -323,14 +323,3 @@ def weight_from_json(obj: dict):
             None if fp is None else config_pair("fixed_point", fp),
         )
     raise ConfigError(f"unknown weight type {obj['type']!r}")
-
-
-def weight_to_json(weight) -> dict:
-    if isinstance(weight, Weight):
-        return {"type": "weight", "g": weight.g.to_json()}
-    fp = weight.fixed_point
-    return {
-        "type": "coboundary",
-        "alpha": weight.alpha.to_json(),
-        "fixed_point": None if fp is None else [fp.real, fp.imag],
-    }

@@ -1,6 +1,8 @@
-"""Exception types shared across the laboratory modules, and the typed
-checks that turn a malformed config value into ConfigError."""
+"""Exception types shared across the laboratory modules, the typed checks
+that turn a malformed config value into ConfigError, and ``json_form``,
+which writes the values those checks read."""
 
+import dataclasses
 import functools
 import math
 
@@ -122,3 +124,25 @@ def config_pair(key: str, v) -> complex:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ConfigError(f"config key {key!r} must be a [re, im] pair, got {v!r}")
     return complex(config_number(key, v[0]), config_number(key, v[1]))
+
+
+def json_form(value):
+    """The JSON form of a config object, as the readers above take it back.
+
+    A complex is a [re, im] pair, a tuple a list, and a dict has each value
+    converted.  A dataclass is its class's ``json_tag`` (e.g. ``{"op":
+    "poly"}``), then each field under its own name; a class whose form is
+    not its fields writes its own through ``to_json``.
+    """
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: json_form(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {**getattr(value, "json_tag", {}), **fields}
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (tuple, list)):
+        return [json_form(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_form(v) for k, v in value.items()}
+    return value

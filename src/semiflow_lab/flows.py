@@ -34,6 +34,7 @@ from .errors import (
     config_pair,
     config_parser,
     config_positive,
+    json_form,
 )
 from .pointwise import exp, full, nonfinite, outside, points, raise_at, times, where
 
@@ -204,9 +205,12 @@ def _stacked_step(rhs, y, k1, h, tol):
 class NewtonInverse:
     """Newton iteration policy for maps without a closed-form inverse."""
 
-    seed: complex = 0.0
+    seed: complex = 0j
     max_iter: int = 50
     tol: float = 1e-12
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", complex(self.seed))  # written as a [re, im] pair
 
 
 @dataclass(frozen=True)
@@ -247,18 +251,9 @@ class ConformalMap:
         raise_at(miss, w, InverseError, "Newton did not converge inverting at {}")
 
     def to_json(self):
-        obj = {"forward": self.forward.to_json()}
-        if self.inverse is not None:
-            obj["inverse"] = self.inverse.to_json()
-        else:
-            obj["newton"] = {
-                "seed": [self.newton.seed.real, self.newton.seed.imag]
-                if isinstance(self.newton.seed, complex)
-                else [float(self.newton.seed), 0.0],
-                "max_iter": self.newton.max_iter,
-                "tol": self.newton.tol,
-            }
-        return obj
+        if self.inverse is None:
+            return {"forward": json_form(self.forward), "newton": json_form(self.newton)}
+        return {"forward": json_form(self.forward), "inverse": json_form(self.inverse)}
 
 
 def mobius_map(a, b, c, d) -> ConformalMap:
@@ -328,14 +323,12 @@ class FlowModel:
         """The vector field G = d phi_t / dt at t = 0, as an expression tree."""
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class OdeFlow(FlowModel):
     """The solution of dw/dt = G(w), w(0) = z, by adaptive DOP853 at ``tol``."""
 
+    json_tag = {"type": "ode"}
     G: AnalyticFn
     tol: float = DEFAULT_TOL
 
@@ -358,9 +351,6 @@ class OdeFlow(FlowModel):
     def generator_fn(self):
         return self.G
 
-    def to_json(self):
-        return {"type": "ode", "G": self.G.to_json(), "tol": self.tol}
-
 
 def ode_flow(G: AnalyticFn, tol: float = DEFAULT_TOL) -> OdeFlow:
     return OdeFlow(G, tol)
@@ -376,6 +366,7 @@ class KoenigsFlow(FlowModel):
     image domain must absorb the ray +ct.
     """
 
+    json_tag = {"type": "koenigs"}
     h: ConformalMap
     c: complex
     mode: str
@@ -407,14 +398,6 @@ class KoenigsFlow(FlowModel):
             )
         return Quotient(Constant(self.c), self.h.forward.derivative())
 
-    def to_json(self):
-        return {
-            "type": "koenigs",
-            "mode": self.mode,
-            "h": self.h.to_json(),
-            "c": [self.c.real, self.c.imag],
-        }
-
 
 def koenigs_flow(h: ConformalMap, c: complex, mode: str) -> KoenigsFlow:
     """Build a closed-form flow from a linearization map h and rate c."""
@@ -439,6 +422,7 @@ class Automorphism(FlowModel):
     boundary fixed point sits at 1, or at -1 when reflect is set).
     """
 
+    json_tag = {"type": "automorphism"}
     kind: str
     omega: float = 0.0
     rate: float = 0.0
@@ -468,18 +452,6 @@ class Automorphism(FlowModel):
     def generator_fn(self):
         return self._model.generator_fn()
 
-    def to_json(self):
-        obj = {"type": "automorphism", "kind": self.kind}
-        if self.kind == "elliptic":
-            obj["omega"] = self.omega
-        elif self.kind == "hyperbolic":
-            obj["rate"] = self.rate
-            obj["reflect"] = self.reflect
-        else:
-            obj["speed"] = self.speed
-            obj["reflect"] = self.reflect
-        return obj
-
 
 @dataclass(frozen=True)
 class RotatedFlow(FlowModel):
@@ -489,6 +461,7 @@ class RotatedFlow(FlowModel):
     normalized base point.
     """
 
+    json_tag = {"type": "rotated"}
     inner: FlowModel
     gamma: complex
 
@@ -509,13 +482,6 @@ class RotatedFlow(FlowModel):
     def generator_fn(self):
         G = self.inner.generator_fn()
         return Product((Constant(1.0 / self.gamma), Compose(G, Polynomial((0.0, self.gamma)))))
-
-    def to_json(self):
-        return {
-            "type": "rotated",
-            "gamma": [self.gamma.real, self.gamma.imag],
-            "inner": self.inner.to_json(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +518,24 @@ def extrapolate_to_zero(hs, vals):
     return tab[-1]
 
 
+def _ladder_slope(h_ladder, z, value, start):
+    """(value(h) - start)/h over the decreasing ladder, extrapolated to h = 0.
+    One call of ``value`` takes every rung: a column of times against z, so
+    row i of the (rungs, *z.shape) batch is at h_i."""
+    h_ladder = _check_ladder(h_ladder)
+    hs = np.reshape(h_ladder, (-1,) + (1,) * np.ndim(z))
+    return extrapolate_to_zero(h_ladder, (value(hs) - start) / hs)
+
+
 def generator_fd(flow: FlowModel, z, h_ladder):
     """Finite-difference estimate of the vector field: extrapolate (phi_h(z)-z)/h.
 
     The orbit is smooth in t, so the one-sided difference has an error series
     in powers of h and polynomial extrapolation eliminates it order by order.
-    z is a point or an array of points; one call advances every rung, row i
-    of the (rungs, *z.shape) batch to its time h_i.
+    z is a point or an array of points; one call advances every rung.
     """
-    h_ladder = _check_ladder(h_ladder)
     z = points(z)
-    hs = np.reshape(h_ladder, (-1,) + (1,) * np.ndim(z))  # a column of times against z
-    return extrapolate_to_zero(h_ladder, (flow.advance(z, hs) - z) / hs)
+    return _ladder_slope(h_ladder, z, lambda hs: flow.advance(z, hs), z)
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,8 @@ def test_refine_is_superset():
 
 def test_json_round_trip(rng):
     for f in fn_corpus():
-        g = sl.fn_from_json(f.to_json())
+        g = sl.fn_from_json(sl.json_form(f))
+        assert g == f
         for z in random_disc_points(rng, 10, 0.7):
             try:
                 expected = f.eval(z)
@@ -207,13 +208,13 @@ def test_log_ignores_legacy_base_key():
     f = sl.fn_from_json(node)
     assert f == sl.Log(sl.Polynomial([1, -0.5]))
     assert abs(f.eval(0.4) - cmath.log(0.8)) < 1e-15
-    assert "base" not in f.to_json()
+    assert "base" not in sl.json_form(f)
 
 
 def test_grid_json_round_trip():
     grid = sl.GridSpec((0.0, 0.4), (1, 8), (0.1 + 0.2j,))
-    again = sl.GridSpec.from_json(grid.to_json())
-    assert list(again.iter_points()) == list(grid.iter_points())
+    again = sl.GridSpec.from_json(sl.json_form(grid))
+    assert again == grid and list(again.iter_points()) == list(grid.iter_points())
 
 
 def test_taylor_series_rejects_nonfinite():
@@ -320,10 +321,10 @@ def test_power_of_a_vanishing_base_has_finite_higher_derivatives():
 
 def test_blaschke_derivative_op(rng):
     B = sl.BlaschkeProduct((0, 0.3, -0.4 + 0.2j, 0.5j), theta=0.7)
-    node = {"op": "blaschke_derivative", **B.to_json()}
+    node = {"op": "blaschke_derivative", **sl.json_form(B)}
     f = sl.fn_from_json(node)
     assert f == sl.Derivative(sl.BlaschkeFn(B)) == sl.BlaschkeFn(B).derivative()
-    assert f.to_json() == node and sl.fn_from_json(f.to_json()) == f
+    assert sl.json_form(f) == node and sl.fn_from_json(sl.json_form(f)) == f
     zs = np.array(random_disc_points(rng, 64, 0.9))
     assert np.array_equal(f.eval(zs), sl.blaschke_derivative(B, zs))
     for z in zs[:8].tolist():
@@ -339,6 +340,6 @@ def test_blaschke_derivative_op(rng):
 
 def test_only_a_blaschke_derivative_has_a_json_op():
     with pytest.raises(ValueError):
-        sl.Identity().derivative().to_json()
+        sl.json_form(sl.Identity().derivative())
     with pytest.raises(ValueError):
-        sl.BlaschkeFn(sl.BlaschkeProduct((0.3,))).derivative().derivative().to_json()
+        sl.json_form(sl.BlaschkeFn(sl.BlaschkeProduct((0.3,))).derivative().derivative())

@@ -181,5 +181,5 @@ def test_pseudo_disc_sampling():
 
 def test_blaschke_json_round_trip():
     B = sl.BlaschkeProduct((0.3, -0.4 + 0.2j), theta=1.1)
-    again = sl.BlaschkeProduct.from_json(B.to_json())
+    again = sl.BlaschkeProduct.from_json(sl.json_form(B))
     assert again == B

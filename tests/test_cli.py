@@ -442,6 +442,8 @@ COBOUNDARY = {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [
         ("gpv", {"stability_counts": False}),
         ("gpv", {"stability_counts": ""}),
         ("gpv", {"stability_counts": []}),
+        # stability products are truncations of a geometric family; listed zeros name none
+        ("gpv", {"zeros": [[0.5, 0], [-0.5, 0], [0, 0.6]], "stability_counts": [2, 3]}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):

@@ -396,8 +396,8 @@ def test_transfer_conjugation_integrates_once_per_side(integrations):
 
 
 def test_weight_json_round_trip():
-    from semiflow_lab.cocycles import weight_from_json, weight_to_json
+    from semiflow_lab.cocycles import weight_from_json
 
     for weight in weight_corpus().values():
-        again = weight_from_json(weight_to_json(weight))
-        assert type(again) is type(weight)
+        again = weight_from_json(sl.json_form(weight))
+        assert again == weight and type(again) is type(weight)

@@ -428,12 +428,13 @@ def test_rotated_flow_conjugation():
 
 def test_flow_json_round_trip(rng):
     for flow in flow_corpus().values():
-        again = sl.flow_from_json(flow.to_json())
+        again = sl.flow_from_json(sl.json_form(flow))
+        assert again == flow
         for z in random_disc_points(rng, 5, 0.7):
             t = rng.uniform(0.0, 1.5)
             assert abs(again.advance(z, t) - flow.advance(z, t)) < 1e-12
     auto = sl.Automorphism(kind="parabolic", speed=1.0, reflect=True)
-    again = sl.flow_from_json(auto.to_json())
+    again = sl.flow_from_json(sl.json_form(auto))
     assert again.advance(0.3, 0.8) == auto.advance(0.3, 0.8)
 
 

@@ -1,0 +1,221 @@
+"""``json_form`` writes what the config readers take back: for every parsed
+type, parse(json_form(x)) == x exactly, through a JSON text."""
+
+import cmath
+import json
+import pathlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import semiflow_lab as sl
+from semiflow_lab import cli
+from semiflow_lab.analytic import guard_points
+from semiflow_lab.cli import main
+from semiflow_lab.cocycles import weight_from_json
+from semiflow_lab.flows import map_from_json
+from conftest import flow_corpus, weight_corpus
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def through_text(value):
+    """json_form(value) as a reader meets it: written to JSON text and read back."""
+    return json.loads(json.dumps(sl.json_form(value)))
+
+
+def tree_corpus():
+    """Nodes the round trip of ``fn_corpus`` leaves out: guards, a derivative,
+    empty sums and products, nesting."""
+    blaschke = sl.BlaschkeProduct((0, 0.3, -0.4 + 0.2j), theta=0.7)
+    return [
+        sl.Log(sl.Polynomial([0.5, 1]), guards=guard_points([-0.5])),
+        sl.Log(sl.Identity(), guards=((0j, 1e-3), (0.5 + 0.5j, 0.25))),
+        sl.Quotient(sl.Constant(1), sl.Polynomial([-0.5, 1]), guards=guard_points([0.5], 1e-6)),
+        sl.Derivative(sl.BlaschkeFn(blaschke)),
+        sl.Compose(sl.Mobius(1, 0.5j, 0, 2), sl.Power(sl.Exp(sl.Identity()), -1)),
+        sl.Sum(()),
+        sl.Product(()),
+    ]
+
+
+@pytest.mark.parametrize("f", tree_corpus(), ids=lambda f: type(f).__name__)
+def test_tree_round_trip(f):
+    assert sl.fn_from_json(through_text(f)) == f
+
+
+def test_keys_are_field_names():
+    f = sl.Power(sl.Log(sl.Exp(sl.Identity())), 2)
+    assert sl.json_form(f) == {
+        "op": "power", "arg": {"op": "log", "arg": {"op": "exp", "arg": {"op": "id"}}, "guards": []}, "k": 2,
+    }
+
+
+def test_newton_map_round_trip():
+    h = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1),
+                        newton=sl.NewtonInverse(seed=0.1 - 0.2j, max_iter=17, tol=1e-11))
+    assert sl.json_form(h)["newton"] == {"seed": [0.1, -0.2], "max_iter": 17, "tol": 1e-11}
+    assert map_from_json(through_text(h)) == h
+    # a real seed is written as a pair, as the reader wants it
+    h = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1), newton=sl.NewtonInverse(seed=0.25))
+    assert map_from_json(through_text(h)) == h
+
+
+def test_closed_form_map_writes_no_newton():
+    h = sl.cayley_map()
+    assert set(sl.json_form(h)) == {"forward", "inverse"}
+    assert map_from_json(through_text(h)) == h
+
+
+def written_flows():
+    """Flows whose every field a reader must take back, unused ones included."""
+    newton = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1), newton=sl.NewtonInverse(0.1j, 40, 1e-12))
+    return {
+        "newton-translate": sl.koenigs_flow(newton, 1j, "translate"),
+        "rotated": sl.RotatedFlow(sl.ode_flow(sl.Polynomial([0, -1]), 1e-11), cmath.exp(0.7j)),
+        "elliptic": sl.Automorphism("elliptic", omega=0.7, rate=0.3, speed=1.5, reflect=True),
+        "hyperbolic": sl.Automorphism("hyperbolic", omega=2.0, rate=0.4, speed=-1.0, reflect=True),
+        "parabolic": sl.Automorphism("parabolic", omega=-0.5, rate=1.25, speed=1.0),
+    }
+
+
+def written_weights():
+    return {
+        "coboundary-at-0": sl.Coboundary(sl.Polynomial([0, 1, 0.25]), fixed_point=0j),
+        "coboundary-exp": sl.Coboundary(sl.Exp(sl.Identity())),
+    }
+
+
+@pytest.mark.parametrize("name", list(written_flows()))
+def test_flow_round_trip(name):
+    flow = written_flows()[name]
+    assert sl.flow_from_json(through_text(flow)) == flow
+
+
+@pytest.mark.parametrize("name", list(written_weights()))
+def test_weight_round_trip(name):
+    weight = written_weights()[name]
+    assert weight_from_json(through_text(weight)) == weight
+
+
+READERS = {
+    "flow": sl.flow_from_json,
+    "weight": weight_from_json,
+    "function": sl.fn_from_json,
+    "alpha": sl.fn_from_json,
+    "map": map_from_json,
+}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+def test_shipped_config_objects_round_trip(path):
+    config = json.loads(path.read_text())
+    parsed = [(READERS[key], READERS[key](value)) for key, value in config.items()
+              if key in READERS and not isinstance(value, float)]  # gpv's alpha is a radius
+    parsed += [(weight_from_json, weight_from_json(w)) for w in config.get("weights", [])]
+    if "grid" in config.get("norm", {}):
+        parsed.append((sl.GridSpec.from_json, sl.GridSpec.from_json(config["norm"]["grid"])))
+    if "family" in config:
+        parsed.append((sl.BlaschkeProduct.from_json, sl.BlaschkeProduct(cli._zeros_from_config(config)[0])))
+    assert parsed
+    for read, value in parsed:
+        assert read(through_text(value)) == value
+
+
+def run_written(tmp_path, subcommand, payload):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    return main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("name", [*flow_corpus(), *written_flows()])
+def test_written_flow_runs(tmp_path, capsys, name):
+    # every key written is one the run reads: an unread key would exit 2
+    flow = sl.json_form({**flow_corpus(), **written_flows()}[name])
+    assert run_written(tmp_path, "flow-trace", {"flow": flow, "z0": [0.3, 0.1], "t_max": 1.0, "samples": 4}) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", [*weight_corpus(), *written_weights()])
+def test_written_weight_runs(tmp_path, capsys, name):
+    radial = sl.json_form(sl.ode_flow(sl.Polynomial([0, -1]), 1e-12))
+    weight = {**weight_corpus(), **written_weights()}[name]
+    payload = {"flow": radial, "weight": sl.json_form(weight), "n_points": 4}
+    assert run_written(tmp_path, "cocycle-check", payload) == 0
+    assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# Generated inputs
+
+finite = {"allow_nan": False, "allow_infinity": False}
+numbers = st.floats(-10, 10, **finite)
+complexes = st.complex_numbers(max_magnitude=10, **finite)
+inside = st.complex_numbers(max_magnitude=0.99, **finite)
+guards = st.lists(st.tuples(complexes, st.floats(1e-12, 1.0)), max_size=2).map(tuple)
+products = st.builds(sl.BlaschkeProduct, st.lists(inside, max_size=3).map(tuple), numbers)
+mobius = st.tuples(complexes, complexes, complexes, complexes).filter(
+    lambda m: m[0] * m[3] - m[1] * m[2] != 0).map(lambda m: sl.Mobius(*m))
+leaves = st.one_of(
+    st.builds(sl.Constant, complexes),
+    st.just(sl.Identity()),
+    st.builds(sl.Polynomial, st.lists(complexes, max_size=4).map(tuple)),
+    mobius,
+    st.builds(sl.BlaschkeFn, products),
+    products.map(lambda B: sl.Derivative(sl.BlaschkeFn(B))),
+)
+
+
+def _nodes(children):
+    return st.one_of(
+        st.builds(sl.Exp, children),
+        st.builds(sl.Log, children, guards),
+        st.builds(sl.Sum, st.lists(children, max_size=3).map(tuple)),
+        st.builds(sl.Product, st.lists(children, max_size=3).map(tuple)),
+        st.builds(sl.Quotient, children, children, guards),
+        st.builds(sl.Compose, children, children),
+        st.builds(sl.Power, children, st.integers(-3, 3)),
+    )
+
+
+trees = st.recursive(leaves, _nodes, max_leaves=8)
+maps = st.one_of(
+    st.sampled_from([sl.cayley_map(), sl.reflected_cayley_map(), sl.mobius_map(1, 0.2, 0.3j, 1)]),
+    st.builds(lambda f, seed, n, tol: sl.ConformalMap(forward=f, newton=sl.NewtonInverse(seed, n, tol)),
+              trees, inside, st.integers(1, 100), st.floats(1e-15, 1e-6)),
+)
+base_flows = st.one_of(
+    st.builds(sl.OdeFlow, trees, st.floats(1e-14, 1e-3)),
+    st.builds(sl.KoenigsFlow, maps, complexes, st.just("translate")),
+    st.builds(sl.KoenigsFlow, st.just(sl.identity_map()),
+              complexes.map(lambda c: complex(abs(c.real), c.imag)), st.just("spiral")),
+    st.builds(sl.Automorphism, st.sampled_from(["elliptic", "hyperbolic", "parabolic"]),
+              numbers, numbers, numbers, st.booleans()),
+)
+flows = st.one_of(
+    base_flows,
+    st.builds(sl.RotatedFlow, base_flows, st.floats(0, 6.3).map(lambda a: cmath.exp(1j * a))),
+)
+weights = st.one_of(
+    st.builds(sl.Weight, trees),
+    st.builds(sl.Coboundary, trees, st.one_of(st.none(), inside)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees)
+def test_generated_tree_round_trip(f):
+    assert sl.fn_from_json(through_text(f)) == f
+
+
+@settings(max_examples=40, deadline=None)
+@given(flows)
+def test_generated_flow_round_trip(flow):
+    assert sl.flow_from_json(through_text(flow)) == flow
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights)
+def test_generated_weight_round_trip(weight):
+    assert weight_from_json(through_text(weight)) == weight
