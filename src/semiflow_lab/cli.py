@@ -9,8 +9,9 @@ the same config produce byte-identical report and CSV bodies).  Exit code
 Every JSON object of a config records the keys its readers read, and a key
 that nothing read is a config error (exit 2), also when a numerical error
 ended the run.  So each runner reads all its keys before any numerical work,
-and builds its flow last: a Koenigs spiral whose h(0) != 0 raises ModelError
-there.
+and builds its flow last, since building one can already evaluate its map.
+Every value goes through a typed reader of errors.py, and a missing key is
+refused with one message at any depth.
 """
 
 from __future__ import annotations
@@ -47,12 +48,14 @@ from .errors import (
     config_flag,
     config_integer,
     config_number,
+    config_numbers,
+    config_object,
     config_pair,
     config_parser,
     config_positive,
     json_form,
 )
-from .flows import check_semigroup, flow_from_json, generator_fd, map_from_json
+from .flows import _check_ladder, check_semigroup, flow_from_json, generator_fd, map_from_json
 from .gap import SEPARATION_FLOOR, bloch_gap, bloch_gap_verdicts, construct_case1, construct_case2
 from .gap import reduce_rotations, separability_witness
 
@@ -67,6 +70,9 @@ class _Config(dict):
     def __getitem__(self, key):
         self.read.add(key)
         return super().__getitem__(key)
+
+    def __missing__(self, key):
+        raise ConfigError(f"config missing required key {key!r}")
 
     def get(self, key, default=None):
         self.read.add(key)
@@ -89,63 +95,15 @@ def _digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config missing required key {key!r}")
-    return config[key]
-
-
-def _number(config: dict, key: str, default, least: float = -math.inf, below: float = math.inf):
-    """config[key] as a finite float, least <= v < below; ``default`` when the key is absent."""
-    v = config_number(key, config[key], least) if key in config else default
-    if not v < below:
-        raise ConfigError(f"config key {key!r} must be a number below {below}, got {v!r}")
-    return v
-
-
-def _positive(config: dict, key: str, default):
-    """config[key] as a finite float > 0; ``default`` when the key is absent."""
-    return config_positive(key, config[key]) if key in config else default
-
-
-def _fraction(config: dict, key: str, default: float) -> float:
-    """config[key] as a number strictly between 0 and 1; ``default`` when absent."""
-    v = _number(config, key, default)
-    if not 0.0 < v < 1.0:
-        raise ConfigError(f"config key {key!r} must lie strictly between 0 and 1, got {v!r}")
-    return v
-
-
-def _count(config: dict, key: str, default: int, least: int = 1) -> int:
-    """config[key] as an integer >= least; ``default`` when the key is absent."""
-    return config_integer(key, config.get(key, default), least)
-
-
-def _numbers(config: dict, key: str, default: list, count: int | None = None) -> list:
-    """config[key] as a non-empty list of finite floats (``count`` of them, when given)."""
-    v = config.get(key, default)
-    if not isinstance(v, list) or not v or count is not None and len(v) != count:
-        raise ConfigError(f"config key {key!r} must be a list of {count or 'some'} numbers, got {v!r}")
-    return [config_number(key, x) for x in v]
-
-
-def _object(config: dict, key: str, default: dict) -> dict:
-    """config[key] as a JSON object; ``default`` when the key is absent."""
-    v = config.get(key, default)
-    if not isinstance(v, dict):
-        raise ConfigError(f"config key {key!r} must be a JSON object, got {v!r}")
-    return v
-
-
 def _grid(config: dict, default: dict, extra=()) -> GridSpec:
     """The grid of config["grid"] (``default`` when absent) with the points ``extra`` added."""
-    grid = GridSpec.from_json(_object(config, "grid", default))
+    grid = GridSpec.from_json(config_object("grid", config.get("grid", default)))
     return GridSpec(grid.radii, grid.angular, grid.points + tuple(extra))
 
 
 def _window(config: dict, key: str, default: list, least: float = -math.inf):
     """config[key] as a pair of numbers least <= lo <= hi."""
-    lo, hi = _numbers(config, key, default, 2)
+    lo, hi = config_numbers(key, config.get(key, default), 2)
     if not least <= lo <= hi:
         bound = f"{least:g} <= " if least > -math.inf else ""
         raise ConfigError(f"config key {key!r} must hold numbers {bound}lo <= hi, got {[lo, hi]}")
@@ -154,10 +112,7 @@ def _window(config: dict, key: str, default: list, least: float = -math.inf):
 
 def _ladder(config: dict, key: str, default: list) -> list:
     """config[key] as a strictly decreasing list of positive steps."""
-    ladder = _numbers(config, key, default)
-    if ladder[-1] <= 0.0 or any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError(f"config key {key!r} must decrease strictly and stay positive, got {ladder}")
-    return ladder
+    return config_parser(_check_ladder)(config_numbers(key, config.get(key, default)))
 
 
 def random_disc_points(rng, n: int, radius: float):
@@ -203,13 +158,13 @@ def _add_window(verdicts, name, ratios, lo, hi):
 
 
 def run_flow_trace(config, rng):
-    z0 = config_pair("z0", _require(config, "z0"))
-    t_max = _positive(config, "t_max", 2.0)
-    n = _count(config, "samples", 50)
+    z0 = config_pair("z0", config["z0"])
+    t_max = config_positive("t_max", config.get("t_max", 2.0))
+    n = config_integer("samples", config.get("samples", 50))
     times = [t_max * k / n for k in range(n + 1)]  # the samples are times[1:]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError(f"config key 't_max' = {t_max!r} is too small for {n} distinct sample times")
-    flow = flow_from_json(_require(config, "flow"))
+    flow = flow_from_json(config["flow"])
     ts = np.array(times[1:])
     w, dw = flow.advance_with_derivative(z0, ts)  # one orbit, sampled at per-point end times
     verdicts = Verdicts()
@@ -220,13 +175,13 @@ def run_flow_trace(config, rng):
 
 
 def run_flow_check(config, rng):
-    n = _count(config, "n_points", 50)
-    radius = _number(config, "z_radius", 0.8, least=0.0, below=1.0)
+    n = config_integer("n_points", config.get("n_points", 50))
+    radius = config_number("z_radius", config.get("z_radius", 0.8), 0.0, 1.0)
     t_lo, t_hi = _window(config, "t_range", [0.0, 2.0], least=0.0)
-    thr_semi = _number(config, "semigroup_threshold", 1e-8)
+    thr_semi = config_number("semigroup_threshold", config.get("semigroup_threshold", 1e-8))
     ladder = _ladder(config, "generator_ladder", [5e-3, 2.5e-3, 1.25e-3])
-    thr_gen = _number(config, "generator_threshold", 1e-6)
-    flow = flow_from_json(_require(config, "flow"))
+    thr_gen = config_number("generator_threshold", config.get("generator_threshold", 1e-6))
+    flow = flow_from_json(config["flow"])
 
     zs = random_disc_points(rng, n, radius)
     s, t = np.array([(rng.uniform(t_lo, t_hi), rng.uniform(t_lo, t_hi)) for _ in zs]).T
@@ -251,14 +206,14 @@ def run_flow_check(config, rng):
 
 
 def run_cocycle_check(config, rng):
-    weight = weight_from_json(_require(config, "weight"))
-    n = _count(config, "n_points", 50)
-    radius = _number(config, "z_radius", 0.8, least=0.0, below=1.0)
+    weight = weight_from_json(config["weight"])
+    n = config_integer("n_points", config.get("n_points", 50))
+    radius = config_number("z_radius", config.get("z_radius", 0.8), 0.0, 1.0)
     t_lo, t_hi = _window(config, "t_range", [0.0, 1.0], least=0.0)
-    thr_id = _number(config, "identity_threshold", 1e-8)
+    thr_id = config_number("identity_threshold", config.get("identity_threshold", 1e-8))
     ladder = _ladder(config, "fd_ladder", [1e-2, 5e-3, 2.5e-3])
-    thr_fd = _number(config, "fd_threshold", 1e-6)
-    wsg = WeightedSemigroup(flow_from_json(_require(config, "flow")), weight)
+    thr_fd = config_number("fd_threshold", config.get("fd_threshold", 1e-6))
+    wsg = WeightedSemigroup(flow_from_json(config["flow"]), weight)
 
     zs = random_disc_points(rng, n, radius)
     s, t = np.array([(rng.uniform(t_lo, t_hi), rng.uniform(t_lo, t_hi)) for _ in zs]).T
@@ -284,19 +239,20 @@ def run_cocycle_check(config, rng):
 def _norm_from_config(obj):
     kind = obj.get("type", "h2")
     if kind == "h2":
-        return H2Norm(N=_count(obj, "N", 64), r=_fraction(obj, "r", 0.9))
+        r = config_positive("r", obj.get("r", 0.9), below=1.0)
+        return H2Norm(N=config_integer("N", obj.get("N", 64)), r=r)
     if kind == "bloch":
-        return BlochGridNorm(GridSpec.from_json(_require(obj, "grid")))
+        return BlochGridNorm(GridSpec.from_json(obj["grid"]))
     raise ConfigError(f"unknown norm type {kind!r}")
 
 
 def run_generator_check(config, rng):
-    weight = weight_from_json(_require(config, "weight"))
-    f = fn_from_json(_require(config, "function"))
-    norm = _norm_from_config(_object(config, "norm", {}))
+    weight = weight_from_json(config["weight"])
+    f = fn_from_json(config["function"])
+    norm = _norm_from_config(config_object("norm", config.get("norm", {})))
     ladder = _ladder(config, "t_ladder", [0.1 * 2 ** (-k) for k in range(7)])
     lo, hi = _window(config, "ratio_window", [0.3, 0.7])
-    wsg = WeightedSemigroup(flow_from_json(_require(config, "flow")), weight)
+    wsg = WeightedSemigroup(flow_from_json(config["flow"]), weight)
     table = generator_consistency(wsg, f, norm, ladder)
     verdicts = Verdicts()
     ratios = table.ratios()
@@ -310,13 +266,13 @@ def run_generator_check(config, rng):
 
 
 def run_coboundary_check(config, rng):
-    alpha = fn_from_json(_require(config, "alpha"))
-    f = fn_from_json(_require(config, "function"))
-    n = _count(config, "n_points", 50)
-    radius = _number(config, "z_radius", 0.8, least=0.0, below=1.0)
+    alpha = fn_from_json(config["alpha"])
+    f = fn_from_json(config["function"])
+    n = config_integer("n_points", config.get("n_points", 50))
+    radius = config_number("z_radius", config.get("z_radius", 0.8), 0.0, 1.0)
     t_lo, t_hi = _window(config, "t_range", [0.0, 1.0], least=0.0)
-    thr = _number(config, "threshold", 1e-12)
-    flow = flow_from_json(_require(config, "flow"))
+    thr = config_number("threshold", config.get("threshold", 1e-12))
+    flow = flow_from_json(config["flow"])
     zs = random_disc_points(rng, n, radius)
     t = np.array([rng.uniform(t_lo, t_hi) for _ in zs])
     resid = coboundary_similarity_check(alpha, flow, f, np.array(zs), t)
@@ -328,13 +284,13 @@ def run_coboundary_check(config, rng):
 
 def run_transfer_check(config, rng):
     h = map_from_json(config.get("map", "cayley"))
-    weight = weight_from_json(_require(config, "weight"))
-    f = fn_from_json(_require(config, "function"))
-    n = _count(config, "n_points", 20)
-    radius = _number(config, "z_radius", 0.7, least=0.0, below=1.0)
-    t = _number(config, "t", 0.5, least=0.0)
-    thr = _number(config, "threshold", 1e-9)
-    wsg = WeightedSemigroup(flow_from_json(_require(config, "flow")), weight)
+    weight = weight_from_json(config["weight"])
+    f = fn_from_json(config["function"])
+    n = config_integer("n_points", config.get("n_points", 20))
+    radius = config_number("z_radius", config.get("z_radius", 0.7), 0.0, 1.0)
+    t = config_number("t", config.get("t", 0.5), 0.0)
+    thr = config_number("threshold", config.get("threshold", 1e-9))
+    wsg = WeightedSemigroup(flow_from_json(config["flow"]), weight)
     zs = random_disc_points(rng, n, radius)
     resid = transfer_conjugation_check(h, wsg, f, np.array(zs), t)
     worst = float(resid.max())
@@ -354,23 +310,24 @@ def _zeros_from_config(config):
             if abs(a) >= 1.0:
                 raise ConfigError(f"config key 'zeros' holds {a}, which is not inside the open disc")
         return zeros, None
-    fam = _object(config, "family", {"kind": "geometric", "count": 12})
+    fam = config_object("family", config.get("family", {"kind": "geometric", "count": 12}))
     if fam.get("kind", "geometric") == "geometric":
-        count = _count(fam, "count", 12)
-        ratio = _fraction(fam, "ratio", 0.5)
+        count = config_integer("count", fam.get("count", 12))
+        ratio = config_positive("ratio", fam.get("ratio", 0.5), below=1.0)
         return radial_zeros(count, ratio), ratio
     raise ConfigError("provide either 'zeros' or a geometric 'family'")
 
 
 def run_gpv(config, rng):
     zeros, ratio = _zeros_from_config(config)
-    alpha = _fraction(config, "alpha", 0.1)
-    samples = _count(config, "samples_per_disc", 80)
+    alpha = config_positive("alpha", config.get("alpha", 0.1), below=1.0)
+    samples = config_integer("samples_per_disc", config.get("samples_per_disc", 80))
     counts = []
     if "stability_counts" in config:
         if ratio is None:
             raise ConfigError("stability_counts need a geometric 'family': listed zeros name no truncations")
-        counts = [config_integer("stability_counts", c) for c in _numbers(config, "stability_counts", [])]
+        counts = config_numbers("stability_counts", config["stability_counts"])
+        counts = [config_integer("stability_counts", c) for c in counts]
     B = BlaschkeProduct(zeros)
     report = gpv_bound_check(B, alpha=alpha, samples_per_disc=samples)
     verdicts = Verdicts()
@@ -394,17 +351,17 @@ def run_gpv(config, rng):
 
 
 def run_bloch_gap(config, rng):
-    weights = _require(config, "weights")
+    weights = config["weights"]
     if not isinstance(weights, list) or not weights:
         raise ConfigError(f"config key 'weights' must be a non-empty list of weights, got {weights!r}")
     weights = [weight_from_json(w) for w in weights]
     gamma0 = config_pair("gamma0", config.get("gamma0", [1.0, 0.0]))
     if abs(abs(gamma0) - 1.0) > 1e-12:
         raise ConfigError(f"gamma0 = {gamma0} must be unimodular")
-    N = _count(config, "N", 6)
-    t_start = _positive(config, "t_start", 0.5)
+    N = config_integer("N", config.get("N", 6))
+    t_start = config_positive("t_start", config.get("t_start", 0.5))
     grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 8, 16, 16]})
-    gc = construct_case1(flow_from_json(_require(config, "flow")), gamma0, N, t_start)
+    gc = construct_case1(flow_from_json(config["flow"]), gamma0, N, t_start)
     reports = [bloch_gap(gc, weight, grid) for weight in weights]
     verdicts = Verdicts()
     for verdict in bloch_gap_verdicts(gc, reports):
@@ -415,13 +372,13 @@ def run_bloch_gap(config, rng):
 
 
 def run_bloch_gap_auto(config, rng):
-    N = _count(config, "N", 6)
-    t_first_cap = _positive(config, "t_first_cap", 1.0)
-    angle_thr = _number(config, "angle_threshold", 1e-9)
+    N = config_integer("N", config.get("N", 6))
+    t_first_cap = config_positive("t_first_cap", config.get("t_first_cap", 1.0))
+    angle_thr = config_number("angle_threshold", config.get("angle_threshold", 1e-9))
     lo, hi = _window(config, "ratio_window", [0.8, 1.2])
-    from_n = _count(config, "ratio_from_n", 4, least=0)
-    sep_thr = _number(config, "min_separation", 0.1)
-    gc = construct_case2(flow_from_json(_require(config, "flow")), N, t_first_cap)
+    from_n = config_integer("ratio_from_n", config.get("ratio_from_n", 4), 0)
+    sep_thr = config_number("min_separation", config.get("min_separation", 0.1))
+    gc = construct_case2(flow_from_json(config["flow"]), N, t_first_cap)
     verdicts = Verdicts()
     worst_angle = max(
         abs(cmath.phase(lv.w - 1.0) - gc.target_angle) for lv in gc.levels
@@ -444,10 +401,11 @@ def run_separability(config, rng):
     refine = config_flag("refine", config.get("refine", True))
     B = BlaschkeProduct(zeros)
     if isinstance(config.get("rotations"), list):
-        rotations = _numbers(config, "rotations", [])
+        rotations = config_numbers("rotations", config["rotations"])
         config_parser(reduce_rotations)(rotations)  # angles that coincide modulo 2*pi
     else:
-        count = _count(_object(config, "rotations", {"count": 8}), "count", 8)
+        count = config_object("rotations", config.get("rotations", {"count": 8})).get("count", 8)
+        count = config_integer("count", count)
         rotations = [2.0 * math.pi * k / count for k in range(count)]
     pts = [a * cmath.exp(1j * th) for a in zeros for th in rotations]
     grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 16, 32, 32]}, pts)

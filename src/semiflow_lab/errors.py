@@ -5,6 +5,7 @@ which writes the values those checks read."""
 import dataclasses
 import functools
 import math
+import sys
 
 
 class SemiflowError(Exception):
@@ -86,21 +87,20 @@ def config_parser(parse):
     return parsed
 
 
-def config_number(key: str, v, least: float = -math.inf) -> float:
-    """v as a float, once it is a finite JSON number >= least (a string or a
-    bool is not a number)."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v < least:
-        bound = f" >= {least}" if least > -math.inf else ""
+def config_number(key: str, v, least: float = -math.inf, below: float = math.inf) -> float:
+    """v as a float, once it is a finite JSON number, least <= v < below (not a string or a bool)."""
+    finite = isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    if not finite or not least <= v < below:  # an int beyond every float is refused, not overflowed
+        bound = " and".join(f" {op} {b}" for op, b in ((">=", least), ("<", below)) if math.isfinite(b))
         raise ConfigError(f"config key {key!r} must be a finite number{bound}, got {v!r}")
     return float(v)
 
 
-def config_positive(key: str, v) -> float:
-    """v as a float, once it is a finite JSON number > 0."""
-    v = config_number(key, v)
-    if v <= 0.0:
+def config_positive(key: str, v, below: float = math.inf) -> float:
+    """v as a float, once it is a finite JSON number, 0 < v < below."""
+    if config_number(key, v, below=below) <= 0.0:
         raise ConfigError(f"config key {key!r} must be a finite number > 0, got {v!r}")
-    return v
+    return float(v)
 
 
 def config_integer(key: str, v, least: float = 1) -> int:
@@ -124,6 +124,20 @@ def config_pair(key: str, v) -> complex:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ConfigError(f"config key {key!r} must be a [re, im] pair, got {v!r}")
     return complex(config_number(key, v[0]), config_number(key, v[1]))
+
+
+def config_numbers(key: str, v, count: int | None = None) -> list:
+    """v as a list of floats, once it is a non-empty list of (``count``) finite numbers."""
+    if not isinstance(v, list) or not v or count is not None and len(v) != count:
+        raise ConfigError(f"config key {key!r} must be a list of {count or 'some'} numbers, got {v!r}")
+    return [config_number(key, x) for x in v]
+
+
+def config_object(key: str, v) -> dict:
+    """v, once it is a JSON object."""
+    if not isinstance(v, dict):
+        raise ConfigError(f"config key {key!r} must be a JSON object, got {v!r}")
+    return v
 
 
 def json_form(value):

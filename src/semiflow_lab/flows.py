@@ -31,6 +31,7 @@ from .errors import (
     config_flag,
     config_integer,
     config_number,
+    config_object,
     config_pair,
     config_parser,
     config_positive,
@@ -648,7 +649,10 @@ def flow_from_json(obj: dict) -> FlowModel:
     if kind == "ode":
         return ode_flow(fn_from_json(obj["G"]), config_positive("tol", obj.get("tol", DEFAULT_TOL)))
     if kind == "koenigs":
-        return koenigs_flow(map_from_json(obj["h"]), config_pair("c", obj["c"]), obj["mode"])
+        try:
+            return koenigs_flow(map_from_json(obj["h"]), config_pair("c", obj["c"]), obj["mode"])
+        except ModelError as exc:  # a spiral's h(0) != 0 or Re c < 0: the config is at fault
+            raise ConfigError(str(exc)) from exc
     if kind == "automorphism":
         if obj["kind"] not in _AUTOMORPHISM_KINDS:
             raise ConfigError(f"unknown automorphism kind {obj['kind']!r}")
@@ -660,7 +664,7 @@ def flow_from_json(obj: dict) -> FlowModel:
             reflect=config_flag("reflect", obj.get("reflect", False)),
         )
     if kind == "rotated":
-        gamma = config_pair("gamma", obj["gamma"])  # read before an inner flow's ModelError can end the run
+        gamma = config_pair("gamma", obj["gamma"])  # read before the inner flow, whose build can end the run
         if abs(abs(gamma) - 1.0) > 1e-12:
             raise ConfigError(f"config key 'gamma' must be unimodular, got {gamma}")
         return RotatedFlow(flow_from_json(obj["inner"]), gamma)
@@ -683,9 +687,7 @@ def map_from_json(obj) -> ConformalMap:
     forward = fn_from_json(obj["forward"])
     if "inverse" in obj:
         return ConformalMap(forward=forward, inverse=fn_from_json(obj["inverse"]))
-    nt = obj.get("newton", {})
-    if not isinstance(nt, dict):
-        raise ConfigError(f"config key 'newton' must be a JSON object, got {nt!r}")
+    nt = config_object("newton", obj.get("newton", {}))
     return ConformalMap(
         forward=forward,
         newton=NewtonInverse(

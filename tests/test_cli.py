@@ -9,6 +9,15 @@ import pytest
 import semiflow_lab as sl
 from semiflow_lab import cli
 from semiflow_lab.cli import main
+from semiflow_lab.errors import (
+    config_flag,
+    config_integer,
+    config_number,
+    config_numbers,
+    config_object,
+    config_pair,
+    config_positive,
+)
 from semiflow_lab.flows import flow_from_json
 from semiflow_lab.gap import SEPARATION_FLOOR
 
@@ -302,23 +311,12 @@ def test_exit_code_on_failed_verdict(tmp_path):
 
 
 def test_exit_code_on_module_error(tmp_path):
-    # spiral model with a map not fixing 0 raises inside the runner
-    cfg = write_config(
-        tmp_path,
-        "c.json",
-        {
-            "flow": {
-                "type": "koenigs",
-                "mode": "spiral",
-                "h": "cayley",
-                "c": [1.0, 0.0],
-            },
-            "z0": [0.1, 0.0],
-        },
-    )
-    assert run("flow-trace", cfg, tmp_path / "out") == 1
+    # G = z^3 generates no automorphism family: the case-2 construction raises inside the runner
+    cube = {"type": "ode", "G": {"op": "poly", "coeffs": [[0, 0], [0, 0], [0, 0], [1, 0]]}}
+    cfg = write_config(tmp_path, "c.json", {"flow": cube})
+    assert run("bloch-gap-auto", cfg, tmp_path / "out") == 1
     report = read_report(tmp_path / "out")
-    assert report["error"]["type"] == "ModelError"
+    assert report["error"]["type"] == "CaseMismatch"
 
 
 def test_exit_code_on_config_error(tmp_path):
@@ -444,6 +442,14 @@ COBOUNDARY = {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [
         ("gpv", {"stability_counts": []}),
         # stability products are truncations of a geometric family; listed zeros name none
         ("gpv", {"zeros": [[0.5, 0], [-0.5, 0], [0, 0.6]], "stability_counts": [2, 3]}),
+        # a spiral needs h(0) = 0 and Re c >= 0
+        ("flow-trace", {"flow": {"type": "koenigs", "mode": "spiral", "h": "cayley", "c": [1, 0]},
+                        "z0": [0.1, 0]}),
+        ("flow-trace", {"flow": {"type": "koenigs", "mode": "spiral", "h": "identity", "c": [-1, 0]},
+                        "z0": [0.1, 0]}),
+        # an integer literal beyond every float is refused, not overflowed
+        ("flow-check", {"flow": RADIAL, "z_radius": 10**400}),
+        ("flow-check", {"flow": {**RADIAL, "tol": 10**400}}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):
@@ -451,6 +457,53 @@ def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):
     assert run(subcommand, cfg, tmp_path / "out") == 2
     assert not (tmp_path / "out" / "report.json").exists()
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"z0": [0.5, 0]}, "flow"),
+        ({"flow": {"type": "ode"}, "z0": [0.5, 0]}, "G"),
+        ({"flow": {"type": "rotated", "gamma": [1, 0], "inner": {"type": "koenigs", "h": "cayley",
+                                                                   "c": [0, 1]}}, "z0": [0.5, 0]}, "mode"),
+    ],
+    ids=["top-level", "nested", "two-deep"],
+)
+def test_missing_key_has_one_message_at_any_depth(tmp_path, capsys, payload, key):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run("flow-trace", cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: config missing required key {key!r}\n"
+
+
+WRONG_SCALARS = ["1", True, None, math.nan, math.inf, -math.inf, [1.0], {"v": 1.0}]
+READERS = [
+    # reader, its bounds, (good value, typed result) pairs, values that must be refused
+    (config_number, {"least": 0.0, "below": 1.0}, [(0, 0.0), (0.5, 0.5)], [*WRONG_SCALARS, -1e-300, 1.0]),
+    (config_number, {}, [(-2, -2.0), (1e300, 1e300)], [*WRONG_SCALARS, 10**400, -(10**400)]),
+    (config_positive, {"below": 1.0}, [(0.5, 0.5)], [*WRONG_SCALARS, 0, -0.5, 1.0, 2]),
+    (config_positive, {}, [(3, 3.0)], [*WRONG_SCALARS, 0.0]),
+    (config_integer, {"least": 0}, [(0, 0), (2.0, 2)], [*WRONG_SCALARS, -1, 2.5]),
+    (config_flag, {}, [(True, True), (False, False)], [x for x in WRONG_SCALARS if x is not True] + [0, 1]),
+    (config_pair, {}, [([1, 2], 1 + 2j), ((0.5, 0), 0.5 + 0j)],
+     [*WRONG_SCALARS, [1, 2, 3], ["1", 0], [True, 0], [None, 0], [math.nan, 0], [0, math.inf], [0, -math.inf],
+      [10**400, 0]]),
+    (config_numbers, {"count": 2}, [([1, 2], [1.0, 2.0])],
+     [*WRONG_SCALARS, [], [1, 2, 3], [1, "2"], [1, True], [1, None], [1, math.nan], [1, math.inf], [1, -math.inf]]),
+    (config_numbers, {}, [([1], [1.0])], [*WRONG_SCALARS[:6], {"v": 1.0}, [], [[1.0]], [{"v": 1.0}]]),
+    (config_object, {}, [({"a": 1}, {"a": 1}), ({}, {})], WRONG_SCALARS[:-1]),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, bounds, good, bad", READERS, ids=[f"{r.__name__}-{'-'.join(b) or 'free'}" for r, b, _, _ in READERS]
+)
+def test_config_readers_refuse_by_key(reader, bounds, good, bad):
+    for v, want in good:
+        got = reader("k", v, **bounds)
+        assert type(got) is type(want) and got == want
+    for v in bad:
+        with pytest.raises(sl.ConfigError, match="config key 'k' must"):
+            reader("k", v, **bounds)
 
 
 OVERFLOW = {"type": "weight", "g": {"op": "const", "value": [1000, 0]}}
