@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import time
+from itertools import combinations
 
 import numpy as np
 
@@ -131,30 +132,17 @@ def _table(zs, *columns):
     return [[z.real, z.imag, *row] for z, *row in zip(np.asarray(zs).tolist(), *cells)]
 
 
-class Verdicts:
-    def __init__(self):
-        self.items = []
-
-    def add(self, name: str, passed: bool, value=None, threshold=None):
-        self.items.append(
-            {
-                "name": name,
-                "passed": bool(passed),
-                "value": value,
-                "threshold": threshold,
-            }
-        )
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v["passed"] for v in self.items)
+def _at_most(name, values, threshold):
+    """Verdict ``name``: the largest of ``values`` is at most ``threshold``."""
+    worst = float(np.max(values))
+    return name, worst <= threshold, worst, threshold
 
 
-def _add_window(verdicts, name, ratios, lo, hi):
+def _in_window(name, ratios, lo, hi):
     """Verdict ``name``: some ratios, each in [lo, hi].  Its value, against 0, is the least q - lo
     or hi - q: negative when a ratio lies outside, None when there is none."""
     value = min((min(q - lo, hi - q) for q in ratios), default=None)
-    verdicts.add(name, value is not None and value >= 0.0, value, 0.0)
+    return name, value is not None and value >= 0.0, value, 0.0
 
 
 def run_flow_trace(config, rng):
@@ -167,10 +155,9 @@ def run_flow_trace(config, rng):
     flow = flow_from_json(config["flow"])
     ts = np.array(times[1:])
     w, dw = flow.advance_with_derivative(z0, ts)  # one orbit, sampled at per-point end times
-    verdicts = Verdicts()
     widest = float(abs(w).max())
-    verdicts.add("trajectory-inside-disc", widest < 1.0, widest, 1.0)
     rows = np.column_stack([ts, w.real, w.imag, dw.real, dw.imag]).tolist()
+    verdicts = [("trajectory-inside-disc", widest < 1.0, widest, 1.0)]
     return verdicts, {"trajectory": (["t", "re", "im", "dre", "dim"], rows)}
 
 
@@ -186,20 +173,17 @@ def run_flow_check(config, rng):
     zs = random_disc_points(rng, n, radius)
     s, t = np.array([(rng.uniform(t_lo, t_hi), rng.uniform(t_lo, t_hi)) for _ in zs]).T
     resid = check_semigroup(flow, np.array(zs), s, t)
-    worst_semi = float(resid.max())
-    rows = _table(zs, s, t, resid)
-    verdicts = Verdicts()
-    verdicts.add("semigroup-identity", worst_semi <= thr_semi, worst_semi, thr_semi)
-
-    zs = np.array(random_disc_points(rng, min(n, 30), radius))
-    est = generator_fd(flow, zs, ladder)
-    mismatch = abs(est - flow.generator_fn().eval(zs))
-    worst_gen = float(mismatch.max())
-    verdicts.add("generator-round-trip", worst_gen <= thr_gen, worst_gen, thr_gen)
+    zs_fd = np.array(random_disc_points(rng, min(n, 30), radius))
+    est = generator_fd(flow, zs_fd, ladder)
+    mismatch = abs(est - flow.generator_fn().eval(zs_fd))
+    verdicts = [
+        _at_most("semigroup-identity", resid, thr_semi),
+        _at_most("generator-round-trip", mismatch, thr_gen),
+    ]
     tables = {
-        "semigroup_residuals": (["z_re", "z_im", "s", "t", "residual"], rows),
+        "semigroup_residuals": (["z_re", "z_im", "s", "t", "residual"], _table(zs, s, t, resid)),
         "generator_roundtrip": (
-            ["z_re", "z_im", "fd_re", "fd_im", "mismatch"], _table(zs, est.real, est.imag, mismatch)
+            ["z_re", "z_im", "fd_re", "fd_im", "mismatch"], _table(zs_fd, est.real, est.imag, mismatch)
         ),
     }
     return verdicts, tables
@@ -218,15 +202,13 @@ def run_cocycle_check(config, rng):
     zs = random_disc_points(rng, n, radius)
     s, t = np.array([(rng.uniform(t_lo, t_hi), rng.uniform(t_lo, t_hi)) for _ in zs]).T
     resid = check_cocycle_identity(wsg, np.array(zs), s, t)
-    worst = float(resid.max())
-    verdicts = Verdicts()
-    verdicts.add("cocycle-identity", worst <= thr_id, worst, thr_id)
-
     zs_fd = np.array(random_disc_points(rng, min(n, 20), radius))
     est = weight_generator_fd(wsg, zs_fd, ladder)
     mismatch = abs(est - weight_fn(wsg).eval(zs_fd))
-    worst_fd = float(mismatch.max())
-    verdicts.add("weight-derivative-round-trip", worst_fd <= thr_fd, worst_fd, thr_fd)
+    verdicts = [
+        _at_most("cocycle-identity", resid, thr_id),
+        _at_most("weight-derivative-round-trip", mismatch, thr_fd),
+    ]
     tables = {
         "cocycle_identity": (["z_re", "z_im", "s", "t", "residual"], _table(zs, s, t, resid)),
         "weight_roundtrip": (
@@ -254,15 +236,13 @@ def run_generator_check(config, rng):
     lo, hi = _window(config, "ratio_window", [0.3, 0.7])
     wsg = WeightedSemigroup(flow_from_json(config["flow"]), weight)
     table = generator_consistency(wsg, f, norm, ladder)
-    verdicts = Verdicts()
-    ratios = table.ratios()
     if table.max_residual() <= 1e-9:
         # residuals at the integration-noise floor carry no decay rate
-        verdicts.add("consistency-trivial-zero", True, table.max_residual(), 1e-9)
+        verdict = ("consistency-trivial-zero", True, table.max_residual(), 1e-9)
     else:
-        _add_window(verdicts, "consistency-first-order-decay", ratios, lo, hi)
-    tables = {"consistency": (["t", "residual", "ratio"], list(table.to_csv_rows()))}
-    return verdicts, tables
+        verdict = _in_window("consistency-first-order-decay", table.ratios(), lo, hi)
+    rows = [[t, res, "" if ratio is None else ratio] for t, res, ratio in table.rows]
+    return [verdict], {"consistency": (["t", "residual", "ratio"], rows)}
 
 
 def run_coboundary_check(config, rng):
@@ -276,9 +256,7 @@ def run_coboundary_check(config, rng):
     zs = random_disc_points(rng, n, radius)
     t = np.array([rng.uniform(t_lo, t_hi) for _ in zs])
     resid = coboundary_similarity_check(alpha, flow, f, np.array(zs), t)
-    worst = float(resid.max())
-    verdicts = Verdicts()
-    verdicts.add("coboundary-similarity", worst <= thr, worst, thr)
+    verdicts = [_at_most("coboundary-similarity", resid, thr)]
     return verdicts, {"similarity": (["z_re", "z_im", "t", "residual"], _table(zs, t, resid))}
 
 
@@ -293,9 +271,7 @@ def run_transfer_check(config, rng):
     wsg = WeightedSemigroup(flow_from_json(config["flow"]), weight)
     zs = random_disc_points(rng, n, radius)
     resid = transfer_conjugation_check(h, wsg, f, np.array(zs), t)
-    worst = float(resid.max())
-    verdicts = Verdicts()
-    verdicts.add("conjugation-round-trip", worst <= thr, worst, thr)
+    verdicts = [_at_most("conjugation-round-trip", resid, thr)]
     return verdicts, {"transfer": (["z_re", "z_im", "t", "residual"], _table(zs, t, resid))}
 
 
@@ -330,9 +306,10 @@ def run_gpv(config, rng):
         counts = [config_integer("stability_counts", c) for c in counts]
     B = BlaschkeProduct(zeros)
     report = gpv_bound_check(B, alpha=alpha, samples_per_disc=samples)
-    verdicts = Verdicts()
-    verdicts.add("pseudo-discs-disjoint", report.disjoint, report.min_pairwise_rho, report.rho_threshold)
-    verdicts.add("derivative-lower-bound-positive", report.beta_hat > 0.0, report.beta_hat, 0.0)
+    verdicts = [
+        ("pseudo-discs-disjoint", report.disjoint, report.min_pairwise_rho, report.rho_threshold),
+        ("derivative-lower-bound-positive", report.beta_hat > 0.0, report.beta_hat, 0.0),
+    ]
     if counts:
         betas = [
             gpv_bound_check(
@@ -341,7 +318,7 @@ def run_gpv(config, rng):
             for count in counts
         ]
         factor = max(betas) / min(betas)
-        verdicts.add("beta-hat-stable", factor < 2.0, factor, 2.0)
+        verdicts.append(("beta-hat-stable", factor < 2.0, factor, 2.0))
     rows = [
         [r.index, r.center.real, r.center.imag, r.deflated, r.beta_local]
         for r in report.per_zero
@@ -363,12 +340,14 @@ def run_bloch_gap(config, rng):
     grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 8, 16, 16]})
     gc = construct_case1(flow_from_json(config["flow"]), gamma0, N, t_start)
     reports = [bloch_gap(gc, weight, grid) for weight in weights]
-    verdicts = Verdicts()
-    for verdict in bloch_gap_verdicts(gc, reports):
-        verdicts.add(*verdict)
     header = ["n", "t_n", "r_n", "w_re", "w_im", "lower_bound", "grid_gap", "cancellation_residual"]
-    tables = {f"gap_weight_{idx}": (header, list(rep.to_csv_rows())) for idx, rep in enumerate(reports)}
-    return verdicts, tables
+    tables = {
+        f"gap_weight_{idx}": (header, [
+            [r.n, r.t, r.r, r.w.real, r.w.imag, r.lower_bound, r.grid_gap, r.cancellation] for r in rep.rows
+        ])
+        for idx, rep in enumerate(reports)
+    }
+    return bloch_gap_verdicts(gc, reports), tables
 
 
 def run_bloch_gap_auto(config, rng):
@@ -379,16 +358,13 @@ def run_bloch_gap_auto(config, rng):
     from_n = config_integer("ratio_from_n", config.get("ratio_from_n", 4), 0)
     sep_thr = config_number("min_separation", config.get("min_separation", 0.1))
     gc = construct_case2(flow_from_json(config["flow"]), N, t_first_cap)
-    verdicts = Verdicts()
-    worst_angle = max(
-        abs(cmath.phase(lv.w - 1.0) - gc.target_angle) for lv in gc.levels
-    )
-    verdicts.add("angle-equation-solved", worst_angle <= angle_thr, worst_angle, angle_thr)
+    angles = [abs(cmath.phase(lv.w - 1.0) - gc.target_angle) for lv in gc.levels]
     late = [q for lv, q in zip(gc.levels, gc.ratios) if lv.n >= from_n]
-    _add_window(verdicts, "depth-ratio-window", late, lo, hi)
-    verdicts.add(
-        "pseudohyperbolic-separation", gc.min_separation >= sep_thr, gc.min_separation, sep_thr
-    )
+    verdicts = [
+        _at_most("angle-equation-solved", angles, angle_thr),
+        _in_window("depth-ratio-window", late, lo, hi),
+        ("pseudohyperbolic-separation", gc.min_separation >= sep_thr, gc.min_separation, sep_thr),
+    ]
     rows = [
         [lv.n, lv.t, lv.r, lv.w.real, lv.w.imag, q]
         for lv, q in zip(gc.levels, gc.ratios)
@@ -410,19 +386,18 @@ def run_separability(config, rng):
     pts = [a * cmath.exp(1j * th) for a in zeros for th in rotations]
     grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 16, 32, 32]}, pts)
     rep = separability_witness(B, rotations, grid)
-    verdicts = Verdicts()
+    rots = rep.rotations
+    rows = [[rots[i], rots[j], rep.matrix[i][j]] for i, j in combinations(range(len(rots)), 2)]
+    tables = {"separability": (["theta_i", "theta_j", "gap"], rows)}
     if rep.eps_hat is None:
-        verdicts.add("pairwise-gaps-positive", True, None, SEPARATION_FLOOR)
-        return verdicts, {"separability": (["theta_i", "theta_j", "gap"], [])}
+        return [("pairwise-gaps-positive", True, None, SEPARATION_FLOOR)], tables
     separated = rep.eps_hat > SEPARATION_FLOOR
-    verdicts.add("pairwise-gaps-positive", separated, rep.eps_hat, SEPARATION_FLOOR)
+    verdicts = [("pairwise-gaps-positive", separated, rep.eps_hat, SEPARATION_FLOOR)]
     if refine and separated:  # a drift relative to a roundoff gap measures nothing
         rep2 = separability_witness(B, rotations, grid.refine())
         drift = abs(rep2.eps_hat - rep.eps_hat) / rep.eps_hat
-        verdicts.add("eps-hat-grid-stable", drift <= 0.2, drift, 0.2)
-    return verdicts, {
-        "separability": (["theta_i", "theta_j", "gap"], list(rep.to_csv_rows()))
-    }
+        verdicts.append(("eps-hat-grid-stable", drift <= 0.2, drift, 0.2))
+    return verdicts, tables
 
 
 RUNNERS = {
@@ -447,12 +422,14 @@ def _write_atomic(path: str, data: str):
 
 
 def _write_report(out_dir, subcommand, config, verdicts, tables, error=None):
+    """report.json: one {name, passed, value, threshold} object per verdict tuple."""
     os.makedirs(out_dir, exist_ok=True)
+    items = [{"name": n, "passed": bool(p), "value": v, "threshold": t} for n, p, v, t in verdicts]
     report = {
         "experiment": subcommand,
         "config_digest": _digest(config),
-        "passed": verdicts.all_passed,
-        "verdicts": verdicts.items,
+        "passed": all(v["passed"] for v in items),
+        "verdicts": items,
         "tables": sorted(tables),
         "version": __version__,
     }
@@ -522,19 +499,16 @@ def main(argv=None) -> int:
         return _config_error(f"keys that {args.subcommand} does not read: {', '.join(unread)}")
 
     if error is not None:
-        verdicts = Verdicts()
-        verdicts.add("execution", False)
-        _write_report(args.out, args.subcommand, config, verdicts, {}, error)
+        _write_report(args.out, args.subcommand, config, [("execution", False, None, None)], {}, error)
         print(f"{type(error).__name__}: {error}", file=sys.stderr)
         return 1
     verdicts, tables = result[0], result[1]
     extras = result[2] if len(result) > 2 else {}
 
     _write_outputs(args.out, args.subcommand, config, verdicts, tables, extras, wall)
-    for v in verdicts.items:
-        status = "PASS" if v["passed"] else "FAIL"
-        print(f"[{status}] {v['name']}" + (f" value={v['value']}" if v["value"] is not None else ""))
-    return 0 if verdicts.all_passed else 1
+    for name, passed, value, _ in verdicts:
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f" value={value}" if value is not None else ""))
+    return 0 if all(passed for _, passed, _, _ in verdicts) else 1
 
 
 if __name__ == "__main__":

@@ -240,10 +240,6 @@ class ConsistencyTable:
     def max_residual(self) -> float:
         return max(row[1] for row in self.rows)
 
-    def to_csv_rows(self):
-        for t, res, ratio in self.rows:
-            yield [t, res, "" if ratio is None else ratio]
-
 
 def generator_consistency(wsg: WeightedSemigroup, f: AnalyticFn, norm, t_ladder) -> ConsistencyTable:
     """First-order convergence table certifying the generator G f' + g f.

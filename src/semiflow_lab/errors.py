@@ -8,6 +8,11 @@ import math
 import sys
 
 
+# The largest integer a config may hold: each one is a count (points, samples, levels,
+# grid points) that sizes work or memory; the largest in the shipped configs is 80.
+COUNT_LIMIT = 10**5
+
+
 class SemiflowError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -104,11 +109,11 @@ def config_positive(key: str, v, below: float = math.inf) -> float:
 
 
 def config_integer(key: str, v, least: float = 1) -> int:
-    """v as an int, once it is an integral JSON number >= least."""
+    """v as an int, once it is an integral JSON number, least <= v <= COUNT_LIMIT."""
     integral = isinstance(v, int) or isinstance(v, float) and v.is_integer()
-    if isinstance(v, bool) or not integral or v < least:
-        bound = f" >= {least}" if least > -math.inf else ""
-        raise ConfigError(f"config key {key!r} must be an integer{bound}, got {v!r}")
+    if isinstance(v, bool) or not integral or not least <= v <= COUNT_LIMIT:
+        bound = f" >= {least} and" if least > -math.inf else ""
+        raise ConfigError(f"config key {key!r} must be an integer{bound} <= {COUNT_LIMIT}, got {v!r}")
     return int(v)
 
 

@@ -614,14 +614,10 @@ def _mobius_fixed_points(a, b, c, d):
     return [((a - d) + root) / (2.0 * c), ((a - d) - root) / (2.0 * c)]
 
 
-def classify_automorphism(flow: FlowModel) -> str:
-    """'elliptic', 'hyperbolic' or 'parabolic' from the time-1 map.
-
-    Fits a Mobius transformation to phi_1, normalizes it to unit determinant
-    and classifies by the (squared) trace: 4 parabolic, < 4 elliptic,
-    > 4 hyperbolic.
-    """
-    a, b, c, d = _fit_mobius(flow)
+def _mobius_kind(a, b, c, d) -> str:
+    """'elliptic', 'hyperbolic' or 'parabolic': normalizes the map to unit
+    determinant and classifies by the (squared) trace: 4 parabolic,
+    < 4 elliptic, > 4 hyperbolic."""
     det = a * d - b * c
     s = cmath.sqrt(det)
     a, b, c, d = a / s, b / s, c / s, d / s
@@ -632,6 +628,11 @@ def classify_automorphism(flow: FlowModel) -> str:
     if abs(x - 4.0) <= 1e-9:
         return "parabolic"
     return "elliptic" if x < 4.0 else "hyperbolic"
+
+
+def classify_automorphism(flow: FlowModel) -> str:
+    """The kind of the Mobius transformation fitted to the time-1 map."""
+    return _mobius_kind(*_fit_mobius(flow))
 
 
 def automorphism_fixed_points(flow: FlowModel):

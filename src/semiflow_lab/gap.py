@@ -38,9 +38,10 @@ from .flows import (
     Automorphism,
     FlowModel,
     RotatedFlow,
-    automorphism_fixed_points,
+    _fit_mobius,
+    _mobius_fixed_points,
+    _mobius_kind,
     boundary_orbit,
-    classify_automorphism,
 )
 
 # Level starts r_n = 1 - 2^{-j_n} sit on a dyadic ladder that must stay below
@@ -219,19 +220,6 @@ class GapReport:
     rows: tuple
     delta_hat: float
 
-    def to_csv_rows(self):
-        for row in self.rows:
-            yield [
-                row.n,
-                row.t,
-                row.r,
-                row.w.real,
-                row.w.imag,
-                row.lower_bound,
-                row.grid_gap,
-                row.cancellation,
-            ]
-
 
 def bloch_gap(gc: GapConstruction, weight: Weight | Coboundary, grid: GridSpec) -> GapReport:
     """Per-level Bloch gap of W_{t_n} f - f for the constructed test function.
@@ -339,11 +327,12 @@ def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> Ga
     if N < 1:
         raise ValueError("need at least one level")
     try:
-        kind = classify_automorphism(flow)
+        fit = _fit_mobius(flow)  # one fit gives both the kind and the fixed points
+        kind = _mobius_kind(*fit)
     except ModelError as exc:
         raise CaseMismatch(f"flow is not an automorphism family: {exc}") from exc
     if kind in ("hyperbolic", "parabolic"):
-        for p in automorphism_fixed_points(flow):
+        for p in _mobius_fixed_points(*fit):
             if abs(p - 1.0) < 1e-6:
                 raise CaseMismatch("1 is a Denjoy-Wolff point of the flow")
 
@@ -408,12 +397,6 @@ class SeparabilityReport:
     rotations: tuple
     matrix: tuple  # upper-triangular grid Bloch gaps
     eps_hat: float | None
-
-    def to_csv_rows(self):
-        n = len(self.rotations)
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield [self.rotations[i], self.rotations[j], self.matrix[i][j]]
 
 
 def reduce_rotations(rotations) -> list:

@@ -10,6 +10,7 @@ import semiflow_lab as sl
 from semiflow_lab import cli
 from semiflow_lab.cli import main
 from semiflow_lab.errors import (
+    COUNT_LIMIT,
     config_flag,
     config_integer,
     config_number,
@@ -260,7 +261,7 @@ def test_first_order_decay_value_is_the_least_distance_inside(tmp_path, window):
 
 def test_numpy_scalar_cells_are_plain_numbers(tmp_path):
     tables = {"t": (["x", "y"], [[np.float64(0.1), np.float64(1e-300)], [0.25, 3]])}
-    cli._write_outputs(str(tmp_path), "gpv", {}, cli.Verdicts(), tables, {}, 0.0)
+    cli._write_outputs(str(tmp_path), "gpv", {}, [], tables, {}, 0.0)
     assert (tmp_path / "t.csv").read_text() == "x,y\n0.1,1e-300\n0.25,3\n"
 
 
@@ -325,6 +326,19 @@ def test_exit_code_on_config_error(tmp_path):
     assert run("flow-check", str(bad), tmp_path / "out") == 2
     missing = write_config(tmp_path, "missing.json", {})
     assert run("flow-check", missing, tmp_path / "out2") == 2
+
+
+def test_count_beyond_the_limit_exits_2_before_any_work(tmp_path, capsys, monkeypatch, integrations):
+    # 1e30 points are never drawn: the count is refused while the config is read
+    def draw(*args):
+        raise AssertionError("points drawn for a refused count")
+
+    monkeypatch.setattr(cli, "random_disc_points", draw)
+    cfg = write_config(tmp_path, "c.json", {"flow": RADIAL, "n_points": 1e30})
+    assert run("flow-check", cfg, tmp_path / "out") == 2
+    assert integrations == [] and not (tmp_path / "out").exists()
+    want = f"config key 'n_points' must be an integer >= 1 and <= {COUNT_LIMIT}, got 1e+30"
+    assert capsys.readouterr().err == f"config error: {want}\n"
 
 
 def test_bloch_gap_too_deep_is_depth_exceeded(tmp_path):
@@ -482,7 +496,8 @@ READERS = [
     (config_number, {}, [(-2, -2.0), (1e300, 1e300)], [*WRONG_SCALARS, 10**400, -(10**400)]),
     (config_positive, {"below": 1.0}, [(0.5, 0.5)], [*WRONG_SCALARS, 0, -0.5, 1.0, 2]),
     (config_positive, {}, [(3, 3.0)], [*WRONG_SCALARS, 0.0]),
-    (config_integer, {"least": 0}, [(0, 0), (2.0, 2)], [*WRONG_SCALARS, -1, 2.5]),
+    (config_integer, {"least": 0}, [(0, 0), (2.0, 2), (COUNT_LIMIT, COUNT_LIMIT)],
+     [*WRONG_SCALARS, -1, 2.5, 10**30, 1e300, COUNT_LIMIT + 1]),
     (config_flag, {}, [(True, True), (False, False)], [x for x in WRONG_SCALARS if x is not True] + [0, 1]),
     (config_pair, {}, [([1, 2], 1 + 2j), ((0.5, 0), 0.5 + 0j)],
      [*WRONG_SCALARS, [1, 2, 3], ["1", 0], [True, 0], [None, 0], [math.nan, 0], [0, math.inf], [0, -math.inf],
@@ -570,10 +585,25 @@ SHIPPED = {
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
-def test_shipped_config_passes(tmp_path, path):
+def test_shipped_config_passes(tmp_path, capsys, path):
     out = tmp_path / "out"
     assert main([SHIPPED[path.stem], "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
     verdicts = read_report(out)["verdicts"]
     assert verdicts and all(v["passed"] for v in verdicts)
     # every verdict has a margin: its value against its threshold
     assert all(v["value"] is not None and v["threshold"] is not None for v in verdicts)
+    # stdout is one [PASS] line per verdict of the report, in the report's order, with its value
+    lines = [f"[PASS] {v['name']} value={v['value']}" for v in verdicts]
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_shipped_bloch_gap_cancels_at_roundoff(tmp_path):
+    # w_n comes from a one-point advance, and the cancellation re-run repeats its orbit in a
+    # 2- or 4-component state.  The two agree bit for bit only while the step rounds each
+    # component alike at any state width; with w_6 one ulp off, the ratios reach 2.5e-9 to
+    # 7.4e-9 and still pass the verdict's 1e-8.
+    path = CONFIGS / "bloch_gap_radial.json"
+    assert main(["bloch-gap", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    verdicts = read_report(tmp_path / "out")["verdicts"]
+    ratios = [v["value"] for v in verdicts if v["name"].startswith("cancellation-weight-")]
+    assert len(ratios) == 3 and max(ratios) <= 1e-12

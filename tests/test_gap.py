@@ -276,6 +276,15 @@ def test_case2_parabolic():
     assert ts == sorted(ts, reverse=True)
 
 
+def test_case2_fits_the_time_1_map_once(integrations):
+    # the kind and the fixed points come from one Mobius fit: one run of its three
+    # fit points and one of its three check points, both to t = 1
+    flow = sl.ode_flow(sl.Polynomial([0.5j, 1j, 0.5j]))  # G = (i/2)(1 + z)^2
+    gc = sl.construct_case2(flow, N=3)
+    assert gc.case == "automorphism" and len(gc.levels) == 3
+    assert [t for t in integrations if isinstance(t, float) and t == 1.0] == [1.0, 1.0]
+
+
 def test_case2_elliptic_rotation():
     gc = sl.construct_case2(sl.Automorphism(kind="elliptic", omega=1.0), N=4)
     assert len(gc.levels) == 4
