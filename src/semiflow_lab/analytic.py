@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from operator import add, mul
@@ -28,7 +27,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, blaschke_derivative, blaschke_eval
 from .errors import ConfigError, DomainError, SingularityError, config_integer, config_number
-from .errors import config_pair, config_parser, config_positive, json_form
+from .errors import config_pair, config_parser, config_positive, json_form, record
 from .pointwise import exp, full, log, nonfinite, points, raise_at
 
 DEFAULT_GUARD_RADIUS = 1e-9
@@ -101,7 +100,7 @@ def _compose(outer, inner) -> tuple:
     return total[2:]
 
 
-@dataclass(frozen=True)
+@record
 class Constant(AnalyticFn):
     json_tag = {"op": "const"}
     value: complex
@@ -115,7 +114,7 @@ class Constant(AnalyticFn):
         return (self.value,) + (_ZERO,) * order
 
 
-@dataclass(frozen=True)
+@record
 class Identity(AnalyticFn):
     json_tag = {"op": "id"}
 
@@ -132,7 +131,7 @@ def _horner(coeffs, z):
     return acc
 
 
-@dataclass(frozen=True)
+@record
 class Polynomial(AnalyticFn):
     """Coefficients a_0..a_d, evaluated by Horner's rule."""
 
@@ -156,7 +155,7 @@ class Polynomial(AnalyticFn):
         return (value, slopes[0], *[c / j for j, c in enumerate(slopes[1:], 2)])
 
 
-@dataclass(frozen=True)
+@record
 class Mobius(AnalyticFn):
     """(a z + b)/(c z + d) with ad - bc != 0."""
 
@@ -191,7 +190,7 @@ class Mobius(AnalyticFn):
         return Mobius(self.d, -self.b, -self.c, self.a)
 
 
-@dataclass(frozen=True)
+@record
 class Exp(AnalyticFn):
     json_tag = {"op": "exp"}
     arg: AnalyticFn
@@ -210,7 +209,7 @@ class Exp(AnalyticFn):
         return coeffs
 
 
-@dataclass(frozen=True)
+@record
 class Log(AnalyticFn):
     """Principal-branch logarithm of ``arg``.
 
@@ -239,7 +238,7 @@ class Log(AnalyticFn):
         return coeffs
 
 
-@dataclass(frozen=True)
+@record
 class Sum(AnalyticFn):
     json_tag = {"op": "sum"}
     terms: tuple
@@ -255,7 +254,7 @@ class Sum(AnalyticFn):
         return tuple(reduce(add, column) for column in zip(*[t._jet(z, order) for t in self.terms]))
 
 
-@dataclass(frozen=True)
+@record
 class Product(AnalyticFn):
     json_tag = {"op": "product"}
     factors: tuple
@@ -276,7 +275,7 @@ class Product(AnalyticFn):
         return coeffs + reduce(_cauchy, jets)[2:] if order > 1 else coeffs
 
 
-@dataclass(frozen=True)
+@record
 class Quotient(AnalyticFn):
     json_tag = {"op": "quotient"}
     num: AnalyticFn
@@ -302,7 +301,7 @@ class Quotient(AnalyticFn):
         return coeffs
 
 
-@dataclass(frozen=True)
+@record
 class Compose(AnalyticFn):
     json_tag = {"op": "compose"}
     outer: AnalyticFn
@@ -317,7 +316,7 @@ class Compose(AnalyticFn):
         return coeffs + _compose(v, u) if order > 1 else coeffs
 
 
-@dataclass(frozen=True)
+@record
 class Power(AnalyticFn):
     json_tag = {"op": "power"}
     arg: AnalyticFn
@@ -345,7 +344,7 @@ class Power(AnalyticFn):
         return coeffs
 
 
-@dataclass(frozen=True)
+@record
 class BlaschkeFn(AnalyticFn):
     """A finite Blaschke product as an expression-tree leaf."""
 
@@ -368,7 +367,7 @@ class BlaschkeFn(AnalyticFn):
         return {"op": "blaschke", **json_form(self.product)}
 
 
-@dataclass(frozen=True)
+@record
 class Derivative(AnalyticFn):
     """The n-th derivative of ``inner``.  Its jet of order k is inner's jet of
     order k + n, shifted: coefficient j is (j + n)!/j! times inner's j + n."""
@@ -442,7 +441,7 @@ def fn_from_json(obj: dict) -> AnalyticFn:
 # slopes, at the points it needs; a circle norm reads no slopes.
 
 
-@dataclass(frozen=True)
+@record
 class GridSpec:
     """Deterministic sampling grid: circles |z| = r_i plus explicit points."""
 
@@ -532,7 +531,7 @@ class _CircleNorm:
         return _call(value, self.points)
 
 
-@dataclass(frozen=True)
+@record
 class H2Norm(_CircleNorm):
     """sqrt(sum |a_k|^2) over the Taylor coefficients a_0..a_N: the Hardy H^2
     norm of the truncation.
@@ -563,7 +562,7 @@ class H2Norm(_CircleNorm):
         return np.linalg.norm(self.coefficients(samples), axis=-1)
 
 
-@dataclass(frozen=True)
+@record
 class HpNorm(_CircleNorm):
     """The integral mean ((1/M) sum_j |f(r e^{2 pi i j/M})|^p)^{1/p}."""
 
@@ -582,7 +581,7 @@ class HpNorm(_CircleNorm):
         return (np.sum(np.abs(samples) ** self.p, axis=-1) / self.M) ** (1.0 / self.p)
 
 
-@dataclass(frozen=True)
+@record
 class BlochGridNorm:
     """|f(0)| + max over the grid of |f'(z)| (1 - |z|^2).
 

@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .errors import DomainError, HypothesisError, MultiplicityError, config_number, config_pair
-from .errors import config_parser
+from .errors import config_parser, record
 from .pointwise import full, outside, points, raise_at
 
 
-@dataclass(frozen=True)
+@record
 class BlaschkeProduct:
     zeros: tuple
     theta: float = 0.0
@@ -118,7 +117,7 @@ def pseudo_sum(r1: float, r2: float) -> float:
     return (r1 + r2) / (1.0 + r1 * r2)
 
 
-@dataclass(frozen=True)
+@record
 class PseudoDisc:
     """Open pseudohyperbolic disc Delta(center, radius) = {rho(z, center) < radius}."""
 
@@ -148,7 +147,7 @@ class PseudoDisc:
         return pts
 
 
-@dataclass(frozen=True)
+@record
 class InterpolationReport:
     delta: float
     per_zero: tuple
@@ -195,7 +194,7 @@ def interpolation_delta(B: BlaschkeProduct) -> InterpolationReport:
     )
 
 
-@dataclass(frozen=True)
+@record
 class GpvRow:
     index: int
     center: complex
@@ -203,7 +202,7 @@ class GpvRow:
     beta_local: float
 
 
-@dataclass(frozen=True)
+@record
 class GpvReport:
     delta: float
     alpha: float

@@ -15,7 +15,6 @@ per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +30,7 @@ from .analytic import (
     guard_points,
 )
 from .errors import ConfigError, DomainError, QuadratureError, SingularityError
-from .errors import config_pair, config_parser
+from .errors import config_pair, config_parser, record
 from .flows import ConformalMap, FlowModel
 from .flows import _check_ladder, _check_start, _integrate, _ladder_slope
 from .pointwise import exp, full, larger, nonfinite, points, raise_at, times
@@ -41,7 +40,7 @@ from .pointwise import exp, full, larger, nonfinite, points, raise_at, times
 SWELL_LIMIT = 1e3
 
 
-@dataclass(frozen=True)
+@record
 class Weight:
     """Analytic weight g; induces the exponential cocycle."""
 
@@ -55,7 +54,7 @@ class Weight:
         return Weight(Compose(self.g, Polynomial((0.0, gamma))))
 
 
-@dataclass(frozen=True)
+@record
 class Coboundary:
     """Non-vanishing alpha (a zero is allowed only at the flow's fixed point)."""
 
@@ -71,7 +70,7 @@ class Coboundary:
         )
 
 
-@dataclass(frozen=True)
+@record
 class WeightedSemigroup:
     """A flow paired with a weight; W_t f = m_t * (f o phi_t)."""
 
@@ -228,7 +227,7 @@ def weight_fn(wsg: WeightedSemigroup) -> AnalyticFn:
     return Product((G, Quotient(alpha.derivative(), alpha, guards=guards)))
 
 
-@dataclass(frozen=True)
+@record
 class ConsistencyTable:
     """Rows (t, residual, ratio) of ||(W_t f - f)/t - A f||; ratio vs previous row."""
 

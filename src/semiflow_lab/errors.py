@@ -1,8 +1,7 @@
 """Exception types shared across the laboratory modules, the typed checks
-that turn a malformed config value into ConfigError, and ``json_form``,
-which writes the values those checks read."""
+that turn a malformed config value into ConfigError, the ``record`` class
+decorator, and ``json_form``, which writes the values those checks read."""
 
-import dataclasses
 import functools
 import math
 import sys
@@ -145,18 +144,75 @@ def config_object(key: str, v) -> dict:
     return v
 
 
+_REQUIRED = object()  # the default of a field that has none
+
+
+def _values(r) -> tuple:
+    return tuple(getattr(r, key) for key in r._record_fields)
+
+
+class _Record:
+    """The methods ``record`` gives each record class."""
+
+    def __init__(self, *args, **kwargs):
+        fields, name = self._record_fields, type(self).__name__
+        given = dict(zip(fields, args), **kwargs)  # a repeated or surplus argument makes it shorter
+        if len(given) < len(args) + len(kwargs) or not given.keys() <= fields.keys():
+            raise TypeError(f"{name}() takes the fields {list(fields)}, got {len(args)} by position "
+                            f"and {list(kwargs)} by keyword")
+        for key, default in fields.items():  # not through __dict__, which slows CPython attribute reads
+            value = given.get(key, default)
+            if value is _REQUIRED:
+                raise TypeError(f"{name}() missing the field {key!r}")
+            object.__setattr__(self, key, value)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __eq__(self, other):
+        return _values(self) == _values(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(_values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._record_fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, key, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {key!r}")
+
+    __delattr__ = __setattr__
+
+
+def record(cls):
+    """``cls`` as an immutable record of its annotated fields, like a frozen dataclass.
+
+    The fields are a record base's, then the class's own annotations, each with
+    the class attribute of its name, if any, as its default.  ``__init__`` takes
+    them by position or keyword and then runs ``__post_init__``, which may set
+    a field through ``object.__setattr__``.  Records of one type are equal when
+    their fields are, and hash as the tuple of their fields.
+    """
+    fields = dict(getattr(cls, "_record_fields", {}))
+    fields.update((key, cls.__dict__.get(key, _REQUIRED)) for key in cls.__annotations__)
+    cls._record_fields = fields  # name -> default
+    for key in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
+        setattr(cls, key, _Record.__dict__[key])
+    return cls
+
+
 def json_form(value):
     """The JSON form of a config object, as the readers above take it back.
 
     A complex is a [re, im] pair, a tuple a list, and a dict has each value
-    converted.  A dataclass is its class's ``json_tag`` (e.g. ``{"op":
+    converted.  A record is its class's ``json_tag`` (e.g. ``{"op":
     "poly"}``), then each field under its own name; a class whose form is
     not its fields writes its own through ``to_json``.
     """
     if hasattr(value, "to_json"):
         return value.to_json()
-    if dataclasses.is_dataclass(value):
-        fields = {f.name: json_form(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if hasattr(value, "_record_fields"):
+        fields = {key: json_form(getattr(value, key)) for key in value._record_fields}
         return {**getattr(value, "json_tag", {}), **fields}
     if isinstance(value, complex):
         return [value.real, value.imag]

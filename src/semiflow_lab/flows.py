@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
@@ -36,6 +35,7 @@ from .errors import (
     config_parser,
     config_positive,
     json_form,
+    record,
 )
 from .pointwise import exp, full, nonfinite, outside, points, raise_at, times, where
 
@@ -202,7 +202,7 @@ def _stacked_step(rhs, y, k1, h, tol):
     return y_new, K[12], _error(h * n5, h * n3)
 
 
-@dataclass(frozen=True)
+@record
 class NewtonInverse:
     """Newton iteration policy for maps without a closed-form inverse."""
 
@@ -214,7 +214,7 @@ class NewtonInverse:
         object.__setattr__(self, "seed", complex(self.seed))  # written as a [re, im] pair
 
 
-@dataclass(frozen=True)
+@record
 class ConformalMap:
     """A conformal map h with either a closed-form or a Newton inverse."""
 
@@ -325,7 +325,7 @@ class FlowModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class OdeFlow(FlowModel):
     """The solution of dw/dt = G(w), w(0) = z, by adaptive DOP853 at ``tol``."""
 
@@ -357,7 +357,7 @@ def ode_flow(G: AnalyticFn, tol: float = DEFAULT_TOL) -> OdeFlow:
     return OdeFlow(G, tol)
 
 
-@dataclass(frozen=True)
+@record
 class KoenigsFlow(FlowModel):
     """phi_t = h^{-1}(L_t h(z)), with L_t u = e^{-ct} u (mode 'spiral') or
     u + ct (mode 'translate').
@@ -413,7 +413,7 @@ def koenigs_flow(h: ConformalMap, c: complex, mode: str) -> KoenigsFlow:
 _AUTOMORPHISM_KINDS = ("elliptic", "hyperbolic", "parabolic")
 
 
-@dataclass(frozen=True)
+@record
 class Automorphism(FlowModel):
     """One-parameter automorphism group, restricted to t >= 0.
 
@@ -454,7 +454,7 @@ class Automorphism(FlowModel):
         return self._model.generator_fn()
 
 
-@dataclass(frozen=True)
+@record
 class RotatedFlow(FlowModel):
     """Conjugation psi_t(z) = conj-rotation gamma^{-1} phi_t(gamma z).
 
@@ -539,7 +539,7 @@ def generator_fd(flow: FlowModel, z, h_ladder):
     return _ladder_slope(h_ladder, z, lambda hs: flow.advance(z, hs), z)
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryOrbit:
     limit: complex
     converged: bool

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
     DomainError,
     InterpolationError,
     ModelError,
+    record,
 )
 from .flows import (
     ESCAPE_RADIUS,
@@ -70,7 +70,7 @@ def _margins(r: float, w: complex, prev_r: float | None):
     return first, (quarter - half) / quarter
 
 
-@dataclass(frozen=True)
+@record
 class GapLevel:
     n: int
     t: float
@@ -78,7 +78,7 @@ class GapLevel:
     w: complex
 
 
-@dataclass(frozen=True)
+@record
 class GapConstruction:
     flow: FlowModel
     gamma0: complex
@@ -204,7 +204,7 @@ def build_test_function(gc: GapConstruction) -> AnalyticFn:
     return Product((outer, Power(pushed, 2)))
 
 
-@dataclass(frozen=True)
+@record
 class GapRow:
     n: int
     t: float
@@ -215,7 +215,7 @@ class GapRow:
     cancellation: float
 
 
-@dataclass(frozen=True)
+@record
 class GapReport:
     rows: tuple
     delta_hat: float
@@ -243,9 +243,10 @@ def bloch_gap(gc: GapConstruction, weight: Weight | Coboundary, grid: GridSpec) 
     d = weighted_z_derivative(wsg, f, zs, np.array([[lv.t] for lv in gc.levels])) - fp
     gaps = np.max(np.abs(d) * (1.0 - np.abs(zs) ** 2), axis=1, initial=0.0).tolist()
     fp_r = np.abs(fp[-len(gc.levels):]).tolist()  # the r_n are the last columns
-    # The cancellation residual re-runs the construction's own one-point orbit,
-    # which reproduces w_n bit for bit.  Read from the batch, whose shared steps
-    # move phi_{t_n}(r_n) at tolerance, the double zero would no longer cancel.
+    # The cancellation residual re-runs each level's one-point orbit, phi' beside it
+    # (on the shipped radial config w_2..w_6 come back bit for bit, w_1 81 ulps off).
+    # Read from the batch, whose shared steps move phi_{t_n}(r_n) at tolerance, the
+    # double zero would no longer cancel.
     rows = tuple(
         GapRow(n=lv.n, t=lv.t, r=lv.r, w=lv.w, lower_bound=fpr * (1.0 - lv.r), grid_gap=gap,
                cancellation=abs(weighted_z_derivative(wsg, f, lv.r, lv.t)))
@@ -392,7 +393,7 @@ def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> Ga
     return gc
 
 
-@dataclass(frozen=True)
+@record
 class SeparabilityReport:
     rotations: tuple
     matrix: tuple  # upper-triangular grid Bloch gaps

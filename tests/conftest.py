@@ -76,3 +76,8 @@ def weight_corpus():
         "g=z": sl.Weight(sl.Identity()),
         "coboundary-1-z": sl.Coboundary(sl.Polynomial([1, -1])),
     }
+
+
+def replaced(record, **changes):
+    """A copy of ``record`` with the named fields changed, built through its constructor."""
+    return type(record)(**{**{key: getattr(record, key) for key in record._record_fields}, **changes})

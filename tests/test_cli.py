@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import pathlib
@@ -21,6 +20,7 @@ from semiflow_lab.errors import (
 )
 from semiflow_lab.flows import flow_from_json
 from semiflow_lab.gap import SEPARATION_FLOOR
+from conftest import replaced
 
 RADIAL = {"type": "ode", "G": {"op": "poly", "coeffs": [[0, 0], [-1, 0]]}, "tol": 1e-12}
 
@@ -290,7 +290,7 @@ def test_separability_zero_gap_is_a_failed_verdict(tmp_path, monkeypatch):
     # an exact 0.0 gap fails pairwise-gaps-positive and is never divided by
     witness = cli.separability_witness
     monkeypatch.setattr(cli, "separability_witness",
-                        lambda *args: dataclasses.replace(witness(*args), eps_hat=0.0))
+                        lambda *args: replaced(witness(*args), eps_hat=0.0))
     cfg = write_config(tmp_path, "c.json", {"zeros": [[0.5, 0], [-0.5, 0]],
                                             "rotations": [math.pi / 2, 3 * math.pi / 2]})
     assert run("separability", cfg, tmp_path / "out") == 1

@@ -1,10 +1,10 @@
 import cmath
-import dataclasses
 import math
 
 import pytest
 
 import semiflow_lab as sl
+from conftest import replaced
 
 
 def radial_flow(tol=1e-12):
@@ -207,20 +207,20 @@ def test_bloch_gap_verdicts_pass_on_the_construction(case1, case1_reports):
 
 def _doctor_row(reports, idx, k, **changes):
     rows = list(reports[idx].rows)
-    rows[k] = dataclasses.replace(rows[k], **changes)
-    return [*reports[:idx], dataclasses.replace(reports[idx], rows=tuple(rows)), *reports[idx + 1:]]
+    rows[k] = replaced(rows[k], **changes)
+    return [*reports[:idx], replaced(reports[idx], rows=tuple(rows)), *reports[idx + 1:]]
 
 
 def _thin_first_margin(gc):
     # the last level's image pushed out until 1 - r is (1 - |w|)/2 less 1e-4 of it
     lv = gc.levels[-1]
     w = 1.0 - 2.0 * (1.0 - lv.r) / (1.0 - 1e-4)
-    return dataclasses.replace(gc, levels=gc.levels[:-1] + (dataclasses.replace(lv, w=w),))
+    return replaced(gc, levels=gc.levels[:-1] + (replaced(lv, w=w),))
 
 
 def _slow_times(gc):
     lv = gc.levels[-1]
-    return dataclasses.replace(gc, levels=gc.levels[:-1] + (dataclasses.replace(lv, t=gc.levels[0].t / 16),))
+    return replaced(gc, levels=gc.levels[:-1] + (replaced(lv, t=gc.levels[0].t / 16),))
 
 
 def _raise_cancellation(reports):
@@ -234,7 +234,7 @@ def _sink_grid_gap(reports):
 
 
 def _zero_delta_hat(reports):
-    return [reports[0], dataclasses.replace(reports[1], delta_hat=0.0)]
+    return [reports[0], replaced(reports[1], delta_hat=0.0)]
 
 
 def _move_a_bound(reports):

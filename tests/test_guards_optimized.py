@@ -2,7 +2,8 @@
 
 The script below runs in a ``python -O`` subprocess and checks its results
 with plain ``if``/``raise`` (pytest's asserts would be stripped there too).
-It exits non-zero if any guard let its call through.
+It exits non-zero if any guard let its call through.  A record's immutability
+is one of the guards: assigning to a tree's field raises there too.
 """
 
 import os
@@ -51,6 +52,7 @@ checks = [
      ValueError),
     ("escape at a point's own time", lambda: sl.ode_flow(sl.Polynomial([0, 5])).advance(
         np.array([0.0, 0.5]), np.array([5.0, 0.2])), sl.EscapeError),
+    ("assignment to a tree's field", lambda: setattr(guarded, "den", sl.Constant(1)), AttributeError),
 ]
 skipped = []
 for name, call, error in checks:
@@ -71,4 +73,4 @@ def test_guards_hold_under_python_O():
         [sys.executable, "-O", "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "9 guards held" in proc.stdout
+    assert "10 guards held" in proc.stdout

@@ -2,8 +2,12 @@
 type, parse(json_form(x)) == x exactly, through a JSON text."""
 
 import cmath
+import dataclasses
+import importlib
+import inspect
 import json
 import pathlib
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +18,7 @@ from semiflow_lab import cli
 from semiflow_lab.analytic import guard_points
 from semiflow_lab.cli import main
 from semiflow_lab.cocycles import weight_from_json
+from semiflow_lab.errors import config_parser
 from semiflow_lab.flows import map_from_json
 from conftest import flow_corpus, weight_corpus
 
@@ -121,6 +126,86 @@ def test_shipped_config_objects_round_trip(path):
     assert parsed
     for read, value in parsed:
         assert read(through_text(value)) == value
+
+
+# The record contract: what ``errors.record`` gives every parsed type, and
+# what the round trips above rely on.
+
+def test_records_are_equal_by_type_and_fields():
+    class Shifted(sl.Constant):
+        pass
+
+    assert sl.Constant(1) == sl.Constant(1 + 0j) and hash(sl.Constant(1)) == hash(sl.Constant(1 + 0j))
+    assert sl.Constant(1) != sl.Constant(2)
+    assert Shifted(1) != sl.Constant(1) and sl.Constant(1) != Shifted(1)
+    assert sl.Constant(1) != 1 + 0j
+    guarded = sl.Quotient(sl.Constant(1), sl.Identity(), guards=guard_points([0]))
+    assert guarded != sl.Quotient(sl.Constant(1), sl.Identity())
+    f, g = sl.Polynomial([1, 2]), sl.Polynomial((1 + 0j, 2 + 0j))
+    assert f == g and f is not g and hash(f) == hash(g) and len({f, g, guarded}) == 2
+    assert hash(sl.OdeFlow(sl.Identity())) == hash((sl.Identity(), sl.OdeFlow.tol))
+
+
+@pytest.mark.parametrize("value, field", [
+    (sl.Constant(1), "value"), (sl.Mobius(1, 0, 0, 1), "a"), (sl.OdeFlow(sl.Identity()), "tol"),
+    (sl.BlaschkeProduct((0.5,)), "zeros"), (sl.H2Norm(), "N"), (sl.Mobius(1, 0, 0, 1), "guards"),
+    (sl.Identity(), "anything"),
+], ids=lambda x: x if isinstance(x, str) else type(x).__name__)
+def test_record_fields_cannot_change(value, field):
+    before = repr(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0.5)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {"seed": 0.1, "iterations": 5}),  # unknown
+    ((0.1,), {"seed": 0.2}),  # repeated
+    ((0.1, 50, 1e-12, 4), {}),  # one too many
+], ids=["unknown", "repeated", "too-many"])
+def test_record_constructor_refuses_bad_arguments(args, kwargs):
+    with pytest.raises(TypeError):
+        sl.NewtonInverse(*args, **kwargs)
+    with pytest.raises(sl.ConfigError, match="TypeError"):
+        config_parser(lambda: sl.NewtonInverse(*args, **kwargs))()
+
+
+def test_record_constructor_refuses_a_missing_argument():
+    with pytest.raises(TypeError, match="'den'"):
+        sl.Quotient(sl.Constant(1))
+    with pytest.raises(sl.ConfigError, match="TypeError"):
+        config_parser(lambda obj: sl.Mobius(**obj))({"a": 1, "b": 0, "c": 0})
+
+
+def test_record_post_init_still_runs():
+    assert type(sl.Constant(1).value) is complex
+    assert sl.Polynomial([1, 2]).coeffs == (1 + 0j, 2 + 0j)
+    assert sl.Mobius(1, 0, 1, -0.5).guards == guard_points([0.5])  # set in __post_init__, not a field
+    assert "guards" not in sl.json_form(sl.Mobius(1, 0, 1, -0.5))
+    with pytest.raises(sl.DomainError):
+        sl.H2Norm(8, 1.5)  # the _CircleNorm check, through H2Norm's __post_init__
+    with pytest.raises(ValueError):
+        sl.H2Norm(-1)
+    with pytest.raises(sl.DomainError):
+        sl.HpNorm(2.0, 0.0)
+    assert sl.ConformalMap(sl.Identity()).newton == sl.NewtonInverse() == sl.NewtonInverse(0, 50, 1e-12)
+
+
+def test_record_repr():
+    assert repr(sl.Quotient(sl.Constant(1j), sl.Identity())) == \
+        "Quotient(num=Constant(value=1j), den=Identity(), guards=())"
+    assert repr(sl.HpNorm(2.0, 0.5)) == "HpNorm(p=2.0, r=0.5, M=256)"
+
+
+def test_no_class_in_the_package_is_a_dataclass():
+    # generated dataclass methods were most of the package's import time
+    modules = [importlib.import_module(f"semiflow_lab.{m.name}") for m in pkgutil.iter_modules(sl.__path__)]
+    classes = [cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__]
+    assert sl.Constant in classes and sl.GapReport in classes and sl.ConformalMap in classes
+    assert not [cls for cls in classes if dataclasses.is_dataclass(cls)]
 
 
 def run_written(tmp_path, subcommand, payload):
