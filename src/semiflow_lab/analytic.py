@@ -17,15 +17,12 @@ point that would raise on its own.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import cached_property, reduce
-from itertools import chain
 from operator import add, mul
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, blaschke_derivative, blaschke_eval
 from .errors import ConfigError, DomainError, SingularityError, config_integer, config_number
 from .errors import config_pair, config_parser, config_positive, json_form, record
 from .pointwise import exp, full, log, nonfinite, points, raise_at
@@ -345,29 +342,6 @@ class Power(AnalyticFn):
 
 
 @record
-class BlaschkeFn(AnalyticFn):
-    """A finite Blaschke product as an expression-tree leaf."""
-
-    product: BlaschkeProduct
-
-    def _jet(self, z, order):
-        value = blaschke_eval(self.product, z)
-        if not order:
-            return value
-        coeffs = (value, blaschke_derivative(self.product, z))
-        if order > 1:
-            # coefficients 2.. from the product of the phase and the factors
-            # (|a| - (|a|/a) z)/(1 - conj(a) z), z for a = 0
-            factors = [Mobius(-abs(a) / a, abs(a), -a.conjugate(), 1.0) if a else Identity()
-                       for a in self.product.zeros]
-            coeffs += Product((Constant(self.product.phase), *factors))._jet(z, order)[2:]
-        return coeffs
-
-    def to_json(self):
-        return {"op": "blaschke", **json_form(self.product)}
-
-
-@record
 class Derivative(AnalyticFn):
     """The n-th derivative of ``inner``.  Its jet of order k is inner's jet of
     order k + n, shifted: coefficient j is (j + n)!/j! times inner's j + n."""
@@ -387,8 +361,8 @@ class Derivative(AnalyticFn):
         return Derivative(self.inner, self.n + 1)  # one node, whatever the order
 
     def to_json(self):
-        if self.n == 1 and isinstance(self.inner, BlaschkeFn):
-            return {"op": "blaschke_derivative", **json_form(self.inner.product)}
+        if self.n == 1 and getattr(self.inner, "json_tag", None) == {"op": "blaschke"}:  # a BlaschkeProduct
+            return {**json_form(self.inner), "op": "blaschke_derivative"}
         raise ValueError(f"the tree schema has no op for derivative {self.n} of {type(self.inner).__name__}")
 
 
@@ -427,10 +401,11 @@ def fn_from_json(obj: dict) -> AnalyticFn:
         return Compose(fn_from_json(obj["outer"]), fn_from_json(obj["inner"]))
     if op == "power":
         return Power(fn_from_json(obj["arg"]), config_integer("k", obj["k"], least=-math.inf))
-    if op == "blaschke":
-        return BlaschkeFn(BlaschkeProduct.from_json(obj))
-    if op == "blaschke_derivative":
-        return Derivative(BlaschkeFn(BlaschkeProduct.from_json(obj)))
+    if op in ("blaschke", "blaschke_derivative"):
+        from .blaschke import BlaschkeProduct  # the one import against the layer order
+
+        B = BlaschkeProduct.from_json(obj)
+        return B if op == "blaschke" else Derivative(B)
     raise ConfigError(f"unknown op {op!r}")
 
 
@@ -467,14 +442,14 @@ class GridSpec:
             if abs(p) >= 1.0:
                 raise ValueError(f"grid point {p} outside the open disc")
 
-    def iter_points(self):
-        for r, m in zip(self.radii, self.angular):
-            if r == 0.0:
-                yield 0.0 + 0.0j
-                continue
-            for j in range(m):
-                yield r * cmath.exp(2j * math.pi * j / m)
-        yield from self.points
+    def sample_points(self) -> np.ndarray:
+        """Each circle's points r e^{2 pi i j/m}, j = 0..m-1 (radius 0 gives the
+        origin once), then the explicit points."""
+        # the angle is a real over m: numpy divides a complex by multiplying with 1/m,
+        # an ulp away from r cmath.exp(2j pi j/m) at some counts (m = 6, 12, 24, ...)
+        circles = [np.zeros(1, dtype=complex) if r == 0.0 else r * np.exp(1j * (2 * np.pi * np.arange(m) / m))
+                   for r, m in zip(self.radii, self.angular)]
+        return np.concatenate([*circles, np.array(self.points, dtype=complex)])
 
     def refine(self) -> "GridSpec":
         """Superset refinement: double each angular count, insert midpoint radii."""
@@ -594,7 +569,7 @@ class BlochGridNorm:
 
     @cached_property
     def points(self) -> np.ndarray:
-        return np.fromiter(chain((0j,), self.grid.iter_points()), dtype=complex)
+        return np.concatenate([[0j], self.grid.sample_points()])
 
     @cached_property
     def _weights(self) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Finite Blaschke products, pseudohyperbolic geometry and interpolation diagnostics.
 
 A product is stored as its zero list (multiplicity by repetition) plus a
-unimodular phase e^{i*theta}.  Infinite products are represented by
-truncation.
+unimodular phase e^{i*theta}, and is itself an expression-tree leaf of
+``analytic``.  Infinite products are represented by truncation.
 """
 
 from __future__ import annotations
@@ -13,13 +13,17 @@ from itertools import combinations
 
 import numpy as np
 
+from .analytic import AnalyticFn, Constant, Identity, Mobius, Product
 from .errors import DomainError, HypothesisError, MultiplicityError, config_number, config_pair
 from .errors import config_parser, record
 from .pointwise import full, outside, points, raise_at
 
 
 @record
-class BlaschkeProduct:
+class BlaschkeProduct(AnalyticFn):
+    """A finite Blaschke product, also an expression-tree leaf."""
+
+    json_tag = {"op": "blaschke"}
     zeros: tuple
     theta: float = 0.0
 
@@ -34,8 +38,18 @@ class BlaschkeProduct:
     def phase(self) -> complex:
         return cmath.exp(1j * self.theta)
 
-    def __len__(self) -> int:
-        return len(self.zeros)
+    def _jet(self, z, order):
+        value = blaschke_eval(self, z)
+        if not order:
+            return value
+        coeffs = (value, blaschke_derivative(self, z))
+        if order > 1:
+            # coefficients 2.. from the product of the phase and the factors
+            # (|a| - (|a|/a) z)/(1 - conj(a) z), z for a = 0
+            factors = [Mobius(-abs(a) / a, abs(a), -a.conjugate(), 1.0) if a else Identity()
+                       for a in self.zeros]
+            coeffs += Product((Constant(self.phase), *factors))._jet(z, order)[2:]
+        return coeffs
 
     @classmethod
     @config_parser
@@ -152,7 +166,6 @@ class InterpolationReport:
     delta: float
     per_zero: tuple
     geometric_ratio: float | None
-    interpolating: bool
 
 
 def _deflated(B: BlaschkeProduct, n: int) -> float:
@@ -190,7 +203,6 @@ def interpolation_delta(B: BlaschkeProduct) -> InterpolationReport:
         delta=delta,
         per_zero=tuple(per),
         geometric_ratio=ratio,
-        interpolating=delta > 0.0,
     )
 
 

@@ -145,7 +145,7 @@ def _in_window(name, ratios, lo, hi):
     return name, value is not None and value >= 0.0, value, 0.0
 
 
-def run_flow_trace(config, rng):
+def run_flow_trace(config, seed):
     z0 = config_pair("z0", config["z0"])
     t_max = config_positive("t_max", config.get("t_max", 2.0))
     n = config_integer("samples", config.get("samples", 50))
@@ -161,7 +161,7 @@ def run_flow_trace(config, rng):
     return verdicts, {"trajectory": (["t", "re", "im", "dre", "dim"], rows)}
 
 
-def run_flow_check(config, rng):
+def run_flow_check(config, seed):
     n = config_integer("n_points", config.get("n_points", 50))
     radius = config_number("z_radius", config.get("z_radius", 0.8), 0.0, 1.0)
     t_lo, t_hi = _window(config, "t_range", [0.0, 2.0], least=0.0)
@@ -170,6 +170,7 @@ def run_flow_check(config, rng):
     thr_gen = config_number("generator_threshold", config.get("generator_threshold", 1e-6))
     flow = flow_from_json(config["flow"])
 
+    rng = np.random.RandomState(seed)
     zs = random_disc_points(rng, n, radius)
     s, t = np.array([(rng.uniform(t_lo, t_hi), rng.uniform(t_lo, t_hi)) for _ in zs]).T
     resid = check_semigroup(flow, np.array(zs), s, t)
@@ -189,7 +190,7 @@ def run_flow_check(config, rng):
     return verdicts, tables
 
 
-def run_cocycle_check(config, rng):
+def run_cocycle_check(config, seed):
     weight = weight_from_json(config["weight"])
     n = config_integer("n_points", config.get("n_points", 50))
     radius = config_number("z_radius", config.get("z_radius", 0.8), 0.0, 1.0)
@@ -199,6 +200,7 @@ def run_cocycle_check(config, rng):
     thr_fd = config_number("fd_threshold", config.get("fd_threshold", 1e-6))
     wsg = WeightedSemigroup(flow_from_json(config["flow"]), weight)
 
+    rng = np.random.RandomState(seed)
     zs = random_disc_points(rng, n, radius)
     s, t = np.array([(rng.uniform(t_lo, t_hi), rng.uniform(t_lo, t_hi)) for _ in zs]).T
     resid = check_cocycle_identity(wsg, np.array(zs), s, t)
@@ -228,7 +230,7 @@ def _norm_from_config(obj):
     raise ConfigError(f"unknown norm type {kind!r}")
 
 
-def run_generator_check(config, rng):
+def run_generator_check(config, seed):
     weight = weight_from_json(config["weight"])
     f = fn_from_json(config["function"])
     norm = _norm_from_config(config_object("norm", config.get("norm", {})))
@@ -245,7 +247,7 @@ def run_generator_check(config, rng):
     return [verdict], {"consistency": (["t", "residual", "ratio"], rows)}
 
 
-def run_coboundary_check(config, rng):
+def run_coboundary_check(config, seed):
     alpha = fn_from_json(config["alpha"])
     f = fn_from_json(config["function"])
     n = config_integer("n_points", config.get("n_points", 50))
@@ -253,6 +255,7 @@ def run_coboundary_check(config, rng):
     t_lo, t_hi = _window(config, "t_range", [0.0, 1.0], least=0.0)
     thr = config_number("threshold", config.get("threshold", 1e-12))
     flow = flow_from_json(config["flow"])
+    rng = np.random.RandomState(seed)
     zs = random_disc_points(rng, n, radius)
     t = np.array([rng.uniform(t_lo, t_hi) for _ in zs])
     resid = coboundary_similarity_check(alpha, flow, f, np.array(zs), t)
@@ -260,7 +263,7 @@ def run_coboundary_check(config, rng):
     return verdicts, {"similarity": (["z_re", "z_im", "t", "residual"], _table(zs, t, resid))}
 
 
-def run_transfer_check(config, rng):
+def run_transfer_check(config, seed):
     h = map_from_json(config.get("map", "cayley"))
     weight = weight_from_json(config["weight"])
     f = fn_from_json(config["function"])
@@ -269,6 +272,7 @@ def run_transfer_check(config, rng):
     t = config_number("t", config.get("t", 0.5), 0.0)
     thr = config_number("threshold", config.get("threshold", 1e-9))
     wsg = WeightedSemigroup(flow_from_json(config["flow"]), weight)
+    rng = np.random.RandomState(seed)
     zs = random_disc_points(rng, n, radius)
     resid = transfer_conjugation_check(h, wsg, f, np.array(zs), t)
     verdicts = [_at_most("conjugation-round-trip", resid, thr)]
@@ -294,7 +298,7 @@ def _zeros_from_config(config):
     raise ConfigError("provide either 'zeros' or a geometric 'family'")
 
 
-def run_gpv(config, rng):
+def run_gpv(config, seed):
     zeros, ratio = _zeros_from_config(config)
     alpha = config_positive("alpha", config.get("alpha", 0.1), below=1.0)
     samples = config_integer("samples_per_disc", config.get("samples_per_disc", 80))
@@ -327,7 +331,7 @@ def run_gpv(config, rng):
     return verdicts, tables, {"gpv_report": json_form(report)}
 
 
-def run_bloch_gap(config, rng):
+def run_bloch_gap(config, seed):
     weights = config["weights"]
     if not isinstance(weights, list) or not weights:
         raise ConfigError(f"config key 'weights' must be a non-empty list of weights, got {weights!r}")
@@ -350,7 +354,7 @@ def run_bloch_gap(config, rng):
     return bloch_gap_verdicts(gc, reports), tables
 
 
-def run_bloch_gap_auto(config, rng):
+def run_bloch_gap_auto(config, seed):
     N = config_integer("N", config.get("N", 6))
     t_first_cap = config_positive("t_first_cap", config.get("t_first_cap", 1.0))
     angle_thr = config_number("angle_threshold", config.get("angle_threshold", 1e-9))
@@ -372,7 +376,7 @@ def run_bloch_gap_auto(config, rng):
     return verdicts, {"case2": (["n", "t", "r", "w_re", "w_im", "depth_ratio"], rows)}
 
 
-def run_separability(config, rng):
+def run_separability(config, seed):
     zeros, _ = _zeros_from_config(config)
     refine = config_flag("refine", config.get("refine", True))
     B = BlaschkeProduct(zeros)
@@ -484,11 +488,10 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         return _config_error(exc)
 
-    rng = np.random.RandomState(args.seed)
     start = time.perf_counter()
     result = error = None
     try:
-        result = RUNNERS[args.subcommand](config, rng)
+        result = RUNNERS[args.subcommand](config, args.seed)
     except ConfigError as exc:
         return _config_error(exc)
     except SemiflowError as exc:

@@ -27,6 +27,7 @@ from .analytic import (
     Product,
     Quotient,
     Sum,
+    fn_from_json,
     guard_points,
 )
 from .errors import ConfigError, DomainError, QuadratureError, SingularityError
@@ -307,8 +308,6 @@ def transfer_conjugation_check(h: ConformalMap, wsg: WeightedSemigroup, f: Analy
 
 @config_parser
 def weight_from_json(obj: dict):
-    from .analytic import fn_from_json
-
     if obj["type"] == "weight":
         return Weight(fn_from_json(obj["g"]))
     if obj["type"] == "coboundary":

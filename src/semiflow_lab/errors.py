@@ -61,10 +61,6 @@ class DepthExceeded(SemiflowError):
     """Double precision cannot separate further construction levels."""
 
 
-class InterpolationError(SemiflowError):
-    """A combined zero sequence fails the interpolation requirement."""
-
-
 class BisectionError(SemiflowError):
     """The angle equation has no root in the allowed time window."""
 

@@ -19,7 +19,7 @@ from operator import mul
 
 import numpy as np
 
-from .analytic import AnalyticFn, Compose, Constant, Mobius, Polynomial, Product, Quotient
+from .analytic import AnalyticFn, Compose, Constant, Mobius, Polynomial, Product, Quotient, fn_from_json
 from .errors import (
     ConfigError,
     DomainError,
@@ -644,8 +644,6 @@ def automorphism_fixed_points(flow: FlowModel):
 def flow_from_json(obj: dict) -> FlowModel:
     """Rebuild a flow from its JSON form; every number goes through the typed
     config checks, so a string where a number belongs is a ConfigError."""
-    from .analytic import fn_from_json
-
     kind = obj["type"]
     if kind == "ode":
         return ode_flow(fn_from_json(obj["G"]), config_positive("tol", obj.get("tol", DEFAULT_TOL)))
@@ -674,8 +672,6 @@ def flow_from_json(obj: dict) -> FlowModel:
 
 @config_parser
 def map_from_json(obj) -> ConformalMap:
-    from .analytic import fn_from_json
-
     if isinstance(obj, str):
         named = {
             "identity": identity_map,

@@ -13,23 +13,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain
-
 import numpy as np
 
-from .analytic import AnalyticFn, BlaschkeFn, BlochGridNorm, Compose, GridSpec, Polynomial, Power, Product
-from .blaschke import (
-    BlaschkeProduct,
-    interpolation_delta,
-    pseudo_distance,
-)
+from .analytic import AnalyticFn, BlochGridNorm, Compose, GridSpec, Polynomial, Power, Product
+from .blaschke import BlaschkeProduct, interpolation_delta, pseudo_distance
 from .cocycles import Coboundary, Weight, WeightedSemigroup, weighted_z_derivative
 from .errors import (
     BisectionError,
     CaseMismatch,
     DepthExceeded,
     DomainError,
-    InterpolationError,
     ModelError,
     record,
 )
@@ -191,17 +184,12 @@ def build_test_function(gc: GapConstruction) -> AnalyticFn:
 
     The squared factor gives a double zero at each pushed point w_n, so both
     f(w_n) and f'(w_n) vanish identically.  Requires the combined sequence
-    to be interpolating.
+    to be interpolating; ``interpolation_delta`` refuses a repeated zero.
     """
     r_zeros = tuple(complex(lv.r) for lv in gc.levels)
     w_zeros = tuple(lv.w for lv in gc.levels)
-    combined = BlaschkeProduct(r_zeros + w_zeros)
-    report = interpolation_delta(combined)
-    if not report.interpolating:
-        raise InterpolationError("combined zero sequence is not interpolating")
-    outer = BlaschkeFn(BlaschkeProduct(r_zeros))
-    pushed = BlaschkeFn(BlaschkeProduct(w_zeros))
-    return Product((outer, Power(pushed, 2)))
+    interpolation_delta(BlaschkeProduct(r_zeros + w_zeros))
+    return Product((BlaschkeProduct(r_zeros), Power(BlaschkeProduct(w_zeros), 2)))
 
 
 @record
@@ -238,7 +226,7 @@ def bloch_gap(gc: GapConstruction, weight: Weight | Coboundary, grid: GridSpec) 
         weight = weight.rotated(gc.gamma0)
     wsg = WeightedSemigroup(gc.flow, weight)
     f = build_test_function(gc)
-    zs = np.fromiter(chain(grid.iter_points(), (lv.r for lv in gc.levels)), dtype=complex)
+    zs = np.concatenate([grid.sample_points(), [lv.r for lv in gc.levels]])
     fp = f.jet(zs)[1]
     d = weighted_z_derivative(wsg, f, zs, np.array([[lv.t] for lv in gc.levels])) - fp
     gaps = np.max(np.abs(d) * (1.0 - np.abs(zs) ** 2), axis=1, initial=0.0).tolist()
@@ -422,12 +410,11 @@ def separability_witness(
     a pair's gap is the Bloch grid norm of the difference of their samples.
     """
     rots = reduce_rotations(rotations)
-    if not interpolation_delta(B).interpolating:
-        raise InterpolationError("rotation family needs an interpolating product")
+    interpolation_delta(B)  # refuses a repeated zero
     norm = BlochGridNorm(grid)
     samples = []
     for th in rots:
-        f = Compose(BlaschkeFn(B), Polynomial((0.0, cmath.exp(-1j * th))))
+        f = Compose(B, Polynomial((0.0, cmath.exp(-1j * th))))
         samples.append(norm.sample(f, f.derivative()))
     n = len(rots)
     matrix = [[0.0] * n for _ in range(n)]

@@ -46,7 +46,7 @@ def fn_corpus():
         sl.Compose(sl.Exp(sl.Identity()), sl.Polynomial([0, 0, 1])),
         sl.Power(sl.Polynomial([0.5, 0.5]), 3),
         sl.Power(sl.Polynomial([2, 1, 0.5]), -2),
-        sl.BlaschkeFn(blaschke),
+        blaschke,
     ]
 
 

@@ -106,7 +106,6 @@ def test_pseudo_distance_metric(rng):
 def test_interpolation_single_zero():
     rep = sl.interpolation_delta(sl.BlaschkeProduct((0.5,)))
     assert rep.delta == 1.0
-    assert rep.interpolating
 
 
 def test_interpolation_two_zeros():

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -557,6 +560,21 @@ def test_seed_changes_sample_points(tmp_path):
     a = (tmp_path / "a" / "semigroup_residuals.csv").read_text()
     b = (tmp_path / "b" / "semigroup_residuals.csv").read_text()
     assert a != b
+
+
+@pytest.mark.parametrize("subcommand, payload", [
+    ("gpv", {"family": {"kind": "geometric", "count": 4}}),
+    ("separability", {"family": {"kind": "geometric", "count": 3}, "rotations": {"count": 3}}),
+])
+def test_a_run_without_random_points_does_not_import_numpy_random(tmp_path, subcommand, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    script = ("import sys; from semiflow_lab.cli import main; "
+              f"code = main([{subcommand!r}, '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]); "
+              "print(code, 'numpy.random' in sys.modules)")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
 
 
 def test_metadata_is_separate(tmp_path):

@@ -38,7 +38,7 @@ def tree_corpus():
         sl.Log(sl.Polynomial([0.5, 1]), guards=guard_points([-0.5])),
         sl.Log(sl.Identity(), guards=((0j, 1e-3), (0.5 + 0.5j, 0.25))),
         sl.Quotient(sl.Constant(1), sl.Polynomial([-0.5, 1]), guards=guard_points([0.5], 1e-6)),
-        sl.Derivative(sl.BlaschkeFn(blaschke)),
+        sl.Derivative(blaschke),
         sl.Compose(sl.Mobius(1, 0.5j, 0, 2), sl.Power(sl.Exp(sl.Identity()), -1)),
         sl.Sum(()),
         sl.Product(()),
@@ -48,6 +48,14 @@ def tree_corpus():
 @pytest.mark.parametrize("f", tree_corpus(), ids=lambda f: type(f).__name__)
 def test_tree_round_trip(f):
     assert sl.fn_from_json(through_text(f)) == f
+
+
+def test_a_blaschke_product_is_a_tree_leaf():
+    B = sl.BlaschkeProduct((0.3, 0.5j), theta=0.7)
+    assert sl.json_form(B) == {"op": "blaschke", "zeros": [[0.3, 0.0], [0.0, 0.5]], "theta": 0.7}
+    again = sl.fn_from_json(sl.json_form(B))
+    assert isinstance(again, sl.BlaschkeProduct) and isinstance(again, sl.AnalyticFn) and again == B
+    assert sl.json_form(sl.Derivative(B))["op"] == "blaschke_derivative"
 
 
 def test_keys_are_field_names():
@@ -247,8 +255,8 @@ leaves = st.one_of(
     st.just(sl.Identity()),
     st.builds(sl.Polynomial, st.lists(complexes, max_size=4).map(tuple)),
     mobius,
-    st.builds(sl.BlaschkeFn, products),
-    products.map(lambda B: sl.Derivative(sl.BlaschkeFn(B))),
+    products,
+    products.map(sl.Derivative),
 )
 
 
