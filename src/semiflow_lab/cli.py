@@ -113,7 +113,14 @@ def _window(config: dict, key: str, default: list, least: float = -math.inf):
 
 def _ladder(config: dict, key: str, default: list) -> list:
     """config[key] as a strictly decreasing list of positive steps."""
-    return config_parser(_check_ladder)(config_numbers(key, config.get(key, default)))
+    v = config.get(key, default)
+    steps = config_numbers(key, v)
+    try:
+        return _check_ladder(steps)
+    except ValueError:
+        raise ConfigError(
+            f"config key {key!r} must be a strictly decreasing list of positive numbers, got {v!r}"
+        ) from None
 
 
 def random_disc_points(rng, n: int, radius: float):

@@ -34,7 +34,7 @@ from .errors import ConfigError, DomainError, QuadratureError, SingularityError
 from .errors import config_pair, config_parser, record
 from .flows import ConformalMap, FlowModel
 from .flows import _check_ladder, _check_start, _integrate, _ladder_slope
-from .pointwise import exp, full, larger, nonfinite, points, raise_at, times
+from .pointwise import exp, full, larger, legs, nonfinite, points, raise_at, times, two_legs
 
 # DOP853 local errors scale with the largest state met along the way, so an
 # integral that swells this far above its end value has lost its digits.
@@ -176,11 +176,16 @@ def cocycle_eval(wsg: WeightedSemigroup, z, t):
 
 
 def check_cocycle_identity(wsg: WeightedSemigroup, z, s, t):
-    """Residual |m_{s+t}(z) - m_s(z) m_t(phi_s(z))|; m_s(z) and phi_s(z) come
-    from one sweep."""
-    z, s = times(points(z), s)
-    m_s, w_s = _cocycle(wsg, z, s, 0)
-    return abs(_cocycle(wsg, z, s + t, None) - m_s * _cocycle(wsg, w_s, t, None))
+    """Residual |m_{s+t}(z) - m_s(z) m_t(phi_s(z))|, at a point or at each
+    point of an array, with times s and t shared or given per point.
+
+    The legs z -> s and z -> s + t are one batch [z, z] with end times
+    [s, s + t], which gives m_s(z), m_{s+t}(z) and phi_s(z); the run from
+    phi_s(z) to t is the second and last.  One point is a two-point batch
+    too, and its residual a float."""
+    m, w = _cocycle(wsg, *two_legs(z, s, t), 0)
+    (m_s, m_st), (w_s, _) = legs(m), legs(w)
+    return abs(m_st - m_s * _cocycle(wsg, w_s, t, None))
 
 
 def weight_generator_fd(wsg: WeightedSemigroup, z, h_ladder):

@@ -37,7 +37,7 @@ from .errors import (
     json_form,
     record,
 )
-from .pointwise import exp, full, nonfinite, outside, points, raise_at, times, where
+from .pointwise import exp, full, legs, nonfinite, outside, points, raise_at, times, two_legs, where
 
 ESCAPE_RADIUS = 1.0 - 1e-12
 DEFAULT_TOL = 1e-10
@@ -491,10 +491,13 @@ class RotatedFlow(FlowModel):
 
 def check_semigroup(flow: FlowModel, z, s, t):
     """Residual |phi_{s+t}(z) - phi_t(phi_s(z))|, at a point or at each point
-    of an array, with times s and t shared or given per point."""
-    direct = flow.advance(z, s + t)
-    stepped = flow.advance(flow.advance(z, s), t)
-    return abs(direct - stepped)
+    of an array, with times s and t shared or given per point.
+
+    The legs z -> s and z -> s + t are one batch [z, z] with end times
+    [s, s + t]; the run from phi_s(z) to t is the second and last.  One
+    point is a two-point batch too, and its residual a float."""
+    w_s, direct = legs(flow.advance(*two_legs(z, s, t)))
+    return abs(direct - flow.advance(w_s, t))
 
 
 def _check_ladder(steps) -> list:

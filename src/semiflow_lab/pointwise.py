@@ -45,6 +45,18 @@ def times(z, t):
     return np.broadcast_to(z, shape).astype(complex), np.broadcast_to(t, shape).astype(float)
 
 
+def two_legs(z, s, t):
+    """The runs z -> s and z -> s + t as one batch: the start [z, z] and its
+    end times [s, s + t], for z, s and t broadcast to one shape."""
+    z, s, t = np.broadcast_arrays(points(z), np.asarray(s, float), np.asarray(t, float))
+    return np.stack([z, z]), np.stack([s, s + t])
+
+
+def legs(y):
+    """The two legs of a ``two_legs`` batch's result, each a Python complex for one point."""
+    return points(y[0]), points(y[1])
+
+
 def raise_at(mask, z, error, message: str, *args):
     """Raise ``error(message.format(p, *args))`` for the first point p of z where
     ``mask`` holds; an ndarray among ``args`` gives its entry at that point too.

@@ -334,6 +334,52 @@ def test_weighted_z_derivative_with_a_time_per_point():
     assert abs(batch[1] - f.derivative().eval(zs[1])) <= 1e-15 * abs(batch[1])
 
 
+# The identity checks run the legs z -> s and z -> s + t as one batch [z, z]
+# with end times [s, s + t], then the leg from phi_s(z) to t.
+
+
+@pytest.mark.parametrize(
+    "zs, s, t",
+    [
+        (np.array([0.1, -0.4j, 0.5 + 0.2j]), np.array([0.3, 0.0, 0.8]), np.array([0.6, 0.2, 0.0])),
+        (np.array([0.1, -0.4j]), 0.3, np.array([0.6, 0.2])),
+        (0.3 - 0.2j, 0.4, 0.7),
+    ],
+    ids=["times-per-point", "shared-s", "one-point"],
+)
+def test_identity_checks_integrate_twice(integrations, zs, s, t):
+    flow = radial_flow()
+    wsg = sl.WeightedSemigroup(flow, sl.Weight(sl.Identity()))
+    for check, obj in ((sl.check_semigroup, flow), (sl.check_cocycle_identity, wsg)):
+        integrations.clear()
+        check(obj, zs, s, t)
+        both_legs, stepped = integrations
+        assert np.array_equal(both_legs, np.broadcast_arrays(s, np.add(s, t)))
+        assert np.array_equal(stepped, t)
+
+
+CAYLEY_TRANSLATE = sl.koenigs_flow(sl.cayley_map(), 1j, "translate")
+start_points = st.builds(lambda r, a: r * cmath.exp(1j * a), st.floats(0.0, 0.8), st.floats(0.0, 2 * cmath.pi))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(start_points, st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+def test_merged_legs_agree_with_one_point_calls(triples):
+    zs, s, t = (np.array(column) for column in zip(*triples))
+    zs = zs.astype(complex)
+    for flow in (radial_flow(), CAYLEY_TRANSLATE):
+        wsg = sl.WeightedSemigroup(flow, sl.Weight(sl.Identity()))
+        # a cocycle's error is relative to |m|: the Cayley sweep runs at the default tol 1e-10
+        size = 1 + np.abs(sl.cocycle_eval(wsg, zs, s + t))
+        for check, obj, bound in ((sl.check_semigroup, flow, np.full(zs.shape, 1e-12)),
+                                  (sl.check_cocycle_identity, wsg, 1e-12 * size)):
+            batch = check(obj, zs, s, t)
+            assert batch.shape == zs.shape and np.all(batch <= bound), (flow, check)
+            for z, a, b, r, most in zip(zs, s, t, batch, bound):
+                one = check(obj, complex(z), float(a), float(b))
+                assert type(one) is float and abs(one - r) <= most, (flow, check, z, a, b)
+
+
 @pytest.mark.parametrize("g, t", [(sl.Identity(), 0.0), (sl.Constant(1), 0.3)], ids=["g=z-t=0", "g=1"])
 def test_cocycle_start_outside_the_disc_is_refused(g, t):
     # neither the zero time nor a constant weight's exp(g t) skips the start check

@@ -492,6 +492,20 @@ def test_missing_key_has_one_message_at_any_depth(tmp_path, capsys, payload, key
     assert capsys.readouterr().err == f"config error: config missing required key {key!r}\n"
 
 
+@pytest.mark.parametrize("subcommand, payload, key", [
+    ("flow-check", {"flow": RADIAL}, "generator_ladder"),
+    ("cocycle-check", {"flow": RADIAL, "weight": G_ID}, "fd_ladder"),
+    ("generator-check", {"flow": RADIAL, "weight": G_ID, "function": {"op": "id"}}, "t_ladder"),
+])
+@pytest.mark.parametrize("ladder", [[0.01, 0.02], [0.01, 0.01], [0.01, 0], [-0.01, -0.02]])
+def test_ladder_refusal_names_its_key(tmp_path, capsys, subcommand, payload, key, ladder):
+    cfg = write_config(tmp_path, "c.json", {**payload, key: ladder})
+    assert run(subcommand, cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        f"config error: config key {key!r} must be a strictly decreasing list of positive numbers, got {ladder!r}\n"
+    )
+
+
 WRONG_SCALARS = ["1", True, None, math.nan, math.inf, -math.inf, [1.0], {"v": 1.0}]
 READERS = [
     # reader, its bounds, (good value, typed result) pairs, values that must be refused
