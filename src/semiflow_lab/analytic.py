@@ -4,9 +4,10 @@ Trees are immutable.  Evaluation takes one point, a Python complex, or a
 batch, a complex ndarray, through the same code (see ``pointwise``).  Each
 node has one differentiation rule, its Taylor-mode jet ``_jet(z, order)``
 (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13):
-the coefficients f(z), f'(z), ..., f^(k)(z)/k! in one recursion.  The first
-two keep the product, quotient and chain rules as written out; the later
-ones follow each node's recurrence.  ``derivative()`` returns a
+the tuple of the order + 1 coefficients f(z), f'(z), ..., f^(k)(z)/k!, every
+one from the node's recurrence.  Products and compositions go through two
+series helpers, ``_cauchy`` and ``_compose``, which keep the product and chain
+rules' operation order at orders 0 and 1.  ``derivative()`` returns a
 ``Derivative`` node, which reads its argument's jet one order higher.
 Quotient and Log carry explicit singularity guards: small excluded discs
 around known zeros of the denominator / argument, as a Mobius derivative
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, reduce
-from operator import add, mul
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -36,10 +37,10 @@ def guard_points(points, radius: float = DEFAULT_GUARD_RADIUS):
 
 
 class AnalyticFn:
-    """Base node.  Subclasses implement ``_jet``: order 0 returns the value,
-    order k >= 1 the tuple of the k + 1 Taylor coefficients.  A coefficient
-    that does not depend on z stays a bare complex in ``_jet``; the entry
-    points spread it over a batch once."""
+    """Base node.  Subclasses implement ``_jet``: at every order k it returns
+    the tuple of the k + 1 Taylor coefficients.  A coefficient that does not
+    depend on z stays a bare complex in ``_jet``; the entry points spread it
+    over a batch once."""
 
     guards: tuple = ()
 
@@ -47,7 +48,7 @@ class AnalyticFn:
         """Evaluate at a point of the open unit disc, or at each point of an array."""
         z = points(z)
         raise_at(abs(z) >= 1.0, z, DomainError, "{} is not inside the open unit disc")
-        w = self._jet(z, 0)
+        w, = self._jet(z, 0)
         raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
         return full(z, w)
 
@@ -56,7 +57,7 @@ class AnalyticFn:
     def eval_anywhere(self, z):
         """Evaluate without the disc check (for maps whose range leaves the disc)."""
         z = points(z)
-        w = self._jet(z, 0)
+        w, = self._jet(z, 0)
         raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
         return full(z, w)
 
@@ -77,24 +78,31 @@ class AnalyticFn:
                      "{} inside guard disc around {}", center)
 
 
-_ZERO, _ONE, _MINUS_ONE = 0j, 1 + 0j, -1 + 0j
+_ZERO, _ONE = 0j, 1 + 0j
 
 
 def _cauchy(a, b) -> tuple:
-    """The product of two truncated series of one length (a convolution)."""
-    return tuple(sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(len(a)))
+    """The product of two truncated series of one length (a convolution).
+    Coefficient 1 is a_0 b_1 + a_1 b_0, the product rule."""
+    if len(a) < 3:  # orders 0 and 1 pay for no generic sum
+        return (a[0] * b[0],) if len(a) == 1 else (a[0] * b[0], a[0] * b[1] + a[1] * b[0])
+    return tuple(reduce(add, [a[i] * b[j - i] for i in range(j + 1)]) for j in range(len(a)))
 
 
 def _compose(outer, inner) -> tuple:
-    """Coefficients 2.. of v(u), from v's coefficients at u_0 and u's: the sum
-    over m >= 1 of v_m (u - u_0)^m.  (Coefficient 1 is v_1 u_1.)  A short
-    ``outer`` stands for a v whose later coefficients vanish."""
-    zeros = (_ZERO,) * (len(inner) - 1)
-    rise, power, total = (_ZERO, *inner[1:]), (_ONE, *zeros), (_ZERO, *zeros)
-    for v in outer[1:]:
+    """Coefficients 1.. of v(u), from v's coefficients at u_0 and u's: the sum
+    over m >= 1 of v_m (u - u_0)^m.  Coefficient 1 is v_1 u_1, the chain rule.
+    A short ``outer`` stands for a v whose later coefficients vanish."""
+    if len(outer) == 1:  # a v constant near u_0, or order 0
+        return (_ZERO,) * (len(inner) - 1)
+    if len(inner) == 2:  # order 1 pays for no series
+        return (outer[1] * inner[1],)
+    rise = (_ZERO, *inner[1:])  # u - u_0
+    power, total = rise, (_ZERO, *[outer[1] * c for c in inner[1:]])
+    for v in outer[2:]:
         power = _cauchy(power, rise)
         total = tuple(t + v * c for t, c in zip(total, power))
-    return total[2:]
+    return total[1:]
 
 
 @record
@@ -106,8 +114,6 @@ class Constant(AnalyticFn):
         object.__setattr__(self, "value", complex(self.value))
 
     def _jet(self, z, order):
-        if order < 2:  # the hot cases pay for no padding
-            return (self.value, _ZERO) if order else self.value
         return (self.value,) + (_ZERO,) * order
 
 
@@ -116,9 +122,7 @@ class Identity(AnalyticFn):
     json_tag = {"op": "id"}
 
     def _jet(self, z, order):
-        if order < 2:
-            return (z, _ONE) if order else z
-        return (z, _ONE) + (_ZERO,) * (order - 1)
+        return (z, _ONE) + (_ZERO,) * (order - 1) if order else (z,)
 
 
 def _horner(coeffs, z):
@@ -145,8 +149,8 @@ class Polynomial(AnalyticFn):
 
     def _jet(self, z, order):
         value = _horner(self.coeffs, z)
-        if order < 2:
-            return (value, _horner(self._slopes, z)) if order else value
+        if order < 2:  # Horner's rule for the slope too
+            return (value, _horner(self._slopes, z)) if order else (value,)
         # coefficient j of p is coefficient j - 1 of p', over j
         slopes = Polynomial(self._slopes)._jet(z, order - 1)
         return (value, slopes[0], *[c / j for j, c in enumerate(slopes[1:], 2)])
@@ -174,7 +178,7 @@ class Mobius(AnalyticFn):
         den = self.c * z + self.d
         if not order:
             raise_at(den == 0, z, SingularityError, "Mobius pole at {}")
-            return (self.a * z + self.b) / den
+            return ((self.a * z + self.b) / den,)
         square = den ** 2  # zero wherever den is, so one check serves both
         raise_at(square == 0, z, SingularityError, "Mobius pole at {}")
         self._check_guards(z)  # the derivatives' guard disc around a pole in the disc
@@ -193,16 +197,15 @@ class Exp(AnalyticFn):
     arg: AnalyticFn
 
     def _jet(self, z, order):
-        if not order:
-            return exp(self.arg._jet(z, 0))
         u = self.arg._jet(z, order)
-        value = exp(u[0])
+        coeffs = (exp(u[0]),)
+        if not order:
+            return coeffs
         # an overflowed value makes the coefficients inf or nan, which the
         # finiteness mask of jet refuses with a SingularityError naming the point
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = (value, value * u[1])
-            for j in range(2, order + 1):  # j f_j = sum_i i u_i f_(j-i), from f' = f u'
-                coeffs += (sum(i * u[i] * coeffs[j - i] for i in range(1, j + 1)) / j,)
+            for j in range(1, order + 1):  # j f_j = sum_i i u_i f_(j-i), from f' = f u'
+                coeffs += (reduce(add, [i * u[i] * coeffs[j - i] for i in range(1, j + 1)]) / j,)
         return coeffs
 
 
@@ -225,13 +228,10 @@ class Log(AnalyticFn):
     def _jet(self, z, order):
         self._check_guards(z)
         u = self.arg._jet(z, order)
-        base = u[0] if order else u
-        raise_at(base == 0, z, SingularityError, "log of zero at {}")
-        if not order:
-            return log(base)
-        coeffs = (log(base), u[1] / base)
-        for j in range(2, order + 1):  # u_0 f_j = u_j - sum_(i<j) (i/j) f_i u_(j-i), from u f' = u'
-            coeffs += ((u[j] - sum(i * coeffs[i] * u[j - i] for i in range(1, j)) / j) / base,)
+        raise_at(u[0] == 0, z, SingularityError, "log of zero at {}")
+        coeffs = (log(u[0]),)
+        for j in range(1, order + 1):  # u_0 f_j = u_j - sum_(0<i<j) (i/j) f_i u_(j-i), from u f' = u'
+            coeffs += (reduce(sub, [i * coeffs[i] * u[j - i] / j for i in range(1, j)], u[j]) / u[0],)
         return coeffs
 
 
@@ -245,9 +245,7 @@ class Sum(AnalyticFn):
 
     def _jet(self, z, order):
         if not self.terms:
-            return (_ZERO,) * (order + 1) if order else _ZERO
-        if not order:
-            return reduce(add, [t._jet(z, 0) for t in self.terms])
+            return (_ZERO,) * (order + 1)
         return tuple(reduce(add, column) for column in zip(*[t._jet(z, order) for t in self.terms]))
 
 
@@ -261,15 +259,8 @@ class Product(AnalyticFn):
 
     def _jet(self, z, order):
         if not self.factors:
-            return (_ONE,) + (_ZERO,) * order if order else _ONE
-        if not order:
-            return reduce(mul, [f._jet(z, 0) for f in self.factors])
-        jets = [f._jet(z, order) for f in self.factors]
-        values, slopes, *_ = zip(*jets)
-        # the terms f_0 ... f_k' ... f_n, each multiplied left to right
-        terms = [reduce(mul, values[:k] + (s,) + values[k + 1:]) for k, s in enumerate(slopes)]
-        coeffs = (reduce(mul, values), reduce(add, terms))
-        return coeffs + reduce(_cauchy, jets)[2:] if order > 1 else coeffs
+            return (_ONE,) + (_ZERO,) * order
+        return reduce(_cauchy, [f._jet(z, order) for f in self.factors])
 
 
 @record
@@ -284,17 +275,12 @@ class Quotient(AnalyticFn):
 
     def _jet(self, z, order):
         self._check_guards(z)
-        if not order:
-            d = self.den._jet(z, 0)
-            raise_at(d == 0, z, SingularityError, "denominator vanishes at {}")
-            return self.num._jet(z, 0) / d
         d = self.den._jet(z, order)
-        square = d[0] * d[0]  # zero wherever d is
-        raise_at(square == 0, z, SingularityError, "denominator vanishes at {}")
+        raise_at(d[0] == 0, z, SingularityError, "denominator vanishes at {}")
         n = self.num._jet(z, order)
-        coeffs = (n[0] / d[0], (n[1] * d[0] + _MINUS_ONE * n[0] * d[1]) / square)
-        for j in range(2, order + 1):  # d_0 q_j = n_j - sum_(i>=1) d_i q_(j-i), from d q = n
-            coeffs += ((n[j] - sum(map(mul, d[1:j + 1], reversed(coeffs)))) / d[0],)
+        coeffs = (n[0] / d[0],)
+        for j in range(1, order + 1):  # d_0 q_j = n_j - sum_(i>=1) d_i q_(j-i), from d q = n
+            coeffs += ((n[j] - reduce(add, map(mul, d[1:j + 1], reversed(coeffs)))) / d[0],)
         return coeffs
 
 
@@ -305,12 +291,9 @@ class Compose(AnalyticFn):
     inner: AnalyticFn
 
     def _jet(self, z, order):
-        if not order:
-            return self.outer._jet(self.inner._jet(z, 0), 0)
         u = self.inner._jet(z, order)
         v = self.outer._jet(u[0], order)
-        coeffs = (v[0], v[1] * u[1])
-        return coeffs + _compose(v, u) if order > 1 else coeffs
+        return (v[0], *_compose(v, u))
 
 
 @record
@@ -324,21 +307,15 @@ class Power(AnalyticFn):
 
     def _jet(self, z, order):
         w = self.arg._jet(z, order)
-        base = w[0] if order else w
+        base = w[0]
         if self.k < 0:
             raise_at(base == 0, z, SingularityError, "negative power of zero at {}")
-        value = base ** self.k
-        if not order:
-            return value
-        coeffs = (value, complex(self.k) * base ** (self.k - 1) * w[1] if self.k else _ZERO)
-        if order > 1:
-            # t^k's coefficients C(k, m) t^(k-m) at the base, C(k, m) = k (k-1) ... (k-m+1)/m!;
-            # for k >= 0 they stop at m = k, so no power divides by a base that may vanish
-            outer = (value,)
-            for m in range(1, (order if self.k < 0 else min(order, self.k)) + 1):
-                outer += (math.prod(range(self.k, self.k - m, -1)) / math.factorial(m) * base ** (self.k - m),)
-            coeffs += _compose(outer, w)
-        return coeffs
+        # t^k's coefficients C(k, m) t^(k-m) at the base, C(k, m) = k (k-1) ... (k-m+1)/m!;
+        # for k >= 0 they stop at m = k, so no power divides by a base that may vanish
+        outer = (base ** self.k,)
+        for m in range(1, (order if self.k < 0 else min(order, self.k)) + 1):
+            outer += (math.prod(range(self.k, self.k - m, -1)) / math.factorial(m) * base ** (self.k - m),)
+        return (outer[0], *_compose(outer, w))
 
 
 @record
@@ -355,7 +332,7 @@ class Derivative(AnalyticFn):
         shifted = (coeffs[1] if n == 1 else math.factorial(n) * coeffs[n],)  # f' is the slope, bit for bit
         for j in range(1, order + 1):
             shifted += (math.perm(j + n, n) * coeffs[j + n],)
-        return shifted if order else shifted[0]
+        return shifted
 
     def derivative(self):
         return Derivative(self.inner, self.n + 1)  # one node, whatever the order
@@ -446,7 +423,7 @@ class GridSpec:
         """Each circle's points r e^{2 pi i j/m}, j = 0..m-1 (radius 0 gives the
         origin once), then the explicit points."""
         # the angle is a real over m: numpy divides a complex by multiplying with 1/m,
-        # an ulp away from r cmath.exp(2j pi j/m) at some counts (m = 6, 12, 24, ...)
+        # an ulp away from r cmath.exp(2j pi j/m) at some counts (m = 6, 12, 24, 96, 160, ...)
         circles = [np.zeros(1, dtype=complex) if r == 0.0 else r * np.exp(1j * (2 * np.pi * np.arange(m) / m))
                    for r, m in zip(self.radii, self.angular)]
         return np.concatenate([*circles, np.array(self.points, dtype=complex)])
@@ -500,7 +477,7 @@ class _CircleNorm:
 
     @cached_property
     def points(self) -> np.ndarray:
-        return self.r * np.exp(2j * np.pi * np.arange(self.M) / self.M)
+        return GridSpec((self.r,), (self.M,)).sample_points()
 
     def sample(self, value, slope=None) -> np.ndarray:
         return _call(value, self.points)

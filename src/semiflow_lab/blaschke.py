@@ -41,7 +41,7 @@ class BlaschkeProduct(AnalyticFn):
     def _jet(self, z, order):
         value = blaschke_eval(self, z)
         if not order:
-            return value
+            return (value,)
         coeffs = (value, blaschke_derivative(self, z))
         if order > 1:
             # coefficients 2.. from the product of the phase and the factors

@@ -204,14 +204,11 @@ def _stacked_step(rhs, y, k1, h, tol):
 
 @record
 class NewtonInverse:
-    """Newton iteration policy for maps without a closed-form inverse."""
+    """Newton iteration policy for maps without a closed-form inverse; each
+    caller seeds the iteration itself."""
 
-    seed: complex = 0j
     max_iter: int = 50
     tol: float = 1e-12
-
-    def __post_init__(self):
-        object.__setattr__(self, "seed", complex(self.seed))  # written as a [re, im] pair
 
 
 @record
@@ -228,17 +225,18 @@ class ConformalMap:
     def map_derivative(self, z):
         return self.forward.jet(z)[1]
 
-    def inverse_at(self, w, seed=None):
+    def inverse_at(self, w, seed):
         """h^{-1}(w) at a point or an array of points.
 
-        Newton iterates the whole batch; a point stops moving once it has
-        converged, and the call fails if any point does not converge or an
-        iterate leaves |x| <= NEWTON_BOUND.
+        Newton starts at ``seed`` (one start, or one per point) and iterates
+        the whole batch; a point stops moving once it has converged, and the
+        call fails if any point does not converge or an iterate leaves
+        |x| <= NEWTON_BOUND.  A closed-form inverse ignores the seed.
         """
         if self.inverse is not None:
             return self.inverse.eval_anywhere(w)
         w = points(w)
-        x = full(w, self.newton.seed if seed is None else seed)
+        x = full(w, seed)
         miss = True
         for _ in range(self.newton.max_iter):
             fx, dfx = self.forward.jet(x)
@@ -691,7 +689,6 @@ def map_from_json(obj) -> ConformalMap:
     return ConformalMap(
         forward=forward,
         newton=NewtonInverse(
-            seed=config_pair("seed", nt.get("seed", [0.0, 0.0])),
             max_iter=config_integer("max_iter", nt.get("max_iter", 50)),
             tol=config_positive("tol", nt.get("tol", 1e-12)),
         ),

@@ -192,10 +192,17 @@ def test_refine_is_superset():
 
 
 def test_grid_points_are_the_scalar_formula_bit_for_bit():
-    # m = 6, 12, 24 are among the counts where a complex division by m would move an ulp
-    grid = sl.GridSpec((0.0, 0.3, 0.85), (1, 12, 24), (0.1 + 0.2j,))
-    circles = [r * cmath.exp(2j * math.pi * j / m) for r, m in ((0.3, 12), (0.85, 24)) for j in range(m)]
+    # m = 6, 12, 24, 96, 160 are among the counts where a complex division by m would move an ulp
+    def circle(r, m):
+        return [r * cmath.exp(2j * math.pi * j / m) for j in range(m)]
+
+    grid = sl.GridSpec((0.0, 0.3, 0.5, 0.7, 0.85), (1, 12, 96, 160, 24), (0.1 + 0.2j,))
+    circles = [z for r, m in ((0.3, 12), (0.5, 96), (0.7, 160), (0.85, 24)) for z in circle(r, m)]
     assert grid.sample_points().tolist() == [0j, *circles, 0.1 + 0.2j]
+    # the norms sample their circle through the same formula: H2Norm(N = 40) has M = 160
+    assert sl.H2Norm(40, 0.7).points.tolist() == circle(0.7, 160)
+    assert sl.HpNorm(2.0, 0.5, 96).points.tolist() == circle(0.5, 96)
+    assert sl.HpNorm(2.0, 0.5).points.tolist() == circle(0.5, 256)
 
 
 def test_json_round_trip(rng):
@@ -267,9 +274,51 @@ def test_blaschke_eval_computes_no_derivative(monkeypatch):
         f.jet(0.2)
 
 
+def same(a, b):
+    """a and b equal at every point, a bare complex standing for its value at each."""
+    return np.array_equal(*np.broadcast_arrays(a, b))
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_every_jet_returns_its_order_plus_one_coefficients(order):
+    # one shape at every order: the tuple of the order + 1 coefficients, whose
+    # value is eval_anywhere's and whose first two are jet's, bit for bit
+    trees = [*fn_corpus(), sl.Derivative(sl.Exp(sl.Identity()), 2), sl.Sum(()), sl.Product(())]
+    for z in (0.3 - 0.1j, np.array([0.1 + 0.2j, -0.3, 0.4j, -0.2 - 0.5j, 0.6])):
+        for f in trees:
+            coeffs = f._jet(z, order)
+            assert type(coeffs) is tuple and len(coeffs) == order + 1, (f, order)
+            assert same(coeffs[0], f.eval_anywhere(z)), (f, order)
+            assert all(same(c, j) for c, j in zip(coeffs, f.jet(z))), (f, order)
+
+
 disc_points = st.builds(
     lambda r, a: r * cmath.exp(1j * a), st.floats(0.0, 0.85), st.floats(0.0, 2 * math.pi)
 )
+layouts = st.one_of(disc_points, st.lists(disc_points, min_size=1, max_size=5).map(np.array))
+corpus_index = st.sampled_from(range(len(fn_corpus())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(layouts, corpus_index, corpus_index, st.sampled_from([-2, 0, 1, 2, 3]))
+def test_first_coefficient_is_the_written_out_rule(z, i, j, k):
+    # the series helpers' first coefficient against the product, chain and
+    # power rules written out here, for a point and for a batch; each product
+    # keeps its operand order, since numpy's complex multiply is not
+    # commutative to the last bit
+    f, g = fn_corpus()[i], fn_corpus()[j]
+    s0, s1 = f._jet(z, 1)
+    v0, v1 = g._jet(z, 1)
+    assert same(sl.Product((f, g))._jet(z, 1)[1], s0 * v1 + s1 * v0)
+    try:
+        f.jet(g.eval_anywhere(z))  # the outer tree at the inner's values
+    except sl.SingularityError:
+        pass
+    else:
+        u0, u1 = g._jet(z, 1)
+        assert same(sl.Compose(f, g)._jet(z, 1)[1], f._jet(u0, 1)[1] * u1)
+    if np.all(abs(s0) > 0.01):  # a base whose negative powers stay finite
+        assert same(sl.Power(f, k)._jet(z, 1)[1], complex(k) * s0 ** (k - 1) * s1)
 
 
 @settings(max_examples=60, deadline=None)

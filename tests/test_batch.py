@@ -130,7 +130,7 @@ def test_batched_newton_inverse_matches_pointwise(rng):
     assert np.max(np.abs(batch - single)) <= 1e-14
     stubborn = sl.ConformalMap(forward=h.forward, newton=sl.NewtonInverse(max_iter=3))
     with pytest.raises(sl.InverseError):
-        stubborn.inverse_at(np.array([h.map(0.0), h.map(0.95)]))
+        stubborn.inverse_at(np.array([h.map(0.0), h.map(0.95)]), 0j)
 
 
 @pytest.mark.parametrize("tol, error", [(1e-10, sl.QuadratureError), (1e-12, sl.EscapeError)])

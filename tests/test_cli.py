@@ -476,6 +476,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_newton_seed_is_an_unread_key(tmp_path, capsys):
+    # Newton's start comes from each caller (z itself), so a config seed would change nothing
+    h = {"forward": {"op": "mobius", "a": [1, 0], "b": [1, 0], "c": [-1, 0], "d": [1, 0]},
+         "newton": {"seed": [0, 0]}}
+    cfg = write_config(tmp_path, "c.json", {"flow": {"type": "koenigs", "mode": "translate", "h": h, "c": [0, 1]},
+                                            "z0": [0.2, 0.1]})
+    assert run("flow-trace", cfg, tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert capsys.readouterr().err == "config error: keys that flow-trace does not read: flow.h.newton.seed\n"
+
+
 @pytest.mark.parametrize(
     "payload, key",
     [

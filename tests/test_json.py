@@ -66,12 +66,8 @@ def test_keys_are_field_names():
 
 
 def test_newton_map_round_trip():
-    h = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1),
-                        newton=sl.NewtonInverse(seed=0.1 - 0.2j, max_iter=17, tol=1e-11))
-    assert sl.json_form(h)["newton"] == {"seed": [0.1, -0.2], "max_iter": 17, "tol": 1e-11}
-    assert map_from_json(through_text(h)) == h
-    # a real seed is written as a pair, as the reader wants it
-    h = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1), newton=sl.NewtonInverse(seed=0.25))
+    h = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1), newton=sl.NewtonInverse(max_iter=17, tol=1e-11))
+    assert sl.json_form(h)["newton"] == {"max_iter": 17, "tol": 1e-11}
     assert map_from_json(through_text(h)) == h
 
 
@@ -83,7 +79,7 @@ def test_closed_form_map_writes_no_newton():
 
 def written_flows():
     """Flows whose every field a reader must take back, unused ones included."""
-    newton = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1), newton=sl.NewtonInverse(0.1j, 40, 1e-12))
+    newton = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1), newton=sl.NewtonInverse(40, 1e-12))
     return {
         "newton-translate": sl.koenigs_flow(newton, 1j, "translate"),
         "rotated": sl.RotatedFlow(sl.ode_flow(sl.Polynomial([0, -1]), 1e-11), cmath.exp(0.7j)),
@@ -169,9 +165,9 @@ def test_record_fields_cannot_change(value, field):
 
 
 @pytest.mark.parametrize("args, kwargs", [
-    ((), {"seed": 0.1, "iterations": 5}),  # unknown
-    ((0.1,), {"seed": 0.2}),  # repeated
-    ((0.1, 50, 1e-12, 4), {}),  # one too many
+    ((), {"max_iter": 5, "iterations": 5}),  # unknown
+    ((50,), {"max_iter": 40}),  # repeated
+    ((50, 1e-12, 4), {}),  # one too many
 ], ids=["unknown", "repeated", "too-many"])
 def test_record_constructor_refuses_bad_arguments(args, kwargs):
     with pytest.raises(TypeError):
@@ -198,7 +194,7 @@ def test_record_post_init_still_runs():
         sl.H2Norm(-1)
     with pytest.raises(sl.DomainError):
         sl.HpNorm(2.0, 0.0)
-    assert sl.ConformalMap(sl.Identity()).newton == sl.NewtonInverse() == sl.NewtonInverse(0, 50, 1e-12)
+    assert sl.ConformalMap(sl.Identity()).newton == sl.NewtonInverse() == sl.NewtonInverse(50, 1e-12)
 
 
 def test_record_repr():
@@ -275,8 +271,8 @@ def _nodes(children):
 trees = st.recursive(leaves, _nodes, max_leaves=8)
 maps = st.one_of(
     st.sampled_from([sl.cayley_map(), sl.reflected_cayley_map(), sl.mobius_map(1, 0.2, 0.3j, 1)]),
-    st.builds(lambda f, seed, n, tol: sl.ConformalMap(forward=f, newton=sl.NewtonInverse(seed, n, tol)),
-              trees, inside, st.integers(1, 100), st.floats(1e-15, 1e-6)),
+    st.builds(lambda f, n, tol: sl.ConformalMap(forward=f, newton=sl.NewtonInverse(n, tol)),
+              trees, st.integers(1, 100), st.floats(1e-15, 1e-6)),
 )
 base_flows = st.one_of(
     st.builds(sl.OdeFlow, trees, st.floats(1e-14, 1e-3)),
