@@ -2,31 +2,37 @@
 
 Trees are immutable.  Evaluation takes one point, a Python complex, or a
 batch, a complex ndarray, through the same code (see ``pointwise``).  Each
-node has one differentiation rule, its Taylor-mode jet ``_jet(z, order)``
-(Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13):
-the tuple of the order + 1 coefficients f(z), f'(z), ..., f^(k)(z)/k!, every
-one from the node's recurrence.  Products and compositions go through two
-series helpers, ``_cauchy`` and ``_compose``, which keep the product and chain
-rules' operation order at orders 0 and 1.  ``derivative()`` returns a
+node has one differentiation rule, its Taylor-mode jet (Griewank & Walther,
+Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13): the order + 1
+coefficients f(z), f'(z), ..., f^(k)(z)/k!, every one from the node's
+recurrence.  A node writes its rule as straight-line Python (``_emit``), and
+each entry point (``eval``, ``eval_anywhere``, ``jet``) runs one function per
+tree, built from those lines on first use, kept per tree value (an equal
+tree rebuilt from JSON reuses it) and compiled once per distinct source
+(trees that differ only in their constants share it).  The lines keep
+every operation of the rule and the order of its operands, so the numbers
+are those of the rule evaluated node by node, bit for bit; a coefficient
+that nothing reads is not computed.  ``derivative()`` returns a
 ``Derivative`` node, which reads its argument's jet one order higher.
 Quotient and Log carry explicit singularity guards: small excluded discs
 around known zeros of the denominator / argument, as a Mobius derivative
 does around a pole in the disc.  Evaluation either returns finite values or
-raises; it never returns inf/nan.  A batch raises the error of the first
-point that would raise on its own.
+raises; it never returns inf/nan.  The guards run in tree order, each before
+the arithmetic it protects, and the first one that fires raises its typed
+error at its first offending point, for a batch as for that point alone.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
-from operator import add, mul, sub
+import re
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, SingularityError, config_integer, config_number
 from .errors import config_pair, config_parser, config_positive, json_form, record
-from .pointwise import exp, full, log, nonfinite, points, raise_at
+from .pointwise import exp, full, log, nonfinite, points, raise_at  # the compiled code reads these by name
 
 DEFAULT_GUARD_RADIUS = 1e-9
 
@@ -36,72 +42,181 @@ def guard_points(points, radius: float = DEFAULT_GUARD_RADIUS):
     return tuple((complex(p), float(radius)) for p in points)
 
 
+class _CompiledEntry:
+    """The tree's compiled ``entry``, built on first use and then kept on the
+    tree, whose own attribute of the name hides this descriptor from then on."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, tree, owner=None):
+        code = _compiled(tree, self.entry)
+        object.__setattr__(tree, self.name, code)  # not through __dict__, which slows attribute reads
+        return code
+
+
 class AnalyticFn:
-    """Base node.  Subclasses implement ``_jet``: at every order k it returns
-    the tuple of the k + 1 Taylor coefficients.  A coefficient that does not
-    depend on z stays a bare complex in ``_jet``; the entry points spread it
+    """Base node.  Subclasses implement ``_emit``: at every order k it writes
+    the lines that compute the k + 1 Taylor coefficients.  A coefficient that
+    does not depend on z stays a bare complex; the entry points spread it
     over a batch once."""
 
     guards: tuple = ()
 
     def eval(self, z):
         """Evaluate at a point of the open unit disc, or at each point of an array."""
-        z = points(z)
-        raise_at(abs(z) >= 1.0, z, DomainError, "{} is not inside the open unit disc")
-        w, = self._jet(z, 0)
-        raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
-        return full(z, w)
+        return self._eval_code(z)
 
     __call__ = eval
 
     def eval_anywhere(self, z):
         """Evaluate without the disc check (for maps whose range leaves the disc)."""
-        z = points(z)
-        w, = self._jet(z, 0)
-        raise_at(nonfinite(w), z, SingularityError, "non-finite value at {}")
-        return full(z, w)
+        return self._eval_anywhere_code(z)
 
     def jet(self, z):
         """(f(z), f'(z)) from one pass over the tree, without the disc check."""
-        z = points(z)
-        w, dw = self._jet(z, 1)
-        raise_at(nonfinite(w) | nonfinite(dw), z, SingularityError, "non-finite value at {}")
-        return full(z, w), full(z, dw)
+        return self._jet_code(z)
+
+    _eval_code = _CompiledEntry("eval")
+    _eval_anywhere_code = _CompiledEntry("eval_anywhere")
+    _jet_code = _CompiledEntry("jet")
+
+    def _jet(self, z, order):
+        """The tuple of the order + 1 coefficients at z, a Python complex or a complex ndarray."""
+        return _compiled(self, order)(z)
 
     def derivative(self) -> "AnalyticFn":
         """f' as a node that reads this tree's jets one order higher."""
         return Derivative(self)
 
-    def _check_guards(self, z) -> None:
-        for center, radius in self.guards:
-            raise_at(abs(z - center) <= radius, z, SingularityError,
-                     "{} inside guard disc around {}", center)
+    def _emit_guards(self, em, node, z) -> None:
+        for i in range(len(self.guards)):
+            center, radius = em.bind(f"{node}.guards[{i}][0]"), em.bind(f"{node}.guards[{i}][1]")
+            em.guard(f"abs({z} - {center}) <= {radius}", z, "{} inside guard disc around {}", center)
 
 
 _ZERO, _ONE = 0j, 1 + 0j
+_NAMES = r"\b[kv]\d+\b"  # the names the emitter gives
 
 
-def _cauchy(a, b) -> tuple:
+class _Emitter:
+    """Straight-line Python for one entry of one tree.
+
+    A node's ``_emit(em, node, z, order)`` gets the source expression of the
+    node itself (``node`` for the root, ``node.den`` for its denominator, ...)
+    and of the point z, writes its lines, and returns one expression per
+    coefficient: a name, or ``_ZERO``/``_ONE``.  ``bind`` names a value read
+    off the tree, or computed from such values, once per tree; ``let`` names
+    a value computed on every call, dropped when nothing reads it; ``do``
+    writes a statement, which always runs, and ``guard`` a ``raise_at`` one.
+    """
+
+    def __init__(self):
+        self.binds, self.lines, self.namespace = [], [], {}
+        self._count = 0
+
+    def name(self, prefix="v"):
+        self._count += 1
+        return f"{prefix}{self._count}"
+
+    def bind(self, expr):
+        name = self.name("k")
+        self.binds.append((name, expr))
+        return name
+
+    def let(self, expr):
+        name = self.name()
+        self.lines.append((name, expr))
+        return name
+
+    def do(self, statement):
+        self.lines.append((None, statement))
+
+    def guard(self, mask, z, message, *args, error="SingularityError"):
+        """``raise_at`` the error where ``mask`` holds; a scalar's False mask skips the call."""
+        self.do(f"if (mask := {mask}) is not False: "
+                f"raise_at(mask, {z}, {error}, {message!r}{''.join(', ' + a for a in args)})")
+
+    def build(self, name):
+        """``make(node)``: binds a tree's values and returns the entry function on z."""
+        live = set()
+        lines = _prune(self.lines, live)
+        binds = _prune(self.binds, live)
+        source = "\n".join(["def make(node):", *_render(binds, "    "),
+                            "    def entry(z):", *_render(lines, "        "), "    return entry"])
+        return _exec_make(source, name, tuple(self.namespace.items()))
+
+
+@lru_cache(maxsize=1024)
+def _exec_make(source, name, extras):
+    """``make`` compiled from ``source``: trees whose lines read alike, such as
+    one tree at several values of a constant, share one compile."""
+    namespace = dict(globals(), **dict(extras))
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["make"]
+
+
+def _prune(lines, live):
+    """``lines`` without the lets that no later line, nor ``live``, reads;
+    ``live`` gains the names the kept lines read."""
+    kept = []
+    for name, text in reversed(lines):
+        if name is None or name in live:
+            kept.append((name, text))
+            live.update(re.findall(_NAMES, text))
+    return kept[::-1]
+
+
+def _render(lines, indent):
+    return [indent + (text if name is None else f"{name} = {text}") for name, text in lines]
+
+
+@lru_cache(maxsize=1024)
+def _maker(tree, entry):
+    """The ``make`` function of ``entry`` for every tree equal to ``tree``:
+    an entry point's function, or ``_jet`` at the order ``entry``."""
+    em = _Emitter()
+    if isinstance(entry, int):
+        coeffs = tree._emit(em, "node", "z", entry)
+        em.do(f"return ({''.join(c + ', ' for c in coeffs)})")
+    else:
+        em.do("z = points(z)")
+        if entry == "eval":
+            em.guard("abs(z) >= 1.0", "z", "{} is not inside the open unit disc", error="DomainError")
+        coeffs = tree._emit(em, "node", "z", 1 if entry == "jet" else 0)
+        em.guard(" | ".join(f"nonfinite({c})" for c in coeffs), "z", "non-finite value at {}")
+        em.do(f"return {', '.join(f'full(z, {c})' for c in coeffs)}")
+    return em.build(f"<{type(tree).__name__}.{entry}>")
+
+
+def _compiled(tree, entry):
+    # an equal tree's code with this tree's own values: records compare 0.0
+    # and -0.0 as equal, and a signed zero must reach the arithmetic as it is
+    return _maker(tree, entry)(tree)
+
+
+def _cauchy(em, a, b) -> list:
     """The product of two truncated series of one length (a convolution).
     Coefficient 1 is a_0 b_1 + a_1 b_0, the product rule."""
-    if len(a) < 3:  # orders 0 and 1 pay for no generic sum
-        return (a[0] * b[0],) if len(a) == 1 else (a[0] * b[0], a[0] * b[1] + a[1] * b[0])
-    return tuple(reduce(add, [a[i] * b[j - i] for i in range(j + 1)]) for j in range(len(a)))
+    return [em.let(" + ".join(f"{a[i]} * {b[j - i]}" for i in range(j + 1))) for j in range(len(a))]
 
 
-def _compose(outer, inner) -> tuple:
+def _compose(em, outer, inner) -> list:
     """Coefficients 1.. of v(u), from v's coefficients at u_0 and u's: the sum
     over m >= 1 of v_m (u - u_0)^m.  Coefficient 1 is v_1 u_1, the chain rule.
     A short ``outer`` stands for a v whose later coefficients vanish."""
     if len(outer) == 1:  # a v constant near u_0, or order 0
-        return (_ZERO,) * (len(inner) - 1)
-    if len(inner) == 2:  # order 1 pays for no series
-        return (outer[1] * inner[1],)
-    rise = (_ZERO, *inner[1:])  # u - u_0
-    power, total = rise, (_ZERO, *[outer[1] * c for c in inner[1:]])
+        return ["_ZERO"] * (len(inner) - 1)
+    if len(inner) == 2:
+        return [em.let(f"{outer[1]} * {inner[1]}")]
+    rise = ["_ZERO", *inner[1:]]  # u - u_0
+    power, total = rise, ["_ZERO", *[em.let(f"{outer[1]} * {c}") for c in inner[1:]]]
     for v in outer[2:]:
-        power = _cauchy(power, rise)
-        total = tuple(t + v * c for t, c in zip(total, power))
+        power = _cauchy(em, power, rise)
+        total = [em.let(f"{t} + {v} * {c}") for t, c in zip(total, power)]
     return total[1:]
 
 
@@ -113,23 +228,26 @@ class Constant(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
 
-    def _jet(self, z, order):
-        return (self.value,) + (_ZERO,) * order
+    def _emit(self, em, node, z, order):
+        return [em.bind(f"{node}.value"), *["_ZERO"] * order]
 
 
 @record
 class Identity(AnalyticFn):
     json_tag = {"op": "id"}
 
-    def _jet(self, z, order):
-        return (z, _ONE) + (_ZERO,) * (order - 1) if order else (z,)
+    def _emit(self, em, node, z, order):
+        return [z, "_ONE", *["_ZERO"] * (order - 1)] if order else [z]
 
 
-def _horner(coeffs, z):
-    acc = coeffs[-1] if coeffs else _ZERO  # a constant stays bare
+def _horner(em, coeffs, z):
+    """Horner's rule over coefficient names, as one line; a constant stays bare."""
+    if len(coeffs) < 2:
+        return coeffs[0] if coeffs else "_ZERO"
+    acc = coeffs[-1]
     for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
+        acc = f"({acc}) * {z} + {c}"
+    return em.let(acc)
 
 
 @record
@@ -147,13 +265,14 @@ class Polynomial(AnalyticFn):
         """The derivative's coefficients k a_k, k = 1..d."""
         return tuple(k * c for k, c in enumerate(self.coeffs))[1:]
 
-    def _jet(self, z, order):
-        value = _horner(self.coeffs, z)
+    def _emit(self, em, node, z, order):
+        value = _horner(em, [em.bind(f"{node}.coeffs[{i}]") for i in range(len(self.coeffs))], z)
         if order < 2:  # Horner's rule for the slope too
-            return (value, _horner(self._slopes, z)) if order else (value,)
+            slopes = [em.bind(f"{node}._slopes[{i}]") for i in range(len(self._slopes))]
+            return [value, _horner(em, slopes, z)] if order else [value]
         # coefficient j of p is coefficient j - 1 of p', over j
-        slopes = Polynomial(self._slopes)._jet(z, order - 1)
-        return (value, slopes[0], *[c / j for j, c in enumerate(slopes[1:], 2)])
+        slopes = Polynomial(self._slopes)._emit(em, em.bind(f"Polynomial({node}._slopes)"), z, order - 1)
+        return [value, slopes[0], *[em.let(f"{c} / {j}") for j, c in enumerate(slopes[1:], 2)]]
 
 
 @record
@@ -174,17 +293,19 @@ class Mobius(AnalyticFn):
         pole = -self.d / self.c if self.c != 0 else math.inf
         object.__setattr__(self, "guards", guard_points([pole]) if abs(pole) < 1.0 else ())
 
-    def _jet(self, z, order):
-        den = self.c * z + self.d
+    def _emit(self, em, node, z, order):
+        a, b, c, d = (em.bind(f"{node}.{key}") for key in "abcd")
+        den = em.let(f"{c} * {z} + {d}")
         if not order:
-            raise_at(den == 0, z, SingularityError, "Mobius pole at {}")
-            return ((self.a * z + self.b) / den,)
-        square = den ** 2  # zero wherever den is, so one check serves both
-        raise_at(square == 0, z, SingularityError, "Mobius pole at {}")
-        self._check_guards(z)  # the derivatives' guard disc around a pole in the disc
-        coeffs = ((self.a * z + self.b) / den, (self.a * self.d - self.b * self.c) / square)
+            em.guard(f"{den} == 0", z, "Mobius pole at {}")
+            return [em.let(f"({a} * {z} + {b}) / {den}")]
+        square = em.let(f"{den} ** 2")  # zero wherever den is, so one check serves both
+        em.guard(f"{square} == 0", z, "Mobius pole at {}")
+        self._emit_guards(em, node, z)  # the derivatives' guard disc around a pole in the disc
+        ad_bc, minus_c = em.bind(f"{a} * {d} - {b} * {c}"), em.bind(f"-{c}")
+        coeffs = [em.let(f"({a} * {z} + {b}) / {den}"), em.let(f"{ad_bc} / {square}")]
         for _ in range(order - 1):  # f_j = (ad - bc) (-c)^(j-1) / den^(j+1)
-            coeffs += (coeffs[-1] * -self.c / den,)
+            coeffs.append(em.let(f"{coeffs[-1]} * {minus_c} / {den}"))
         return coeffs
 
     def inverse(self) -> "Mobius":
@@ -196,16 +317,17 @@ class Exp(AnalyticFn):
     json_tag = {"op": "exp"}
     arg: AnalyticFn
 
-    def _jet(self, z, order):
-        u = self.arg._jet(z, order)
-        coeffs = (exp(u[0]),)
-        if not order:
-            return coeffs
-        # an overflowed value makes the coefficients inf or nan, which the
-        # finiteness mask of jet refuses with a SingularityError naming the point
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, order + 1):  # j f_j = sum_i i u_i f_(j-i), from f' = f u'
-                coeffs += (reduce(add, [i * u[i] * coeffs[j - i] for i in range(1, j + 1)]) / j,)
+    def _emit(self, em, node, z, order):
+        u = self.arg._emit(em, f"{node}.arg", z, order)
+        coeffs, recurrence = [em.let(f"exp({u[0]})")], []
+        for j in range(1, order + 1):  # j f_j = sum_i i u_i f_(j-i), from f' = f u'
+            total = " + ".join(f"{i} * {u[i]} * {coeffs[j - i]}" for i in range(1, j + 1))
+            coeffs.append(em.name())
+            recurrence.append(f"{coeffs[j]} = ({total}) / {j}")
+        if order:
+            # an overflowed value makes the coefficients inf or nan, which the
+            # finiteness mask of jet refuses with a SingularityError naming the point
+            em.do(f"with np.errstate(over='ignore', invalid='ignore'): {'; '.join(recurrence)}")
         return coeffs
 
 
@@ -225,13 +347,14 @@ class Log(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "guards", tuple(self.guards))
 
-    def _jet(self, z, order):
-        self._check_guards(z)
-        u = self.arg._jet(z, order)
-        raise_at(u[0] == 0, z, SingularityError, "log of zero at {}")
-        coeffs = (log(u[0]),)
+    def _emit(self, em, node, z, order):
+        self._emit_guards(em, node, z)
+        u = self.arg._emit(em, f"{node}.arg", z, order)
+        em.guard(f"{u[0]} == 0", z, "log of zero at {}")
+        coeffs = [em.let(f"log({u[0]})")]
         for j in range(1, order + 1):  # u_0 f_j = u_j - sum_(0<i<j) (i/j) f_i u_(j-i), from u f' = u'
-            coeffs += (reduce(sub, [i * coeffs[i] * u[j - i] / j for i in range(1, j)], u[j]) / u[0],)
+            rest = "".join(f" - {i} * {coeffs[i]} * {u[j - i]} / {j}" for i in range(1, j))
+            coeffs.append(em.let(f"({u[j]}{rest}) / {u[0]}"))
         return coeffs
 
 
@@ -243,10 +366,11 @@ class Sum(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    def _jet(self, z, order):
+    def _emit(self, em, node, z, order):
         if not self.terms:
-            return (_ZERO,) * (order + 1)
-        return tuple(reduce(add, column) for column in zip(*[t._jet(z, order) for t in self.terms]))
+            return ["_ZERO"] * (order + 1)
+        jets = [t._emit(em, f"{node}.terms[{i}]", z, order) for i, t in enumerate(self.terms)]
+        return [column[0] if len(column) == 1 else em.let(" + ".join(column)) for column in zip(*jets)]
 
 
 @record
@@ -257,10 +381,11 @@ class Product(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
 
-    def _jet(self, z, order):
+    def _emit(self, em, node, z, order):
         if not self.factors:
-            return (_ONE,) + (_ZERO,) * order
-        return reduce(_cauchy, [f._jet(z, order) for f in self.factors])
+            return ["_ONE", *["_ZERO"] * order]
+        jets = [f._emit(em, f"{node}.factors[{i}]", z, order) for i, f in enumerate(self.factors)]
+        return reduce(lambda a, b: _cauchy(em, a, b), jets)
 
 
 @record
@@ -273,14 +398,15 @@ class Quotient(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "guards", tuple(self.guards))
 
-    def _jet(self, z, order):
-        self._check_guards(z)
-        d = self.den._jet(z, order)
-        raise_at(d[0] == 0, z, SingularityError, "denominator vanishes at {}")
-        n = self.num._jet(z, order)
-        coeffs = (n[0] / d[0],)
+    def _emit(self, em, node, z, order):
+        self._emit_guards(em, node, z)
+        d = self.den._emit(em, f"{node}.den", z, order)
+        em.guard(f"{d[0]} == 0", z, "denominator vanishes at {}")
+        n = self.num._emit(em, f"{node}.num", z, order)
+        coeffs = [em.let(f"{n[0]} / {d[0]}")]
         for j in range(1, order + 1):  # d_0 q_j = n_j - sum_(i>=1) d_i q_(j-i), from d q = n
-            coeffs += ((n[j] - reduce(add, map(mul, d[1:j + 1], reversed(coeffs)))) / d[0],)
+            total = " + ".join(f"{d[i]} * {coeffs[j - i]}" for i in range(1, j + 1))
+            coeffs.append(em.let(f"({n[j]} - ({total})) / {d[0]}"))
         return coeffs
 
 
@@ -290,10 +416,10 @@ class Compose(AnalyticFn):
     outer: AnalyticFn
     inner: AnalyticFn
 
-    def _jet(self, z, order):
-        u = self.inner._jet(z, order)
-        v = self.outer._jet(u[0], order)
-        return (v[0], *_compose(v, u))
+    def _emit(self, em, node, z, order):
+        u = self.inner._emit(em, f"{node}.inner", z, order)
+        v = self.outer._emit(em, f"{node}.outer", u[0], order)
+        return [v[0], *_compose(em, v, u)]
 
 
 @record
@@ -305,17 +431,18 @@ class Power(AnalyticFn):
     def __post_init__(self):
         object.__setattr__(self, "k", int(self.k))
 
-    def _jet(self, z, order):
-        w = self.arg._jet(z, order)
-        base = w[0]
-        if self.k < 0:
-            raise_at(base == 0, z, SingularityError, "negative power of zero at {}")
+    def _emit(self, em, node, z, order):
+        w = self.arg._emit(em, f"{node}.arg", z, order)
+        base, k = w[0], self.k
+        if k < 0:
+            em.guard(f"{base} == 0", z, "negative power of zero at {}")
         # t^k's coefficients C(k, m) t^(k-m) at the base, C(k, m) = k (k-1) ... (k-m+1)/m!;
         # for k >= 0 they stop at m = k, so no power divides by a base that may vanish
-        outer = (base ** self.k,)
-        for m in range(1, (order if self.k < 0 else min(order, self.k)) + 1):
-            outer += (math.prod(range(self.k, self.k - m, -1)) / math.factorial(m) * base ** (self.k - m),)
-        return (outer[0], *_compose(outer, w))
+        outer = [em.let(f"{base} ** ({k})")]
+        for m in range(1, (order if k < 0 else min(order, k)) + 1):
+            binomial = math.prod(range(k, k - m, -1)) / math.factorial(m)
+            outer.append(em.let(f"{binomial!r} * {base} ** ({k - m})"))
+        return [outer[0], *_compose(em, outer, w)]
 
 
 @record
@@ -326,13 +453,12 @@ class Derivative(AnalyticFn):
     inner: AnalyticFn
     n: int = 1
 
-    def _jet(self, z, order):
+    def _emit(self, em, node, z, order):
         n = self.n
-        coeffs = self.inner._jet(z, order + n)
-        shifted = (coeffs[1] if n == 1 else math.factorial(n) * coeffs[n],)  # f' is the slope, bit for bit
-        for j in range(1, order + 1):
-            shifted += (math.perm(j + n, n) * coeffs[j + n],)
-        return shifted
+        coeffs = self.inner._emit(em, f"{node}.inner", z, order + n)
+        # f' is the slope, bit for bit
+        shifted = [coeffs[1] if n == 1 else em.let(f"{math.factorial(n)} * {coeffs[n]}")]
+        return shifted + [em.let(f"{math.perm(j + n, n)} * {coeffs[j + n]}") for j in range(1, order + 1)]
 
     def derivative(self):
         return Derivative(self.inner, self.n + 1)  # one node, whatever the order
@@ -362,7 +488,6 @@ def fn_from_json(obj: dict) -> AnalyticFn:
     if op == "exp":
         return Exp(fn_from_json(obj["arg"]))
     if op == "log":
-        obj.get("base")  # written by earlier versions; read and discarded
         return Log(fn_from_json(obj["arg"]), guards=_json2guards(obj.get("guards", [])))
     if op == "sum":
         return Sum(tuple(fn_from_json(t) for t in obj["terms"]))

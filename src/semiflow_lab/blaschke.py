@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -38,18 +39,22 @@ class BlaschkeProduct(AnalyticFn):
     def phase(self) -> complex:
         return cmath.exp(1j * self.theta)
 
-    def _jet(self, z, order):
-        value = blaschke_eval(self, z)
-        if not order:
-            return (value,)
-        coeffs = (value, blaschke_derivative(self, z))
+    def _emit(self, em, node, z, order):
+        # the module's functions are looked up on every call, so a rebound
+        # blaschke_eval or blaschke_derivative is the one that runs
+        em.namespace["_blaschke"] = sys.modules[__name__]
+        B, coeffs = em.bind(node), [em.name() for _ in range(min(order, 1) + 1)]
+        for value, read in zip(coeffs, ("blaschke_eval", "blaschke_derivative")):
+            em.do(f"{value} = _blaschke.{read}({B}, {z})")  # run, and counted, even when nothing reads it
         if order > 1:
-            # coefficients 2.. from the product of the phase and the factors
-            # (|a| - (|a|/a) z)/(1 - conj(a) z), z for a = 0
-            factors = [Mobius(-abs(a) / a, abs(a), -a.conjugate(), 1.0) if a else Identity()
-                       for a in self.zeros]
-            coeffs += Product((Constant(self.phase), *factors))._jet(z, order)[2:]
+            coeffs += self._series()._emit(em, em.bind(f"{B}._series()"), z, order)[2:]
         return coeffs
+
+    def _series(self) -> Product:
+        """The product of the phase and the factors (|a| - (|a|/a) z)/(1 - conj(a) z),
+        z for a = 0, whose jet gives the coefficients from 2 on."""
+        factors = [Mobius(-abs(a) / a, abs(a), -a.conjugate(), 1.0) if a else Identity() for a in self.zeros]
+        return Product((Constant(self.phase), *factors))
 
     @classmethod
     @config_parser

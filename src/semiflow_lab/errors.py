@@ -5,6 +5,7 @@ decorator, and ``json_form``, which writes the values those checks read."""
 import functools
 import math
 import sys
+from operator import attrgetter
 
 
 # The largest integer a config may hold: each one is a count (points, samples, levels,
@@ -143,8 +144,12 @@ def config_object(key: str, v) -> dict:
 _REQUIRED = object()  # the default of a field that has none
 
 
-def _values(r) -> tuple:
-    return tuple(getattr(r, key) for key in r._record_fields)
+def _values_getter(keys: tuple):
+    """r -> the tuple of r's values of ``keys``; read in C where there are two or more,
+    since trees compare and hash by value on every first evaluation."""
+    if len(keys) > 1:
+        return attrgetter(*keys)
+    return lambda r: tuple([getattr(r, key) for key in keys])
 
 
 class _Record:
@@ -165,10 +170,10 @@ class _Record:
             self.__post_init__()
 
     def __eq__(self, other):
-        return _values(self) == _values(other) if type(other) is type(self) else NotImplemented
+        return self._values(self) == other._values(other) if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(_values(self))
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._record_fields)
@@ -192,6 +197,7 @@ def record(cls):
     fields = dict(getattr(cls, "_record_fields", {}))
     fields.update((key, cls.__dict__.get(key, _REQUIRED)) for key in cls.__annotations__)
     cls._record_fields = fields  # name -> default
+    cls._values = staticmethod(_values_getter(tuple(fields)))
     for key in ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
         setattr(cls, key, _Record.__dict__[key])
     return cls

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
-from operator import mul
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -135,7 +134,8 @@ def _integrate(rhs, y0, t_end, tol: float):
             k = np.array(unstacked(y))
             return k if scale is None else scale * k
     else:
-        y, step = tuple(complex(c) for c in y0), _tuple_step
+        y = tuple(complex(c) for c in y0)
+        step = _tuple_step(len(y))
     raise_at(abs(y[0]) >= ESCAPE_RADIUS, y[0], EscapeError, "initial state {} at the escape radius")
     if t_end == 0.0:
         return tuple(y)
@@ -169,22 +169,41 @@ def _error(n5, n3):
     return 0.0 if n5 == 0 else n5 / math.hypot(1.0, 0.1 * n3 / n5)
 
 
-def _tuple_step(rhs, y, k1, h, tol):
-    """One DOP853 trial step on a tuple of Python complexes: (y_new, k_new, err)."""
-    stages = [[k] for k in k1]  # stages[j][s]: stage s + 1 of component j
-    for row in _A[1:]:
-        k = rhs(tuple([a + h * sum(map(mul, row, col)) for a, col in zip(y, stages)]))
-        for col, kj in zip(stages, k):
-            col.append(kj)
-    y_new = tuple([a + h * sum(map(mul, _B, col)) for a, col in zip(y, stages)])
-    k_new = rhs(y_new)
-    n5 = n3 = 0.0
-    for a, b, col, kj in zip(y, y_new, stages, k_new):
-        col.append(kj)
-        scale = tol + tol * max(abs(a), abs(b))
-        n5 = max(n5, abs(sum(map(mul, _E5, col))) / scale)
-        n3 = max(n3, abs(sum(map(mul, _E3, col))) / scale)
-    return y_new, k_new, _error(h * n5, h * n3)
+@lru_cache(maxsize=None)  # one function per component count: 1, 2 and 4 in the package
+def _tuple_step(components: int):
+    """One DOP853 trial step on a tuple of ``components`` Python complexes,
+    step(rhs, y, k1, h, tol) -> (y_new, k_new, err), as straight-line code.
+
+    Every stage sum is sum(map(mul, row, stages)) written out: a leading int
+    0, then each tableau term in order, zeros included, so each sum is that
+    expression's bit for bit (an int 0 plus -0.0 is 0.0)."""
+    comps = range(components)
+
+    def names(stage):
+        return "".join(f"s{stage}_{c}, " for c in comps)
+
+    def combination(row, c):
+        return "0" + "".join(f" + {r!r} * s{i}_{c}" for i, r in enumerate(row))
+
+    lines = ["def step(rhs, y, k1, h, tol):", f"    {''.join(f'y{c}, ' for c in comps)}= y",
+             f"    {names(0)}= k1"]
+    for i, row in enumerate(_A[1:], 1):
+        stage = "".join(f"y{c} + h * ({combination(row, c)}), " for c in comps)
+        lines.append(f"    {names(i)}= rhs(({stage}))")
+    lines += [f"    y_new = ({''.join(f'y{c} + h * ({combination(_B, c)}), ' for c in comps)})",
+              "    k_new = rhs(y_new)", f"    {names(12)}= k_new", "    n5 = n3 = 0.0"]
+    for c in comps:
+        lines += [f"    scale = tol + tol * max(abs(y{c}), abs(y_new[{c}]))",
+                  f"    n5 = max(n5, abs({combination(_E5, c)}) / scale)",
+                  f"    n3 = max(n3, abs({combination(_E3, c)}) / scale)"]
+    lines.append("    return y_new, k_new, _error(h * n5, h * n3)")
+    namespace = {"_error": _error}
+    exec(compile("\n".join(lines), f"<DOP853 step, {components} components>", "exec"), namespace)
+    return namespace["step"]
+
+
+# The tableau rows as float64 arrays, as numpy converts the tuples: the same products, built once.
+_A_ROWS, _B_ROW, _E5_ROW, _E3_ROW = [np.array(row) for row in _A], np.array(_B), np.array(_E5), np.array(_E3)
 
 
 def _stacked_step(rhs, y, k1, h, tol):
@@ -193,12 +212,12 @@ def _stacked_step(rhs, y, k1, h, tol):
     flat = K.reshape(13, -1)  # a view: row @ flat[:i] sums the first i stages
     K[0] = k1
     for i in range(1, 12):
-        K[i] = rhs(y + h * (_A[i] @ flat[:i]).reshape(y.shape))
-    y_new = y + h * (_B @ flat[:12]).reshape(y.shape)
+        K[i] = rhs(y + h * (_A_ROWS[i] @ flat[:i]).reshape(y.shape))
+    y_new = y + h * (_B_ROW @ flat[:12]).reshape(y.shape)
     K[12] = rhs(y_new)
     scale = tol + tol * np.maximum(abs(y), abs(y_new))
-    n5 = float((abs(_E5 @ flat).reshape(y.shape) / scale).max())
-    n3 = float((abs(_E3 @ flat).reshape(y.shape) / scale).max())
+    n5 = float((abs(_E5_ROW @ flat).reshape(y.shape) / scale).max())
+    n3 = float((abs(_E3_ROW @ flat).reshape(y.shape) / scale).max())
     return y_new, K[12], _error(h * n5, h * n3)
 
 

@@ -261,6 +261,23 @@ def test_jet_of_a_constant_is_spread_over_a_batch():
     assert sl.Sum(()).eval(np.zeros(2, dtype=complex)).shape == (2,)
 
 
+def test_equal_tree_rebuilt_from_json_reuses_the_compiled_code():
+    # the code is built once per tree value, and compiled once per source;
+    # each tree binds its own values, so an equal tree whose zero is signed
+    # gets its own signed zero back
+    node = {"op": "quotient", "num": {"op": "const", "value": [0.0, 1.0]},
+            "den": {"op": "poly", "coeffs": [[1, 0], [-0.5, 0]]}}
+    f, g = sl.fn_from_json(node), sl.fn_from_json(node)
+    assert f == g and f is not g
+    assert f.jet(0.2) == g.jet(0.2)
+    assert f._jet_code is not g._jet_code and f._jet_code.__code__ is g._jet_code.__code__
+    plus, minus = sl.Constant(0j), sl.Constant(complex(-0.0, -0.0))
+    assert plus == minus
+    assert str(plus.eval(0.1)) == "0j" and str(minus.eval(0.1)) == "(-0-0j)"
+    assert minus._eval_code.__code__ is plus._eval_code.__code__
+    assert sl.Constant(2)._eval_code.__code__ is plus._eval_code.__code__  # lines that read alike compile once
+
+
 def test_blaschke_eval_computes_no_derivative(monkeypatch):
     # order 0 of a jet computes no derivative: evaluating B must not touch B'
     def forbidden(*args):

@@ -103,6 +103,27 @@ def test_offending_point_raises_in_any_slot_of_a_jet(tree, bad):
     assert np.all(np.isfinite(tree.jet(np.array(good, dtype=complex))[1]))
 
 
+MOBIUS_POLE = sl.Mobius(1, 0, 1, -0.5)  # a pole at 0.5
+ZERO_DENOMINATOR = sl.Quotient(sl.Constant(1), sl.Polynomial([-0.3, 1]))  # a vanishing denominator at 0.3
+
+
+@pytest.mark.parametrize("points", [[0.5, 0.1, 0.3], [0.3, 0.1, 0.5]], ids=["pole-first", "zero-first"])
+@pytest.mark.parametrize(
+    "terms, message",
+    [((MOBIUS_POLE, ZERO_DENOMINATOR), "Mobius pole at (0.5+0j)"),
+     ((ZERO_DENOMINATOR, MOBIUS_POLE), "denominator vanishes at (0.3+0j)")],
+    ids=["mobius-term-first", "quotient-term-first"],
+)
+@pytest.mark.parametrize("entry", ["eval", "jet"])
+def test_first_guard_in_tree_order_names_its_point(points, terms, message, entry):
+    # two guards fire in one batch: the first in tree order raises, at its
+    # own offending point, wherever the other guard's point sits in the batch
+    tree = sl.Sum(terms)
+    with pytest.raises(sl.SingularityError) as raised:
+        getattr(tree, entry)(np.array(points, dtype=complex))
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("fname", sorted(flow_corpus()))
 def test_batched_semigroup_matches_pointwise(fname, rng):
     # A batch shares one step sequence, a single point takes its own, so the

@@ -487,6 +487,15 @@ def test_newton_seed_is_an_unread_key(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: keys that flow-trace does not read: flow.h.newton.seed\n"
 
 
+def test_log_base_is_an_unread_key(tmp_path, capsys):
+    # a log node is the principal branch; nothing reads a "base"
+    G = {"op": "log", "arg": {"op": "poly", "coeffs": [[1, 0], [-0.5, 0]]}, "base": [0, 0]}
+    cfg = write_config(tmp_path, "c.json", {"flow": {"type": "ode", "G": G}, "z0": [0.2, 0.1]})
+    assert run("flow-trace", cfg, tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert capsys.readouterr().err == "config error: keys that flow-trace does not read: flow.G.base\n"
+
+
 @pytest.mark.parametrize(
     "payload, key",
     [

@@ -77,6 +77,75 @@ def test_dop853_tableau_identities():
     assert abs(sum(_E5)) < 1e-15 and abs(sum(_E3)) < 1e-15
 
 
+def _summed_step(rhs, y, k1, h, tol):
+    """The DOP853 step with every stage sum as sum(map(mul, row, stages))."""
+    from operator import mul
+
+    from semiflow_lab.flows import _A, _B, _E3, _E5, _error
+
+    stages = [[k] for k in k1]
+    for row in _A[1:]:
+        k = rhs(tuple([a + h * sum(map(mul, row, col)) for a, col in zip(y, stages)]))
+        for col, kj in zip(stages, k):
+            col.append(kj)
+    y_new = tuple([a + h * sum(map(mul, _B, col)) for a, col in zip(y, stages)])
+    k_new = rhs(y_new)
+    n5 = n3 = 0.0
+    for a, b, col, kj in zip(y, y_new, stages, k_new):
+        col.append(kj)
+        scale = tol + tol * max(abs(a), abs(b))
+        n5 = max(n5, abs(sum(map(mul, _E5, col))) / scale)
+        n3 = max(n3, abs(sum(map(mul, _E3, col))) / scale)
+    return y_new, k_new, _error(h * n5, h * n3)
+
+
+def bits(x):
+    """The exact bits of a complex, a float or a tuple of them; -0.0 and 0.0 differ."""
+    if isinstance(x, tuple):
+        return tuple(bits(c) for c in x)
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+@pytest.mark.parametrize("components", [1, 2, 4])
+def test_unrolled_step_is_the_summed_step_bit_for_bit(components):
+    # the results and every stage's input; components 1 and 3 stay at -0.0 + 0j,
+    # whose real sign the leading int 0 of sum() turns to +0.0
+    from semiflow_lab.flows import _tuple_step
+
+    def step_with_inputs(step, y, h):
+        inputs = []
+
+        def rhs(y):
+            inputs.append(y)
+            return tuple([complex(-0.0, 0.0) if c % 2 else -w + 0.3 * y[0] * w for c, w in enumerate(y)])
+
+        return bits(step(rhs, y, rhs(y), h, 1e-10)), bits(tuple(inputs))
+
+    starts = [0.3 - 0.2j, complex(-0.0, 0.0), 0.1j, complex(-0.0, 0.0)]
+    y = tuple(starts[:components])
+    for h in (0.1, 1e-3, 0.7):
+        assert step_with_inputs(_tuple_step(components), y, h) == step_with_inputs(_summed_step, y, h)
+
+
+def test_counter_on_the_class_eval_anywhere_sees_an_ode_advance(monkeypatch):
+    # the benchmark's tracer wraps AnalyticFn.eval_anywhere on the class; the
+    # compiled code must be reached through that method
+    calls = []
+    eval_anywhere = sl.AnalyticFn.eval_anywhere
+
+    def counted(self, z):
+        calls.append(z)
+        return eval_anywhere(self, z)
+
+    monkeypatch.setattr(sl.AnalyticFn, "eval_anywhere", counted)
+    flow = radial_flow()
+    flow.G.eval_anywhere(0.1)  # compiled before the run, so the run only evaluates
+    calls.clear()
+    assert abs(flow.advance(0.5, 1.0) - 0.5 * math.exp(-1.0)) < 1e-9
+    assert len(calls) > 1 and (len(calls) - 1) % 12 == 0  # the first stage, then 12 a step
+
+
 @pytest.mark.parametrize("tol, evaluations", [(1e-12, 133), (1e-10, 85)])
 @pytest.mark.parametrize("batch", [False, True], ids=["tuple", "stacked"])
 def test_cocycle_sweep_right_hand_side_count(monkeypatch, tol, evaluations, batch):
