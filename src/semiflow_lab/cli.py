@@ -9,9 +9,10 @@ the same config produce byte-identical report and CSV bodies).  Exit code
 Every JSON object of a config records the keys its readers read, and a key
 that nothing read is a config error (exit 2), also when a numerical error
 ended the run.  So each runner reads all its keys before any numerical work,
-and builds its flow last, since building one can already evaluate its map.
-Every value goes through a typed reader of errors.py, and a missing key is
-refused with one message at any depth.
+and builds its flow last, since building one can already evaluate its map;
+bloch-gap builds it before the keys of the case its generator picks.  Every
+value goes through a typed reader of errors.py, and a missing key is refused
+with one message at any depth.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .errors import (
     json_form,
 )
 from .flows import _check_ladder, check_semigroup, flow_from_json, generator_fd, map_from_json
+from .flows import automorphism_generator
 from .gap import SEPARATION_FLOOR, bloch_gap, bloch_gap_verdicts, construct_case1, construct_case2
 from .gap import reduce_rotations, separability_witness
 
@@ -339,48 +341,46 @@ def run_gpv(config, seed):
 
 
 def run_bloch_gap(config, seed):
-    weights = config["weights"]
-    if not isinstance(weights, list) or not weights:
-        raise ConfigError(f"config key 'weights' must be a non-empty list of weights, got {weights!r}")
-    weights = [weight_from_json(w) for w in weights]
-    gamma0 = config_pair("gamma0", config.get("gamma0", [1.0, 0.0]))
-    if abs(abs(gamma0) - 1.0) > 1e-12:
-        raise ConfigError(f"gamma0 = {gamma0} must be unimodular")
+    """Theorem 2's certificate.  The flow's generator picks the construction, case 2 for an
+    automorphism group and case 1 for any other flow, with no integration, so the case's keys
+    are read before any numerical work.  Each listed weight gets one ``bloch_gap`` table."""
+    weights = []
+    if "weights" in config:
+        weights = config["weights"]
+        if not isinstance(weights, list) or not weights:
+            raise ConfigError(f"config key 'weights' must be a non-empty list of weights, got {weights!r}")
+        weights = [weight_from_json(w) for w in weights]
     N = config_integer("N", config.get("N", 6))
-    t_start = config_positive("t_start", config.get("t_start", 0.5))
     grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 8, 16, 16]})
-    gc = construct_case1(flow_from_json(config["flow"]), gamma0, N, t_start)
+    flow = flow_from_json(config["flow"])
+    if automorphism_generator(flow) is None:
+        gamma0 = config_pair("gamma0", config.get("gamma0", [1.0, 0.0]))
+        if abs(abs(gamma0) - 1.0) > 1e-12:
+            raise ConfigError(f"gamma0 = {gamma0} must be unimodular")
+        gc = construct_case1(flow, gamma0, N, config_positive("t_start", config.get("t_start", 0.5)))
+        verdicts, tables = [], {}
+    else:
+        t_first_cap = config_positive("t_first_cap", config.get("t_first_cap", 1.0))
+        angle_thr = config_number("angle_threshold", config.get("angle_threshold", 1e-9))
+        lo, hi = _window(config, "ratio_window", [0.8, 1.2])
+        from_n = config_integer("ratio_from_n", config.get("ratio_from_n", 4), 0)
+        sep_thr = config_number("min_separation", config.get("min_separation", 0.1))
+        gc = construct_case2(flow, N, t_first_cap)
+        angles = [abs(cmath.phase(lv.w - 1.0) - gc.target_angle) for lv in gc.levels]
+        late = [q for lv, q in zip(gc.levels, gc.ratios) if lv.n >= from_n]
+        verdicts = [
+            _at_most("angle-equation-solved", angles, angle_thr),
+            _in_window("depth-ratio-window", late, lo, hi),
+            ("pseudohyperbolic-separation", gc.min_separation >= sep_thr, gc.min_separation, sep_thr),
+        ]
+        rows = [[lv.n, lv.t, lv.r, lv.w.real, lv.w.imag, q] for lv, q in zip(gc.levels, gc.ratios)]
+        tables = {"case2": (["n", "t", "r", "w_re", "w_im", "depth_ratio"], rows)}
     reports = [bloch_gap(gc, weight, grid) for weight in weights]
     header = ["n", "t_n", "r_n", "w_re", "w_im", "lower_bound", "grid_gap", "cancellation_residual"]
-    tables = {
-        f"gap_weight_{idx}": (header, [
-            [r.n, r.t, r.r, r.w.real, r.w.imag, r.lower_bound, r.grid_gap, r.cancellation] for r in rep.rows
-        ])
-        for idx, rep in enumerate(reports)
-    }
-    return bloch_gap_verdicts(gc, reports), tables
-
-
-def run_bloch_gap_auto(config, seed):
-    N = config_integer("N", config.get("N", 6))
-    t_first_cap = config_positive("t_first_cap", config.get("t_first_cap", 1.0))
-    angle_thr = config_number("angle_threshold", config.get("angle_threshold", 1e-9))
-    lo, hi = _window(config, "ratio_window", [0.8, 1.2])
-    from_n = config_integer("ratio_from_n", config.get("ratio_from_n", 4), 0)
-    sep_thr = config_number("min_separation", config.get("min_separation", 0.1))
-    gc = construct_case2(flow_from_json(config["flow"]), N, t_first_cap)
-    angles = [abs(cmath.phase(lv.w - 1.0) - gc.target_angle) for lv in gc.levels]
-    late = [q for lv, q in zip(gc.levels, gc.ratios) if lv.n >= from_n]
-    verdicts = [
-        _at_most("angle-equation-solved", angles, angle_thr),
-        _in_window("depth-ratio-window", late, lo, hi),
-        ("pseudohyperbolic-separation", gc.min_separation >= sep_thr, gc.min_separation, sep_thr),
-    ]
-    rows = [
-        [lv.n, lv.t, lv.r, lv.w.real, lv.w.imag, q]
-        for lv, q in zip(gc.levels, gc.ratios)
-    ]
-    return verdicts, {"case2": (["n", "t", "r", "w_re", "w_im", "depth_ratio"], rows)}
+    for idx, rep in enumerate(reports):
+        tables[f"gap_weight_{idx}"] = (header, [
+            [r.n, r.t, r.r, r.w.real, r.w.imag, r.lower_bound, r.grid_gap, r.cancellation] for r in rep.rows])
+    return verdicts + bloch_gap_verdicts(gc, reports), tables
 
 
 def run_separability(config, seed):
@@ -420,7 +420,7 @@ RUNNERS = {
     "transfer-check": run_transfer_check,
     "gpv": run_gpv,
     "bloch-gap": run_bloch_gap,
-    "bloch-gap-auto": run_bloch_gap_auto,
+    "bloch-gap-auto": run_bloch_gap,  # an alias: one runner for both of Theorem 2's cases
     "separability": run_separability,
 }
 

@@ -35,7 +35,7 @@ class InverseError(SemiflowError):
 
 
 class ModelError(SemiflowError):
-    """A flow model is inconsistent (spiral map not fixing 0, non-Mobius time-1 map, ...)."""
+    """A flow model is inconsistent (spiral map not fixing 0, no automorphism generator, ...)."""
 
 
 class NoConvergence(SemiflowError):

@@ -26,6 +26,7 @@ from .errors import (
     InverseError,
     ModelError,
     NoConvergence,
+    SingularityError,
     config_flag,
     config_integer,
     config_number,
@@ -605,59 +606,60 @@ def boundary_orbit(flow: FlowModel, gamma0: complex, t: float) -> BoundaryOrbit:
 
 
 # ---------------------------------------------------------------------------
-# Automorphism classification
+# Automorphism groups
+
+# The largest residual of the automorphism form, relative to the generator's size,
+# and the largest |4|a|^2 - beta^2| of a parabolic group, relative to 4|a|^2 + beta^2.
+AUTOMORPHISM_TOL = 1e-9
+_FORM_POINTS = np.append(0.0, 0.5 * np.exp(2j * np.pi * np.arange(3) / 3))  # 0 and three points of |z| = 1/2
 
 
-def _fit_mobius(flow: FlowModel):
-    """Least-squares Mobius fit of phi_1 from point evaluations: one advance
-    of the three fit points and one of the three check points."""
-    zs = np.array([0.0, 0.3, -0.4j])
-    ws = flow.advance(zs, 1.0)
-    _, _, vh = np.linalg.svd(np.column_stack([zs, np.ones(3), -zs * ws, -ws]))
-    a, b, c, d = vh[-1].conjugate()
-    mob = Mobius(a, b, c, d)
-    check = np.array([0.15 + 0.25j, -0.5 + 0.1j, 0.6j])
-    if np.any(abs(mob.eval_anywhere(check) - flow.advance(check, 1.0)) > 1e-9):
-        raise ModelError("time-1 map is not a Mobius transformation")
-    return a, b, c, d
+def automorphism_generator(flow: FlowModel):
+    """(a, beta) when the flow's generator is G(z) = a + i beta z - conj(a) z^2 with beta
+    real, as the generators of the disc's one-parameter automorphism groups are (Berkson &
+    Porta, Michigan Math. J. 25, 1978); None for any other generator.  One jet of the tree
+    gives a = G(0) and i beta = G'(0) and checks the form at three points of |z| = 1/2,
+    relative to the largest of |a|, |G'(0)| and |G| there.  No orbit is integrated."""
+    try:
+        values, slopes = flow.generator_fn().jet(_FORM_POINTS)
+    except SingularityError:  # a pole or a guard at those points: no polynomial
+        return None
+    a, beta, z = complex(values[0]), float(slopes[0].imag), _FORM_POINTS[1:]
+    residual = float(abs(values[1:] - (a + 1j * beta * z - a.conjugate() * z * z)).max())
+    fits = residual <= AUTOMORPHISM_TOL * max(abs(a), abs(slopes[0]), float(abs(values).max()))
+    return (a, beta) if fits else None  # a NaN residual fits nothing
 
 
-def _mobius_fixed_points(a, b, c, d):
-    """Roots of c z^2 + (d - a) z - b = 0 (fixed points of the fitted map)."""
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    if abs(c) <= 1e-14 * scale:
-        if abs(b) <= 1e-14 * scale:
-            return [0.0 + 0.0j]
-        return [b / (d - a)] if abs(d - a) > 1e-14 * scale else []
-    disc = (d - a) ** 2 + 4.0 * b * c
-    root = cmath.sqrt(disc)
-    return [((a - d) + root) / (2.0 * c), ((a - d) - root) / (2.0 * c)]
-
-
-def _mobius_kind(a, b, c, d) -> str:
-    """'elliptic', 'hyperbolic' or 'parabolic': normalizes the map to unit
-    determinant and classifies by the (squared) trace: 4 parabolic,
-    < 4 elliptic, > 4 hyperbolic."""
-    det = a * d - b * c
-    s = cmath.sqrt(det)
-    a, b, c, d = a / s, b / s, c / s, d / s
-    tr2 = (a + d) ** 2
-    if abs(tr2.imag) > 1e-6:
-        raise ModelError("time-1 map does not preserve the disc")
-    x = tr2.real
-    if abs(x - 4.0) <= 1e-9:
-        return "parabolic"
-    return "elliptic" if x < 4.0 else "hyperbolic"
+def _automorphism_group(flow: FlowModel):
+    """(kind, fixed points) of the flow's automorphism group: the roots of -conj(a) z^2 +
+    i beta z + a (0 alone when a = 0), and by the sign of 4|a|^2 - beta^2 'elliptic' (< 0, a
+    root inside), 'hyperbolic' (> 0, two on the circle) or 'parabolic' (0 to AUTOMORPHISM_TOL,
+    a double one).  ModelError for any other flow, and for the trivial flow G = 0."""
+    group = automorphism_generator(flow)
+    if group is None:
+        raise ModelError("the generator is not a + i beta z - conj(a) z^2")
+    a, beta = group
+    if a == 0 and beta == 0:
+        raise ModelError("the trivial flow G = 0 moves no point: it has no kind")
+    disc = 4.0 * abs(a) ** 2 - beta ** 2
+    parabolic = abs(disc) <= AUTOMORPHISM_TOL * (4.0 * abs(a) ** 2 + beta ** 2)
+    kind = "parabolic" if parabolic else "hyperbolic" if disc > 0 else "elliptic"
+    if a == 0:
+        return kind, [0j]
+    # the larger root without cancellation, then the other from their product -a/conj(a)
+    root = math.copysign(1.0, beta) * (0.0 if parabolic else cmath.sqrt(disc))
+    p = (1j * beta + root) / (2.0 * a.conjugate())
+    return kind, [p, -a / (a.conjugate() * p)]
 
 
 def classify_automorphism(flow: FlowModel) -> str:
-    """The kind of the Mobius transformation fitted to the time-1 map."""
-    return _mobius_kind(*_fit_mobius(flow))
+    """'elliptic', 'hyperbolic' or 'parabolic', read off the flow's generator."""
+    return _automorphism_group(flow)[0]
 
 
 def automorphism_fixed_points(flow: FlowModel):
-    """Fixed points of the fitted time-1 Mobius map."""
-    return _mobius_fixed_points(*_fit_mobius(flow))
+    """The fixed points of the automorphism group, read off the flow's generator."""
+    return _automorphism_group(flow)[1]
 
 
 @config_parser

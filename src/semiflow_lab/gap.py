@@ -26,16 +26,8 @@ from .errors import (
     ModelError,
     record,
 )
-from .flows import (
-    ESCAPE_RADIUS,
-    Automorphism,
-    FlowModel,
-    RotatedFlow,
-    _fit_mobius,
-    _mobius_fixed_points,
-    _mobius_kind,
-    boundary_orbit,
-)
+from .flows import ESCAPE_RADIUS, FlowModel, RotatedFlow, automorphism_fixed_points, automorphism_generator
+from .flows import boundary_orbit
 
 # Level starts r_n = 1 - 2^{-j_n} sit on a dyadic ladder that must stay below
 # the integrator's escape radius.  The two geometric inequalities, each with
@@ -126,7 +118,8 @@ def construct_case1(
     relative margin >= 1e-3 (the next rung acts as the safety retry).
     Raises DepthExceeded before advancing from a start at or beyond the
     escape radius: up front when N > DEPTH_CAP, otherwise at the first level
-    whose ladder needs such a start.
+    whose ladder needs such a start.  An automorphism group is refused up
+    front, read off its generator (CaseMismatch).
     """
     if N < 1:
         raise ValueError("need at least one level")
@@ -137,9 +130,9 @@ def construct_case1(
     gamma0 = complex(gamma0)
     if abs(abs(gamma0) - 1.0) > 1e-12:
         raise DomainError(f"gamma0 = {gamma0} must be unimodular")
+    if automorphism_generator(flow) is not None:
+        raise CaseMismatch("an automorphism group or the trivial flow keeps the boundary on the boundary")
     work = flow if gamma0 == 1.0 else RotatedFlow(flow, gamma0)
-    if isinstance(flow, Automorphism):
-        raise CaseMismatch("automorphism flows keep the boundary on the boundary")
     orbit = boundary_orbit(work, 1.0, t_start)
     if orbit.verdict != "inside":
         raise CaseMismatch("radial limit stays on the boundary; use the automorphism construction")
@@ -244,15 +237,19 @@ def bloch_gap(gc: GapConstruction, weight: Weight | Coboundary, grid: GridSpec) 
 
 
 def bloch_gap_verdicts(gc: GapConstruction, reports) -> list:
-    """The bloch-gap certificate as (name, passed, value, threshold) tuples, from ``reports``,
-    one ``bloch_gap`` report of ``gc`` per weight.  The last verdict needs every weight's
-    lower bounds to equal the first weight's: they do not involve the weight."""
-    worst_margin = min(m for gm in gc.geom_margins() for m in (gm["first"], gm["second"]) if m is not None)
-    shrink = gc.levels[-1].t / gc.levels[0].t
-    out = [
-        ("geometric-inequality-margins", worst_margin >= GEOM_MARGIN, worst_margin, GEOM_MARGIN),
-        ("time-vanishing", shrink <= TIME_VANISHING, shrink, TIME_VANISHING),
-    ]
+    """The bloch-gap pass rules as (name, passed, value, threshold) tuples: a case-1
+    construction's margins and time-vanishing (case 2's geometry rules read their thresholds
+    from the config, in the CLI runner), three verdicts per ``bloch_gap`` report of ``gc`` in
+    ``reports``, one per weight, and, given a report, that every weight's lower bounds equal
+    the first weight's: they do not involve the weight."""
+    out = []
+    if gc.case == "radial-limit":
+        worst = min(m for gm in gc.geom_margins() for m in (gm["first"], gm["second"]) if m is not None)
+        shrink = gc.levels[-1].t / gc.levels[0].t
+        out += [
+            ("geometric-inequality-margins", worst >= GEOM_MARGIN, worst, GEOM_MARGIN),
+            ("time-vanishing", shrink <= TIME_VANISHING, shrink, TIME_VANISHING),
+        ]
     for idx, rep in enumerate(reports):
         cancel = max(r.cancellation / max(abs(r.lower_bound / (1.0 - r.r)), 1e-300) for r in rep.rows)
         excess = min(r.grid_gap - r.lower_bound for r in rep.rows)
@@ -261,9 +258,10 @@ def bloch_gap_verdicts(gc: GapConstruction, reports) -> list:
             (f"grid-gap-dominates-bound-weight-{idx}", excess >= GRID_SLACK, excess, GRID_SLACK),
             (f"uniform-gap-weight-{idx}", rep.delta_hat > 0.0, rep.delta_hat, 0.0),
         ]
-    first = reports[0].rows
-    spread = max(abs(r.lower_bound - r0.lower_bound) for rep in reports for r, r0 in zip(rep.rows, first))
-    out.append(("lower-bounds-weight-independent", spread == 0.0, spread, 0.0))
+    if reports:
+        first = reports[0].rows
+        spread = max(abs(r.lower_bound - r0.lower_bound) for rep in reports for r, r0 in zip(rep.rows, first))
+        out.append(("lower-bounds-weight-independent", spread == 0.0, spread, 0.0))
     return out
 
 
@@ -316,14 +314,11 @@ def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> Ga
     if N < 1:
         raise ValueError("need at least one level")
     try:
-        fit = _fit_mobius(flow)  # one fit gives both the kind and the fixed points
-        kind = _mobius_kind(*fit)
+        fixed = automorphism_fixed_points(flow)
     except ModelError as exc:
-        raise CaseMismatch(f"flow is not an automorphism family: {exc}") from exc
-    if kind in ("hyperbolic", "parabolic"):
-        for p in _mobius_fixed_points(*fit):
-            if abs(p - 1.0) < 1e-6:
-                raise CaseMismatch("1 is a Denjoy-Wolff point of the flow")
+        raise CaseMismatch(f"flow is not a non-trivial automorphism group: {exc}") from exc
+    if any(abs(p - 1.0) < 1e-6 for p in fixed):
+        raise CaseMismatch("1 is a Denjoy-Wolff point of the flow")
 
     probe_r = 1.0 - 2.0 ** (-8)
     tp = min(t_first_cap, 2.0 ** (-6))

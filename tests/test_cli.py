@@ -315,12 +315,70 @@ def test_exit_code_on_failed_verdict(tmp_path):
 
 
 def test_exit_code_on_module_error(tmp_path):
-    # G = z^3 generates no automorphism family: the case-2 construction raises inside the runner
-    cube = {"type": "ode", "G": {"op": "poly", "coeffs": [[0, 0], [0, 0], [0, 0], [1, 0]]}}
-    cfg = write_config(tmp_path, "c.json", {"flow": cube})
+    # the hyperbolic group with fixed points +-1 goes to case 2, whose construction refuses
+    # the Denjoy-Wolff point 1 inside the runner
+    hyperbolic = {"type": "automorphism", "kind": "hyperbolic", "rate": 1.0}
+    cfg = write_config(tmp_path, "c.json", {"flow": hyperbolic})
     assert run("bloch-gap-auto", cfg, tmp_path / "out") == 1
     report = read_report(tmp_path / "out")
     assert report["error"]["type"] == "CaseMismatch"
+
+
+def test_exit_code_on_an_escaping_case_1_flow(tmp_path):
+    # G = z^3 generates no automorphism group, so case 1 integrates it, and its orbits leave the disc;
+    # its t_start is read before that, so the numerical error ends the run with exit 1, not 2
+    cube = {"type": "ode", "G": {"op": "poly", "coeffs": [[0, 0], [0, 0], [0, 0], [1, 0]]}}
+    cfg = write_config(tmp_path, "c.json", {"flow": cube, "t_start": 0.5})
+    assert run("bloch-gap-auto", cfg, tmp_path / "out") == 1
+    assert read_report(tmp_path / "out")["error"]["type"] == "EscapeError"
+
+
+def test_trivial_flow_is_a_case_mismatch(tmp_path, capsys):
+    # G = 0 fits the automorphism form with a = beta = 0, but neither construction applies to it
+    cfg = write_config(tmp_path, "c.json", {"flow": {"type": "ode", "G": {"op": "const", "value": [0, 0]}}})
+    assert run("bloch-gap", cfg, tmp_path / "out") == 1
+    assert read_report(tmp_path / "out")["error"]["type"] == "CaseMismatch"
+    assert "trivial flow G = 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stem, key, value", [
+    ("bloch_gap_radial", "t_first_cap", 1), ("bloch_gap_auto_parabolic", "t_start", 0.5),
+], ids=["case-2-key-on-case-1", "case-1-key-on-case-2"])
+def test_a_key_of_the_other_case_exits_2(tmp_path, capsys, stem, key, value):
+    # the flow's generator picks the case, and the other case's keys are read by nothing
+    payload = json.loads((CONFIGS / f"{stem}.json").read_text())
+    cfg = write_config(tmp_path, "c.json", {**payload, key: value})
+    assert run("bloch-gap", cfg, tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "report.json").exists()
+    assert capsys.readouterr().err == f"config error: keys that bloch-gap does not read: {key}\n"
+
+
+def test_bloch_gap_without_weights_certifies_the_construction(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {"flow": RADIAL, "N": 3})
+    assert run("bloch-gap", cfg, tmp_path / "out") == 0
+    report = read_report(tmp_path / "out")
+    assert [v["name"] for v in report["verdicts"]] == ["geometric-inequality-margins", "time-vanishing"]
+    assert report["tables"] == []
+
+
+def test_bloch_gap_weights_on_the_automorphism_case(tmp_path):
+    # case 2 with three weights: g = 0, g = z and the coboundary alpha = 2 - z
+    payload = json.loads((CONFIGS / "bloch_gap_auto_parabolic.json").read_text())
+    weights = [{"type": "weight", "g": {"op": "const", "value": [0, 0]}}, G_ID,
+               {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[2, 0], [-1, 0]]}}]
+    cfg = write_config(tmp_path, "c.json", {**payload, "weights": weights})
+    assert run("bloch-gap", cfg, tmp_path / "out") == 0
+    report = read_report(tmp_path / "out")
+    assert report["tables"] == ["case2", "gap_weight_0", "gap_weight_1", "gap_weight_2"]
+    assert all(v["passed"] for v in report["verdicts"])
+    value = {v["name"]: v["value"] for v in report["verdicts"]}
+    assert [name for name in value][:3] == ["angle-equation-solved", "depth-ratio-window",
+                                            "pseudohyperbolic-separation"]
+    assert value["lower-bounds-weight-independent"] == 0.0
+    for idx in range(3):
+        assert value[f"uniform-gap-weight-{idx}"] == pytest.approx(6.9457e-5, rel=1e-4)
+        assert value[f"cancellation-weight-{idx}"] <= 1e-10
+        assert value[f"grid-gap-dominates-bound-weight-{idx}"] >= 0.04
 
 
 def test_exit_code_on_config_error(tmp_path):

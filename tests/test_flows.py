@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import semiflow_lab as sl
 from conftest import flow_corpus, generator_corpus
@@ -399,10 +401,12 @@ def test_classify_parabolic():
     assert all(abs(p - 1.0) < 1e-4 for p in fps)
 
 
-def test_classify_automorphism_integrates_twice(integrations):
-    # one run for the three fit points of phi_1, one for the three check points
+def test_classify_automorphism_integrates_nothing(integrations):
+    # a = G(0), i beta = G'(0) and the form on |z| = 1/2 come from one jet of the generator tree
     assert sl.classify_automorphism(sl.ode_flow(sl.Polynomial([0, 1j]))) == "elliptic"
-    assert len(integrations) == 2
+    assert sl.classify_automorphism(sl.Automorphism(kind="parabolic", speed=2.0)) == "parabolic"
+    assert len(sl.automorphism_fixed_points(sl.Automorphism(kind="hyperbolic", rate=1.0))) == 2
+    assert integrations == []
 
 
 def test_classify_rejects_non_mobius():
@@ -410,6 +414,50 @@ def test_classify_rejects_non_mobius():
     flow = sl.ode_flow(sl.Polynomial([0, -1, 0, 1]))
     with pytest.raises(sl.ModelError):
         sl.classify_automorphism(flow)
+
+
+@pytest.mark.parametrize("coeffs", [[0, -1], [0.1, -1, 0.3]], ids=["-z", "0.1-z+0.3z^2"])
+def test_classify_refuses_riccati_flows_that_are_no_automorphism_group(coeffs):
+    # their time-1 maps are Mobius, but they map the disc into itself, not onto it
+    flow = sl.ode_flow(sl.Polynomial(coeffs))
+    for read in (sl.classify_automorphism, sl.automorphism_fixed_points):
+        with pytest.raises(sl.ModelError, match="not a \\+ i beta z"):
+            read(flow)
+
+
+def test_classify_refuses_the_trivial_flow():
+    # G = 0 fits the form with a = beta = 0, and it is of no kind: it fixes every point
+    assert sl.flows.automorphism_generator(sl.ode_flow(sl.Constant(0))) == (0, 0)
+    with pytest.raises(sl.ModelError, match="trivial flow G = 0"):
+        sl.classify_automorphism(sl.ode_flow(sl.Constant(0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(1e-6, 1.0), st.booleans())
+def test_automorphism_generators_are_classified_by_their_discriminant(re_a, im_a, beta, eps, cubic):
+    a = complex(re_a, im_a)
+    disc = 4 * abs(a) ** 2 - beta ** 2
+    assume(abs(disc) > 1e-6 * (4 * abs(a) ** 2 + beta ** 2))  # away from parabolic, and not G = 0
+    assume(a == 0 or abs(a) >= 1e-3)  # the outer fixed point of an elliptic group stays finite
+    G = sl.Polynomial([a, 1j * beta, -a.conjugate()])
+    flow = sl.ode_flow(G)
+    kind = sl.classify_automorphism(flow)
+    assert kind == ("hyperbolic" if disc > 0 else "elliptic")
+    for p in sl.automorphism_fixed_points(flow):
+        assert abs(G.eval_anywhere(p)) <= 1e-14 * (abs(a) + abs(beta * p) + abs(a * p * p))
+        assert kind == "elliptic" or abs(abs(p) - 1.0) <= 1e-14
+    off = [a, 1j * beta, -a.conjugate(), eps] if cubic else [a, 1j * beta, -a.conjugate() + eps]
+    with pytest.raises(sl.ModelError):
+        sl.classify_automorphism(sl.ode_flow(sl.Polynomial(off)))
+
+
+@pytest.mark.parametrize("a, beta", [(0.5j, -1.0), (-0.3 + 0.4j, 1.0), (0.05, 0.1)])
+def test_parabolic_generators_have_one_fixed_point_on_the_circle(a, beta):
+    # 4|a|^2 = beta^2: a double root of -conj(a) z^2 + i beta z + a on the circle
+    G = sl.Polynomial([a, 1j * beta, -a.conjugate()])
+    assert sl.classify_automorphism(sl.ode_flow(G)) == "parabolic"
+    for p in sl.automorphism_fixed_points(sl.ode_flow(G)):
+        assert abs(abs(p) - 1.0) <= 1e-12 and abs(G.eval_anywhere(p)) <= 1e-12
 
 
 def test_boundary_orbit_radial():

@@ -61,6 +61,19 @@ def test_case1_automorphism_is_case_mismatch():
         sl.construct_case1(sl.Automorphism(kind="elliptic", omega=1.0), 1.0, N=3)
 
 
+@pytest.mark.parametrize("G", [[0.5, 0, -0.5], [0.5j, 1j, 0.5j], [0]], ids=["hyperbolic", "parabolic", "trivial"])
+def test_case1_refuses_every_automorphism_group_up_front(integrations, G):
+    # read off the generator a + i beta z - conj(a) z^2, before any boundary orbit
+    with pytest.raises(sl.CaseMismatch, match="automorphism group or the trivial flow"):
+        sl.construct_case1(sl.ode_flow(sl.Polynomial(G)), 1.0, N=3)
+    assert integrations == []
+
+
+def test_case2_refuses_the_trivial_flow():
+    with pytest.raises(sl.CaseMismatch, match="trivial flow G = 0"):
+        sl.construct_case2(sl.ode_flow(sl.Constant(0)), N=3)
+
+
 def test_case1_depth_cap():
     with pytest.raises(sl.DepthExceeded):
         sl.construct_case1(radial_flow(), 1.0, N=25)
@@ -276,13 +289,18 @@ def test_case2_parabolic():
     assert ts == sorted(ts, reverse=True)
 
 
-def test_case2_fits_the_time_1_map_once(integrations):
-    # the kind and the fixed points come from one Mobius fit: one run of its three
-    # fit points and one of its three check points, both to t = 1
+def test_case2_reads_the_generator_without_integrating(integrations):
+    # the kind and the fixed points come from the generator tree, not from a time-1 map:
+    # both refusals integrate nothing, and a construction never runs an orbit to t = 1
     flow = sl.ode_flow(sl.Polynomial([0.5j, 1j, 0.5j]))  # G = (i/2)(1 + z)^2
     gc = sl.construct_case2(flow, N=3)
     assert gc.case == "automorphism" and len(gc.levels) == 3
-    assert [t for t in integrations if isinstance(t, float) and t == 1.0] == [1.0, 1.0]
+    assert [t for t in integrations if isinstance(t, float) and t == 1.0] == []
+    integrations.clear()
+    for G in ([0.5, 0, -0.5], [0, -1, 0, 1]):  # (1 - z^2)/2, fixed points +-1; a cubic field
+        with pytest.raises(sl.CaseMismatch):
+            sl.construct_case2(sl.ode_flow(sl.Polynomial(G)), N=3)
+    assert integrations == []
 
 
 def test_case2_elliptic_rotation():
