@@ -59,7 +59,7 @@ from .errors import (
 )
 from .flows import _check_ladder, check_semigroup, flow_from_json, generator_fd, map_from_json
 from .flows import automorphism_generator
-from .gap import SEPARATION_FLOOR, bloch_gap, bloch_gap_verdicts, construct_case1, construct_case2
+from .gap import SEPARATION_FLOOR, bloch_gap_verdicts, bloch_gaps, construct_case1, construct_case2
 from .gap import reduce_rotations, separability_witness
 
 
@@ -343,7 +343,7 @@ def run_gpv(config, seed):
 def run_bloch_gap(config, seed):
     """Theorem 2's certificate.  The flow's generator picks the construction, case 2 for an
     automorphism group and case 1 for any other flow, with no integration, so the case's keys
-    are read before any numerical work.  Each listed weight gets one ``bloch_gap`` table."""
+    are read before any numerical work.  One ``bloch_gaps`` call gives each weight its table."""
     weights = []
     if "weights" in config:
         weights = config["weights"]
@@ -375,7 +375,7 @@ def run_bloch_gap(config, seed):
         ]
         rows = [[lv.n, lv.t, lv.r, lv.w.real, lv.w.imag, q] for lv, q in zip(gc.levels, gc.ratios)]
         tables = {"case2": (["n", "t", "r", "w_re", "w_im", "depth_ratio"], rows)}
-    reports = [bloch_gap(gc, weight, grid) for weight in weights]
+    reports = bloch_gaps(gc, weights, grid) if weights else []  # no weight needs no test function
     header = ["n", "t_n", "r_n", "w_re", "w_im", "lower_bound", "grid_gap", "cancellation_residual"]
     for idx, rep in enumerate(reports):
         tables[f"gap_weight_{idx}"] = (header, [

@@ -5,8 +5,8 @@ m_t(z) = exp(integral_0^t g(phi_s(z)) ds).  The integral (never the
 exponential) is the accumulated object: it rides along the orbit in the
 variational system and is exponentiated once, which sidesteps any branch
 ambiguity.  A coboundary m_t(z) = alpha(phi_t(z))/alpha(z) is evaluated directly.
-Every reader takes m_t (and m_t', phi_t, phi_t') from one kernel, ``_cocycle``,
-which decides the weight kind once.
+Every reader takes m_t (and m_t', phi_t, phi_t') from one kernel, ``_cocycle``, which
+decides the weight kind once; ``gap.bloch_gaps`` applies its ``_multiplier`` to shared runs.
 The sweep, ``apply_weighted`` and ``weighted_z_derivative`` take one point or
 an ndarray of points; a batch shares one integrator run.  The sweep, the
 cocycles, ``apply_weighted`` and the checks also take an ndarray with a time
@@ -124,7 +124,7 @@ def _cocycle(wsg: WeightedSemigroup, z, t, order):
     A non-constant weight reads all four from one sweep, with m' = m J_t:
     finite differences would inject O(h) noise into cancellation checks.  A
     constant weight or a coboundary advances the flow once and applies its
-    exact formula; a constant weight's m_t alone needs no flow.  The start is
+    ``_multiplier``; a constant weight's m_t alone needs no flow.  The start is
     checked first, so no reader returns a value for a point outside the disc.
     """
     z, t = _check_start(z, t)
@@ -135,14 +135,19 @@ def _cocycle(wsg: WeightedSemigroup, z, t, order):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused, not warned about
             mp = _finite(m * d_integral, z, t) if order else None
     else:
-        if isinstance(weight, Weight):
-            m, mp = _finite(full(z, exp(weight.g.value * t)), z, t), full(z, 0.0)
-            if order is None:
-                return m
+        if order is None and isinstance(weight, Weight):
+            return _multiplier(weight, z, t, None, None)[0]
         w, dw = wsg.flow.advance_with_derivative(z, t) if order else (wsg.flow.advance(z, t), None)
-        if isinstance(weight, Coboundary):
-            m, mp = _coboundary(weight, z, t, w, dw)
+        m, mp = _multiplier(weight, z, t, w, dw)
     return m if order is None else (m, w) if order == 0 else (m, mp, w, dw)
+
+
+def _multiplier(weight: Weight | Coboundary, z, t, w, dw):
+    """(m_t(z), m_t'(z)) of a weight that reads only the flow, w = phi_t(z) and dw = phi_t'(z):
+    a constant weight's (exp(g t), 0), which reads neither, or a coboundary's quotient."""
+    if isinstance(weight, Coboundary):
+        return _coboundary(weight, z, t, w, dw)
+    return _finite(full(z, exp(weight.g.value * t)), z, t), full(z, 0.0)
 
 
 def _finite(m, z, t):
@@ -212,8 +217,12 @@ def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z, t):
         raise_at(abs(z) >= 1.0, z, DomainError, "{} is not inside the open unit disc")
         return f.jet(z)[1]
     m, mp, w, dw = _cocycle(wsg, z, t, 1)
-    fw, fpw = f.jet(w)
-    return mp * fw + m * fpw * dw
+    return _z_derivative(m, mp, dw, f.jet(w))
+
+
+def _z_derivative(m, mp, dw, jet):
+    """m_t' f(phi_t) + m_t f'(phi_t) phi_t', with (f, f') at phi_t in ``jet``."""
+    return mp * jet[0] + m * jet[1] * dw
 
 
 def apply_generator(G: AnalyticFn, g: AnalyticFn, f: AnalyticFn) -> AnalyticFn:

@@ -144,6 +144,8 @@ def _integrate(rhs, y0, t_end, tol: float):
     h = min(t_end, 0.1)
     steps = 0
     k1 = rhs(y)
+    speed = float(abs(k1[0]).max()) if step is _stacked_step else abs(k1[0])
+    h = min(h, 1.0 / speed) if speed > 10.0 else h  # from near a pole of G, a step of 0.1 leaps it
     while t < t_end:
         if steps >= MAX_STEPS:
             raise EscapeError("step budget exhausted; tolerance unattainable")
@@ -176,15 +178,16 @@ def _tuple_step(components: int):
     step(rhs, y, k1, h, tol) -> (y_new, k_new, err), as straight-line code.
 
     Every stage sum is sum(map(mul, row, stages)) written out: a leading int
-    0, then each tableau term in order, zeros included, so each sum is that
-    expression's bit for bit (an int 0 plus -0.0 is 0.0)."""
+    0, then each nonzero tableau term in order.  The int 0 keeps every partial
+    sum off -0.0 (an int 0 plus -0.0 is 0.0), so the dropped terms, +-0.0 at
+    a finite stage, leave each sum that expression's bit for bit."""
     comps = range(components)
 
     def names(stage):
         return "".join(f"s{stage}_{c}, " for c in comps)
 
     def combination(row, c):
-        return "0" + "".join(f" + {r!r} * s{i}_{c}" for i, r in enumerate(row))
+        return "0" + "".join(f" + {r!r} * s{i}_{c}" for i, r in enumerate(row) if r)
 
     lines = ["def step(rhs, y, k1, h, tol):", f"    {''.join(f'y{c}, ' for c in comps)}= y",
              f"    {names(0)}= k1"]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analytic import AnalyticFn, BlochGridNorm, Compose, GridSpec, Polynomial, Power, Product
 from .blaschke import BlaschkeProduct, interpolation_delta, pseudo_distance
-from .cocycles import Coboundary, Weight, WeightedSemigroup, weighted_z_derivative
+from .cocycles import Coboundary, Weight, WeightedSemigroup, _multiplier, _z_derivative, weighted_z_derivative
 from .errors import (
     BisectionError,
     CaseMismatch,
@@ -28,6 +28,7 @@ from .errors import (
 )
 from .flows import ESCAPE_RADIUS, FlowModel, RotatedFlow, automorphism_fixed_points, automorphism_generator
 from .flows import boundary_orbit
+from .pointwise import points, times
 
 # Level starts r_n = 1 - 2^{-j_n} sit on a dyadic ladder that must stay below
 # the integrator's escape radius.  The two geometric inequalities, each with
@@ -203,37 +204,49 @@ class GapReport:
 
 
 def bloch_gap(gc: GapConstruction, weight: Weight | Coboundary, grid: GridSpec) -> GapReport:
-    """Per-level Bloch gap of W_{t_n} f - f for the constructed test function.
+    """The ``bloch_gaps`` report of one weight."""
+    return bloch_gaps(gc, [weight], grid)[0]
 
-    W_t is the semigroup of ``weight`` on the construction's flow; for
-    gamma0 != 1 the weight is rotated into the construction's frame first.
-    Reports (a) the certified pointwise lower bound |f'(r_n)|(1 - r_n),
-    which does not involve the weight at all, (b) the supremum of
-    |d/dz[W_{t_n} f - f]| (1 - |z|^2) over the grid and the level points
-    r_n, and (c) the cancellation residual |d/dz[W_{t_n} f](r_n)|, which the
-    double zeros force to integration tolerance.  The grid gaps of all levels
-    come from one ``weighted_z_derivative`` call on a (levels, points) batch
-    whose row n runs to t_n.
+
+def bloch_gaps(gc: GapConstruction, weights, grid: GridSpec) -> list:
+    """Per-level Bloch gaps of W_{t_n} f - f for the constructed test function: one GapReport
+    per weight, the weight rotated into the construction's frame for gamma0 != 1.
+
+    A report holds the certified lower bound |f'(r_n)|(1 - r_n), which does not involve the
+    weight, the supremum of |d/dz[W_{t_n} f - f]| (1 - |z|^2) over the grid and the r_n, from
+    one run on a (levels, points) batch whose row n runs to t_n, and the cancellation residual
+    |d/dz[W_{t_n} f](r_n)|, which the double zeros force to integration tolerance.  f, the grid,
+    the bounds and the runs of the weights that read only the flow (phi_t, phi_t' and f's jet
+    at phi_t) are made once, and each such weight applies its own multiplier to them.  A
+    non-constant weight g sweeps its own runs: the integrals of g and g' are its own.
     """
-    if gc.gamma0 != 1.0:
-        weight = weight.rotated(gc.gamma0)
-    wsg = WeightedSemigroup(gc.flow, weight)
     f = build_test_function(gc)
     zs = np.concatenate([grid.sample_points(), [lv.r for lv in gc.levels]])
     fp = f.jet(zs)[1]
-    d = weighted_z_derivative(wsg, f, zs, np.array([[lv.t] for lv in gc.levels])) - fp
-    gaps = np.max(np.abs(d) * (1.0 - np.abs(zs) ** 2), axis=1, initial=0.0).tolist()
     fp_r = np.abs(fp[-len(gc.levels):]).tolist()  # the r_n are the last columns
-    # The cancellation residual re-runs each level's one-point orbit, phi' beside it
-    # (on the shipped radial config w_2..w_6 come back bit for bit, w_1 81 ulps off).
-    # Read from the batch, whose shared steps move phi_{t_n}(r_n) at tolerance, the
-    # double zero would no longer cancel.
-    rows = tuple(
-        GapRow(n=lv.n, t=lv.t, r=lv.r, w=lv.w, lower_bound=fpr * (1.0 - lv.r), grid_gap=gap,
-               cancellation=abs(weighted_z_derivative(wsg, f, lv.r, lv.t)))
-        for lv, gap, fpr in zip(gc.levels, gaps, fp_r)
-    )
-    return GapReport(rows=rows, delta_hat=min(r.lower_bound for r in rows))
+    bounds = [fpr * (1.0 - lv.r) for lv, fpr in zip(gc.levels, fp_r)]
+    # The cancellation residual re-runs each level's one-point orbit, phi' beside it (on the
+    # shipped radial config w_2..w_6 come back bit for bit, w_1 81 ulps off).  Read from the
+    # batch, whose shared steps move phi_{t_n}(r_n) at tolerance, it would no longer cancel.
+    runs = [times(zs, np.array([[lv.t] for lv in gc.levels]))]
+    runs += [times(points(lv.r), lv.t) for lv in gc.levels]
+    orbits = None  # (phi_t, phi_t', f's jet at phi_t) per run, once a flow-only weight needs them
+    reports = []
+    for weight in weights:
+        wsg = WeightedSemigroup(gc.flow, weight if gc.gamma0 == 1.0 else weight.rotated(gc.gamma0))
+        if wsg._swept:
+            ds = [weighted_z_derivative(wsg, f, z, t) for z, t in runs]
+        else:
+            if orbits is None:
+                orbits = [gc.flow.advance_with_derivative(*run) for run in runs]
+                orbits = [(w, dw, f.jet(w)) for w, dw in orbits]
+            ds = [_z_derivative(*_multiplier(wsg.weight, z, t, w, dw), dw, jet)
+                  for (z, t), (w, dw, jet) in zip(runs, orbits)]
+        gaps = np.max(np.abs(ds[0] - fp) * (1.0 - np.abs(zs) ** 2), axis=1, initial=0.0).tolist()
+        rows = tuple(GapRow(n=lv.n, t=lv.t, r=lv.r, w=lv.w, lower_bound=b, grid_gap=gap, cancellation=abs(d))
+                     for lv, b, gap, d in zip(gc.levels, bounds, gaps, ds[1:]))
+        reports.append(GapReport(rows=rows, delta_hat=min(bounds)))
+    return reports
 
 
 def bloch_gap_verdicts(gc: GapConstruction, reports) -> list:

@@ -682,6 +682,7 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = {
     "bloch_gap_auto_parabolic": "bloch-gap-auto",
     "bloch_gap_radial": "bloch-gap",
+    "bloch_gap_inner": "bloch-gap",
     "coboundary_check": "coboundary-check",
     "cocycle_check_linear_weight": "cocycle-check",
     "flow_check_radial": "flow-check",

@@ -192,6 +192,34 @@ def test_bloch_gap_integrates_once_plus_once_per_level(case1, integrations, weig
     assert len(integrations) == 1 + len(case1.levels)
 
 
+FLOW_ONLY = [sl.Weight(sl.Constant(0)), sl.Weight(sl.Constant(1)), sl.Coboundary(sl.Polynomial([1, -1]))]
+
+
+def test_bloch_gaps_runs_the_flow_once_for_every_flow_only_weight(case1, integrations):
+    # the batch and the level runs are made once, and each weight applies its multiplier to them
+    sl.gap.bloch_gaps(case1, FLOW_ONLY, make_grid())
+    assert len(integrations) == 1 + len(case1.levels)
+
+
+def test_bloch_gaps_sweeps_a_non_constant_weight_on_its_own(case1, integrations):
+    sl.gap.bloch_gaps(case1, FLOW_ONLY + [sl.Weight(sl.Identity())], make_grid())
+    assert len(integrations) == 2 * (1 + len(case1.levels))
+
+
+@pytest.mark.parametrize("G, gamma0", [([0, -1], 1.0), ([0, -1, 0.25], 1j)], ids=["case1", "gamma0=i"])
+def test_bloch_gaps_is_bloch_gap_per_weight_bit_for_bit(G, gamma0):
+    gc = sl.construct_case1(sl.ode_flow(sl.Polynomial(G), 1e-12), gamma0, N=3, t_start=0.5)
+    weights = [sl.Weight(sl.Identity()), *FLOW_ONLY, sl.Weight(sl.Polynomial([0.5, 0.25j]))]
+    reports = sl.gap.bloch_gaps(gc, weights, make_grid())
+    assert reports == [sl.bloch_gap(gc, weight, make_grid()) for weight in weights]
+    # the shared runs give each weight what its own cocycle gives
+    f = sl.build_test_function(gc)
+    for weight, rep in zip(weights, reports):
+        wsg = sl.WeightedSemigroup(gc.flow, weight if gamma0 == 1.0 else weight.rotated(gamma0))
+        assert [r.cancellation for r in rep.rows] == [
+            abs(sl.weighted_z_derivative(wsg, f, lv.r, lv.t)) for lv in gc.levels]
+
+
 GAP_VERDICTS = [
     "geometric-inequality-margins", "time-vanishing",
     "cancellation-weight-0", "grid-gap-dominates-bound-weight-0", "uniform-gap-weight-0",
