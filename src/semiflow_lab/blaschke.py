@@ -19,6 +19,11 @@ from .errors import DomainError, HypothesisError, MultiplicityError, config_numb
 from .errors import config_parser, record
 from .pointwise import full, outside, points, raise_at
 
+# The most rows (pseudo-discs, rotations) one Blaschke call evaluates:
+# blaschke_derivative keeps about 3n arrays of its batch's shape (the factors,
+# prefixes and suffixes), about 48 n bytes for each batched point of n zeros.
+BATCH_ROWS = 16
+
 
 @record
 class BlaschkeProduct(AnalyticFn):
@@ -122,6 +127,11 @@ def blaschke_derivative(B: BlaschkeProduct, z: complex) -> complex:
     for k, a in enumerate(B.zeros):
         total += _b_factor_derivative(a, z) * prefix[k] * suffix[k + 1]
     return B.phase * total
+
+
+def row_slices(count: int) -> list:
+    """Consecutive slices of at most ``BATCH_ROWS`` rows covering ``count`` rows."""
+    return [slice(i, i + BATCH_ROWS) for i in range(0, count, BATCH_ROWS)]
 
 
 def pseudo_distance(z: complex, w: complex) -> float:
@@ -262,14 +272,19 @@ def gpv_bound_check(
     min_rho = min(rhos) if rhos else None  # fewer than two discs: disjoint vacuously
     disjoint = min_rho is None or min_rho > threshold
 
+    # every disc's samples as one (discs, points) batch; the points stay PseudoDisc.sample's
+    # Python complex arithmetic, since numpy's complex division moves bits
     n_angles = max(8, samples_per_disc // 5)
+    zs = np.array([PseudoDisc(a, alpha).sample(n_radii=5, n_angles=n_angles) for a in centers])
+    depths = np.array([[1.0 - abs(a)] for a in centers])
+    local = []
+    for part in row_slices(len(centers)):
+        local += np.min(np.abs(blaschke_derivative(B, zs[part])) * depths[part], axis=1).tolist()
     rows = []
     beta_hat = math.inf
-    for i, a, defl in zip(marked, centers, deflated):
-        zs = np.array(PseudoDisc(a, alpha).sample(n_radii=5, n_angles=n_angles))
-        local = float(np.min(np.abs(blaschke_derivative(B, zs)) * (1.0 - abs(a))))
-        beta_hat = min(beta_hat, local)
-        rows.append(GpvRow(index=i, center=a, deflated=defl, beta_local=local))
+    for i, a, defl, beta in zip(marked, centers, deflated, local):
+        beta_hat = min(beta_hat, beta)
+        rows.append(GpvRow(index=i, center=a, deflated=defl, beta_local=beta))
     if not rows:
         beta_hat = 0.0
 

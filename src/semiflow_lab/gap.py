@@ -15,8 +15,8 @@ import cmath
 import math
 import numpy as np
 
-from .analytic import AnalyticFn, BlochGridNorm, Compose, GridSpec, Polynomial, Power, Product
-from .blaschke import BlaschkeProduct, interpolation_delta, pseudo_distance
+from .analytic import AnalyticFn, BlochGridNorm, GridSpec, Power, Product
+from .blaschke import BlaschkeProduct, interpolation_delta, pseudo_distance, row_slices
 from .cocycles import Coboundary, Weight, WeightedSemigroup, _multiplier, _z_derivative, weighted_z_derivative
 from .errors import (
     BisectionError,
@@ -415,15 +415,20 @@ def separability_witness(
     Every pair staying a fixed distance apart is an uncountable discrete
     set, witnessing non-separability of any space containing the products.
     Each rotation is sampled once: its value at the origin, its slopes on the grid;
-    a pair's gap is the Bloch grid norm of the difference of their samples.
+    a pair's gap is the Bloch grid norm of the difference of their samples.  The
+    rotations are one (rotations, points) batch, with the operations of the tree
+    B(gamma z), gamma = e^{-it}, in its order: gamma z + 0j, then B'(u) gamma
+    (numpy's complex product is not commutative bit for bit).
     """
     rots = reduce_rotations(rotations)
     interpolation_delta(B)  # refuses a repeated zero
     norm = BlochGridNorm(grid)
+    gammas = np.array([[cmath.exp(-1j * th)] for th in rots])
     samples = []
-    for th in rots:
-        f = Compose(B, Polynomial((0.0, cmath.exp(-1j * th))))
-        samples.append(norm.sample(f, f.derivative()))
+    for part in row_slices(len(rots)):
+        gamma = gammas[part]  # a column: one rotation a row
+        samples.extend(norm.sample(lambda z: B.eval(gamma * z + 0j),
+                                   lambda z: B.jet(gamma * z + 0j)[1] * gamma))
     n = len(rots)
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):

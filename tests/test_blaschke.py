@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 import semiflow_lab as sl
+from semiflow_lab import blaschke
 from semiflow_lab.cli import random_disc_points
 
 
@@ -167,6 +169,42 @@ def test_gpv_zero_delta_raises():
     B = sl.BlaschkeProduct((0.5, 0.5))  # repeated zero kills the deflated product
     with pytest.raises(sl.HypothesisError):
         sl.gpv_bound_check(B, marked=[0], alpha=0.1)
+
+
+def gpv_rows_one_disc_a_call(B, marked, alpha, samples_per_disc):
+    """The GpvRow of each marked zero, its disc evaluated by a blaschke_derivative call of its own."""
+    per_zero = sl.interpolation_delta(B).per_zero
+    n_angles = max(8, samples_per_disc // 5)
+    rows = []
+    for i in marked:
+        a = B.zeros[i]
+        zs = np.array(sl.PseudoDisc(a, alpha).sample(n_radii=5, n_angles=n_angles))
+        beta = float(np.min(np.abs(sl.blaschke_derivative(B, zs)) * (1.0 - abs(a))))
+        rows.append(blaschke.GpvRow(index=i, center=a, deflated=per_zero[i], beta_local=beta))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("batch_rows", [blaschke.BATCH_ROWS, 3])
+@pytest.mark.parametrize("zeros, marked", [
+    (sl.radial_zeros(12), None),
+    ((0.0, 0.5 + 0.3j, 0.5 - 0.3j, -0.6, -0.2j), None),  # the origin and a conjugate pair
+    ((0.4 - 0.2j,), None),
+    (sl.radial_zeros(12), []),
+    (sl.radial_zeros(12), [0, 3, 4, 7, 11]),
+], ids=["geometric", "listed", "one-zero", "none-marked", "marked-subset"])
+def test_gpv_batch_is_the_per_disc_evaluation_bit_for_bit(monkeypatch, zeros, marked, batch_rows):
+    # the discs are one (discs, points) batch, split every batch_rows rows; 3 splits 5 discs 3 + 2
+    monkeypatch.setattr(blaschke, "BATCH_ROWS", batch_rows)
+    calls = []
+    derivative = blaschke.blaschke_derivative
+    monkeypatch.setattr(blaschke, "blaschke_derivative", lambda B, z: calls.append(z.shape) or derivative(B, z))
+    B = sl.BlaschkeProduct(zeros)
+    rep = sl.gpv_bound_check(B, marked=marked, alpha=0.1, samples_per_disc=80)
+    marked = range(len(zeros)) if marked is None else marked
+    want = gpv_rows_one_disc_a_call(B, marked, 0.1, 80)
+    assert rep.per_zero == want
+    assert rep.beta_hat == min((r.beta_local for r in want), default=0.0)
+    assert calls == [(min(batch_rows, len(marked) - k), 81) for k in range(0, len(marked), batch_rows)]
 
 
 def test_pseudo_disc_sampling():

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,20 @@ def test_gpv_stability_products_use_the_family_ratio(tmp_path):
     ]
     (verdict,) = [v for v in read_report(tmp_path / "out")["verdicts"] if v["name"] == "beta-hat-stable"]
     assert verdict["value"] == max(betas) / min(betas)
+
+
+def test_gpv_makes_one_product_per_distinct_count(tmp_path, monkeypatch):
+    # the family's own count reuses the report's product, and a repeated count is made once
+    calls = []
+    check = cli.gpv_bound_check
+    monkeypatch.setattr(cli, "gpv_bound_check", lambda B, **kw: calls.append(len(B.zeros)) or check(B, **kw))
+    assert run("gpv", str(CONFIGS / "gpv_geometric.json"), tmp_path / "shipped") == 0
+    assert calls == [12, 8, 10, 14]
+    calls.clear()
+    family = {"kind": "geometric", "count": 6, "ratio": 0.3}
+    cfg = write_config(tmp_path, "c.json", {"family": family, "stability_counts": [4, 6, 4, 8, 8]})
+    assert run("gpv", cfg, tmp_path / "out") == 0
+    assert calls == [6, 4, 8]
 
 
 @pytest.mark.parametrize("payload", [{"family": {"count": 1}}, {"zeros": [[0.5, 0]]}],
@@ -635,6 +650,27 @@ def test_overflowing_cocycle_is_a_singularity(tmp_path, capsys, subcommand, payl
     assert run(subcommand, cfg, tmp_path / "out") == 1
     assert read_report(tmp_path / "out")["error"]["type"] == "SingularityError"
     assert capsys.readouterr().err.startswith("SingularityError: non-finite")
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+@pytest.mark.parametrize("subcommand, payload", [
+    ("flow-check",  # G = -z + 1e300 z^5
+     {"flow": {**RADIAL, "G": {"op": "poly", "coeffs": [[0, 0], [-1, 0]] + [[0, 0]] * 3 + [[1e300, 0]]}, "tol": 1e-10},
+      "n_points": 5}),
+    ("generator-check",  # g = 1e308 z^3
+     {"flow": RADIAL, "weight": {"type": "weight", "g": {"op": "poly", "coeffs": [[0, 0]] * 3 + [[1e308, 0]]}},
+      "function": {"op": "poly", "coeffs": [[0, 0], [0, 0], [1, 0]]}}),
+], ids=["flow-check", "generator-check"])
+def test_an_overflowing_run_prints_only_its_typed_error(tmp_path, capsys, subcommand, payload, action):
+    # numpy warns on its way to the non-finite value that a typed check refuses; the warning is
+    # neither printed nor, under an "error" filter, raised out of main as a traceback
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        assert run(subcommand, write_config(tmp_path, "c.json", payload), tmp_path / "out") == 1
+    assert not caught
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("SingularityError: non-finite value at ")
+    assert read_report(tmp_path / "out")["error"]["type"] == "SingularityError"
 
 
 def test_csv_bodies_deterministic(tmp_path):

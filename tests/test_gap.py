@@ -4,6 +4,7 @@ import math
 import pytest
 
 import semiflow_lab as sl
+from semiflow_lab import blaschke
 from conftest import replaced
 
 
@@ -412,3 +413,29 @@ def test_separability_matrix_equals_the_difference_tree_norms(zeros, rotations):
                 diff = sl.Sum((fns[i], sl.Product((sl.Polynomial((-1.0,)), fns[j]))))
                 want = sl.bloch_norm_grid(diff, grid, derivative=diff.derivative())
                 assert rep.matrix[i][j] == rep.matrix[j][i] == want
+
+
+@pytest.mark.parametrize("batch_rows", [blaschke.BATCH_ROWS, 3])
+@pytest.mark.parametrize("zeros, rotations", [
+    (sl.radial_zeros(10), [2.0 * math.pi * k / 8 for k in range(8)]),  # the shipped config
+    ((0.5 + 0.1j, 0.8 - 0.2j, 0.3 + 0.6j), [0.0, 0.37, 1.1, 2.9, 3.05, 5.5, 6.2]),
+], ids=["shipped", "uneven"])
+def test_separability_batch_is_the_per_rotation_trees_bit_for_bit(monkeypatch, zeros, rotations, batch_rows):
+    # the rotations are one (rotations, points) batch, split every batch_rows rows; with 3 the
+    # 8 and 7 rotations split 3 + 3 + 2 and 3 + 3 + 1.  Each is sampled as its own tree B(e^{-it} z).
+    monkeypatch.setattr(blaschke, "BATCH_ROWS", batch_rows)
+    calls = []
+    derivative = blaschke.blaschke_derivative
+    monkeypatch.setattr(blaschke, "blaschke_derivative", lambda B, z: calls.append(z.shape[0]) or derivative(B, z))
+    B = sl.BlaschkeProduct(zeros)
+    coarse = separability_grid(B.zeros, rotations)
+    for grid in (coarse, coarse.refine()):
+        calls.clear()
+        rep = sl.separability_witness(B, rotations, grid)
+        assert calls == [min(batch_rows, len(rotations) - k) for k in range(0, len(rotations), batch_rows)]
+        norm = sl.BlochGridNorm(grid)
+        fns = [sl.Compose(B, sl.Polynomial((0.0, cmath.exp(-1j * th)))) for th in rep.rotations]
+        samples = [norm.sample(f, f.derivative()) for f in fns]
+        want = [[0.0 if i == j else float(norm.reduce(samples[i] - samples[j])) for j in range(len(fns))]
+                for i in range(len(fns))]
+        assert rep.matrix == tuple(map(tuple, want))
