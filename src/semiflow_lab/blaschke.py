@@ -19,11 +19,6 @@ from .errors import DomainError, HypothesisError, MultiplicityError, config_numb
 from .errors import config_parser, record
 from .pointwise import full, outside, points, raise_at
 
-# The most rows (pseudo-discs, rotations) one Blaschke call evaluates:
-# blaschke_derivative keeps about 3n arrays of its batch's shape (the factors,
-# prefixes and suffixes), about 48 n bytes for each batched point of n zeros.
-BATCH_ROWS = 16
-
 
 @record
 class BlaschkeProduct(AnalyticFn):
@@ -106,32 +101,20 @@ def blaschke_eval(B: BlaschkeProduct, z):
     return val
 
 
-def blaschke_derivative(B: BlaschkeProduct, z: complex) -> complex:
-    """Product-rule derivative sum_k b'_k * prod_{j != k} b_j.
+def blaschke_derivative(B: BlaschkeProduct, z):
+    """B' at a point or an array of points, by the forward product rule.
 
-    At a zero z_k every other term vanishes through its b_k factor, so the
-    formula has no cancellation there.
+    The running product v starts at e^{i*theta} with v' = 0, and each factor b
+    makes (v b)' = v b' + v' b.  At a zero z_k the factor b_k vanishes exactly,
+    so every earlier term drops and the formula has no cancellation there.
     """
     z = points(z)
-    n = len(B.zeros)
-    if n == 0:
-        return full(z, 0.0)
-    factors = [b_factor(a, z) for a in B.zeros]
-    prefix = [1.0 + 0.0j] * (n + 1)
-    for k in range(n):
-        prefix[k + 1] = prefix[k] * factors[k]
-    suffix = [1.0 + 0.0j] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] * factors[k]
-    total = full(z, 0.0)
-    for k, a in enumerate(B.zeros):
-        total += _b_factor_derivative(a, z) * prefix[k] * suffix[k + 1]
-    return B.phase * total
-
-
-def row_slices(count: int) -> list:
-    """Consecutive slices of at most ``BATCH_ROWS`` rows covering ``count`` rows."""
-    return [slice(i, i + BATCH_ROWS) for i in range(0, count, BATCH_ROWS)]
+    value, slope = full(z, B.phase), full(z, 0.0)
+    for a in B.zeros:
+        b = b_factor(a, z)
+        slope = value * _b_factor_derivative(a, z) + slope * b
+        value = value * b
+    return slope
 
 
 def pseudo_distance(z: complex, w: complex) -> float:
@@ -277,16 +260,9 @@ def gpv_bound_check(
     n_angles = max(8, samples_per_disc // 5)
     zs = np.array([PseudoDisc(a, alpha).sample(n_radii=5, n_angles=n_angles) for a in centers])
     depths = np.array([[1.0 - abs(a)] for a in centers])
-    local = []
-    for part in row_slices(len(centers)):
-        local += np.min(np.abs(blaschke_derivative(B, zs[part])) * depths[part], axis=1).tolist()
-    rows = []
-    beta_hat = math.inf
-    for i, a, defl, beta in zip(marked, centers, deflated, local):
-        beta_hat = min(beta_hat, beta)
-        rows.append(GpvRow(index=i, center=a, deflated=defl, beta_local=beta))
-    if not rows:
-        beta_hat = 0.0
+    local = np.min(np.abs(blaschke_derivative(B, zs)) * depths, axis=1).tolist() if centers else []
+    rows = [GpvRow(index=i, center=a, deflated=defl, beta_local=beta)
+            for i, a, defl, beta in zip(marked, centers, deflated, local)]
 
     return GpvReport(
         delta=delta,
@@ -294,7 +270,7 @@ def gpv_bound_check(
         disjoint=disjoint,
         min_pairwise_rho=min_rho,
         rho_threshold=threshold,
-        beta_hat=beta_hat,
+        beta_hat=min(local, default=0.0),
         per_zero=tuple(rows),
         truncation_tail=truncation_tail,
     )

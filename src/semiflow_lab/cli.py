@@ -304,8 +304,15 @@ def _zeros_from_config(config):
     if fam.get("kind", "geometric") == "geometric":
         count = config_integer("count", fam.get("count", 12))
         ratio = config_positive("ratio", fam.get("ratio", 0.5), below=1.0)
-        return radial_zeros(count, ratio), ratio
+        return radial_zeros(_geometric_count("count", count, ratio), ratio), ratio
     raise ConfigError("provide either 'zeros' or a geometric 'family'")
+
+
+def _geometric_count(key, count, ratio):
+    """``count``, once the geometric family's deepest zero 1 - ratio**count is below 1.0."""
+    if 1.0 - ratio ** count >= 1.0:
+        raise ConfigError(f"config key {key!r} = {count} puts the zero 1 - {ratio}**{count} at 1.0, on the circle")
+    return count
 
 
 def run_gpv(config, seed):
@@ -317,7 +324,7 @@ def run_gpv(config, seed):
         if ratio is None:
             raise ConfigError("stability_counts need a geometric 'family': listed zeros name no truncations")
         counts = config_numbers("stability_counts", config["stability_counts"])
-        counts = [config_integer("stability_counts", c) for c in counts]
+        counts = [_geometric_count("stability_counts", config_integer("stability_counts", c), ratio) for c in counts]
     B = BlaschkeProduct(zeros)
     report = gpv_bound_check(B, alpha=alpha, samples_per_disc=samples)
     verdicts = [

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .analytic import AnalyticFn, BlochGridNorm, GridSpec, Power, Product
-from .blaschke import BlaschkeProduct, interpolation_delta, pseudo_distance, row_slices
+from .blaschke import BlaschkeProduct, interpolation_delta, pseudo_distance
 from .cocycles import Coboundary, Weight, WeightedSemigroup, _multiplier, _z_derivative, weighted_z_derivative
 from .errors import (
     BisectionError,
@@ -423,12 +423,8 @@ def separability_witness(
     rots = reduce_rotations(rotations)
     interpolation_delta(B)  # refuses a repeated zero
     norm = BlochGridNorm(grid)
-    gammas = np.array([[cmath.exp(-1j * th)] for th in rots])
-    samples = []
-    for part in row_slices(len(rots)):
-        gamma = gammas[part]  # a column: one rotation a row
-        samples.extend(norm.sample(lambda z: B.eval(gamma * z + 0j),
-                                   lambda z: B.jet(gamma * z + 0j)[1] * gamma))
+    gamma = np.array([cmath.exp(-1j * th) for th in rots], dtype=complex).reshape(-1, 1)  # one rotation a row
+    samples = norm.sample(lambda z: B.eval(gamma * z + 0j), lambda z: B.jet(gamma * z + 0j)[1] * gamma)
     n = len(rots)
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):

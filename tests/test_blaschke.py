@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import semiflow_lab as sl
 from semiflow_lab import blaschke
@@ -86,6 +88,53 @@ def test_derivative_matches_centered_difference(rng):
             exact = sl.blaschke_derivative(B, z)
             fd = (sl.blaschke_eval(B, z + h) - sl.blaschke_eval(B, z - h)) / (2 * h)
             assert abs(exact - fd) <= 1e-5 * (1 + abs(exact))
+
+
+def test_derivative_of_an_empty_product_is_zero_on_the_batch():
+    B = sl.BlaschkeProduct((), theta=0.4)
+    zs = np.full((3, 4), 0.2 - 0.1j)
+    got = sl.blaschke_derivative(B, zs)
+    assert got.shape == (3, 4) and got.dtype == complex and not got.any()
+    assert sl.blaschke_derivative(B, 0.2 - 0.1j) == 0
+
+
+def test_derivative_at_a_zero_is_its_factor_slope_times_the_others():
+    # at a zero a_k every other term holds b_k(a_k) = 0, so B'(a_k) = e^{i theta} b'_k(a_k) prod_{j != k} b_j(a_k)
+    for B in product_corpus():
+        want = []
+        for k, a in enumerate(B.zeros):
+            slope = 1.0 if a == 0 else (abs(a) / a) * (abs(a) ** 2 - 1.0) / (1.0 - a.conjugate() * a) ** 2
+            others = math.prod(sl.b_factor(b, a) for j, b in enumerate(B.zeros) if j != k)
+            want.append(B.phase * slope * others)
+        got = sl.blaschke_derivative(B, np.array(B.zeros))
+        for k, a in enumerate(B.zeros):
+            for value in (got[k], sl.blaschke_derivative(B, a)):
+                assert abs(value - want[k]) <= 1e-14 * abs(want[k])
+
+
+zero_points = st.one_of(
+    st.just(0j),
+    st.builds(lambda r, t: r * cmath.exp(1j * t), st.floats(0.0, 0.999), st.floats(0.0, 2 * math.pi)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(zero_points, min_size=1, max_size=8), st.booleans(), st.floats(0.0, 2 * math.pi),
+       st.lists(zero_points, min_size=1, max_size=6))
+def test_derivative_is_the_mobius_factor_product_rule(zeros, repeat, theta, zs):
+    # the forward rule against the jet of the product of Mobius factors, an independent formula for
+    # each factor's slope, to 1e-12 of the size sum_k |b'_k(z)| prod_{j != k} |b_j(z)| of the terms
+    zeros = zeros + zeros[-1:] * repeat  # a repeated zero
+    assume(all(sl.pseudo_distance(z, a) >= 1e-2 for z in zs for a in zeros))
+    B = sl.BlaschkeProduct(zeros, theta)
+    batch = sl.blaschke_derivative(B, np.array(zs))
+    for z, got in zip(zs, batch):
+        sizes = [(1.0 - abs(a) ** 2) / abs(1.0 - a.conjugate() * z) ** 2 for a in B.zeros]
+        scale = sum(size * math.prod(sl.pseudo_distance(z, b) for j, b in enumerate(B.zeros) if j != k)
+                    for k, size in enumerate(sizes))
+        want = B._series().jet(z)[1]
+        for value in (got, sl.blaschke_derivative(B, z)):
+            assert abs(value - want) <= 1e-12 * scale
 
 
 def test_pseudo_distance_basics():
@@ -184,17 +233,16 @@ def gpv_rows_one_disc_a_call(B, marked, alpha, samples_per_disc):
     return tuple(rows)
 
 
-@pytest.mark.parametrize("batch_rows", [blaschke.BATCH_ROWS, 3])
 @pytest.mark.parametrize("zeros, marked", [
     (sl.radial_zeros(12), None),
     ((0.0, 0.5 + 0.3j, 0.5 - 0.3j, -0.6, -0.2j), None),  # the origin and a conjugate pair
     ((0.4 - 0.2j,), None),
     (sl.radial_zeros(12), []),
     (sl.radial_zeros(12), [0, 3, 4, 7, 11]),
-], ids=["geometric", "listed", "one-zero", "none-marked", "marked-subset"])
-def test_gpv_batch_is_the_per_disc_evaluation_bit_for_bit(monkeypatch, zeros, marked, batch_rows):
-    # the discs are one (discs, points) batch, split every batch_rows rows; 3 splits 5 discs 3 + 2
-    monkeypatch.setattr(blaschke, "BATCH_ROWS", batch_rows)
+    (sl.radial_zeros(40), None),
+], ids=["geometric", "listed", "one-zero", "none-marked", "marked-subset", "forty-zeros"])
+def test_gpv_batch_is_the_per_disc_evaluation_bit_for_bit(monkeypatch, zeros, marked):
+    # every marked disc is a row of one (discs, points) batch, evaluated by one call; no disc, no call
     calls = []
     derivative = blaschke.blaschke_derivative
     monkeypatch.setattr(blaschke, "blaschke_derivative", lambda B, z: calls.append(z.shape) or derivative(B, z))
@@ -204,7 +252,7 @@ def test_gpv_batch_is_the_per_disc_evaluation_bit_for_bit(monkeypatch, zeros, ma
     want = gpv_rows_one_disc_a_call(B, marked, 0.1, 80)
     assert rep.per_zero == want
     assert rep.beta_hat == min((r.beta_local for r in want), default=0.0)
-    assert calls == [(min(batch_rows, len(marked) - k), 81) for k in range(0, len(marked), batch_rows)]
+    assert calls == ([(len(marked), 81)] if marked else [])
 
 
 def test_pseudo_disc_sampling():

@@ -26,6 +26,7 @@ from semiflow_lab.flows import flow_from_json
 from semiflow_lab.gap import SEPARATION_FLOOR
 from conftest import replaced
 
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 RADIAL = {"type": "ode", "G": {"op": "poly", "coeffs": [[0, 0], [-1, 0]]}, "tol": 1e-12}
 
 
@@ -189,6 +190,21 @@ def test_gpv_on_one_zero_has_no_pairwise_distance(tmp_path, payload):
     verdict = read_report(tmp_path / "out")["verdicts"][0]
     assert verdict["name"] == "pseudo-discs-disjoint" and verdict["passed"] and verdict["value"] is None
     assert read_report(tmp_path / "out", "gpv_report.json")["min_pairwise_rho"] is None
+
+
+@pytest.mark.parametrize("subcommand, payload, key", [
+    ("gpv", {"family": {"kind": "geometric", "count": 60, "ratio": 0.5}}, "count"),
+    ("gpv", {**json.loads((CONFIGS / "gpv_geometric.json").read_text()), "stability_counts": [12, 60]},
+     "stability_counts"),
+    ("separability", {"family": {"kind": "geometric", "count": 3, "ratio": 1e-20}, "rotations": {"count": 2}},
+     "count"),
+], ids=["gpv-family", "gpv-stability", "separability-family"])
+def test_a_family_whose_deepest_zero_rounds_to_one_exits_2(tmp_path, capsys, subcommand, payload, key):
+    # 1 - ratio**count is 1.0 in floating point: that zero would sit on the circle
+    assert run(subcommand, write_config(tmp_path, "c.json", payload), tmp_path / "out") == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: config key {key!r} = ") and line.endswith("at 1.0, on the circle")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bloch_gap_subcommand(tmp_path):
@@ -714,7 +730,6 @@ def test_metadata_is_separate(tmp_path):
     assert "timestamp" not in report
 
 
-CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = {
     "bloch_gap_auto_parabolic": "bloch-gap-auto",
     "bloch_gap_radial": "bloch-gap",

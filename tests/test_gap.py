@@ -367,6 +367,8 @@ def test_separability_single_rotation_vacuous():
     grid = separability_grid(B.zeros, [0.0])
     rep = sl.separability_witness(B, [0.0], grid)
     assert rep.eps_hat is None
+    rep = sl.separability_witness(B, [], grid)  # an empty (0, points) batch
+    assert rep.rotations == rep.matrix == () and rep.eps_hat is None
 
 
 def test_separability_two_rotations():
@@ -415,15 +417,14 @@ def test_separability_matrix_equals_the_difference_tree_norms(zeros, rotations):
                 assert rep.matrix[i][j] == rep.matrix[j][i] == want
 
 
-@pytest.mark.parametrize("batch_rows", [blaschke.BATCH_ROWS, 3])
 @pytest.mark.parametrize("zeros, rotations", [
     (sl.radial_zeros(10), [2.0 * math.pi * k / 8 for k in range(8)]),  # the shipped config
     ((0.5 + 0.1j, 0.8 - 0.2j, 0.3 + 0.6j), [0.0, 0.37, 1.1, 2.9, 3.05, 5.5, 6.2]),
-], ids=["shipped", "uneven"])
-def test_separability_batch_is_the_per_rotation_trees_bit_for_bit(monkeypatch, zeros, rotations, batch_rows):
-    # the rotations are one (rotations, points) batch, split every batch_rows rows; with 3 the
-    # 8 and 7 rotations split 3 + 3 + 2 and 3 + 3 + 1.  Each is sampled as its own tree B(e^{-it} z).
-    monkeypatch.setattr(blaschke, "BATCH_ROWS", batch_rows)
+    (sl.radial_zeros(10), [2.0 * math.pi * k / 20 for k in range(20)]),
+], ids=["shipped", "uneven", "twenty"])
+def test_separability_batch_is_the_per_rotation_trees_bit_for_bit(monkeypatch, zeros, rotations):
+    # the rotations are one (rotations, points) batch, sampled by one call; each row is the
+    # rotation's own tree B(e^{-it} z)
     calls = []
     derivative = blaschke.blaschke_derivative
     monkeypatch.setattr(blaschke, "blaschke_derivative", lambda B, z: calls.append(z.shape[0]) or derivative(B, z))
@@ -432,7 +433,7 @@ def test_separability_batch_is_the_per_rotation_trees_bit_for_bit(monkeypatch, z
     for grid in (coarse, coarse.refine()):
         calls.clear()
         rep = sl.separability_witness(B, rotations, grid)
-        assert calls == [min(batch_rows, len(rotations) - k) for k in range(0, len(rotations), batch_rows)]
+        assert calls == [len(rotations)]
         norm = sl.BlochGridNorm(grid)
         fns = [sl.Compose(B, sl.Polynomial((0.0, cmath.exp(-1j * th)))) for th in rep.rotations]
         samples = [norm.sample(f, f.derivative()) for f in fns]
