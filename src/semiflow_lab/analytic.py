@@ -9,7 +9,9 @@ recurrence.  A node writes its rule as straight-line Python (``_emit``), and
 each entry point (``eval``, ``eval_anywhere``, ``jet``) runs one function per
 tree, built from those lines on first use, kept per tree value (an equal
 tree rebuilt from JSON reuses it) and compiled once per distinct source
-(trees that differ only in their constants share it).  The lines keep
+(trees that differ only in their constants share it).  ``orbit_system``
+writes the lines of a vector field G, and of a weight g, into one such
+function: the integrator's right-hand side along an orbit.  The lines keep
 every operation of the rule and the order of its operands, so the numbers
 are those of the rule evaluated node by node, bit for bit; a coefficient
 that nothing reads is not computed.  ``derivative()`` returns a
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SingularityError, config_integer, config_number
 from .errors import config_pair, config_parser, config_positive, json_form, record
-from .pointwise import exp, full, log, nonfinite, points, raise_at  # the compiled code reads these by name
+from .pointwise import exp, full, larger, log, nonfinite, points, raise_at  # the compiled code reads these by name
 
 DEFAULT_GUARD_RADIUS = 1e-9
 
@@ -140,13 +142,19 @@ class _Emitter:
         self.do(f"if (mask := {mask}) is not False: "
                 f"raise_at(mask, {z}, {error}, {message!r}{''.join(', ' + a for a in args)})")
 
-    def build(self, name):
-        """``make(node)``: binds a tree's values and returns the entry function on z."""
+    def guard_finite(self, coeffs, z):
+        """``coeffs``, once a guard refuses a non-finite one; the literals need no test."""
+        if tested := [f"nonfinite({c})" for c in coeffs if c not in ("_ZERO", "_ONE")]:
+            self.guard(" | ".join(tested), z, "non-finite value at {}")
+        return coeffs
+
+    def build(self, name, params="z"):
+        """``make(node)``: binds a tree's values and returns the entry function on ``params``."""
         live = set()
         lines = _prune(self.lines, live)
         binds = _prune(self.binds, live)
         source = "\n".join(["def make(node):", *_render(binds, "    "),
-                            "    def entry(z):", *_render(lines, "        "), "    return entry"])
+                            f"    def entry({params}):", *_render(lines, "        "), "    return entry"])
         return _exec_make(source, name, tuple(self.namespace.items()))
 
 
@@ -176,9 +184,21 @@ def _render(lines, indent):
 
 @lru_cache(maxsize=1024)
 def _maker(tree, entry):
-    """The ``make`` function of ``entry`` for every tree equal to ``tree``:
-    an entry point's function, or ``_jet`` at the order ``entry``."""
+    """The ``make`` function of ``entry`` for every tree equal to ``tree``: an entry
+    point's function, ``_jet`` at the order ``entry``, or an ``orbit_system``."""
     em = _Emitter()
+    if entry == "orbit":  # tree is the pair (G, g), and g may be None
+        trees = [f for f in tree if f is not None]
+        em.do("w, v = y" if len(trees) == 1 else
+              "w, v, I, J = y; peak[0] = larger(peak[0], larger(abs(I), abs(J)))")
+        stage = []
+        for i, f in enumerate(trees):
+            stage += em.guard_finite(f._emit(em, f"node[{i}]", "w", 1), "w")
+        stage[1::2] = [em.let(f"{slope} * v") for slope in stage[1::2]]
+        rows = "".join(f"; out[{i}] = {c}" for i, c in enumerate(stage))
+        em.do(f"if isinstance(y, np.ndarray): out = np.empty_like(y){rows}; return out")
+        em.do(f"return {', '.join(stage)}")
+        return em.build("<orbit system>", "y" if len(trees) == 1 else "peak, y")
     if isinstance(entry, int):
         coeffs = tree._emit(em, "node", "z", entry)
         em.do(f"return ({''.join(c + ', ' for c in coeffs)})")
@@ -186,8 +206,7 @@ def _maker(tree, entry):
         em.do("z = points(z)")
         if entry == "eval":
             em.guard("abs(z) >= 1.0", "z", "{} is not inside the open unit disc", error="DomainError")
-        coeffs = tree._emit(em, "node", "z", 1 if entry == "jet" else 0)
-        em.guard(" | ".join(f"nonfinite({c})" for c in coeffs), "z", "non-finite value at {}")
+        coeffs = em.guard_finite(tree._emit(em, "node", "z", 1 if entry == "jet" else 0), "z")
         em.do(f"return {', '.join(f'full(z, {c})' for c in coeffs)}")
     return em.build(f"<{type(tree).__name__}.{entry}>")
 
@@ -196,6 +215,17 @@ def _compiled(tree, entry):
     # an equal tree's code with this tree's own values: records compare 0.0
     # and -0.0 as equal, and a signed zero must reach the arithmetic as it is
     return _maker(tree, entry)(tree)
+
+
+def orbit_system(G, g=None):
+    """The right-hand side of an orbit system of w' = G(w) for ``flows._integrate``, as one
+    compiled function: on the state (w, v) the stage (G(w), G'(w) v), the variational flow;
+    with a weight g, on (w, v, I, J) the stage (G(w), G'(w) v, g(w), g'(w) v), the cocycle
+    sweep, called as f(peak, y) to raise peak[0] to the largest |I|, |J| met so far.  Its
+    lines are G's jet and then g's, each with its guards and then its finiteness test, so the
+    values and refusals are the trees' own jets'.  A batch's state (rows of an ndarray) gives
+    one array of its shape, one point's (a tuple of Python complexes) a tuple."""
+    return _compiled((G, g), "orbit")
 
 
 def _cauchy(em, a, b) -> list:

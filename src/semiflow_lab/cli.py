@@ -2,8 +2,9 @@
 
 Every laboratory check is a subcommand reading a JSON config and writing
 machine-readable reports: report.json (verdicts and summary numbers), one
-CSV per table, and metadata.json (wall clock; kept separate so reruns with
-the same config produce byte-identical report and CSV bodies).  Exit code
+CSV per table, and metadata.json (wall clock and the integrator's work
+counters; kept separate so reruns with the same config produce
+byte-identical report and CSV bodies).  Exit code
 0 iff every verdict passes.
 
 Every JSON object of a config records the keys its readers read, and a key
@@ -59,7 +60,7 @@ from .errors import (
     json_form,
 )
 from .flows import _check_ladder, check_semigroup, flow_from_json, generator_fd, map_from_json
-from .flows import automorphism_generator
+from .flows import automorphism_generator, counting
 from .gap import SEPARATION_FLOOR, bloch_gap_verdicts, bloch_gaps, construct_case1, construct_case2
 from .gap import reduce_rotations, separability_witness
 
@@ -460,7 +461,7 @@ def _write_report(out_dir, subcommand, config, verdicts, tables, error=None):
     )
 
 
-def _write_outputs(out_dir, subcommand, config, verdicts, tables, extras, wall_clock):
+def _write_outputs(out_dir, subcommand, config, verdicts, tables, extras, wall_clock, counters=None):
     _write_report(out_dir, subcommand, config, verdicts, tables)
     for name, (header, rows) in tables.items():
         buf = io.StringIO()
@@ -473,7 +474,7 @@ def _write_outputs(out_dir, subcommand, config, verdicts, tables, extras, wall_c
             os.path.join(out_dir, f"{name}.json"),
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         )
-    meta = {"wall_clock_seconds": wall_clock, "timestamp": time.time()}
+    meta = {"wall_clock_seconds": wall_clock, "timestamp": time.time(), "counters": counters}
     _write_atomic(
         os.path.join(out_dir, "metadata.json"), json.dumps(meta, indent=2) + "\n"
     )
@@ -506,7 +507,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     result = error = None
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), counting() as counters:
             # a typed check refuses every non-finite value; numpy's warning on the way adds nothing
             warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
             result = RUNNERS[args.subcommand](config, args.seed)
@@ -526,7 +527,7 @@ def main(argv=None) -> int:
     verdicts, tables = result[0], result[1]
     extras = result[2] if len(result) > 2 else {}
 
-    _write_outputs(args.out, args.subcommand, config, verdicts, tables, extras, wall)
+    _write_outputs(args.out, args.subcommand, config, verdicts, tables, extras, wall, counters)
     for name, passed, value, _ in verdicts:
         print(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f" value={value}" if value is not None else ""))
     return 0 if all(passed for _, passed, _, _ in verdicts) else 1

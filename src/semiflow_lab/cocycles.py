@@ -7,15 +7,16 @@ variational system and is exponentiated once, which sidesteps any branch
 ambiguity.  A coboundary m_t(z) = alpha(phi_t(z))/alpha(z) is evaluated directly.
 Every reader takes m_t (and m_t', phi_t, phi_t') from one kernel, ``_cocycle``, which
 decides the weight kind once; ``gap.bloch_gaps`` applies its ``_multiplier`` to shared runs.
-The sweep, ``apply_weighted`` and ``weighted_z_derivative`` take one point or
-an ndarray of points; a batch shares one integrator run.  The sweep, the
-cocycles, ``apply_weighted`` and the checks also take an ndarray with a time
-per point.
+Each stage of the sweep is one call of ``analytic.orbit_system(G, g)``, compiled
+once per semigroup.  The sweep, ``apply_weighted`` and ``weighted_z_derivative``
+take one point or an ndarray of points; a batch shares one integrator run.  The
+sweep, the cocycles, ``apply_weighted`` and the checks also take an ndarray with
+a time per point.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -29,12 +30,13 @@ from .analytic import (
     Sum,
     fn_from_json,
     guard_points,
+    orbit_system,
 )
 from .errors import ConfigError, DomainError, QuadratureError, SingularityError
 from .errors import config_pair, config_parser, record
 from .flows import ConformalMap, FlowModel
 from .flows import _check_ladder, _check_start, _integrate, _ladder_slope
-from .pointwise import exp, full, larger, legs, nonfinite, points, raise_at, times, two_legs
+from .pointwise import exp, full, legs, nonfinite, points, raise_at, times, two_legs
 
 # DOP853 local errors scale with the largest state met along the way, so an
 # integral that swells this far above its end value has lost its digits.
@@ -84,9 +86,9 @@ class WeightedSemigroup:
         return isinstance(self.weight, Weight) and not isinstance(self.weight.g, Constant)
 
     @cached_property
-    def _variational_trees(self):
-        """(G, g) for the sweep's right-hand side, built once per semigroup."""
-        return self.flow.generator_fn(), self.weight.g
+    def _sweep_system(self):
+        """The sweep's compiled right-hand side, ``orbit_system(G, g)``, built once per semigroup."""
+        return orbit_system(self.flow.generator_fn(), self.weight.g)
 
 
 def _sweep(wsg: WeightedSemigroup, z, t):
@@ -96,22 +98,14 @@ def _sweep(wsg: WeightedSemigroup, z, t):
     Integrates the variational system y = (w, v, I, J) with w' = G(w),
     v' = G'(w) v, I' = g(w), J' = g'(w) v from (z, 1, 0, 0) (Hairer, Norsett
     & Wanner, Solving ODEs I, sec. I.14), so I_t is the integral of g along
-    the orbit and J_t its z-derivative.  (G, G') and (g, g') come from one
-    jet each.  Refuses with QuadratureError when
+    the orbit and J_t its z-derivative.  Each stage is one call of the
+    semigroup's compiled ``orbit_system(G, g)``, which reads (G, G') and
+    (g, g') from the trees' jet lines.  Refuses with QuadratureError when
     I or J swelled far above its end value on the way, at any point of z.
     """
-    G, g = wsg._variational_trees
-    peak = abs(full(z, 0.0))  # largest |I|, |J| so far, per point
-
-    def rhs(y):
-        nonlocal peak
-        w, v, I, J = y
-        peak = larger(peak, larger(abs(I), abs(J)))
-        (Gw, dG), (gw, dg) = G.jet(w), g.jet(w)
-        return Gw, dG * v, gw, dg * v
-
-    w, v, I, J = _integrate(rhs, (z, 1.0, 0.0, 0.0), t, wsg.flow.tol)
-    swell = peak / (1.0 + abs(I) + abs(J))
+    peak = [abs(full(z, 0.0))]  # largest |I|, |J| so far, per point, which each stage raises
+    w, v, I, J = _integrate(partial(wsg._sweep_system, peak), (z, 1.0, 0.0, 0.0), t, wsg.flow.tol)
+    swell = peak[0] / (1.0 + abs(I) + abs(J))
     raise_at(swell > SWELL_LIMIT, swell, QuadratureError,
              "cocycle integral swelled {:.3e} times above its end value")
     return w, v, I, J

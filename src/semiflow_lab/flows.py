@@ -13,12 +13,15 @@ ndarray of them; a batch shares one adaptive step sequence.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import contextvars
 import math
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .analytic import AnalyticFn, Compose, Constant, Mobius, Polynomial, Product, Quotient, fn_from_json
+from .analytic import orbit_system
 from .errors import (
     ConfigError,
     DomainError,
@@ -102,6 +105,33 @@ _E3 = (
 )
 
 
+# The integrator's work in the open ``counting`` block of this context, if any.
+_COUNTS = contextvars.ContextVar("integrator_counts", default=None)
+
+
+@contextlib.contextmanager
+def counting():
+    """A dict of the integrator's work inside the block: runs, accepted and
+    rejected trial steps and right-hand-side evaluations, summed over the
+    ``_integrate`` calls that return there.  Each call counts in locals and
+    adds its counts once, as it returns; a call that raises adds none."""
+    counts = dict.fromkeys(("integrator_runs", "accepted_steps", "rejected_steps", "rhs_evals"), 0)
+    token = _COUNTS.set(counts)
+    try:
+        yield counts
+    finally:
+        _COUNTS.reset(token)
+
+
+def _count(steps, accepted, evals):
+    counts = _COUNTS.get()
+    if counts is not None:
+        counts["integrator_runs"] += 1
+        counts["accepted_steps"] += accepted
+        counts["rejected_steps"] += steps - accepted
+        counts["rhs_evals"] += evals
+
+
 def _integrate(rhs, y0, t_end, tol: float):
     """Adaptive DOP853 from 0 to t_end; returns the state as a tuple of components.
 
@@ -110,11 +140,11 @@ def _integrate(rhs, y0, t_end, tol: float):
     Python complexes.  An ndarray start y0[0] is a batch: the state is one
     complex array of shape (components, points), a scalar component spread
     over the points, so each stage is one numpy expression over the whole
-    array; rhs gets that array (its rows are the components) and returns one
-    array of the batch's shape per component.  The points of a batch share
-    one step sequence; the fifth- and third-order error norms are each the
-    largest scaled error over the points and components, and ``_error``
-    blends them.
+    array; rhs gets that array (its rows are the components) and returns the
+    stage as one such array (an ``orbit_system`` does) or one row per
+    component.  The points of a batch share one step sequence; the fifth- and
+    third-order error norms are each the largest scaled error over the points
+    and components, and ``_error`` blends them.
 
     t_end is a float, or, for a batch, an ndarray of non-negative end times,
     one per point.  Per-point end times rescale time: the loop runs to the
@@ -132,17 +162,18 @@ def _integrate(rhs, y0, t_end, tol: float):
         unstacked = rhs
 
         def rhs(y):
-            k = np.array(unstacked(y))
+            k = np.asarray(unstacked(y))
             return k if scale is None else scale * k
     else:
         y = tuple(complex(c) for c in y0)
         step = _tuple_step(len(y))
     raise_at(abs(y[0]) >= ESCAPE_RADIUS, y[0], EscapeError, "initial state {} at the escape radius")
     if t_end == 0.0:
+        _count(0, 0, 0)
         return tuple(y)
     t = 0.0
     h = min(t_end, 0.1)
-    steps = 0
+    steps = accepted = 0
     k1 = rhs(y)
     speed = float(abs(k1[0]).max()) if step is _stacked_step else abs(k1[0])
     h = min(h, 1.0 / speed) if speed > 10.0 else h  # from near a pole of G, a step of 0.1 leaps it
@@ -153,6 +184,7 @@ def _integrate(rhs, y0, t_end, tol: float):
         h = min(h, t_end - t)
         y_new, k_new, err = step(rhs, y, k1, h, tol)
         if err <= 1.0:
+            accepted += 1
             t += h
             y, k1 = y_new, k_new
             modulus = abs(y[0])
@@ -162,6 +194,7 @@ def _integrate(rhs, y0, t_end, tol: float):
         h *= min(5.0, max(0.2, factor))
         if h <= 0.0 or not math.isfinite(h):
             raise EscapeError("step size collapsed")
+    _count(steps, accepted, 1 + len(_A) * steps)  # k1, then stages 2-12 and k_new of each trial step
     return tuple(y)
 
 
@@ -360,15 +393,13 @@ class OdeFlow(FlowModel):
         return y[0]
 
     def _advance_with_derivative(self, z, t):
-        G = self.G
-
-        def rhs(y):
-            w, v = y
-            Gw, dG = G.jet(w)
-            return Gw, dG * v
-
-        y = _integrate(rhs, (z, 1.0), t, self.tol)
+        y = _integrate(self._variational_flow, (z, 1.0), t, self.tol)
         return y[0], y[1]
+
+    @cached_property
+    def _variational_flow(self):
+        """(w, v) -> (G(w), G'(w) v), compiled once per flow."""
+        return orbit_system(self.G)
 
     def generator_fn(self):
         return self.G
@@ -644,6 +675,10 @@ def _automorphism_group(flow: FlowModel):
     a, beta = group
     if a == 0 and beta == 0:
         raise ModelError("the trivial flow G = 0 moves no point: it has no kind")
+    # the roots, kind and test do not change when a and beta are scaled alike: by a power of
+    # two, that is exact, and it keeps |a|^2 and beta^2 in range at any speed of the group
+    _, e = math.frexp(max(abs(a), abs(beta)))
+    a, beta = complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)), math.ldexp(beta, -e)
     disc = 4.0 * abs(a) ** 2 - beta ** 2
     parabolic = abs(disc) <= AUTOMORPHISM_TOL * (4.0 * abs(a) ** 2 + beta ** 2)
     kind = "parabolic" if parabolic else "hyperbolic" if disc > 0 else "elliptic"

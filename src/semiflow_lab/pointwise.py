@@ -60,9 +60,11 @@ def legs(y):
 def raise_at(mask, z, error, message: str, *args):
     """Raise ``error(message.format(p, *args))`` for the first point p of z where
     ``mask`` holds; an ndarray among ``args`` gives its entry at that point too.
-    The message is only formatted when it is raised."""
+    The message is only formatted when it is raised.  A mask array is tested
+    with ``np.count_nonzero``, one C call, where ``mask.any()`` goes through a
+    Python wrapper: a guard that holds nowhere, the usual case, costs little."""
     if isinstance(mask, _ndarray):
-        if not mask.any():
+        if not np.count_nonzero(mask):
             return
         z, *args = (np.broadcast_to(a, mask.shape)[mask][0].item() if isinstance(a, _ndarray) else a
                     for a in (z, *args))

@@ -417,3 +417,111 @@ def test_cocycle_start_outside_the_disc_is_refused(g, t):
     for slot in range(len(good) + 1):
         with pytest.raises(sl.DomainError, match=re.escape("(1.5+0j)")):
             sl.cocycle_eval(wsg, np.array(good[:slot] + [1.5] + good[slot:], dtype=complex), t)
+
+
+# The orbit systems: the integrator's right-hand sides, compiled from (G, g).
+
+components = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))  # -0.0 included
+
+
+def jets_stage(G, g, w, v):
+    """(G, G' v) and, given g, (g, g' v) from the trees' own jets."""
+    Gw, dG = G.jet(w)
+    if g is None:
+        return [Gw, dG * v]
+    gw, dg = g.jet(w)
+    return [Gw, dG * v, gw, dg * v]
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(fn_corpus()), st.one_of(st.none(), st.sampled_from(fn_corpus())),
+       st.lists(st.tuples(disc_points, components, components, components, st.floats(0.0, 3.0)),
+                min_size=1, max_size=6))
+def test_orbit_system_is_the_trees_jets_bit_for_bit(G, g, states):
+    # a batch gives one array of its state's shape, one point a tuple of Python complexes,
+    # each the trees' jets in its own layout, bit for bit; the sweep raises its swell peak
+    width = 2 if g is None else 4
+    y = np.array([state[:width] for state in states], dtype=complex).T
+    peaks = np.array([state[4] for state in states])
+    system = sl.analytic.orbit_system(G, g)
+    peak = [peaks.copy()]
+    stage = system(y) if g is None else system(peak, y)
+    assert type(stage) is np.ndarray and stage.shape == y.shape
+    assert bits(stage) == bits(jets_stage(G, g, y[0], y[1]))
+    if g is not None:
+        assert bits(peak[0]) == bits(np.maximum(peaks, np.maximum(abs(y[2]), abs(y[3]))).astype(complex))
+    for column, start in zip(y.T, peaks.tolist()):
+        point = tuple(complex(c) for c in column)
+        peak = [start]
+        stage = system(point) if g is None else system(peak, point)
+        assert type(stage) is tuple and all(type(c) is complex for c in stage)
+        assert bits(stage) == bits(jets_stage(G, g, point[0], point[1]))
+        if g is not None:
+            assert peak[0] == max(start, max(abs(point[2]), abs(point[3])))
+
+
+def refusal(call):
+    """(type, message) of the package error ``call()`` raises; None when it returns."""
+    try:
+        call()
+    except sl.SemiflowError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# Trees that refuse a point: a guard disc, a pole, a vanishing denominator, a log of zero,
+# a negative power of zero and an overflow, which the finiteness test refuses.
+REFUSING_AT = [(GUARDED, 0.5004), (MOBIUS_POLE, 0.5), (ZERO_DENOMINATOR, 0.3), (sl.Log(POLE), 0.5),
+               (sl.Power(POLE, -2), 0.5), (sl.Exp(sl.Polynomial([0, 800])), 0.95)]
+orbit_trees = st.one_of(st.sampled_from([tree for tree, _ in REFUSING_AT]), st.sampled_from(fn_corpus()))
+
+
+@pytest.mark.parametrize("tree, bad", REFUSING_AT,
+                         ids=["guarded-quotient", "mobius-pole", "quotient-zero", "log-zero", "negative-power",
+                              "exp-overflow"])
+@pytest.mark.parametrize("role", ["field", "weight"])
+def test_orbit_system_refuses_in_any_slot_as_the_jet_does(tree, bad, role):
+    G, g = (tree, sl.Identity()) if role == "field" else (sl.Polynomial([0, -1]), tree)
+    system = sl.analytic.orbit_system(G, g)
+    expected = refusal(lambda: tree.jet(bad))
+    assert expected is not None and refusal(lambda: system([0.0], (complex(bad), 1j, 0j, 0j))) == expected
+    good = [0.1, -0.2j, 0.3 + 0.3j]
+    for slot in range(len(good) + 1):
+        w = np.array(good[:slot] + [bad] + good[slot:], dtype=complex)
+        assert refusal(lambda: system([np.zeros(w.shape)], np.array([w, 1j + 0 * w, w, w]))) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_trees, st.one_of(st.none(), orbit_trees),
+       st.lists(st.one_of(disc_points, st.sampled_from([complex(bad) for _, bad in REFUSING_AT])),
+                min_size=1, max_size=6))
+def test_orbit_system_refuses_as_its_trees_do(G, g, ws):
+    # the batch raises what G's jet raises on it, else what g's does (G's guards fire
+    # first, wherever g's point sits), and that is what the point it names raises alone
+    w = np.array(ws, dtype=complex)
+    y = np.array([w, np.ones_like(w), w, w])[:2 if g is None else 4]
+    system = sl.analytic.orbit_system(G, g)
+    run = system if g is None else (lambda state: system([abs(state[0] * 0)], state))  # peak 0 per point
+    batch = refusal(lambda: run(y))
+    assert batch == (refusal(lambda: G.jet(w)) or (g is not None and refusal(lambda: g.jet(w))) or None)
+    alone = [refusal(lambda point=tuple(column.tolist()): run(point)) for column in y.T]
+    # the message names the point, so the batch's refusal is the one its point makes alone
+    assert batch in alone if batch else alone == [None] * len(ws)
+
+
+@pytest.mark.parametrize("points", [[0.5, 0.1, 0.3], [0.3, 0.1, 0.5]], ids=["pole-first", "zero-first"])
+@pytest.mark.parametrize(
+    "G, g, message",
+    [(MOBIUS_POLE, ZERO_DENOMINATOR, "Mobius pole at (0.5+0j)"),
+     (ZERO_DENOMINATOR, MOBIUS_POLE, "denominator vanishes at (0.3+0j)")],
+    ids=["mobius-field", "quotient-field"],
+)
+def test_orbit_system_runs_the_fields_guards_before_the_weights(points, G, g, message):
+    w = np.array(points, dtype=complex)
+    with pytest.raises(sl.SingularityError) as raised:
+        sl.analytic.orbit_system(G, g)([np.zeros(3)], np.array([w, w, w, w]))
+    assert str(raised.value) == message

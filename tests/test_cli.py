@@ -364,6 +364,23 @@ def test_exit_code_on_an_escaping_case_1_flow(tmp_path):
     assert read_report(tmp_path / "out")["error"]["type"] == "EscapeError"
 
 
+@pytest.mark.parametrize("flow, error", [
+    ({"type": "automorphism", "kind": "parabolic", "speed": 1e300, "reflect": True}, "InverseError"),
+    ({"type": "automorphism", "kind": "hyperbolic", "rate": 1e300}, "CaseMismatch"),
+    ({"type": "automorphism", "kind": "elliptic", "omega": 1e300}, "BisectionError"),
+    ({"type": "automorphism", "kind": "hyperbolic", "rate": 1e-300}, "CaseMismatch"),
+], ids=["parabolic", "hyperbolic", "elliptic", "hyperbolic-slow"])
+def test_a_group_whose_generator_squares_out_of_range_ends_in_its_typed_error(tmp_path, capsys, flow, error):
+    # |a|^2 and beta^2 overflowed a Python float (OverflowError, no report.json), or underflowed
+    # to a zero discriminant and a ZeroDivisionError; the group is now classified scale-free,
+    # and the run ends in the error its construction meets
+    payload = json.loads((CONFIGS / "bloch_gap_auto_parabolic.json").read_text())
+    cfg = write_config(tmp_path, "c.json", {**payload, "flow": flow})
+    assert run("bloch-gap-auto", cfg, tmp_path / "out") == 1
+    assert read_report(tmp_path / "out")["error"]["type"] == error
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+
+
 def test_trivial_flow_is_a_case_mismatch(tmp_path, capsys):
     # G = 0 fits the automorphism form with a = beta = 0, but neither construction applies to it
     cfg = write_config(tmp_path, "c.json", {"flow": {"type": "ode", "G": {"op": "const", "value": [0, 0]}}})
@@ -728,6 +745,29 @@ def test_metadata_is_separate(tmp_path):
     assert "wall_clock_seconds" in meta and "timestamp" in meta
     report = read_report(tmp_path / "out")
     assert "timestamp" not in report
+
+
+def test_metadata_counts_the_integrators_work(tmp_path):
+    # three runs: both legs of the semigroup identity as one batch, the stepped leg and the
+    # finite-difference ladder; DOP853 evaluates the right-hand side 12 times a trial step, plus k1
+    cfg = write_config(tmp_path, "c.json", {"flow": RADIAL, "n_points": 5})
+    assert run("flow-check", cfg, tmp_path / "out") == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["counters"] == {"integrator_runs": 3, "accepted_steps": 26, "rejected_steps": 0, "rhs_evals": 315}
+    assert "counters" not in read_report(tmp_path / "out")
+
+
+@pytest.mark.parametrize("flow, evals", [
+    (None, 219),  # the shipped config's G = -z
+    ({"type": "koenigs", "mode": "translate", "h": "cayley", "c": [0, 1]}, 303),
+], ids=["ode", "cayley-translate"])
+def test_cocycle_check_counts_at_seed_7(tmp_path, flow, evals):
+    # the counts README states: the identity's two runs and the ladder's one
+    payload = json.loads((CONFIGS / "cocycle_check_linear_weight.json").read_text())
+    cfg = write_config(tmp_path, "c.json", {**payload, "flow": flow or payload["flow"]})
+    assert main(["cocycle-check", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "7"]) == 0
+    counters = json.loads((tmp_path / "out" / "metadata.json").read_text())["counters"]
+    assert (counters["integrator_runs"], counters["rhs_evals"]) == (3, evals)
 
 
 SHIPPED = {

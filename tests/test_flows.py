@@ -401,6 +401,20 @@ def test_classify_parabolic():
     assert all(abs(p - 1.0) < 1e-4 for p in fps)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_automorphism_group_reads_alike_at_any_speed(scale):
+    # the discriminant 4|a|^2 - beta^2 is formed after scaling a and beta by a power of two,
+    # so neither square overflows a Python float (1e300 raised OverflowError) nor underflows
+    for flow, kind, fixed in [
+        (sl.Automorphism(kind="parabolic", speed=scale, reflect=True), "parabolic", [-1, -1]),
+        (sl.Automorphism(kind="hyperbolic", rate=scale), "hyperbolic", [1, -1]),
+        (sl.Automorphism(kind="elliptic", omega=scale), "elliptic", [0]),
+    ]:
+        assert sl.classify_automorphism(flow) == kind
+        points = sl.automorphism_fixed_points(flow)
+        assert sorted(points, key=lambda p: p.real) == pytest.approx(sorted(fixed), abs=1e-4)
+
+
 def test_classify_automorphism_integrates_nothing(integrations):
     # a = G(0), i beta = G'(0) and the form on |z| = 1/2 come from one jet of the generator tree
     assert sl.classify_automorphism(sl.ode_flow(sl.Polynomial([0, 1j]))) == "elliptic"
