@@ -3,6 +3,11 @@
 A product is stored as its zero list (multiplicity by repetition) plus a
 unimodular phase e^{i*theta}, and is itself an expression-tree leaf of
 ``analytic``.  Infinite products are represented by truncation.
+
+``pseudo_distance`` takes points or arrays; the certificates read the deflated
+products, the multiplicity test and the least separation off one row of rho
+per zero (``_rho_rows``), and sample all their pseudo-discs in one expression.
+A deflated product below the double range is refused with its log10.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from itertools import combinations
 
 import numpy as np
 
@@ -117,16 +121,25 @@ def blaschke_derivative(B: BlaschkeProduct, z):
     return slope
 
 
-def pseudo_distance(z: complex, w: complex) -> float:
-    """Pseudohyperbolic distance rho(z, w) = |(w - z)/(1 - conj(w) z)|."""
-    z = complex(z)
-    w = complex(w)
-    return abs((w - z) / (1.0 - w.conjugate() * z))
+def pseudo_distance(z, w):
+    """Pseudohyperbolic distance rho(z, w) = |w - z| / |1 - conj(w) z|, at a pair of points or,
+    either of them an array, at each point of it."""
+    z, w = points(z), points(w)
+    return abs(w - z) / abs(1.0 - w.conjugate() * z)
 
 
 def pseudo_sum(r1: float, r2: float) -> float:
     """Radius of the smallest rho-ball containing two tangent rho-balls: (r1+r2)/(1+r1*r2)."""
     return (r1 + r2) / (1.0 + r1 * r2)
+
+
+def _disc_points(centers, radius: float, n_radii: int, n_angles: int) -> np.ndarray:
+    """One row per centre a: a itself, then the circles rho = radius k / n_radii, k = 1..n_radii,
+    n_angles points each, as the images of s e^{2 pi i j / n_angles} under u -> (a - u)/(1 - conj(a) u)."""
+    a = np.asarray(centers, dtype=complex).reshape(-1, 1)
+    s = radius * np.arange(1, n_radii + 1) / n_radii
+    u = (s[:, None] * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)).ravel()
+    return np.concatenate([a, (a - u) / (1.0 - a.conj() * u)], axis=1)
 
 
 @record
@@ -142,21 +155,45 @@ class PseudoDisc:
         if not 0.0 < self.radius < 1.0:
             raise ValueError("radius must lie in (0,1)")
 
-    def sample(self, n_radii: int = 5, n_angles: int = 16):
+    def sample(self, n_radii: int = 5, n_angles: int = 16) -> np.ndarray:
         """Centre plus concentric pseudohyperbolic circles (closure sampled).
 
         Uniform Euclidean sampling under-resolves discs hugging the boundary,
         so points are drawn in rho-coordinates and pushed through the Mobius
         change of variables u -> (center - u)/(1 - conj(center) u).
         """
-        a = complex(self.center)
-        pts = [a]
-        for k in range(1, n_radii + 1):
-            s = self.radius * k / n_radii
-            for j in range(n_angles):
-                u = s * cmath.exp(2j * math.pi * j / n_angles)
-                pts.append((a - u) / (1.0 - a.conjugate() * u))
-        return pts
+        return _disc_points([self.center], self.radius, n_radii, n_angles)[0]
+
+
+def _rho_rows(zeros, marked):
+    """What the certificates read off each marked zero a_n's row rho(a_n, a_j) over all the zeros
+    a_j, made one row at a time so that memory stays O(len(zeros)): the deflated products
+    |(B / b_{a_n})(a_n)| = prod_{j != n} rho(a_n, a_j); the sum of the factors' log10 for each
+    product that is 0 (-inf where a factor is); and, for each marked zero but the last, its
+    least rho to the marked zeros after it."""
+    zs, marked = np.array(zeros, dtype=complex), np.array(marked, dtype=int)
+    products, log10s, later = [], [], []
+    for k, n in enumerate(marked):
+        row = pseudo_distance(zs[n], zs)
+        if k + 1 < len(marked):
+            later.append(float(row[marked[k + 1:]].min()))
+        row[n] = 1.0
+        products.append(float(np.prod(row)))
+        if products[-1] == 0.0:
+            with np.errstate(divide="ignore"):
+                log10s.append(float(np.sum(np.log10(row))))
+    return products, log10s, later
+
+
+def _least_delta(products, log10s) -> float:
+    """The least deflated product, 1 for none.  0 is refused: a vanishing factor as delta = 0, and
+    a product below the double range, every factor positive, with the least log10."""
+    delta = min(products, default=1.0)
+    if delta == 0.0:
+        deepest = min(log10s)
+        raise HypothesisError("deflated product vanishes at a marked zero (delta = 0)" if deepest == -math.inf else
+                              f"deflated product below the double range (log10 delta = {deepest:.2f})")
+    return delta
 
 
 @record
@@ -164,16 +201,6 @@ class InterpolationReport:
     delta: float
     per_zero: tuple
     geometric_ratio: float | None
-
-
-def _deflated(B: BlaschkeProduct, n: int) -> float:
-    """|(B / b_{z_n})(z_n)|: the product without its n-th factor, at its n-th zero."""
-    a = B.zeros[n]
-    v = 1.0
-    for j, b in enumerate(B.zeros):
-        if j != n:
-            v *= abs(b_factor(b, a))
-    return v
 
 
 def interpolation_delta(B: BlaschkeProduct) -> InterpolationReport:
@@ -184,24 +211,14 @@ def interpolation_delta(B: BlaschkeProduct) -> InterpolationReport:
     the sequence to be interpolating.
     """
     zeros = B.zeros
-    for i in range(len(zeros)):
-        for j in range(i + 1, len(zeros)):
-            if pseudo_distance(zeros[i], zeros[j]) < 1e-12:
-                raise MultiplicityError(f"repeated zero {zeros[i]}")
-    per = [_deflated(B, n) for n in range(len(zeros))]
-    delta = min(per) if per else 1.0
-    ratio = None
-    if len(zeros) >= 2:
-        ordered = sorted(zeros, key=abs)
-        ratio = max(
-            (1.0 - abs(ordered[k + 1])) / (1.0 - abs(ordered[k]))
-            for k in range(len(ordered) - 1)
-        )
-    return InterpolationReport(
-        delta=delta,
-        per_zero=tuple(per),
-        geometric_ratio=ratio,
-    )
+    per, log10s, later = _rho_rows(zeros, range(len(zeros)))
+    for a, rho in zip(zeros, later):
+        if rho < 1e-12:
+            raise MultiplicityError(f"repeated zero {a}")
+    ordered = sorted(zeros, key=abs)
+    ratios = [(1.0 - abs(b)) / (1.0 - abs(a)) for a, b in zip(ordered, ordered[1:])]
+    return InterpolationReport(delta=_least_delta(per, log10s), per_zero=tuple(per),
+                               geometric_ratio=max(ratios, default=None))
 
 
 @record
@@ -238,39 +255,22 @@ def gpv_bound_check(
     (b) beta_hat = min_n min_{z in Delta(a_n, alpha)} |B'(z)| (1 - |a_n|) > 0.
     The report carries exactly what was computed; no constant is floored.
     """
-    if marked is None:
-        marked = list(range(len(B.zeros)))
-    marked = list(marked)
+    marked = list(range(len(B.zeros)) if marked is None else marked)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
     centers = [B.zeros[i] for i in marked]
 
-    deflated = [_deflated(B, i) for i in marked]
-    delta = min(deflated) if deflated else 1.0
-    if delta == 0.0:
-        raise HypothesisError("deflated product vanishes at a marked zero (delta = 0)")
+    deflated, log10s, later = _rho_rows(B.zeros, marked)
+    delta = _least_delta(deflated, log10s)
 
     threshold = pseudo_sum(alpha, alpha)
-    rhos = [pseudo_distance(a, b) for a, b in combinations(centers, 2)]
-    min_rho = min(rhos) if rhos else None  # fewer than two discs: disjoint vacuously
-    disjoint = min_rho is None or min_rho > threshold
+    min_rho = min(later, default=None)
+    disjoint = min_rho is None or min_rho > threshold  # fewer than two discs: disjoint vacuously
 
-    # every disc's samples as one (discs, points) batch; the points stay PseudoDisc.sample's
-    # Python complex arithmetic, since numpy's complex division moves bits
-    n_angles = max(8, samples_per_disc // 5)
-    zs = np.array([PseudoDisc(a, alpha).sample(n_radii=5, n_angles=n_angles) for a in centers])
-    depths = np.array([[1.0 - abs(a)] for a in centers])
-    local = np.min(np.abs(blaschke_derivative(B, zs)) * depths, axis=1).tolist() if centers else []
-    rows = [GpvRow(index=i, center=a, deflated=defl, beta_local=beta)
-            for i, a, defl, beta in zip(marked, centers, deflated, local)]
-
-    return GpvReport(
-        delta=delta,
-        alpha=alpha,
-        disjoint=disjoint,
-        min_pairwise_rho=min_rho,
-        rho_threshold=threshold,
-        beta_hat=min(local, default=0.0),
-        per_zero=tuple(rows),
-        truncation_tail=truncation_tail,
-    )
+    # every disc's samples as one (discs, points) batch, each row's centre first; no disc, no call
+    zs = _disc_points(centers, alpha, 5, max(8, samples_per_disc // 5))
+    local = np.min(np.abs(blaschke_derivative(B, zs)) * (1 - np.abs(zs[:, :1])), axis=1).tolist() if centers else []
+    rows = tuple(GpvRow(index=i, center=a, deflated=defl, beta_local=beta)
+                 for i, a, defl, beta in zip(marked, centers, deflated, local))
+    return GpvReport(delta=delta, alpha=alpha, disjoint=disjoint, min_pairwise_rho=min_rho, rho_threshold=threshold,
+                     beta_hat=min(local, default=0.0), per_zero=rows, truncation_tail=truncation_tail)

@@ -29,7 +29,6 @@ import os
 import sys
 import time
 import warnings
-from itertools import combinations
 
 import numpy as np
 
@@ -407,7 +406,7 @@ def run_separability(config, seed):
     grid = _grid(config, {"radii": [0.0, 0.3, 0.6, 0.85], "angular": [1, 16, 32, 32]}, pts)
     rep = separability_witness(B, rotations, grid)
     rots = rep.rotations
-    rows = [[rots[i], rots[j], rep.matrix[i][j]] for i, j in combinations(range(len(rots)), 2)]
+    rows = [[rots[i], rots[j], rep.matrix[i][j]] for i in range(len(rots)) for j in range(i + 1, len(rots))]
     tables = {"separability": (["theta_i", "theta_j", "gap"], rows)}
     if rep.eps_hat is None:
         return [("pairwise-gaps-positive", True, None, SEPARATION_FLOOR)], tables
@@ -474,10 +473,12 @@ def _write_outputs(out_dir, subcommand, config, verdicts, tables, extras, wall_c
             os.path.join(out_dir, f"{name}.json"),
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         )
+    _write_metadata(out_dir, wall_clock, counters)
+
+
+def _write_metadata(out_dir, wall_clock, counters):
     meta = {"wall_clock_seconds": wall_clock, "timestamp": time.time(), "counters": counters}
-    _write_atomic(
-        os.path.join(out_dir, "metadata.json"), json.dumps(meta, indent=2) + "\n"
-    )
+    _write_atomic(os.path.join(out_dir, "metadata.json"), json.dumps(meta, indent=2) + "\n")
 
 
 def _config_error(message) -> int:
@@ -522,6 +523,7 @@ def main(argv=None) -> int:
 
     if error is not None:
         _write_report(args.out, args.subcommand, config, [("execution", False, None, None)], {}, error)
+        _write_metadata(args.out, wall, counters)
         print(f"{type(error).__name__}: {error}", file=sys.stderr)
         return 1
     verdicts, tables = result[0], result[1]

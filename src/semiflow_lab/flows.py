@@ -113,8 +113,9 @@ _COUNTS = contextvars.ContextVar("integrator_counts", default=None)
 def counting():
     """A dict of the integrator's work inside the block: runs, accepted and
     rejected trial steps and right-hand-side evaluations, summed over the
-    ``_integrate`` calls that return there.  Each call counts in locals and
-    adds its counts once, as it returns; a call that raises adds none."""
+    ``_integrate`` calls made there.  Each call counts in locals and adds its
+    counts once, as it returns or raises; a refused run's last trial step
+    counts in full."""
     counts = dict.fromkeys(("integrator_runs", "accepted_steps", "rejected_steps", "rhs_evals"), 0)
     token = _COUNTS.set(counts)
     try:
@@ -167,35 +168,37 @@ def _integrate(rhs, y0, t_end, tol: float):
     else:
         y = tuple(complex(c) for c in y0)
         step = _tuple_step(len(y))
-    raise_at(abs(y[0]) >= ESCAPE_RADIUS, y[0], EscapeError, "initial state {} at the escape radius")
-    if t_end == 0.0:
-        _count(0, 0, 0)
+    steps = accepted = evals = 0
+    try:
+        raise_at(abs(y[0]) >= ESCAPE_RADIUS, y[0], EscapeError, "initial state {} at the escape radius")
+        if t_end == 0.0:
+            return tuple(y)
+        t = 0.0
+        h = min(t_end, 0.1)
+        evals = 1  # k1, then stages 2-12 and k_new of each trial step
+        k1 = rhs(y)
+        speed = float(abs(k1[0]).max()) if step is _stacked_step else abs(k1[0])
+        h = min(h, 1.0 / speed) if speed > 10.0 else h  # from near a pole of G, a step of 0.1 leaps it
+        while t < t_end:
+            if steps >= MAX_STEPS:
+                raise EscapeError("step budget exhausted; tolerance unattainable")
+            steps += 1
+            h = min(h, t_end - t)
+            y_new, k_new, err = step(rhs, y, k1, h, tol)
+            if err <= 1.0:
+                accepted += 1
+                t += h
+                y, k1 = y_new, k_new
+                modulus = abs(y[0])
+                raise_at(modulus >= ESCAPE_RADIUS, modulus, EscapeError,
+                         "trajectory reached |w| = {:.17f} at t = {}", t if scale is None else t * scale)
+            factor = 0.9 * err ** -0.125 if err > 0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+            if h <= 0.0 or not math.isfinite(h):
+                raise EscapeError("step size collapsed")
         return tuple(y)
-    t = 0.0
-    h = min(t_end, 0.1)
-    steps = accepted = 0
-    k1 = rhs(y)
-    speed = float(abs(k1[0]).max()) if step is _stacked_step else abs(k1[0])
-    h = min(h, 1.0 / speed) if speed > 10.0 else h  # from near a pole of G, a step of 0.1 leaps it
-    while t < t_end:
-        if steps >= MAX_STEPS:
-            raise EscapeError("step budget exhausted; tolerance unattainable")
-        steps += 1
-        h = min(h, t_end - t)
-        y_new, k_new, err = step(rhs, y, k1, h, tol)
-        if err <= 1.0:
-            accepted += 1
-            t += h
-            y, k1 = y_new, k_new
-            modulus = abs(y[0])
-            raise_at(modulus >= ESCAPE_RADIUS, modulus, EscapeError,
-                     "trajectory reached |w| = {:.17f} at t = {}", t if scale is None else t * scale)
-        factor = 0.9 * err ** -0.125 if err > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h <= 0.0 or not math.isfinite(h):
-            raise EscapeError("step size collapsed")
-    _count(steps, accepted, 1 + len(_A) * steps)  # k1, then stages 2-12 and k_new of each trial step
-    return tuple(y)
+    finally:
+        _count(steps, accepted, evals + len(_A) * steps)
 
 
 def _error(n5, n3):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .analytic import AnalyticFn, BlochGridNorm, GridSpec, Power, Product
-from .blaschke import BlaschkeProduct, interpolation_delta, pseudo_distance
+from .blaschke import BlaschkeProduct, _rho_rows, interpolation_delta
 from .cocycles import Coboundary, Weight, WeightedSemigroup, _multiplier, _z_derivative, weighted_z_derivative
 from .errors import (
     BisectionError,
@@ -371,11 +371,7 @@ def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> Ga
         n += 1
 
     pts = [complex(lv.r) for lv in levels] + [lv.w for lv in levels]
-    min_sep = min(
-        pseudo_distance(pts[i], pts[j])
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    )
+    min_sep = min(_rho_rows(pts, range(len(pts)))[2])
     gc = GapConstruction(
         flow=flow,
         gamma0=1.0,
@@ -399,11 +395,9 @@ class SeparabilityReport:
 def reduce_rotations(rotations) -> list:
     """The angles modulo 2*pi, once no two of them coincide there."""
     rots = [float(th) % (2.0 * math.pi) for th in rotations]
-    for i in range(len(rots)):
-        for j in range(i + 1, len(rots)):
-            d = abs(rots[i] - rots[j])
-            if min(d, 2.0 * math.pi - d) < 1e-12:
-                raise ValueError("rotations must be distinct modulo 2*pi")
+    d = np.abs(np.subtract.outer(rots, rots))
+    if np.triu(np.minimum(d, 2.0 * math.pi - d) < 1e-12, 1).any():
+        raise ValueError("rotations must be distinct modulo 2*pi")
     return rots
 
 
@@ -426,16 +420,13 @@ def separability_witness(
     gamma = np.array([cmath.exp(-1j * th) for th in rots], dtype=complex).reshape(-1, 1)  # one rotation a row
     samples = norm.sample(lambda z: B.eval(gamma * z + 0j), lambda z: B.jet(gamma * z + 0j)[1] * gamma)
     n = len(rots)
-    matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            gapv = float(norm.reduce(samples[i] - samples[j]))
-            matrix[i][j] = gapv
-            matrix[j][i] = gapv
-    off = [matrix[i][j] for i in range(n) for j in range(i + 1, n)]
-    eps_hat = min(off) if off else None
+    matrix = np.zeros((n, n))
+    for i in range(n):  # row i's gaps to the rotations after it
+        matrix[i, i + 1:] = norm.reduce(samples[i] - samples[i + 1:])
+    matrix += matrix.T
+    eps_hat = float(matrix[np.triu_indices(n, 1)].min()) if n > 1 else None
     return SeparabilityReport(
         rotations=tuple(rots),
-        matrix=tuple(tuple(row) for row in matrix),
+        matrix=tuple(map(tuple, matrix.tolist())),
         eps_hat=eps_hat,
     )

@@ -255,6 +255,84 @@ def test_gpv_batch_is_the_per_disc_evaluation_bit_for_bit(monkeypatch, zeros, ma
     assert calls == ([(len(marked), 81)] if marked else [])
 
 
+near_circle_points = st.builds(lambda k, t: (1.0 - 10.0 ** -k) * cmath.exp(1j * t),
+                               st.integers(1, 12), st.floats(0.0, 2 * math.pi))
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(zero_points, near_circle_points), min_size=1, max_size=8), st.booleans(), st.data())
+def test_rho_rows_are_the_scalar_products_and_least_distances(zeros, repeat, data):
+    # the certificates read their products, multiplicity test and least rho off one array row per zero;
+    # each agrees with math.prod / min over scalar pseudo_distance calls, to 1e-12 relative
+    zeros = [complex(a) for a in zeros + zeros[:1] * repeat]  # repeat: a zero twice
+    marked = data.draw(st.lists(st.sampled_from(range(len(zeros))), max_size=10))  # a zero may be marked twice
+    rho = sl.pseudo_distance
+    want = [math.prod(rho(a, b) for j, b in enumerate(zeros) if j != n) for n, a in enumerate(zeros)]
+    B = sl.BlaschkeProduct(zeros)
+    if any(rho(a, b) < 1e-12 for i, a in enumerate(zeros) for b in zeros[i + 1:]):
+        with pytest.raises(sl.MultiplicityError):
+            sl.interpolation_delta(B)
+    else:
+        rep = sl.interpolation_delta(B)
+        assert all(map(_close, rep.per_zero, want)) and rep.delta == min(rep.per_zero)
+    if any(want[n] == 0.0 for n in marked):
+        with pytest.raises(sl.HypothesisError, match="delta = 0"):
+            sl.gpv_bound_check(B, marked=marked, samples_per_disc=8)
+        return
+    rep = sl.gpv_bound_check(B, marked=marked, samples_per_disc=8)
+    assert all(_close(r.deflated, want[n]) for r, n in zip(rep.per_zero, marked))
+    least = min((rho(zeros[m], zeros[q]) for k, m in enumerate(marked) for q in marked[k + 1:]), default=None)
+    if least is None:
+        assert rep.min_pairwise_rho is None
+    else:
+        assert _close(rep.min_pairwise_rho, least)
+
+
+def test_pseudo_distance_takes_a_point_and_an_array():
+    zs = np.array([0.0, 0.5, -0.3 + 0.4j, 0.999j])
+    for z in (0.2 - 0.1j, 0.5):
+        row = sl.pseudo_distance(z, zs)
+        assert row.shape == (4,) and row.tolist() == pytest.approx([sl.pseudo_distance(z, w) for w in zs], rel=1e-15)
+        assert sl.pseudo_distance(zs, z).tolist() == pytest.approx(row.tolist(), rel=1e-15)
+
+
+LISTED_FAMILY = [0.5 + k * 1e-9 for k in range(60)]  # separated (least rho 1.3e-9), delta 10^-460.26
+
+
+def test_a_deflated_product_below_the_double_range_is_not_delta_zero():
+    # every factor is positive, so delta > 0; its product underflows, and the refusal gives its log10
+    B = sl.BlaschkeProduct(LISTED_FAMILY)
+    least = min(sl.pseudo_distance(a, b) for a, b in zip(LISTED_FAMILY, LISTED_FAMILY[1:]))
+    assert least == pytest.approx(1.33e-9, rel=1e-2)
+    for check in (sl.interpolation_delta, sl.gpv_bound_check):
+        with pytest.raises(sl.HypothesisError, match=r"^deflated product below the double range "
+                                                     r"\(log10 delta = -460\.26\)$"):
+            check(B)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(zero_points, near_circle_points), min_size=1, max_size=6),
+       st.floats(1e-3, 0.999), st.integers(1, 6), st.integers(1, 40))
+def test_disc_batch_rows_are_the_single_disc_samples_bit_for_bit(centers, radius, n_radii, n_angles):
+    batch = blaschke._disc_points(centers, radius, n_radii, n_angles)
+    assert batch.shape == (len(centers), 1 + n_radii * n_angles)
+    for row, a in zip(batch, centers):
+        assert row.tobytes() == sl.PseudoDisc(a, radius).sample(n_radii, n_angles).tobytes()
+
+
+def test_disc_points_are_the_mobius_images_of_the_rho_circles():
+    # against the Python complex arithmetic of u -> (a - u)/(1 - conj(a) u), to a few ulps
+    for a in (0.6, 0.3 - 0.5j, 0.0, 1.0 - 2.0 ** -20):
+        pts = sl.PseudoDisc(a, 0.2).sample(5, 16)
+        want = [a] + [(a - u) / (1.0 - a.conjugate() * u) for k in range(1, 6)
+                      for u in (0.2 * k / 5 * cmath.exp(2j * math.pi * j / 16) for j in range(16))]
+        assert all(abs(p - w) <= 1e-15 * abs(w) for p, w in zip(pts.tolist(), want))
+
+
 def test_pseudo_disc_sampling():
     disc = sl.PseudoDisc(0.6, 0.2)
     pts = disc.sample()

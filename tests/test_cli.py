@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import semiflow_lab as sl
 from semiflow_lab import cli
@@ -757,6 +759,18 @@ def test_metadata_counts_the_integrators_work(tmp_path):
     assert "counters" not in read_report(tmp_path / "out")
 
 
+def test_a_refused_run_writes_its_metadata_with_the_integrators_work(tmp_path, capsys):
+    # G = 5z drives every point out of the disc: the run ends in EscapeError after one rejected and one
+    # accepted trial step, and its work is recorded next to report.json
+    flow = {"type": "ode", "G": {"op": "poly", "coeffs": [[0, 0], [5, 0]]}}
+    cfg = write_config(tmp_path, "c.json", {"flow": flow, "n_points": 5})
+    assert run("flow-check", cfg, tmp_path / "out") == 1
+    assert read_report(tmp_path / "out")["error"]["type"] == "EscapeError"
+    assert sorted(os.listdir(tmp_path / "out")) == ["metadata.json", "report.json"]
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["counters"] == {"integrator_runs": 1, "accepted_steps": 1, "rejected_steps": 1, "rhs_evals": 25}
+
+
 @pytest.mark.parametrize("flow, evals", [
     (None, 219),  # the shipped config's G = -z
     ({"type": "koenigs", "mode": "translate", "h": "cayley", "c": [0, 1]}, 303),
@@ -809,3 +823,46 @@ def test_shipped_bloch_gap_cancels_at_roundoff(tmp_path):
     verdicts = read_report(tmp_path / "out")["verdicts"]
     ratios = [v["value"] for v in verdicts if v["name"].startswith("cancellation-weight-")]
     assert len(ratios) == 3 and max(ratios) <= 1e-12
+
+
+# ROADMAP item 5's edge values: 0 and 1 as an int and as a float, then -1, +-0.5, 2, 3 and the extremes
+EDGE_VALUES = [0, 1, 0.0, 1.0, -1, 0.5, -0.5, 2, 3, 1e-300, 5e-324, 1e300, 1e16, 1e-12, -1e-9, 0.999999999]
+
+
+def _numeric_leaves(obj, path=()):
+    """The key path of each number of a JSON value, booleans aside."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _numeric_leaves(value, path + (i,))
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["gpv_geometric", "separability_rotations"]), st.data())
+def test_a_shipped_config_with_edge_values_ends_in_an_exit_code(tmp_path_factory, stem, data):
+    # one or two numbers of a shipped config set to edge values: main returns 0, 1 or 2 and raises nothing;
+    # exit 2 writes no output directory, and exit 1 writes report.json with its error or its failed verdict
+    config = json.loads((CONFIGS / f"{stem}.json").read_text())
+    for path in data.draw(st.lists(st.sampled_from(list(_numeric_leaves(config))), min_size=1, max_size=2,
+                                   unique=True)):
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(st.sampled_from(EDGE_VALUES))
+    tmp = tmp_path_factory.mktemp("mutated")
+    out = tmp / "out"
+    code = run(SHIPPED[stem], write_config(tmp, "c.json", config), out)
+    assert code in (0, 1, 2)
+    event(f"exit {code}")
+    if code == 2:
+        assert not out.exists()
+        return
+    report = read_report(out)
+    assert report["passed"] == (code == 0)
+    if "error" in report:
+        assert code == 1 and issubclass(getattr(sl.errors, report["error"]["type"]), sl.SemiflowError)
+        assert (out / "metadata.json").exists()
