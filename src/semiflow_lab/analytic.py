@@ -291,17 +291,16 @@ class Polynomial(AnalyticFn):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
     @cached_property
-    def _slopes(self) -> tuple:
-        """The derivative's coefficients k a_k, k = 1..d."""
-        return tuple(k * c for k, c in enumerate(self.coeffs))[1:]
+    def _slopes(self) -> "Polynomial":
+        """p', coefficients k a_k, k = 1..d; cached, as each compiled entry of order 1 or more binds it."""
+        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
     def _emit(self, em, node, z, order):
         value = _horner(em, [em.bind(f"{node}.coeffs[{i}]") for i in range(len(self.coeffs))], z)
-        if order < 2:  # Horner's rule for the slope too
-            slopes = [em.bind(f"{node}._slopes[{i}]") for i in range(len(self._slopes))]
-            return [value, _horner(em, slopes, z)] if order else [value]
+        if not order:
+            return [value]
         # coefficient j of p is coefficient j - 1 of p', over j
-        slopes = Polynomial(self._slopes)._emit(em, em.bind(f"Polynomial({node}._slopes)"), z, order - 1)
+        slopes = self._slopes._emit(em, em.bind(f"{node}._slopes"), z, order - 1)
         return [value, slopes[0], *[em.let(f"{c} / {j}") for j, c in enumerate(slopes[1:], 2)]]
 
 

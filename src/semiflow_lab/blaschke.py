@@ -135,42 +135,20 @@ def pseudo_sum(r1: float, r2: float) -> float:
 
 def _disc_points(centers, radius: float, n_radii: int, n_angles: int) -> np.ndarray:
     """One row per centre a: a itself, then the circles rho = radius k / n_radii, k = 1..n_radii,
-    n_angles points each, as the images of s e^{2 pi i j / n_angles} under u -> (a - u)/(1 - conj(a) u)."""
+    n_angles points each, as the images of s e^{2 pi i j / n_angles} under u -> (a - u)/(1 - conj(a) u):
+    drawn in rho-coordinates, as uniform Euclidean samples under-resolve discs hugging the boundary."""
     a = np.asarray(centers, dtype=complex).reshape(-1, 1)
     s = radius * np.arange(1, n_radii + 1) / n_radii
     u = (s[:, None] * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)).ravel()
     return np.concatenate([a, (a - u) / (1.0 - a.conj() * u)], axis=1)
 
 
-@record
-class PseudoDisc:
-    """Open pseudohyperbolic disc Delta(center, radius) = {rho(z, center) < radius}."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if abs(self.center) >= 1.0:
-            raise ValueError("centre must be inside the disc")
-        if not 0.0 < self.radius < 1.0:
-            raise ValueError("radius must lie in (0,1)")
-
-    def sample(self, n_radii: int = 5, n_angles: int = 16) -> np.ndarray:
-        """Centre plus concentric pseudohyperbolic circles (closure sampled).
-
-        Uniform Euclidean sampling under-resolves discs hugging the boundary,
-        so points are drawn in rho-coordinates and pushed through the Mobius
-        change of variables u -> (center - u)/(1 - conj(center) u).
-        """
-        return _disc_points([self.center], self.radius, n_radii, n_angles)[0]
-
-
 def _rho_rows(zeros, marked):
     """What the certificates read off each marked zero a_n's row rho(a_n, a_j) over all the zeros
     a_j, made one row at a time so that memory stays O(len(zeros)): the deflated products
     |(B / b_{a_n})(a_n)| = prod_{j != n} rho(a_n, a_j); the sum of the factors' log10 for each
-    product that is 0 (-inf where a factor is); and, for each marked zero but the last, its
-    least rho to the marked zeros after it."""
+    product below the normal double range, 0 or subnormal (-inf where a factor is 0); and, for
+    each marked zero but the last, its least rho to the marked zeros after it."""
     zs, marked = np.array(zeros, dtype=complex), np.array(marked, dtype=int)
     products, log10s, later = [], [], []
     for k, n in enumerate(marked):
@@ -179,17 +157,18 @@ def _rho_rows(zeros, marked):
             later.append(float(row[marked[k + 1:]].min()))
         row[n] = 1.0
         products.append(float(np.prod(row)))
-        if products[-1] == 0.0:
+        if products[-1] < sys.float_info.min:
             with np.errstate(divide="ignore"):
                 log10s.append(float(np.sum(np.log10(row))))
     return products, log10s, later
 
 
 def _least_delta(products, log10s) -> float:
-    """The least deflated product, 1 for none.  0 is refused: a vanishing factor as delta = 0, and
-    a product below the double range, every factor positive, with the least log10."""
+    """The least deflated product, 1 for none.  A product below the normal double range is refused:
+    a vanishing factor as delta = 0, and a product that is 0 or subnormal, every factor positive,
+    with the least log10 (a subnormal keeps only some of its digits)."""
     delta = min(products, default=1.0)
-    if delta == 0.0:
+    if delta < sys.float_info.min:
         deepest = min(log10s)
         raise HypothesisError("deflated product vanishes at a marked zero (delta = 0)" if deepest == -math.inf else
                               f"deflated product below the double range (log10 delta = {deepest:.2f})")

@@ -193,13 +193,13 @@ def weight_generator_fd(wsg: WeightedSemigroup, z, h_ladder):
     return _ladder_slope(h_ladder, z, lambda hs: _cocycle(wsg, z, hs, None), 1.0)
 
 
-def apply_weighted(wsg: WeightedSemigroup, f, z, t):
+def apply_weighted(wsg: WeightedSemigroup, f: AnalyticFn, z, t):
     """W_t f(z) = m_t(z) f(phi_t(z)), at a point or at each point of an array."""
     z, t = times(points(z), t)
     if isinstance(t, float) and t == 0.0:
-        return f.eval(z) if isinstance(f, AnalyticFn) else f(z)
+        return f.eval(z)
     m, w = _cocycle(wsg, z, t, 0)
-    return m * (f.eval(w) if isinstance(f, AnalyticFn) else f(w))
+    return m * f.eval(w)
 
 
 def weighted_z_derivative(wsg: WeightedSemigroup, f: AnalyticFn, z, t):

@@ -667,40 +667,39 @@ def automorphism_generator(flow: FlowModel):
     return (a, beta) if fits else None  # a NaN residual fits nothing
 
 
-def _automorphism_group(flow: FlowModel):
-    """(kind, fixed points) of the flow's automorphism group: the roots of -conj(a) z^2 +
-    i beta z + a (0 alone when a = 0), and by the sign of 4|a|^2 - beta^2 'elliptic' (< 0, a
-    root inside), 'hyperbolic' (> 0, two on the circle) or 'parabolic' (0 to AUTOMORPHISM_TOL,
-    a double one).  ModelError for any other flow, and for the trivial flow G = 0."""
+@record
+class AutomorphismGroup:
+    kind: str
+    fixed_points: tuple
+    a: complex  # G(0) of the generator G(z) = a + i beta z - conj(a) z^2
+    beta: float
+
+
+def automorphism_group(flow: FlowModel) -> AutomorphismGroup:
+    """The flow's automorphism group, read off its generator: the fixed points, roots of
+    -conj(a) z^2 + i beta z + a (0 alone when a = 0), and by the sign of 4|a|^2 - beta^2 the
+    kind 'elliptic' (< 0, a root inside), 'hyperbolic' (> 0, two on the circle) or 'parabolic'
+    (0 to AUTOMORPHISM_TOL, a double one).  ModelError for any other flow, and for the
+    trivial flow G = 0."""
     group = automorphism_generator(flow)
     if group is None:
         raise ModelError("the generator is not a + i beta z - conj(a) z^2")
-    a, beta = group
-    if a == 0 and beta == 0:
+    a0, beta0 = group
+    if a0 == 0 and beta0 == 0:
         raise ModelError("the trivial flow G = 0 moves no point: it has no kind")
     # the roots, kind and test do not change when a and beta are scaled alike: by a power of
     # two, that is exact, and it keeps |a|^2 and beta^2 in range at any speed of the group
-    _, e = math.frexp(max(abs(a), abs(beta)))
-    a, beta = complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)), math.ldexp(beta, -e)
+    _, e = math.frexp(max(abs(a0), abs(beta0)))
+    a, beta = complex(math.ldexp(a0.real, -e), math.ldexp(a0.imag, -e)), math.ldexp(beta0, -e)
     disc = 4.0 * abs(a) ** 2 - beta ** 2
     parabolic = abs(disc) <= AUTOMORPHISM_TOL * (4.0 * abs(a) ** 2 + beta ** 2)
     kind = "parabolic" if parabolic else "hyperbolic" if disc > 0 else "elliptic"
     if a == 0:
-        return kind, [0j]
+        return AutomorphismGroup(kind, (0j,), a0, beta0)
     # the larger root without cancellation, then the other from their product -a/conj(a)
     root = math.copysign(1.0, beta) * (0.0 if parabolic else cmath.sqrt(disc))
     p = (1j * beta + root) / (2.0 * a.conjugate())
-    return kind, [p, -a / (a.conjugate() * p)]
-
-
-def classify_automorphism(flow: FlowModel) -> str:
-    """'elliptic', 'hyperbolic' or 'parabolic', read off the flow's generator."""
-    return _automorphism_group(flow)[0]
-
-
-def automorphism_fixed_points(flow: FlowModel):
-    """The fixed points of the automorphism group, read off the flow's generator."""
-    return _automorphism_group(flow)[1]
+    return AutomorphismGroup(kind, (p, -a / (a.conjugate() * p)), a0, beta0)
 
 
 @config_parser

@@ -26,7 +26,7 @@ from .errors import (
     ModelError,
     record,
 )
-from .flows import ESCAPE_RADIUS, FlowModel, RotatedFlow, automorphism_fixed_points, automorphism_generator
+from .flows import ESCAPE_RADIUS, FlowModel, RotatedFlow, automorphism_generator, automorphism_group
 from .flows import boundary_orbit
 from .pointwise import points, times
 
@@ -320,31 +320,24 @@ def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> Ga
     """Level construction for automorphism flows: r_n = 1 - 2^{-n}, t_n pinned
     by arg(phi_{t_n}(r_n) - 1) = +-3*pi/4.
 
-    The sign follows the half-plane the boundary orbit enters; the first
-    usable n is the smallest one where the angle equation brackets a root.
-    Requires 1 not to be a Denjoy-Wolff point of either time direction.
+    The sign is that of Im G(1) = 2 Im a + beta, read off the generator
+    G(z) = a + i beta z - conj(a) z^2: the half-plane the boundary orbit of 1
+    enters.  The first usable n is the smallest one where the angle equation
+    brackets a root.  Requires 1 not to be a Denjoy-Wolff point of either time
+    direction.
     """
     if N < 1:
         raise ValueError("need at least one level")
     try:
-        fixed = automorphism_fixed_points(flow)
+        group = automorphism_group(flow)
     except ModelError as exc:
         raise CaseMismatch(f"flow is not a non-trivial automorphism group: {exc}") from exc
-    if any(abs(p - 1.0) < 1e-6 for p in fixed):
+    if any(abs(p - 1.0) < 1e-6 for p in group.fixed_points):
         raise CaseMismatch("1 is a Denjoy-Wolff point of the flow")
-
-    probe_r = 1.0 - 2.0 ** (-8)
-    tp = min(t_first_cap, 2.0 ** (-6))
-    sign = 0.0
-    for _ in range(60):
-        im = (flow.advance(probe_r, tp) - 1.0).imag
-        if abs(im) > 1e-13:
-            sign = math.copysign(1.0, im)
-            break
-        tp *= 2.0
-    if sign == 0.0:
-        raise CaseMismatch("boundary orbit does not leave the real axis near 1")
-    target = sign * 3.0 * math.pi / 4.0
+    side = 2.0 * group.a.imag + group.beta  # G(1) = i side, the boundary orbit's velocity at 1
+    if side == 0.0:
+        raise CaseMismatch("G(1) = 0: the boundary orbit does not leave the real axis at 1")
+    target = math.copysign(3.0 * math.pi / 4.0, side)
 
     levels = []
     ratios = []

@@ -338,6 +338,28 @@ def test_first_coefficient_is_the_written_out_rule(z, i, j, k):
         assert same(sl.Power(f, k)._jet(z, 1)[1], complex(k) * s0 ** (k - 1) * s1)
 
 
+def bits(a, b):
+    """a and b broadcast alike and equal bit for bit, signs of zeros too."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(layouts, st.just(np.array([0.0, -0.0, 0.5j, -0.5]))),
+       st.lists(st.complex_numbers(max_magnitude=10.0), max_size=6), st.integers(1, 3))
+def test_polynomial_slope_is_horners_rule_on_its_slopes(z, coeffs, order):
+    # the coefficient of z^1 at every order, alone and inside a product: Horner's rule over k a_k, written
+    # out here in the operation order of the emitted line, bit for bit
+    p = sl.Polynomial(coeffs)
+    slopes = [k * complex(c) for k, c in enumerate(coeffs)][1:]
+    want = slopes[-1] if slopes else 0j
+    for c in slopes[-2::-1]:
+        want = want * z + c
+    assert bits(p._jet(z, order)[1], want)
+    (s0, s1), value = sl.Identity()._jet(z, 1), p._jet(z, 0)[0]
+    assert bits(sl.Product((sl.Identity(), p))._jet(z, order)[1], s0 * want + s1 * value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(disc_points, st.sampled_from(range(len(fn_corpus()))))
 def test_jet_matches_centered_difference(z, index):

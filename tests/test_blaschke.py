@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 import semiflow_lab as sl
 from semiflow_lab import blaschke
 from semiflow_lab.cli import random_disc_points
+
+EPS = sys.float_info.epsilon
 
 
 def product_corpus():
@@ -125,7 +128,8 @@ def test_derivative_is_the_mobius_factor_product_rule(zeros, repeat, theta, zs):
     # the forward rule against the jet of the product of Mobius factors, an independent formula for
     # each factor's slope, to 1e-12 of the size sum_k |b'_k(z)| prod_{j != k} |b_j(z)| of the terms
     zeros = zeros + zeros[-1:] * repeat  # a repeated zero
-    assume(all(sl.pseudo_distance(z, a) >= 1e-2 for z in zs for a in zeros))
+    zs = [z for z in zs if all(sl.pseudo_distance(z, a) >= 1e-2 for a in zeros)]  # the points off the zeros
+    assume(zs)
     B = sl.BlaschkeProduct(zeros, theta)
     batch = sl.blaschke_derivative(B, np.array(zs))
     for z, got in zip(zs, batch):
@@ -227,7 +231,7 @@ def gpv_rows_one_disc_a_call(B, marked, alpha, samples_per_disc):
     rows = []
     for i in marked:
         a = B.zeros[i]
-        zs = np.array(sl.PseudoDisc(a, alpha).sample(n_radii=5, n_angles=n_angles))
+        zs = blaschke._disc_points([a], alpha, 5, n_angles)[0]
         beta = float(np.min(np.abs(sl.blaschke_derivative(B, zs)) * (1.0 - abs(a))))
         rows.append(blaschke.GpvRow(index=i, center=a, deflated=per_zero[i], beta_local=beta))
     return tuple(rows)
@@ -259,37 +263,48 @@ near_circle_points = st.builds(lambda k, t: (1.0 - 10.0 ** -k) * cmath.exp(1j * 
                                st.integers(1, 12), st.floats(0.0, 2 * math.pi))
 
 
-def _close(got, want):
-    return abs(got - want) <= 1e-12 * abs(want)
+def _close(got, want, pairs):
+    """|got - want| <= 1e-12 |want| plus 8 ulps of rho's rounding per factor rho(a, b) in ``pairs``: its
+    denominator |1 - conj(b) a| cancels near the circle, so the array and the scalar rho part by about
+    eps / |1 - conj(b) a| relative."""
+    return abs(got - want) <= (1e-12 + sum(8 * EPS / abs(1 - b.conjugate() * a) for a, b in pairs)) * abs(want)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(zero_points, near_circle_points), min_size=1, max_size=8), st.booleans(), st.data())
 def test_rho_rows_are_the_scalar_products_and_least_distances(zeros, repeat, data):
     # the certificates read their products, multiplicity test and least rho off one array row per zero;
-    # each agrees with math.prod / min over scalar pseudo_distance calls, to 1e-12 relative
+    # each agrees with math.prod / min over scalar pseudo_distance calls, to 1e-12 relative and rho's rounding
     zeros = [complex(a) for a in zeros + zeros[:1] * repeat]  # repeat: a zero twice
     marked = data.draw(st.lists(st.sampled_from(range(len(zeros))), max_size=10))  # a zero may be marked twice
     rho = sl.pseudo_distance
     want = [math.prod(rho(a, b) for j, b in enumerate(zeros) if j != n) for n, a in enumerate(zeros)]
+    row = [[(a, b) for j, b in enumerate(zeros) if j != n] for n, a in enumerate(zeros)]  # each product's factors
+    # the array and the scalar rho, and np.prod and math.prod, may part by an ulp: no pair at the
+    # multiplicity threshold 1e-12, and no marked product within a factor 2 of the least normal double
+    assume(all(abs(rho(a, b) / 1e-12 - 1.0) > 1e-9 for i, a in enumerate(zeros) for b in zeros[i + 1:]))
+    assume(not any(0.5 <= want[n] / sys.float_info.min <= 2.0 for n in marked))
     B = sl.BlaschkeProduct(zeros)
     if any(rho(a, b) < 1e-12 for i, a in enumerate(zeros) for b in zeros[i + 1:]):
         with pytest.raises(sl.MultiplicityError):
             sl.interpolation_delta(B)
     else:
         rep = sl.interpolation_delta(B)
-        assert all(map(_close, rep.per_zero, want)) and rep.delta == min(rep.per_zero)
-    if any(want[n] == 0.0 for n in marked):
-        with pytest.raises(sl.HypothesisError, match="delta = 0"):
+        assert all(map(_close, rep.per_zero, want, row)) and rep.delta == min(rep.per_zero)
+    refused = [n for n in marked if want[n] < sys.float_info.min]  # 0 or subnormal
+    if refused:
+        vanishing = any(rho(zeros[n], b) == 0.0 for n in refused for j, b in enumerate(zeros) if j != n)
+        with pytest.raises(sl.HypothesisError, match=r"\(delta = 0\)" if vanishing else "below the double range"):
             sl.gpv_bound_check(B, marked=marked, samples_per_disc=8)
         return
     rep = sl.gpv_bound_check(B, marked=marked, samples_per_disc=8)
-    assert all(_close(r.deflated, want[n]) for r, n in zip(rep.per_zero, marked))
-    least = min((rho(zeros[m], zeros[q]) for k, m in enumerate(marked) for q in marked[k + 1:]), default=None)
-    if least is None:
+    assert all(_close(r.deflated, want[n], row[n]) for r, n in zip(rep.per_zero, marked))
+    pairs = [(zeros[m], zeros[q]) for k, m in enumerate(marked) for q in marked[k + 1:]]
+    if not pairs:
         assert rep.min_pairwise_rho is None
     else:
-        assert _close(rep.min_pairwise_rho, least)
+        worst = min(pairs, key=lambda pair: abs(1 - pair[1].conjugate() * pair[0]))  # the least rounded rho
+        assert _close(rep.min_pairwise_rho, min(rho(a, b) for a, b in pairs), [worst])
 
 
 def test_pseudo_distance_takes_a_point_and_an_array():
@@ -314,6 +329,24 @@ def test_a_deflated_product_below_the_double_range_is_not_delta_zero():
             check(B)
 
 
+@pytest.mark.parametrize("count, log10", [(40, "-310.66"), (41, "-318.23")])
+def test_a_subnormal_deflated_product_is_refused_with_its_log10(count, log10):
+    # the first count zeros of the listed family: their least product is subnormal (2.2e-311 and 5.9e-319),
+    # which keeps only some of its digits, so it is refused like a product that underflows to 0
+    B = sl.BlaschkeProduct(LISTED_FAMILY[:count])
+    for check in (sl.interpolation_delta, sl.gpv_bound_check):
+        with pytest.raises(sl.HypothesisError, match=rf"^deflated product below the double range "
+                                                     rf"\(log10 delta = {log10}\)$"):
+            check(B)
+
+
+def test_the_least_normal_deflated_product_is_reported():
+    # 39 zeros of the listed family: delta = 8.3e-304 is a normal double, and is reported as it is
+    B = sl.BlaschkeProduct(LISTED_FAMILY[:39])
+    for check in (sl.interpolation_delta, sl.gpv_bound_check):
+        assert check(B).delta == pytest.approx(8.2768e-304, rel=1e-4)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(zero_points, near_circle_points), min_size=1, max_size=6),
        st.floats(1e-3, 0.999), st.integers(1, 6), st.integers(1, 40))
@@ -321,21 +354,20 @@ def test_disc_batch_rows_are_the_single_disc_samples_bit_for_bit(centers, radius
     batch = blaschke._disc_points(centers, radius, n_radii, n_angles)
     assert batch.shape == (len(centers), 1 + n_radii * n_angles)
     for row, a in zip(batch, centers):
-        assert row.tobytes() == sl.PseudoDisc(a, radius).sample(n_radii, n_angles).tobytes()
+        assert row.tobytes() == blaschke._disc_points([a], radius, n_radii, n_angles)[0].tobytes()
 
 
 def test_disc_points_are_the_mobius_images_of_the_rho_circles():
     # against the Python complex arithmetic of u -> (a - u)/(1 - conj(a) u), to a few ulps
     for a in (0.6, 0.3 - 0.5j, 0.0, 1.0 - 2.0 ** -20):
-        pts = sl.PseudoDisc(a, 0.2).sample(5, 16)
+        pts = blaschke._disc_points([a], 0.2, 5, 16)[0]
         want = [a] + [(a - u) / (1.0 - a.conjugate() * u) for k in range(1, 6)
                       for u in (0.2 * k / 5 * cmath.exp(2j * math.pi * j / 16) for j in range(16))]
         assert all(abs(p - w) <= 1e-15 * abs(w) for p, w in zip(pts.tolist(), want))
 
 
 def test_pseudo_disc_sampling():
-    disc = sl.PseudoDisc(0.6, 0.2)
-    pts = disc.sample()
+    pts = blaschke._disc_points([0.6], 0.2, 5, 16)[0]
     assert pts[0] == 0.6
     for p in pts:
         assert sl.pseudo_distance(p, 0.6) <= 0.2 + 1e-12

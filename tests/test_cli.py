@@ -842,7 +842,8 @@ def _numeric_leaves(obj, path=()):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(["gpv_geometric", "separability_rotations"]), st.data())
+@given(st.sampled_from(["gpv_geometric", "separability_rotations", "bloch_gap_auto_parabolic", "flow_trace_parabolic"]),
+       st.data())
 def test_a_shipped_config_with_edge_values_ends_in_an_exit_code(tmp_path_factory, stem, data):
     # one or two numbers of a shipped config set to edge values: main returns 0, 1 or 2 and raises nothing;
     # exit 2 writes no output directory, and exit 1 writes report.json with its error or its failed verdict

@@ -359,15 +359,16 @@ def test_parabolic_stays_near_circle():
 
 
 def test_classify_elliptic():
-    assert sl.classify_automorphism(sl.Automorphism(kind="elliptic", omega=1.0)) == "elliptic"
+    assert sl.automorphism_group(sl.Automorphism(kind="elliptic", omega=1.0)).kind == "elliptic"
     rot = sl.koenigs_flow(sl.identity_map(), 1j, "spiral")
-    assert sl.classify_automorphism(rot) == "elliptic"
+    assert sl.automorphism_group(rot).kind == "elliptic"
 
 
 def test_classify_hyperbolic():
     flow = sl.Automorphism(kind="hyperbolic", rate=1.0)
-    assert sl.classify_automorphism(flow) == "hyperbolic"
-    fps = sl.automorphism_fixed_points(flow)
+    group = sl.automorphism_group(flow)
+    assert group.kind == "hyperbolic"
+    fps = group.fixed_points
     assert sorted(round(abs(p - 1), 6) for p in fps)[0] == 0
     assert sorted(round(abs(p + 1), 6) for p in fps)[0] == 0
 
@@ -396,9 +397,9 @@ def test_hyperbolic_automorphism_is_the_cayley_dilation(rate, reflect):
 
 def test_classify_parabolic():
     flow = sl.Automorphism(kind="parabolic", speed=1.0)
-    assert sl.classify_automorphism(flow) == "parabolic"
-    fps = sl.automorphism_fixed_points(flow)
-    assert all(abs(p - 1.0) < 1e-4 for p in fps)
+    group = sl.automorphism_group(flow)
+    assert group.kind == "parabolic"
+    assert all(abs(p - 1.0) < 1e-4 for p in group.fixed_points)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
@@ -410,16 +411,16 @@ def test_automorphism_group_reads_alike_at_any_speed(scale):
         (sl.Automorphism(kind="hyperbolic", rate=scale), "hyperbolic", [1, -1]),
         (sl.Automorphism(kind="elliptic", omega=scale), "elliptic", [0]),
     ]:
-        assert sl.classify_automorphism(flow) == kind
-        points = sl.automorphism_fixed_points(flow)
-        assert sorted(points, key=lambda p: p.real) == pytest.approx(sorted(fixed), abs=1e-4)
+        group = sl.automorphism_group(flow)
+        assert group.kind == kind
+        assert sorted(group.fixed_points, key=lambda p: p.real) == pytest.approx(sorted(fixed), abs=1e-4)
 
 
 def test_classify_automorphism_integrates_nothing(integrations):
     # a = G(0), i beta = G'(0) and the form on |z| = 1/2 come from one jet of the generator tree
-    assert sl.classify_automorphism(sl.ode_flow(sl.Polynomial([0, 1j]))) == "elliptic"
-    assert sl.classify_automorphism(sl.Automorphism(kind="parabolic", speed=2.0)) == "parabolic"
-    assert len(sl.automorphism_fixed_points(sl.Automorphism(kind="hyperbolic", rate=1.0))) == 2
+    assert sl.automorphism_group(sl.ode_flow(sl.Polynomial([0, 1j]))).kind == "elliptic"
+    assert sl.automorphism_group(sl.Automorphism(kind="parabolic", speed=2.0)).kind == "parabolic"
+    assert len(sl.automorphism_group(sl.Automorphism(kind="hyperbolic", rate=1.0)).fixed_points) == 2
     assert integrations == []
 
 
@@ -427,23 +428,21 @@ def test_classify_rejects_non_mobius():
     # cubic field: a quadratic one would give a Riccati flow, which is Mobius
     flow = sl.ode_flow(sl.Polynomial([0, -1, 0, 1]))
     with pytest.raises(sl.ModelError):
-        sl.classify_automorphism(flow)
+        sl.automorphism_group(flow)
 
 
 @pytest.mark.parametrize("coeffs", [[0, -1], [0.1, -1, 0.3]], ids=["-z", "0.1-z+0.3z^2"])
 def test_classify_refuses_riccati_flows_that_are_no_automorphism_group(coeffs):
     # their time-1 maps are Mobius, but they map the disc into itself, not onto it
-    flow = sl.ode_flow(sl.Polynomial(coeffs))
-    for read in (sl.classify_automorphism, sl.automorphism_fixed_points):
-        with pytest.raises(sl.ModelError, match="not a \\+ i beta z"):
-            read(flow)
+    with pytest.raises(sl.ModelError, match="not a \\+ i beta z"):
+        sl.automorphism_group(sl.ode_flow(sl.Polynomial(coeffs)))
 
 
 def test_classify_refuses_the_trivial_flow():
     # G = 0 fits the form with a = beta = 0, and it is of no kind: it fixes every point
     assert sl.flows.automorphism_generator(sl.ode_flow(sl.Constant(0))) == (0, 0)
     with pytest.raises(sl.ModelError, match="trivial flow G = 0"):
-        sl.classify_automorphism(sl.ode_flow(sl.Constant(0)))
+        sl.automorphism_group(sl.ode_flow(sl.Constant(0)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -455,22 +454,25 @@ def test_automorphism_generators_are_classified_by_their_discriminant(re_a, im_a
     assume(a == 0 or abs(a) >= 1e-3)  # the outer fixed point of an elliptic group stays finite
     G = sl.Polynomial([a, 1j * beta, -a.conjugate()])
     flow = sl.ode_flow(G)
-    kind = sl.classify_automorphism(flow)
+    group = sl.automorphism_group(flow)
+    kind = group.kind
     assert kind == ("hyperbolic" if disc > 0 else "elliptic")
-    for p in sl.automorphism_fixed_points(flow):
+    assert (group.a, group.beta) == (a, beta)  # the generator the kind and fixed points come from
+    for p in group.fixed_points:
         assert abs(G.eval_anywhere(p)) <= 1e-14 * (abs(a) + abs(beta * p) + abs(a * p * p))
         assert kind == "elliptic" or abs(abs(p) - 1.0) <= 1e-14
     off = [a, 1j * beta, -a.conjugate(), eps] if cubic else [a, 1j * beta, -a.conjugate() + eps]
     with pytest.raises(sl.ModelError):
-        sl.classify_automorphism(sl.ode_flow(sl.Polynomial(off)))
+        sl.automorphism_group(sl.ode_flow(sl.Polynomial(off)))
 
 
 @pytest.mark.parametrize("a, beta", [(0.5j, -1.0), (-0.3 + 0.4j, 1.0), (0.05, 0.1)])
 def test_parabolic_generators_have_one_fixed_point_on_the_circle(a, beta):
     # 4|a|^2 = beta^2: a double root of -conj(a) z^2 + i beta z + a on the circle
     G = sl.Polynomial([a, 1j * beta, -a.conjugate()])
-    assert sl.classify_automorphism(sl.ode_flow(G)) == "parabolic"
-    for p in sl.automorphism_fixed_points(sl.ode_flow(G)):
+    group = sl.automorphism_group(sl.ode_flow(G))
+    assert group.kind == "parabolic"
+    for p in group.fixed_points:
         assert abs(abs(p) - 1.0) <= 1e-12 and abs(G.eval_anywhere(p)) <= 1e-12
 
 

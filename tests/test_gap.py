@@ -2,6 +2,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import semiflow_lab as sl
 from semiflow_lab import blaschke
@@ -353,6 +355,118 @@ def test_case2_parabolic_fixed_at_one_rejected():
 def test_case2_non_automorphism_rejected():
     with pytest.raises(sl.CaseMismatch):
         sl.construct_case2(sl.ode_flow(sl.Polynomial([0, -1, 0, 1])), N=3)
+
+
+def probe_side(flow, cap=1.0):
+    """The sign of Im(phi_t(r) - 1) at r = 1 - 2^-8 for the first t = 2^-6, 2^-5, ... (60 doublings at
+    most) that moves the orbit more than 1e-13 off the real axis, 0 for none: the side construct_case2
+    took from the orbit before it read it off the generator, kept as the reference."""
+    r, t = 1.0 - 2.0 ** -8, min(cap, 2.0 ** -6)
+    for _ in range(60):
+        im = (flow.advance(r, t) - 1.0).imag
+        if abs(im) > 1e-13:
+            return math.copysign(1.0, im)
+        t *= 2.0
+    return 0.0
+
+
+class FirstAngle(Exception):
+    """Raised by a stand-in for gap._solve_angle with the target angle it was handed."""
+
+
+def case2_target(flow):
+    """The target angle construct_case2 hands its first _solve_angle call, where it is stopped."""
+    def solve(flow, r, target, cap):
+        raise FirstAngle(target)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sl.gap, "_solve_angle", solve)
+        with pytest.raises(FirstAngle) as stopped:
+            sl.construct_case2(flow, N=1)
+    return stopped.value.args[0]
+
+
+def automorphism_ode(a, beta):
+    return sl.ode_flow(sl.Polynomial([a, 1j * beta, -a.conjugate()]))
+
+
+automorphism_flows = st.one_of(
+    st.builds(lambda re, im, beta: automorphism_ode(complex(re, im), beta),
+              st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0)),
+    st.builds(lambda theta, reflect: sl.RotatedFlow(sl.Automorphism(kind="parabolic", speed=1.0, reflect=reflect),
+                                                    cmath.exp(1j * theta)),
+              st.floats(0.0, 2 * math.pi), st.booleans()),
+    st.builds(lambda omega: sl.Automorphism(kind="elliptic", omega=omega), st.floats(-3.0, 3.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(automorphism_flows)
+def test_case2_side_is_the_orbit_probes_sign_away_from_the_fixed_points(flow):
+    # Im G(1) = 2 Im a + beta is the side the boundary orbit of 1 enters.  The probe reads the orbit of
+    # r = 1 - 2^-8 instead; Im G(r) = r Im G(1) + Im a (1 - r)^2 and |Im G(1)| = |a| |1 - p| |1 - q| over
+    # the fixed points p, q, so the two start alike once both lie 2^-7 or more from 1 (for an elliptic group
+    # |1 - q| >= |1 - p|).  Nearer than that the probe can read the other side: see the next test.
+    try:
+        group = sl.automorphism_group(flow)
+    except sl.ModelError:  # the trivial flow
+        assume(False)
+    assume(min(abs(p - 1.0) for p in group.fixed_points) >= 2.0 ** -7)
+    side = probe_side(flow)
+    assume(side != 0.0)  # a group too slow to move r by 1e-13 up to t = 2^53, which the probe refused
+    target = case2_target(flow)
+    assert abs(target) == 3 * math.pi / 4
+    assert math.copysign(1.0, target) == side
+
+
+@pytest.mark.parametrize("a, beta", [(0.5 - 0.4j, 0.8 + 4e-6), (0.5 + 0.4j, -0.8 - 4e-6)])
+def test_case2_takes_the_boundary_orbits_side_next_to_a_fixed_point(a, beta):
+    # a hyperbolic group with a fixed point 4.0e-6 from 1: G(1) = +-4e-6 i, while the orbit of 1 - 2^-8 enters
+    # the other half-plane.  Taking that side, the angle equation found no root before the levels reached the
+    # escape radius (EscapeError); from G(1), levels 18 to 23 are built
+    flow = automorphism_ode(a, beta)
+    assert min(abs(p - 1.0) for p in sl.automorphism_group(flow).fixed_points) == pytest.approx(4e-6, rel=1e-5)
+    assert probe_side(flow) == -math.copysign(1.0, beta)
+    gc = sl.construct_case2(flow, N=6)
+    assert gc.target_angle == math.copysign(3 * math.pi / 4, beta)
+    assert [lv.n for lv in gc.levels] == list(range(18, 24))
+    for lv in gc.levels:
+        assert abs(cmath.phase(lv.w - 1) - gc.target_angle) <= 1e-9
+
+
+@pytest.mark.parametrize("flow", [sl.Automorphism(kind="parabolic", speed=1.0, reflect=True),
+                                  automorphism_ode(0.5j, 1.0)], ids=["closed-form", "ode"])
+def test_case2_first_advance_is_the_first_levels_angle_sample(monkeypatch, flow):
+    # the side comes from the generator, so the first orbit run is _solve_angle's sample of
+    # r_1 = 1/2 at cap 1e-9 and cap k/64, k = 1..64
+    calls = []
+    advance = sl.FlowModel.advance
+
+    def recorded(self, z, t):
+        calls.append((z, t))
+        return advance(self, z, t)
+
+    monkeypatch.setattr(sl.FlowModel, "advance", recorded)
+    sl.construct_case2(flow, N=2, t_first_cap=0.5)
+    z, t = calls[0]
+    assert z == 0.5 and t.tolist() == [0.5e-9] + [0.5 * k / 64 for k in range(1, 65)]
+
+
+def test_case2_refuses_a_group_that_fixes_1_without_running_an_orbit(monkeypatch):
+    # 1 is a fixed point, refused before any advance: read off the fixed points, or, where they are read
+    # 2e-5 off, off G(1) = 0.  The hyperbolic group a = i e^{i d}, beta = -2 cos d fixes 1 and e^{2 i d};
+    # at d = 2e-5 its discriminant is within AUTOMORPHISM_TOL of 0, and it reads as parabolic, its double
+    # fixed point between the two (an orbit probe then went on, to an EscapeError 40 levels deep)
+    monkeypatch.setattr(sl.FlowModel, "advance", None)
+    for flow in (sl.Automorphism(kind="parabolic", speed=1.0), automorphism_ode(0.5 - 0.5j, 1.0)):
+        with pytest.raises(sl.CaseMismatch, match="Denjoy-Wolff point"):
+            sl.construct_case2(flow, N=3)
+    a = 1j * cmath.exp(2e-5j)
+    flow = automorphism_ode(a, -2 * a.imag)
+    group = sl.automorphism_group(flow)
+    assert group.kind == "parabolic" and min(abs(p - 1.0) for p in group.fixed_points) > 1e-6
+    with pytest.raises(sl.CaseMismatch, match=r"G\(1\) = 0"):
+        sl.construct_case2(flow, N=3)
 
 
 def separability_grid(zeros, rotations):
