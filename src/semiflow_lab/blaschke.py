@@ -175,6 +175,13 @@ def _least_delta(products, log10s) -> float:
     return delta
 
 
+def _refuse_repeated(zeros, later) -> None:
+    """Refuse two zeros closer than rho 1e-12, given each zero's least rho to the zeros after it."""
+    for a, rho in zip(zeros, later):
+        if rho < 1e-12:
+            raise MultiplicityError(f"repeated zero {a}")
+
+
 @record
 class InterpolationReport:
     delta: float
@@ -191,9 +198,7 @@ def interpolation_delta(B: BlaschkeProduct) -> InterpolationReport:
     """
     zeros = B.zeros
     per, log10s, later = _rho_rows(zeros, range(len(zeros)))
-    for a, rho in zip(zeros, later):
-        if rho < 1e-12:
-            raise MultiplicityError(f"repeated zero {a}")
+    _refuse_repeated(zeros, later)
     ordered = sorted(zeros, key=abs)
     ratios = [(1.0 - abs(b)) / (1.0 - abs(a)) for a, b in zip(ordered, ordered[1:])]
     return InterpolationReport(delta=_least_delta(per, log10s), per_zero=tuple(per),

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .analytic import AnalyticFn, BlochGridNorm, GridSpec, Power, Product
-from .blaschke import BlaschkeProduct, _rho_rows, interpolation_delta
+from .blaschke import BlaschkeProduct, _refuse_repeated, _rho_rows, interpolation_delta
 from .cocycles import Coboundary, Weight, WeightedSemigroup, _multiplier, _z_derivative, weighted_z_derivative
 from .errors import (
     BisectionError,
@@ -178,7 +178,8 @@ def build_test_function(gc: GapConstruction) -> AnalyticFn:
 
     The squared factor gives a double zero at each pushed point w_n, so both
     f(w_n) and f'(w_n) vanish identically.  Requires the combined sequence
-    to be interpolating; ``interpolation_delta`` refuses a repeated zero.
+    to be interpolating; ``interpolation_delta`` refuses a repeated zero and a
+    delta below the normal double range.
     """
     r_zeros = tuple(complex(lv.r) for lv in gc.levels)
     w_zeros = tuple(lv.w for lv in gc.levels)
@@ -408,7 +409,7 @@ def separability_witness(
     (numpy's complex product is not commutative bit for bit).
     """
     rots = reduce_rotations(rotations)
-    interpolation_delta(B)  # refuses a repeated zero
+    _refuse_repeated(B.zeros, _rho_rows(B.zeros, range(len(B.zeros)))[2])  # reads no delta
     norm = BlochGridNorm(grid)
     gamma = np.array([cmath.exp(-1j * th) for th in rots], dtype=complex).reshape(-1, 1)  # one rotation a row
     samples = norm.sample(lambda z: B.eval(gamma * z + 0j), lambda z: B.jet(gamma * z + 0j)[1] * gamma)

@@ -11,8 +11,6 @@ import semiflow_lab as sl
 from semiflow_lab import blaschke
 from semiflow_lab.cli import random_disc_points
 
-EPS = sys.float_info.epsilon
-
 
 def product_corpus():
     return [
@@ -263,48 +261,40 @@ near_circle_points = st.builds(lambda k, t: (1.0 - 10.0 ** -k) * cmath.exp(1j * 
                                st.integers(1, 12), st.floats(0.0, 2 * math.pi))
 
 
-def _close(got, want, pairs):
-    """|got - want| <= 1e-12 |want| plus 8 ulps of rho's rounding per factor rho(a, b) in ``pairs``: its
-    denominator |1 - conj(b) a| cancels near the circle, so the array and the scalar rho part by about
-    eps / |1 - conj(b) a| relative."""
-    return abs(got - want) <= (1e-12 + sum(8 * EPS / abs(1 - b.conjugate() * a) for a, b in pairs)) * abs(want)
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(zero_points, near_circle_points), min_size=1, max_size=8), st.booleans(), st.data())
 def test_rho_rows_are_the_scalar_products_and_least_distances(zeros, repeat, data):
     # the certificates read their products, multiplicity test and least rho off one array row per zero;
-    # each agrees with math.prod / min over scalar pseudo_distance calls, to 1e-12 relative and rho's rounding
+    # each agrees with math.prod / min over that row's entries, its own entry dropped, to 1e-12 relative
+    # (test_pseudo_distance_takes_a_point_and_an_array checks the array rho against the scalar one)
     zeros = [complex(a) for a in zeros + zeros[:1] * repeat]  # repeat: a zero twice
     marked = data.draw(st.lists(st.sampled_from(range(len(zeros))), max_size=10))  # a zero may be marked twice
-    rho = sl.pseudo_distance
-    want = [math.prod(rho(a, b) for j, b in enumerate(zeros) if j != n) for n, a in enumerate(zeros)]
-    row = [[(a, b) for j, b in enumerate(zeros) if j != n] for n, a in enumerate(zeros)]  # each product's factors
-    # the array and the scalar rho, and np.prod and math.prod, may part by an ulp: no pair at the
-    # multiplicity threshold 1e-12, and no marked product within a factor 2 of the least normal double
-    assume(all(abs(rho(a, b) / 1e-12 - 1.0) > 1e-9 for i, a in enumerate(zeros) for b in zeros[i + 1:]))
-    assume(not any(0.5 <= want[n] / sys.float_info.min <= 2.0 for n in marked))
+    rows = [sl.pseudo_distance(a, np.array(zeros)).tolist() for a in zeros]
+    want = [math.prod(x for j, x in enumerate(row) if j != n) for n, row in enumerate(rows)]
     B = sl.BlaschkeProduct(zeros)
-    if any(rho(a, b) < 1e-12 for i, a in enumerate(zeros) for b in zeros[i + 1:]):
+    if any(x < 1e-12 for i, row in enumerate(rows) for x in row[i + 1:]):
         with pytest.raises(sl.MultiplicityError):
             sl.interpolation_delta(B)
     else:
         rep = sl.interpolation_delta(B)
-        assert all(map(_close, rep.per_zero, want, row)) and rep.delta == min(rep.per_zero)
+        assert all(map(_close, rep.per_zero, want)) and rep.delta == min(rep.per_zero)
     refused = [n for n in marked if want[n] < sys.float_info.min]  # 0 or subnormal
     if refused:
-        vanishing = any(rho(zeros[n], b) == 0.0 for n in refused for j, b in enumerate(zeros) if j != n)
+        vanishing = any(x == 0.0 for n in refused for j, x in enumerate(rows[n]) if j != n)
         with pytest.raises(sl.HypothesisError, match=r"\(delta = 0\)" if vanishing else "below the double range"):
             sl.gpv_bound_check(B, marked=marked, samples_per_disc=8)
         return
     rep = sl.gpv_bound_check(B, marked=marked, samples_per_disc=8)
-    assert all(_close(r.deflated, want[n], row[n]) for r, n in zip(rep.per_zero, marked))
-    pairs = [(zeros[m], zeros[q]) for k, m in enumerate(marked) for q in marked[k + 1:]]
-    if not pairs:
+    assert all(_close(r.deflated, want[n]) for r, n in zip(rep.per_zero, marked))
+    least = min((rows[m][q] for k, m in enumerate(marked) for q in marked[k + 1:]), default=None)
+    if least is None:
         assert rep.min_pairwise_rho is None
     else:
-        worst = min(pairs, key=lambda pair: abs(1 - pair[1].conjugate() * pair[0]))  # the least rounded rho
-        assert _close(rep.min_pairwise_rho, min(rho(a, b) for a, b in pairs), [worst])
+        assert _close(rep.min_pairwise_rho, least)
 
 
 def test_pseudo_distance_takes_a_point_and_an_array():

@@ -506,6 +506,17 @@ def test_separability_requires_interpolating_product():
         sl.separability_witness(B, [0.0, 1.0], grid)
 
 
+@pytest.mark.parametrize("count", [41, 60])
+def test_separability_reads_no_delta(count):
+    # the witness needs distinct zeros, not a delta: the family 0.5 + k 1e-9, whose least deflated product
+    # is subnormal (41 zeros) or underflows to 0 (60), is refused by the certificates but witnessed
+    B = sl.BlaschkeProduct([0.5 + k * 1e-9 for k in range(count)])
+    with pytest.raises(sl.HypothesisError, match="below the double range"):
+        sl.interpolation_delta(B)
+    rep = sl.separability_witness(B, [0.0, math.pi], sl.GridSpec((0.0, 0.5, 0.9), (1, 8, 16)))
+    assert rep.eps_hat > 0
+
+
 @pytest.mark.parametrize(
     "zeros, rotations",
     [
