@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SingularityError, config_integer, config_number
+from .errors import ConfigError, DomainError, SingularityError, config_integer, config_list, config_number
 from .errors import config_pair, config_parser, config_positive, json_form, record
 from .pointwise import exp, full, larger, log, nonfinite, points, raise_at  # the compiled code reads these by name
 
@@ -499,7 +499,7 @@ class Derivative(AnalyticFn):
 
 
 def _json2guards(obj):
-    return tuple((config_pair("guards", c), config_positive("guards", r)) for c, r in obj)
+    return tuple((config_pair("guards", c), config_positive("guards", r)) for c, r in config_list("guards", obj))
 
 
 @config_parser
@@ -511,7 +511,7 @@ def fn_from_json(obj: dict) -> AnalyticFn:
     if op == "id":
         return Identity()
     if op == "poly":
-        return Polynomial(tuple(config_pair("coeffs", c) for c in obj["coeffs"]))
+        return Polynomial(tuple(config_pair("coeffs", c) for c in config_list("coeffs", obj["coeffs"])))
     if op == "mobius":
         return Mobius(*(config_pair(key, obj[key]) for key in "abcd"))
     if op == "exp":
@@ -519,9 +519,9 @@ def fn_from_json(obj: dict) -> AnalyticFn:
     if op == "log":
         return Log(fn_from_json(obj["arg"]), guards=_json2guards(obj.get("guards", [])))
     if op == "sum":
-        return Sum(tuple(fn_from_json(t) for t in obj["terms"]))
+        return Sum(tuple(fn_from_json(t) for t in config_list("terms", obj["terms"])))
     if op == "product":
-        return Product(tuple(fn_from_json(f) for f in obj["factors"]))
+        return Product(tuple(fn_from_json(f) for f in config_list("factors", obj["factors"])))
     if op == "quotient":
         return Quotient(
             fn_from_json(obj["num"]),
@@ -602,9 +602,9 @@ class GridSpec:
     @config_parser
     def from_json(cls, obj):
         return cls(
-            tuple(config_number("radii", r) for r in obj["radii"]),
-            tuple(config_integer("angular", m) for m in obj["angular"]),
-            tuple(config_pair("points", p) for p in obj.get("points", [])),
+            tuple(config_number("radii", r) for r in config_list("radii", obj["radii"])),
+            tuple(config_integer("angular", m) for m in config_list("angular", obj["angular"])),
+            tuple(config_pair("points", p) for p in config_list("points", obj.get("points", []))),
         )
 
 

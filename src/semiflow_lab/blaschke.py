@@ -20,7 +20,7 @@ import numpy as np
 
 from .analytic import AnalyticFn, Constant, Identity, Mobius, Product
 from .errors import DomainError, HypothesisError, MultiplicityError, config_number, config_pair
-from .errors import config_parser, record
+from .errors import config_list, config_parser, record
 from .pointwise import full, outside, points, raise_at
 
 
@@ -63,7 +63,7 @@ class BlaschkeProduct(AnalyticFn):
     @classmethod
     @config_parser
     def from_json(cls, obj: dict) -> "BlaschkeProduct":
-        zeros = tuple(config_pair("zeros", a) for a in obj["zeros"])
+        zeros = tuple(config_pair("zeros", a) for a in config_list("zeros", obj["zeros"]))
         return cls(zeros, config_number("theta", obj.get("theta", 0.0)))
 
 

@@ -134,6 +134,13 @@ def config_numbers(key: str, v, count: int | None = None) -> list:
     return [config_number(key, x) for x in v]
 
 
+def config_list(key: str, v) -> list:
+    """v, once it is a JSON list (an object or a string is not, though either iterates)."""
+    if not isinstance(v, list):
+        raise ConfigError(f"config key {key!r} must be a JSON list, got {v!r}")
+    return v
+
+
 def config_object(key: str, v) -> dict:
     """v, once it is a JSON object."""
     if not isinstance(v, dict):

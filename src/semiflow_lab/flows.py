@@ -12,7 +12,6 @@ ndarray of them; a batch shares one adaptive step sequence.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import contextvars
 import math
@@ -465,7 +464,8 @@ def koenigs_flow(h: ConformalMap, c: complex, mode: str) -> KoenigsFlow:
     return KoenigsFlow(h, c, mode)
 
 
-_AUTOMORPHISM_KINDS = ("elliptic", "hyperbolic", "parabolic")
+# Each kind and the fields it reads; a field of another kind keeps its default.
+_AUTOMORPHISM_KEYS = {"elliptic": ("omega",), "hyperbolic": ("rate", "reflect"), "parabolic": ("speed", "reflect")}
 
 
 @record
@@ -475,7 +475,8 @@ class Automorphism(FlowModel):
     kinds: 'elliptic' (rotation e^{i omega t} z about 0), 'hyperbolic'
     (Cayley-conjugated dilation e^{rate t} on the half-plane, fixed points
     +-1), 'parabolic' (conjugated vertical translation w + i*speed*t; the
-    boundary fixed point sits at 1, or at -1 when reflect is set).
+    boundary fixed point sits at 1, or at -1 when reflect is set).  A field
+    that the kind does not read is refused unless it keeps its default.
     """
 
     json_tag = {"type": "automorphism"}
@@ -486,8 +487,16 @@ class Automorphism(FlowModel):
     reflect: bool = False
 
     def __post_init__(self):
-        if self.kind not in _AUTOMORPHISM_KINDS:
+        if self.kind not in _AUTOMORPHISM_KEYS:
             raise ModelError(f"unknown automorphism kind {self.kind!r}")
+        unread = [key for key, default in self._record_fields.items()
+                  if key != "kind" and key not in _AUTOMORPHISM_KEYS[self.kind] and getattr(self, key) != default]
+        if unread:
+            raise ModelError(f"an automorphism of kind {self.kind!r} does not read {', '.join(unread)}")
+
+    def to_json(self):
+        keys = _AUTOMORPHISM_KEYS[self.kind]
+        return {**self.json_tag, "kind": self.kind, **{key: getattr(self, key) for key in keys}}
 
     @cached_property
     def _model(self) -> FlowModel:
@@ -645,8 +654,8 @@ def boundary_orbit(flow: FlowModel, gamma0: complex, t: float) -> BoundaryOrbit:
 # ---------------------------------------------------------------------------
 # Automorphism groups
 
-# The largest residual of the automorphism form, relative to the generator's size,
-# and the largest |4|a|^2 - beta^2| of a parabolic group, relative to 4|a|^2 + beta^2.
+# The largest residual of the automorphism form, relative to the generator's size, and
+# the largest |G(1)| of a group that case 2 reads as fixing 1, relative to max(|a|, |beta|).
 AUTOMORPHISM_TOL = 1e-9
 _FORM_POINTS = np.append(0.0, 0.5 * np.exp(2j * np.pi * np.arange(3) / 3))  # 0 and three points of |z| = 1/2
 
@@ -667,41 +676,6 @@ def automorphism_generator(flow: FlowModel):
     return (a, beta) if fits else None  # a NaN residual fits nothing
 
 
-@record
-class AutomorphismGroup:
-    kind: str
-    fixed_points: tuple
-    a: complex  # G(0) of the generator G(z) = a + i beta z - conj(a) z^2
-    beta: float
-
-
-def automorphism_group(flow: FlowModel) -> AutomorphismGroup:
-    """The flow's automorphism group, read off its generator: the fixed points, roots of
-    -conj(a) z^2 + i beta z + a (0 alone when a = 0), and by the sign of 4|a|^2 - beta^2 the
-    kind 'elliptic' (< 0, a root inside), 'hyperbolic' (> 0, two on the circle) or 'parabolic'
-    (0 to AUTOMORPHISM_TOL, a double one).  ModelError for any other flow, and for the
-    trivial flow G = 0."""
-    group = automorphism_generator(flow)
-    if group is None:
-        raise ModelError("the generator is not a + i beta z - conj(a) z^2")
-    a0, beta0 = group
-    if a0 == 0 and beta0 == 0:
-        raise ModelError("the trivial flow G = 0 moves no point: it has no kind")
-    # the roots, kind and test do not change when a and beta are scaled alike: by a power of
-    # two, that is exact, and it keeps |a|^2 and beta^2 in range at any speed of the group
-    _, e = math.frexp(max(abs(a0), abs(beta0)))
-    a, beta = complex(math.ldexp(a0.real, -e), math.ldexp(a0.imag, -e)), math.ldexp(beta0, -e)
-    disc = 4.0 * abs(a) ** 2 - beta ** 2
-    parabolic = abs(disc) <= AUTOMORPHISM_TOL * (4.0 * abs(a) ** 2 + beta ** 2)
-    kind = "parabolic" if parabolic else "hyperbolic" if disc > 0 else "elliptic"
-    if a == 0:
-        return AutomorphismGroup(kind, (0j,), a0, beta0)
-    # the larger root without cancellation, then the other from their product -a/conj(a)
-    root = math.copysign(1.0, beta) * (0.0 if parabolic else cmath.sqrt(disc))
-    p = (1j * beta + root) / (2.0 * a.conjugate())
-    return AutomorphismGroup(kind, (p, -a / (a.conjugate() * p)), a0, beta0)
-
-
 @config_parser
 def flow_from_json(obj: dict) -> FlowModel:
     """Rebuild a flow from its JSON form; every number goes through the typed
@@ -715,15 +689,12 @@ def flow_from_json(obj: dict) -> FlowModel:
         except ModelError as exc:  # a spiral's h(0) != 0 or Re c < 0: the config is at fault
             raise ConfigError(str(exc)) from exc
     if kind == "automorphism":
-        if obj["kind"] not in _AUTOMORPHISM_KINDS:
+        if obj["kind"] not in _AUTOMORPHISM_KEYS:
             raise ConfigError(f"unknown automorphism kind {obj['kind']!r}")
-        return Automorphism(
-            kind=obj["kind"],
-            omega=config_number("omega", obj.get("omega", 0.0)),
-            rate=config_number("rate", obj.get("rate", 0.0)),
-            speed=config_number("speed", obj.get("speed", 0.0)),
-            reflect=config_flag("reflect", obj.get("reflect", False)),
-        )
+        defaults = Automorphism._record_fields
+        return Automorphism(kind=obj["kind"], **{
+            key: (config_flag if key == "reflect" else config_number)(key, obj.get(key, defaults[key]))
+            for key in _AUTOMORPHISM_KEYS[obj["kind"]]})
     if kind == "rotated":
         gamma = config_pair("gamma", obj["gamma"])  # read before the inner flow, whose build can end the run
         if abs(abs(gamma) - 1.0) > 1e-12:

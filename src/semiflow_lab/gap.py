@@ -18,15 +18,8 @@ import numpy as np
 from .analytic import AnalyticFn, BlochGridNorm, GridSpec, Power, Product
 from .blaschke import BlaschkeProduct, _refuse_repeated, _rho_rows, interpolation_delta
 from .cocycles import Coboundary, Weight, WeightedSemigroup, _multiplier, _z_derivative, weighted_z_derivative
-from .errors import (
-    BisectionError,
-    CaseMismatch,
-    DepthExceeded,
-    DomainError,
-    ModelError,
-    record,
-)
-from .flows import ESCAPE_RADIUS, FlowModel, RotatedFlow, automorphism_generator, automorphism_group
+from .errors import BisectionError, CaseMismatch, DepthExceeded, DomainError, record
+from .flows import AUTOMORPHISM_TOL, ESCAPE_RADIUS, FlowModel, RotatedFlow, automorphism_generator
 from .flows import boundary_orbit
 from .pointwise import points, times
 
@@ -280,22 +273,25 @@ def bloch_gap_verdicts(gc: GapConstruction, reports) -> list:
 
 
 def _solve_angle(flow: FlowModel, r: float, target: float, cap: float):
-    """Smallest t in (0, cap] with arg(phi_t(r) - 1) = target, or None.
+    """(t, phi_t(r)) for the smallest t in (0, cap] with arg(phi_t(r) - 1) = target,
+    or None.
 
     Samples the continuous angle along the orbit of r in one advance call,
     brackets the first sign change that does not wrap the branch cut, then
-    bisects one time at a time.
+    bisects one time at a time.  The point returned is that of the last scalar
+    advance, the one whose angle was accepted, so the caller runs no orbit again.
     """
 
-    def angle(t: float) -> float:
-        return cmath.phase(flow.advance(r, t) - 1.0)
+    def angle(t: float):
+        w = flow.advance(r, t)
+        return cmath.phase(w - 1.0) - target, w
 
     ts = [cap * 1e-9] + [cap * k / 64.0 for k in range(1, 65)]
     gs = [cmath.phase(w - 1.0) - target for w in flow.advance(r, np.array(ts)).tolist()]
     bracket = None
     for k in range(len(ts) - 1):
-        if gs[k] == 0.0:
-            return ts[k]
+        if gs[k] == 0.0:  # a sample of the batch: its point is a scalar advance's
+            return ts[k], flow.advance(r, ts[k])
         if gs[k] * gs[k + 1] < 0 and abs(gs[k] - gs[k + 1]) < 0.5 * math.pi:
             bracket = (ts[k], ts[k + 1], gs[k])
             break
@@ -304,9 +300,9 @@ def _solve_angle(flow: FlowModel, r: float, target: float, cap: float):
     a, b, ga = bracket
     for _ in range(200):
         mid = 0.5 * (a + b)
-        gm = angle(mid) - target
+        gm, w = angle(mid)
         if abs(gm) <= 1e-12:
-            return mid
+            return mid, w
         if ga * gm < 0:
             b = mid
         else:
@@ -314,55 +310,56 @@ def _solve_angle(flow: FlowModel, r: float, target: float, cap: float):
         if b - a <= 1e-17 * cap:
             break
     mid = 0.5 * (a + b)
-    return mid if abs(angle(mid) - target) <= 1e-9 else None
+    gm, w = angle(mid)
+    return (mid, w) if abs(gm) <= 1e-9 else None
 
 
 def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> GapConstruction:
     """Level construction for automorphism flows: r_n = 1 - 2^{-n}, t_n pinned
     by arg(phi_{t_n}(r_n) - 1) = +-3*pi/4.
 
-    The sign is that of Im G(1) = 2 Im a + beta, read off the generator
-    G(z) = a + i beta z - conj(a) z^2: the half-plane the boundary orbit of 1
-    enters.  The first usable n is the smallest one where the angle equation
-    brackets a root.  Requires 1 not to be a Denjoy-Wolff point of either time
-    direction.
+    The group is read off its generator G(z) = a + i beta z - conj(a) z^2, and
+    G(1) = i (2 Im a + beta) is the one number the construction needs: the group
+    fixes 1 exactly when it is 0, and its sign is the half-plane the boundary orbit
+    of 1 enters.  Any other flow, and a group with |2 Im a + beta| <=
+    AUTOMORPHISM_TOL max(|a|, |beta|), the trivial flow G = 0 among them, is
+    refused (CaseMismatch) before any orbit runs.  The first usable n is the
+    smallest one where the angle equation brackets a root; the levels stop at
+    the ladder's top rung below the escape radius, n = LADDER_TOP
+    (BisectionError).
     """
     if N < 1:
         raise ValueError("need at least one level")
-    try:
-        group = automorphism_group(flow)
-    except ModelError as exc:
-        raise CaseMismatch(f"flow is not a non-trivial automorphism group: {exc}") from exc
-    if any(abs(p - 1.0) < 1e-6 for p in group.fixed_points):
-        raise CaseMismatch("1 is a Denjoy-Wolff point of the flow")
-    side = 2.0 * group.a.imag + group.beta  # G(1) = i side, the boundary orbit's velocity at 1
-    if side == 0.0:
-        raise CaseMismatch("G(1) = 0: the boundary orbit does not leave the real axis at 1")
+    group = automorphism_generator(flow)
+    if group is None:
+        raise CaseMismatch("flow is not an automorphism group: its generator is not a + i beta z - conj(a) z^2")
+    a, beta = group
+    side = 2.0 * a.imag + beta  # G(1) = i side, the boundary orbit's velocity at 1
+    if abs(side) <= AUTOMORPHISM_TOL * max(abs(a), abs(beta)):
+        raise CaseMismatch(f"G(1) = 0 (2 Im a + beta = {side!r}): 1 is a Denjoy-Wolff point of the flow, "
+                           "or the flow is the trivial flow G = 0")
     target = math.copysign(3.0 * math.pi / 4.0, side)
 
     levels = []
     ratios = []
     t_prev = None
-    n = 1
-    started = False
-    while len(levels) < N:
-        if n > 40:
-            raise BisectionError("angle equation never bracketed a root (depth 40)")
+    for n in range(1, LADDER_TOP + 1):
         r = 1.0 - 2.0 ** (-n)
         cap = t_first_cap if t_prev is None else t_prev / 2.0
-        t_n = _solve_angle(flow, r, target, cap)
-        if t_n is None and started:
+        found = _solve_angle(flow, r, target, cap)
+        if found is None and levels:
             # The root can sit marginally above t_{n-1}/2; widen once.
-            t_n = _solve_angle(flow, r, target, 0.95 * t_prev)
-            if t_n is None:
+            found = _solve_angle(flow, r, target, 0.95 * t_prev)
+            if found is None:
                 raise BisectionError(f"no root in (0, {cap:.3e}) at level n = {n}")
-        if t_n is not None:
-            started = True
-            w = flow.advance(r, t_n)
-            levels.append(GapLevel(n=n, t=t_n, r=r, w=w))
+        if found is not None:
+            t_prev, w = found
+            levels.append(GapLevel(n=n, t=t_prev, r=r, w=w))
             ratios.append((1.0 - w.real) / 2.0 ** (-n))
-            t_prev = t_n
-        n += 1
+            if len(levels) == N:
+                break
+    else:
+        raise BisectionError(f"angle equation gave {len(levels)} of {N} levels by depth {LADDER_TOP}")
 
     pts = [complex(lv.r) for lv in levels] + [lv.w for lv in levels]
     min_sep = min(_rho_rows(pts, range(len(pts)))[2])

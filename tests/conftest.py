@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -81,3 +84,15 @@ def weight_corpus():
 def replaced(record, **changes):
     """A copy of ``record`` with the named fields changed, built through its constructor."""
     return type(record)(**{**{key: getattr(record, key) for key in record._record_fields}, **changes})
+
+
+def group_fixed_points(a, beta):
+    """The fixed points of the group G(z) = a + i beta z - conj(a) z^2, the roots of
+    -conj(a) z^2 + i beta z + a (0 alone when a = 0): the larger root without
+    cancellation, then the other from their product -a/conj(a)."""
+    if a == 0:
+        return [0j]
+    scale = max(abs(a), abs(beta))  # the roots do not change when a and beta are scaled alike
+    a, beta = a / scale, beta / scale
+    p = (1j * beta + math.copysign(1.0, beta) * cmath.sqrt(4.0 * abs(a) ** 2 - beta ** 2)) / (2.0 * a.conjugate())
+    return [p, -a / (a.conjugate() * p)]

@@ -374,8 +374,8 @@ def test_exit_code_on_an_escaping_case_1_flow(tmp_path):
 ], ids=["parabolic", "hyperbolic", "elliptic", "hyperbolic-slow"])
 def test_a_group_whose_generator_squares_out_of_range_ends_in_its_typed_error(tmp_path, capsys, flow, error):
     # |a|^2 and beta^2 overflowed a Python float (OverflowError, no report.json), or underflowed
-    # to a zero discriminant and a ZeroDivisionError; the group is now classified scale-free,
-    # and the run ends in the error its construction meets
+    # to a zero discriminant and a ZeroDivisionError; case 2 now reads only G(1) = i (2 Im a + beta)
+    # against max(|a|, |beta|), which squares nothing, and the run ends in the error its construction meets
     payload = json.loads((CONFIGS / "bloch_gap_auto_parabolic.json").read_text())
     cfg = write_config(tmp_path, "c.json", {**payload, "flow": flow})
     assert run("bloch-gap-auto", cfg, tmp_path / "out") == 1
@@ -467,6 +467,17 @@ GAP_WEIGHTS = [{"type": "weight", "g": {"op": "const", "value": [1, 0]}}]
 G_ID = {"type": "weight", "g": {"op": "id"}}
 PARABOLIC = {"type": "automorphism", "kind": "parabolic", "speed": 1.0, "reflect": True}
 COBOUNDARY = {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [-1, 0]]}}
+
+
+# each list key of a tree given an object or a string
+LIST_KEY_TREES = [
+    {"op": "poly", "coeffs": {}},
+    {"op": "poly", "coeffs": ""},
+    {"op": "sum", "terms": {}},
+    {"op": "product", "factors": {}},
+    {"op": "quotient", "num": {"op": "id"}, "den": {"op": "const", "value": [2, 0]}, "guards": {}},
+    {"op": "blaschke", "zeros": {}},
+]
 
 
 @pytest.mark.parametrize(
@@ -575,6 +586,12 @@ COBOUNDARY = {"type": "coboundary", "alpha": {"op": "poly", "coeffs": [[1, 0], [
         # an integer literal beyond every float is refused, not overflowed
         ("flow-check", {"flow": RADIAL, "z_radius": 10**400}),
         ("flow-check", {"flow": {**RADIAL, "tol": 10**400}}),
+        # an automorphism reads only its kind's keys: the others are unread
+        ("bloch-gap", {"flow": {**PARABOLIC, "omega": 5, "rate": 7}}),
+        ("flow-check", {"flow": {"type": "automorphism", "kind": "elliptic", "omega": 1, "reflect": True, "speed": 3}}),
+        # an object or a string where a list belongs, though either iterates
+        *[("flow-check", {"flow": {"type": "ode", "G": G}}) for G in LIST_KEY_TREES],
+        ("separability", {"grid": {"radii": {}, "angular": {}, "points": {}}}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):
@@ -582,6 +599,43 @@ def test_malformed_config_exits_2(tmp_path, capsys, subcommand, payload):
     assert run(subcommand, cfg, tmp_path / "out") == 2
     assert not (tmp_path / "out" / "report.json").exists()
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("subcommand, payload, key, value", [
+    *[("flow-check", {"flow": {"type": "ode", "G": G}}, key, G[key])
+      for G in LIST_KEY_TREES for key in ("coeffs", "terms", "factors", "guards", "zeros") if key in G],
+    ("separability", {"grid": {"radii": {}, "angular": [], "points": []}}, "radii", {}),
+    ("separability", {"grid": {"radii": [], "angular": "", "points": []}}, "angular", ""),
+    ("separability", {"grid": {"radii": [], "angular": [], "points": {}}}, "points", {}),
+])
+def test_a_list_key_holding_no_list_is_refused_by_name(tmp_path, capsys, subcommand, payload, key, value):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run(subcommand, cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: config key {key!r} must be a JSON list, got {value!r}\n"
+
+
+@pytest.mark.parametrize("grid", [{"radii": [], "angular": []}, {"radii": [0.5], "angular": [4], "points": []}])
+def test_an_empty_grid_list_stays_legal(tmp_path, grid):
+    cfg = write_config(tmp_path, "c.json", {"grid": grid, "rotations": {"count": 2}})
+    assert run("separability", cfg, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("flow, unread", [
+    ({**PARABOLIC, "omega": 5, "rate": 7}, "flow.omega, flow.rate"),
+    ({"type": "automorphism", "kind": "elliptic", "omega": 1, "reflect": True, "speed": 3}, "flow.reflect, flow.speed"),
+    ({"type": "automorphism", "kind": "hyperbolic", "rate": 1, "speed": 0}, "flow.speed"),
+])
+def test_an_automorphism_reads_only_its_kinds_keys(tmp_path, capsys, flow, unread):
+    cfg = write_config(tmp_path, "c.json", {"flow": flow})
+    assert run("flow-check", cfg, tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: keys that flow-check does not read: {unread}\n"
+
+
+def test_a_written_automorphism_reads_back_through_the_cli(tmp_path):
+    # json_form writes a kind's own keys, so the CLI reads every key of a written flow
+    flow = sl.json_form(sl.Automorphism(kind="parabolic", speed=1.0, reflect=True))
+    cfg = write_config(tmp_path, "c.json", {"flow": flow, "n_points": 5})
+    assert run("flow-check", cfg, tmp_path / "out") == 0
 
 
 def test_newton_seed_is_an_unread_key(tmp_path, capsys):
@@ -841,9 +895,26 @@ def _numeric_leaves(obj, path=()):
         yield path
 
 
+# the shipped configs whose numbers and structure the two properties below mutate
+MUTATED_STEMS = ["gpv_geometric", "separability_rotations", "bloch_gap_auto_parabolic", "flow_trace_parabolic"]
+
+
+def _check_exit(code, out):
+    """The rules of a run's end: main returned 0, 1 or 2, exit 2 wrote no output directory, and exit 1
+    wrote report.json with its error, a SemiflowError with metadata.json beside it, or its failed verdict."""
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not out.exists()
+        return
+    report = read_report(out)
+    assert report["passed"] == (code == 0)
+    if "error" in report:
+        assert code == 1 and issubclass(getattr(sl.errors, report["error"]["type"]), sl.SemiflowError)
+        assert (out / "metadata.json").exists()
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(["gpv_geometric", "separability_rotations", "bloch_gap_auto_parabolic", "flow_trace_parabolic"]),
-       st.data())
+@given(st.sampled_from(MUTATED_STEMS), st.data())
 def test_a_shipped_config_with_edge_values_ends_in_an_exit_code(tmp_path_factory, stem, data):
     # one or two numbers of a shipped config set to edge values: main returns 0, 1 or 2 and raises nothing;
     # exit 2 writes no output directory, and exit 1 writes report.json with its error or its failed verdict
@@ -857,13 +928,39 @@ def test_a_shipped_config_with_edge_values_ends_in_an_exit_code(tmp_path_factory
     tmp = tmp_path_factory.mktemp("mutated")
     out = tmp / "out"
     code = run(SHIPPED[stem], write_config(tmp, "c.json", config), out)
-    assert code in (0, 1, 2)
     event(f"exit {code}")
-    if code == 2:
-        assert not out.exists()
-        return
-    report = read_report(out)
-    assert report["passed"] == (code == 0)
-    if "error" in report:
-        assert code == 1 and issubclass(getattr(sl.errors, report["error"]["type"]), sl.SemiflowError)
-        assert (out / "metadata.json").exists()
+    _check_exit(code, out)
+
+
+# ROADMAP item 5's structural mutations: a key dropped, or its value replaced by one of another JSON type
+DROP = object()
+STRUCTURAL_VALUES = [DROP, "x", [], {}, None, True, [1], [[0, 0]], {"op": "id"}, -1]
+
+
+def _key_paths(obj, path=()):
+    """The path of every object member and list entry of a JSON value, at any depth."""
+    entries = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in entries:
+        yield path + (key,)
+        yield from _key_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("stem", MUTATED_STEMS)
+def test_a_shipped_config_with_a_key_dropped_or_retyped_ends_in_an_exit_code(tmp_path, stem):
+    # every key path of the config, each dropped or set to each structural value in turn (410 runs over the four)
+    text = (CONFIGS / f"{stem}.json").read_text()
+    runs = [(path, value) for path in _key_paths(json.loads(text)) for value in STRUCTURAL_VALUES]
+    for i, (path, value) in enumerate(runs):
+        config = json.loads(text)
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        if value is DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        out = tmp_path / f"out{i}"
+        try:
+            _check_exit(run(SHIPPED[stem], write_config(tmp_path, f"c{i}.json", config), out), out)
+        except Exception as exc:
+            raise AssertionError(f"{stem} with {path} {'dropped' if value is DROP else f'= {value!r}'}") from exc

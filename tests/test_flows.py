@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import semiflow_lab as sl
-from conftest import flow_corpus, generator_corpus
+from conftest import flow_corpus, generator_corpus, group_fixed_points
 from semiflow_lab.cli import random_disc_points
 
 
@@ -358,19 +358,22 @@ def test_parabolic_stays_near_circle():
         assert abs(w) > 0.999
 
 
-def test_classify_elliptic():
-    assert sl.automorphism_group(sl.Automorphism(kind="elliptic", omega=1.0)).kind == "elliptic"
-    rot = sl.koenigs_flow(sl.identity_map(), 1j, "spiral")
-    assert sl.automorphism_group(rot).kind == "elliptic"
+# the (a, beta) of G(z) = a + i beta z - conj(a) z^2 per kind: e^{i omega t} z is G = i omega z, the Cayley
+# dilation G = +-rate (1 - z^2)/2 and the Cayley translation G = +-i speed (1 -+ z)^2 / 2
+AUTOMORPHISM_GENERATORS = [
+    (dict(kind="elliptic", omega=1.0), 0j, 1.0),
+    (dict(kind="hyperbolic", rate=1.0), 0.5, 0.0),
+    (dict(kind="hyperbolic", rate=1.0, reflect=True), -0.5, 0.0),
+    (dict(kind="parabolic", speed=1.0), 0.5j, -1.0),
+    (dict(kind="parabolic", speed=1.0, reflect=True), -0.5j, -1.0),
+]
 
 
-def test_classify_hyperbolic():
-    flow = sl.Automorphism(kind="hyperbolic", rate=1.0)
-    group = sl.automorphism_group(flow)
-    assert group.kind == "hyperbolic"
-    fps = group.fixed_points
-    assert sorted(round(abs(p - 1), 6) for p in fps)[0] == 0
-    assert sorted(round(abs(p + 1), 6) for p in fps)[0] == 0
+def test_automorphism_generator_reads_each_kinds_a_and_beta():
+    for fields, a, beta in AUTOMORPHISM_GENERATORS:
+        assert sl.flows.automorphism_generator(sl.Automorphism(**fields)) == (a, beta)
+    rot = sl.koenigs_flow(sl.identity_map(), 1j, "spiral")  # e^{-it} z
+    assert sl.flows.automorphism_generator(rot) == (0, -1.0)
 
 
 @pytest.mark.parametrize("rate, reflect", [(1.0, False), (0.6, True), (-0.8, False)])
@@ -395,85 +398,91 @@ def test_hyperbolic_automorphism_is_the_cayley_dilation(rate, reflect):
     assert abs(est - flow.generator_fn().eval(zs)).max() <= 1e-7
 
 
-def test_classify_parabolic():
-    flow = sl.Automorphism(kind="parabolic", speed=1.0)
-    group = sl.automorphism_group(flow)
-    assert group.kind == "parabolic"
-    assert all(abs(p - 1.0) < 1e-4 for p in group.fixed_points)
-
-
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
-def test_automorphism_group_reads_alike_at_any_speed(scale):
-    # the discriminant 4|a|^2 - beta^2 is formed after scaling a and beta by a power of two,
-    # so neither square overflows a Python float (1e300 raised OverflowError) nor underflows
-    for flow, kind, fixed in [
-        (sl.Automorphism(kind="parabolic", speed=scale, reflect=True), "parabolic", [-1, -1]),
-        (sl.Automorphism(kind="hyperbolic", rate=scale), "hyperbolic", [1, -1]),
-        (sl.Automorphism(kind="elliptic", omega=scale), "elliptic", [0]),
-    ]:
-        group = sl.automorphism_group(flow)
-        assert group.kind == kind
-        assert sorted(group.fixed_points, key=lambda p: p.real) == pytest.approx(sorted(fixed), abs=1e-4)
+def test_automorphism_group_reads_alike_at_any_speed(scale, monkeypatch):
+    # (a, beta) scale with the group, bit for bit, and case 2's test of G(1) = i (2 Im a + beta) is relative to
+    # max(|a|, |beta|), so it refuses the groups that fix 1 at any speed, before any orbit runs
+    monkeypatch.setattr(sl.FlowModel, "advance", None)
+    for fields, a, beta in AUTOMORPHISM_GENERATORS:
+        key = next(key for key in ("omega", "rate", "speed") if key in fields)
+        flow = sl.Automorphism(**{**fields, key: scale})
+        assert sl.flows.automorphism_generator(flow) == (a * scale, beta * scale)
+        if 2 * a.imag + beta == 0:  # the hyperbolic and the parabolic group, both of which fix 1
+            with pytest.raises(sl.CaseMismatch, match=r"G\(1\) = 0"):
+                sl.construct_case2(flow, N=3)
 
 
 def test_classify_automorphism_integrates_nothing(integrations):
-    # a = G(0), i beta = G'(0) and the form on |z| = 1/2 come from one jet of the generator tree
-    assert sl.automorphism_group(sl.ode_flow(sl.Polynomial([0, 1j]))).kind == "elliptic"
-    assert sl.automorphism_group(sl.Automorphism(kind="parabolic", speed=2.0)).kind == "parabolic"
-    assert len(sl.automorphism_group(sl.Automorphism(kind="hyperbolic", rate=1.0)).fixed_points) == 2
+    # a = G(0), i beta = G'(0) and the form on |z| = 1/2 come from one jet of the generator tree,
+    # and case 2 refuses a group that fixes 1 from them alone
+    assert sl.flows.automorphism_generator(sl.ode_flow(sl.Polynomial([0, 1j]))) == (0, 1.0)
+    assert sl.flows.automorphism_generator(sl.Automorphism(kind="parabolic", speed=2.0)) == (1j, -2.0)
+    with pytest.raises(sl.CaseMismatch):
+        sl.construct_case2(sl.Automorphism(kind="hyperbolic", rate=1.0), N=3)
     assert integrations == []
 
 
 def test_classify_rejects_non_mobius():
     # cubic field: a quadratic one would give a Riccati flow, which is Mobius
     flow = sl.ode_flow(sl.Polynomial([0, -1, 0, 1]))
-    with pytest.raises(sl.ModelError):
-        sl.automorphism_group(flow)
+    assert sl.flows.automorphism_generator(flow) is None
+    with pytest.raises(sl.CaseMismatch, match="not an automorphism group"):
+        sl.construct_case2(flow, N=3)
 
 
 @pytest.mark.parametrize("coeffs", [[0, -1], [0.1, -1, 0.3]], ids=["-z", "0.1-z+0.3z^2"])
 def test_classify_refuses_riccati_flows_that_are_no_automorphism_group(coeffs):
     # their time-1 maps are Mobius, but they map the disc into itself, not onto it
-    with pytest.raises(sl.ModelError, match="not a \\+ i beta z"):
-        sl.automorphism_group(sl.ode_flow(sl.Polynomial(coeffs)))
+    flow = sl.ode_flow(sl.Polynomial(coeffs))
+    assert sl.flows.automorphism_generator(flow) is None
+    with pytest.raises(sl.CaseMismatch, match="not a \\+ i beta z"):
+        sl.construct_case2(flow, N=3)
 
 
 def test_classify_refuses_the_trivial_flow():
-    # G = 0 fits the form with a = beta = 0, and it is of no kind: it fixes every point
+    # G = 0 fits the form with a = beta = 0, and case 2 refuses it: it fixes every point, 1 among them
     assert sl.flows.automorphism_generator(sl.ode_flow(sl.Constant(0))) == (0, 0)
-    with pytest.raises(sl.ModelError, match="trivial flow G = 0"):
-        sl.automorphism_group(sl.ode_flow(sl.Constant(0)))
+    with pytest.raises(sl.CaseMismatch, match="trivial flow G = 0"):
+        sl.construct_case2(sl.ode_flow(sl.Constant(0)), N=3)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(1e-6, 1.0), st.booleans())
 def test_automorphism_generators_are_classified_by_their_discriminant(re_a, im_a, beta, eps, cubic):
+    # the reader gives (a, beta) back exactly and refuses any other polynomial; by the sign of the discriminant
+    # 4|a|^2 - beta^2 the fixed points are two on the circle (hyperbolic) or one inside (elliptic), and G(1) =
+    # -conj(a) (1 - p) (1 - q) over them, so G(1) = i (2 Im a + beta), case 2's one number, is 0 just when 1 is one
     a = complex(re_a, im_a)
     disc = 4 * abs(a) ** 2 - beta ** 2
     assume(abs(disc) > 1e-6 * (4 * abs(a) ** 2 + beta ** 2))  # away from parabolic, and not G = 0
     assume(a == 0 or abs(a) >= 1e-3)  # the outer fixed point of an elliptic group stays finite
     G = sl.Polynomial([a, 1j * beta, -a.conjugate()])
-    flow = sl.ode_flow(G)
-    group = sl.automorphism_group(flow)
-    kind = group.kind
-    assert kind == ("hyperbolic" if disc > 0 else "elliptic")
-    assert (group.a, group.beta) == (a, beta)  # the generator the kind and fixed points come from
-    for p in group.fixed_points:
+    assert sl.flows.automorphism_generator(sl.ode_flow(G)) == (a, beta)
+    fixed = group_fixed_points(a, beta)
+    for p in fixed:
         assert abs(G.eval_anywhere(p)) <= 1e-14 * (abs(a) + abs(beta * p) + abs(a * p * p))
-        assert kind == "elliptic" or abs(abs(p) - 1.0) <= 1e-14
+        assert disc < 0 or abs(abs(p) - 1.0) <= 1e-14
+    if a != 0:
+        p, q = fixed
+        assert abs(abs(2 * a.imag + beta) - abs(a * (1 - p) * (1 - q))) <= 1e-13 * (abs(a) + abs(beta))
     off = [a, 1j * beta, -a.conjugate(), eps] if cubic else [a, 1j * beta, -a.conjugate() + eps]
-    with pytest.raises(sl.ModelError):
-        sl.automorphism_group(sl.ode_flow(sl.Polynomial(off)))
+    assert sl.flows.automorphism_generator(sl.ode_flow(sl.Polynomial(off))) is None
 
 
 @pytest.mark.parametrize("a, beta", [(0.5j, -1.0), (-0.3 + 0.4j, 1.0), (0.05, 0.1)])
 def test_parabolic_generators_have_one_fixed_point_on_the_circle(a, beta):
-    # 4|a|^2 = beta^2: a double root of -conj(a) z^2 + i beta z + a on the circle
+    # 4|a|^2 = beta^2: a double root of -conj(a) z^2 + i beta z + a on the circle.  Case 2 refuses the group
+    # whose double root is 1, off G(1) = 0, and builds on the others
     G = sl.Polynomial([a, 1j * beta, -a.conjugate()])
-    group = sl.automorphism_group(sl.ode_flow(G))
-    assert group.kind == "parabolic"
-    for p in group.fixed_points:
+    flow = sl.ode_flow(G)
+    assert sl.flows.automorphism_generator(flow) == (a, beta)
+    for p in group_fixed_points(a, beta):
         assert abs(abs(p) - 1.0) <= 1e-12 and abs(G.eval_anywhere(p)) <= 1e-12
+    if abs(group_fixed_points(a, beta)[0] - 1.0) <= 1e-12:
+        with pytest.raises(sl.CaseMismatch, match=r"G\(1\) = 0"):
+            sl.construct_case2(flow, N=1)
+    else:
+        assert len(sl.construct_case2(flow, N=1).levels) == 1
 
 
 def test_boundary_orbit_radial():

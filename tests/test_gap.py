@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import semiflow_lab as sl
 from semiflow_lab import blaschke
-from conftest import replaced
+from conftest import group_fixed_points, replaced
 
 
 def radial_flow(tol=1e-12):
@@ -407,11 +407,9 @@ def test_case2_side_is_the_orbit_probes_sign_away_from_the_fixed_points(flow):
     # r = 1 - 2^-8 instead; Im G(r) = r Im G(1) + Im a (1 - r)^2 and |Im G(1)| = |a| |1 - p| |1 - q| over
     # the fixed points p, q, so the two start alike once both lie 2^-7 or more from 1 (for an elliptic group
     # |1 - q| >= |1 - p|).  Nearer than that the probe can read the other side: see the next test.
-    try:
-        group = sl.automorphism_group(flow)
-    except sl.ModelError:  # the trivial flow
-        assume(False)
-    assume(min(abs(p - 1.0) for p in group.fixed_points) >= 2.0 ** -7)
+    a, beta = sl.flows.automorphism_generator(flow)
+    assume(a != 0 or beta != 0)  # the trivial flow
+    assume(min(abs(p - 1.0) for p in group_fixed_points(a, beta)) >= 2.0 ** -7)
     side = probe_side(flow)
     assume(side != 0.0)  # a group too slow to move r by 1e-13 up to t = 2^53, which the probe refused
     target = case2_target(flow)
@@ -425,7 +423,7 @@ def test_case2_takes_the_boundary_orbits_side_next_to_a_fixed_point(a, beta):
     # the other half-plane.  Taking that side, the angle equation found no root before the levels reached the
     # escape radius (EscapeError); from G(1), levels 18 to 23 are built
     flow = automorphism_ode(a, beta)
-    assert min(abs(p - 1.0) for p in sl.automorphism_group(flow).fixed_points) == pytest.approx(4e-6, rel=1e-5)
+    assert min(abs(p - 1.0) for p in group_fixed_points(a, beta)) == pytest.approx(4e-6, rel=1e-5)
     assert probe_side(flow) == -math.copysign(1.0, beta)
     gc = sl.construct_case2(flow, N=6)
     assert gc.target_angle == math.copysign(3 * math.pi / 4, beta)
@@ -453,20 +451,74 @@ def test_case2_first_advance_is_the_first_levels_angle_sample(monkeypatch, flow)
 
 
 def test_case2_refuses_a_group_that_fixes_1_without_running_an_orbit(monkeypatch):
-    # 1 is a fixed point, refused before any advance: read off the fixed points, or, where they are read
-    # 2e-5 off, off G(1) = 0.  The hyperbolic group a = i e^{i d}, beta = -2 cos d fixes 1 and e^{2 i d};
-    # at d = 2e-5 its discriminant is within AUTOMORPHISM_TOL of 0, and it reads as parabolic, its double
-    # fixed point between the two (an orbit probe then went on, to an EscapeError 40 levels deep)
+    # 1 is a fixed point just when G(1) = i (2 Im a + beta) = 0, refused before any advance.  The hyperbolic
+    # group a = i e^{i d}, beta = -2 cos d fixes 1 and e^{2 i d}; at d = 2e-5 its discriminant is within 1e-9
+    # of 0, so a kind test could not tell it from a parabolic group, and its G(1) is 0.0 exactly
     monkeypatch.setattr(sl.FlowModel, "advance", None)
     for flow in (sl.Automorphism(kind="parabolic", speed=1.0), automorphism_ode(0.5 - 0.5j, 1.0)):
         with pytest.raises(sl.CaseMismatch, match="Denjoy-Wolff point"):
             sl.construct_case2(flow, N=3)
     a = 1j * cmath.exp(2e-5j)
-    flow = automorphism_ode(a, -2 * a.imag)
-    group = sl.automorphism_group(flow)
-    assert group.kind == "parabolic" and min(abs(p - 1.0) for p in group.fixed_points) > 1e-6
-    with pytest.raises(sl.CaseMismatch, match=r"G\(1\) = 0"):
-        sl.construct_case2(flow, N=3)
+    beta = -2 * a.imag
+    assert sorted(abs(p - 1.0) for p in group_fixed_points(a, beta)) == pytest.approx([0.0, 4e-5], abs=1e-12)
+    assert abs(4 * abs(a) ** 2 - beta ** 2) <= 1e-9 * (4 * abs(a) ** 2 + beta ** 2)
+    with pytest.raises(sl.CaseMismatch, match=r"G\(1\) = 0 \(2 Im a \+ beta = 0\.0\)"):
+        sl.construct_case2(automorphism_ode(a, beta), N=3)
+
+
+def rotated_group(kind, d):
+    """The hyperbolic (rate 1) or parabolic (speed 1) group that fixes 1, rotated so that that fixed
+    point lies at e^{-i d}, a distance d from 1."""
+    inner = sl.Automorphism(kind="hyperbolic", rate=1.0) if kind == "hyperbolic" else sl.Automorphism(
+        kind="parabolic", speed=1.0)
+    return sl.RotatedFlow(inner, cmath.exp(1j * d))
+
+
+@pytest.mark.parametrize("flow, outcome", [
+    *[(rotated_group("hyperbolic", 10.0 ** -e), outcome) for e, outcome in [
+        (1, range(3, 9)), (2, range(6, 12)), (3, range(10, 16)), (4, range(13, 19)), (5, range(16, 22)),
+        (6, "level n = 23"), (7, "level n = 26"), (8, range(28, 34)), (9, "level n = 34")]],
+    *[(rotated_group("parabolic", 10.0 ** -e), outcome) for e, outcome in [
+        (1, range(8, 14)), (2, range(15, 21)), (3, range(21, 27)), (4, range(28, 34)),
+        (5, sl.CaseMismatch), (6, sl.CaseMismatch), (7, sl.CaseMismatch), (8, sl.CaseMismatch),
+        (9, sl.CaseMismatch)]],
+    # a group too slow for the angle equation on any rung below the escape radius, closed form or integrated
+    (sl.ode_flow(sl.Polynomial([0, 1e-82j])), "depth 39"),
+    (sl.Automorphism(kind="elliptic", omega=1e-82), "depth 39"),
+], ids=[f"{kind}-1e-{e}" for kind in ("hyperbolic", "parabolic") for e in range(1, 10)] + ["ode-1e-82", "elliptic-1e-82"])
+def test_case2_builds_or_refuses_a_group_by_its_fixed_points_distance_from_1(flow, outcome):
+    # built: the levels, all on the ladder below the escape radius; CaseMismatch: |G(1)| at most 1e-9 of
+    # max(|a|, |beta|), with the fixed point 1e-5 or less from 1 (relative |G(1)| 5e-11 at 1e-5); BisectionError:
+    # the angle equation lost its root at a level, or found too few by the ladder's top rung
+    if isinstance(outcome, range):
+        gc = sl.construct_case2(flow, N=6)
+        assert [lv.n for lv in gc.levels] == list(outcome) and gc.levels[-1].r < sl.flows.ESCAPE_RADIUS
+    elif isinstance(outcome, str):
+        with pytest.raises(sl.BisectionError, match=outcome):
+            sl.construct_case2(flow, N=6)
+    else:
+        with pytest.raises(outcome, match=r"G\(1\) = 0"):
+            sl.construct_case2(flow, N=6)
+
+
+def test_case2_runs_each_levels_orbit_once(monkeypatch):
+    # the shipped case-2 build: _solve_angle hands back phi_t(r) from the scalar advance that accepted t, so a
+    # level makes no advance after it (re-advancing each level would make 204)
+    calls = []
+    advance = sl.FlowModel.advance
+
+    def recorded(self, z, t):
+        calls.append((z, t))
+        return advance(self, z, t)
+
+    monkeypatch.setattr(sl.FlowModel, "advance", recorded)
+    gc = sl.construct_case2(sl.Automorphism(kind="parabolic", speed=1.0, reflect=True), N=6)
+    assert len(calls) == 198
+    for lv in gc.levels:  # each level's point is the last advance made on its r, at its t
+        z, t = [(z, t) for z, t in calls if z == lv.r][-1]
+        assert t == lv.t
+    monkeypatch.setattr(sl.FlowModel, "advance", advance)
+    assert [lv.w for lv in gc.levels] == [gc.flow.advance(lv.r, lv.t) for lv in gc.levels]
 
 
 def separability_grid(zeros, rotations):

@@ -78,15 +78,29 @@ def test_closed_form_map_writes_no_newton():
 
 
 def written_flows():
-    """Flows whose every field a reader must take back, unused ones included."""
+    """Flows whose every field a reader must take back: an automorphism's are those of its kind."""
     newton = sl.ConformalMap(forward=sl.Mobius(1, 1, -1, 1), newton=sl.NewtonInverse(40, 1e-12))
     return {
         "newton-translate": sl.koenigs_flow(newton, 1j, "translate"),
         "rotated": sl.RotatedFlow(sl.ode_flow(sl.Polynomial([0, -1]), 1e-11), cmath.exp(0.7j)),
-        "elliptic": sl.Automorphism("elliptic", omega=0.7, rate=0.3, speed=1.5, reflect=True),
-        "hyperbolic": sl.Automorphism("hyperbolic", omega=2.0, rate=0.4, speed=-1.0, reflect=True),
-        "parabolic": sl.Automorphism("parabolic", omega=-0.5, rate=1.25, speed=1.0),
+        "elliptic": sl.Automorphism("elliptic", omega=0.7),
+        "hyperbolic": sl.Automorphism("hyperbolic", rate=0.4, reflect=True),
+        "parabolic": sl.Automorphism("parabolic", speed=1.0, reflect=True),
     }
+
+
+@pytest.mark.parametrize("kind, keys", [("elliptic", ["omega"]), ("hyperbolic", ["rate", "reflect"]),
+                                        ("parabolic", ["speed", "reflect"])])
+def test_an_automorphism_writes_and_holds_only_its_kinds_keys(kind, keys):
+    # each kind reads its own keys; another kind's field is neither written nor taken, so a written
+    # flow reads back through the CLI, where an unread key is refused
+    assert list(sl.json_form(written_flows()[kind])) == ["type", "kind", *keys]
+    assert sl.json_form(sl.Automorphism(kind)) == {"type": "automorphism", "kind": kind,
+                                                   **{key: sl.Automorphism._record_fields[key] for key in keys}}
+    for other in {"omega": 1.0, "rate": 1.0, "speed": 1.0, "reflect": True}.items():
+        if other[0] not in keys:
+            with pytest.raises(sl.ModelError, match=f"kind {kind!r} does not read {other[0]}"):
+                sl.Automorphism(kind, **dict([other]))
 
 
 def written_weights():
@@ -279,8 +293,9 @@ base_flows = st.one_of(
     st.builds(sl.KoenigsFlow, maps, complexes, st.just("translate")),
     st.builds(sl.KoenigsFlow, st.just(sl.identity_map()),
               complexes.map(lambda c: complex(abs(c.real), c.imag)), st.just("spiral")),
-    st.builds(sl.Automorphism, st.sampled_from(["elliptic", "hyperbolic", "parabolic"]),
-              numbers, numbers, numbers, st.booleans()),
+    st.builds(lambda omega: sl.Automorphism("elliptic", omega=omega), numbers),  # each kind with its own fields
+    st.builds(lambda rate, reflect: sl.Automorphism("hyperbolic", rate=rate, reflect=reflect), numbers, st.booleans()),
+    st.builds(lambda speed, reflect: sl.Automorphism("parabolic", speed=speed, reflect=reflect), numbers, st.booleans()),
 )
 flows = st.one_of(
     base_flows,
