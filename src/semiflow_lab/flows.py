@@ -104,18 +104,20 @@ _E3 = (
 )
 
 
-# The integrator's work in the open ``counting`` block of this context, if any.
-_COUNTS = contextvars.ContextVar("integrator_counts", default=None)
+# The work counted in the open ``counting`` block of this context, if any.
+_COUNTS = contextvars.ContextVar("work_counts", default=None)
 
 
 @contextlib.contextmanager
 def counting():
-    """A dict of the integrator's work inside the block: runs, accepted and
-    rejected trial steps and right-hand-side evaluations, summed over the
-    ``_integrate`` calls made there.  Each call counts in locals and adds its
-    counts once, as it returns or raises; a refused run's last trial step
-    counts in full."""
-    counts = dict.fromkeys(("integrator_runs", "accepted_steps", "rejected_steps", "rhs_evals"), 0)
+    """A dict of the work done inside the block, summed over its calls: the
+    integrator's runs, accepted and rejected trial steps and right-hand-side
+    evaluations (``_integrate``), Newton's passes (``ConformalMap.inverse_at``)
+    and the angle equation's scalar advances (``gap._solve_angle``).  Each
+    call counts in locals and adds its counts once, as it returns or raises;
+    a refused run's last trial step counts in full."""
+    counts = dict.fromkeys(("integrator_runs", "accepted_steps", "rejected_steps", "rhs_evals",
+                            "newton_iterations", "bisection_steps"), 0)
     token = _COUNTS.set(counts)
     try:
         yield counts
@@ -123,13 +125,11 @@ def counting():
         _COUNTS.reset(token)
 
 
-def _count(steps, accepted, evals):
+def _count(**work):
     counts = _COUNTS.get()
     if counts is not None:
-        counts["integrator_runs"] += 1
-        counts["accepted_steps"] += accepted
-        counts["rejected_steps"] += steps - accepted
-        counts["rhs_evals"] += evals
+        for key, n in work.items():
+            counts[key] += n
 
 
 def _integrate(rhs, y0, t_end, tol: float):
@@ -197,7 +197,8 @@ def _integrate(rhs, y0, t_end, tol: float):
                 raise EscapeError("step size collapsed")
         return tuple(y)
     finally:
-        _count(steps, accepted, evals + len(_A) * steps)
+        _count(integrator_runs=1, accepted_steps=accepted, rejected_steps=steps - accepted,
+               rhs_evals=evals + len(_A) * steps)
 
 
 def _error(n5, n3):
@@ -289,23 +290,28 @@ class ConformalMap:
         Newton starts at ``seed`` (one start, or one per point) and iterates
         the whole batch; a point stops moving once it has converged, and the
         call fails if any point does not converge or an iterate leaves
-        |x| <= NEWTON_BOUND.  A closed-form inverse ignores the seed.
+        |x| <= NEWTON_BOUND.  A closed-form inverse ignores the seed.  Each
+        pass, one forward jet on the batch, counts toward ``newton_iterations``.
         """
         if self.inverse is not None:
             return self.inverse.eval_anywhere(w)
         w = points(w)
         x = full(w, seed)
         miss = True
-        for _ in range(self.newton.max_iter):
-            fx, dfx = self.forward.jet(x)
-            miss = abs(fx - w) > self.newton.tol
-            if not np.any(miss):
-                return x
-            raise_at(miss & (dfx == 0), w, InverseError, "critical point hit while inverting at {}")
-            x = where(miss, x - (fx - w) / dfx, x)
-            raise_at(nonfinite(x) | (abs(x) > NEWTON_BOUND), w, InverseError,
-                     "Newton diverged inverting at {}")
-        raise_at(miss, w, InverseError, "Newton did not converge inverting at {}")
+        passes = 0
+        try:
+            for passes in range(1, self.newton.max_iter + 1):
+                fx, dfx = self.forward.jet(x)
+                miss = abs(fx - w) > self.newton.tol
+                if not np.any(miss):
+                    return x
+                raise_at(miss & (dfx == 0), w, InverseError, "critical point hit while inverting at {}")
+                x = where(miss, x - (fx - w) / dfx, x)
+                raise_at(nonfinite(x) | (abs(x) > NEWTON_BOUND), w, InverseError,
+                         "Newton diverged inverting at {}")
+            raise_at(miss, w, InverseError, "Newton did not converge inverting at {}")
+        finally:
+            _count(newton_iterations=passes)
 
     def to_json(self):
         if self.inverse is None:

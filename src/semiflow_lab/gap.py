@@ -20,7 +20,7 @@ from .blaschke import BlaschkeProduct, _refuse_repeated, _rho_rows, interpolatio
 from .cocycles import Coboundary, Weight, WeightedSemigroup, _multiplier, _z_derivative, weighted_z_derivative
 from .errors import BisectionError, CaseMismatch, DepthExceeded, DomainError, record
 from .flows import AUTOMORPHISM_TOL, ESCAPE_RADIUS, FlowModel, RotatedFlow, automorphism_generator
-from .flows import boundary_orbit
+from .flows import _count, boundary_orbit
 from .pointwise import points, times
 
 # Level starts r_n = 1 - 2^{-j_n} sit on a dyadic ladder that must stay below
@@ -36,6 +36,7 @@ GRID_SLACK = -1e-6  # its least grid gap less the certified lower bound: integra
 # A separability gap at or below this is roundoff: the pair's two rotated
 # products coincide, so it witnesses no separation.
 SEPARATION_FLOOR = 1e-12
+RESIDUAL_FLOOR = 4.0 * 2.0 ** -52  # a stalled angle bisection's largest accepted |s|: 4 eps, w's resolution
 
 
 def _margins(r: float, w: complex, prev_r: float | None):
@@ -273,45 +274,36 @@ def bloch_gap_verdicts(gc: GapConstruction, reports) -> list:
 
 
 def _solve_angle(flow: FlowModel, r: float, target: float, cap: float):
-    """(t, phi_t(r)) for the smallest t in (0, cap] with arg(phi_t(r) - 1) = target,
-    or None.
+    """(t, phi_t(r)) for the first t in (0, cap] the samples bracket with
+    arg(phi_t(r) - 1) = target, or None.
 
-    Samples the continuous angle along the orbit of r in one advance call,
-    brackets the first sign change that does not wrap the branch cut, then
-    bisects one time at a time.  The point returned is that of the last scalar
-    advance, the one whose angle was accepted, so the caller runs no orbit again.
+    The sign of s(w) = Im((w - 1) e^{-i target}) = |w - 1| sin(arg(w - 1) - target) decides:
+    Re(w - 1) < 0 on the disc, so s vanishes on the target ray alone, with no branch cut,
+    and is (1 - r) sin(target) at t = 0.  The samples cap k/64, k = 1..64, are one advance
+    call; bisection then advances one time at a time until |s| <= 1e-12 |w - 1|.  A bracket
+    that stops shrinking accepts its last point only at |s| <= RESIDUAL_FLOOR: s jumps there.
+    The point returned is the last scalar advance's, so the caller runs no orbit again.
     """
-
-    def angle(t: float):
-        w = flow.advance(r, t)
-        return cmath.phase(w - 1.0) - target, w
-
-    ts = [cap * 1e-9] + [cap * k / 64.0 for k in range(1, 65)]
-    gs = [cmath.phase(w - 1.0) - target for w in flow.advance(r, np.array(ts)).tolist()]
-    bracket = None
-    for k in range(len(ts) - 1):
-        if gs[k] == 0.0:  # a sample of the batch: its point is a scalar advance's
-            return ts[k], flow.advance(r, ts[k])
-        if gs[k] * gs[k + 1] < 0 and abs(gs[k] - gs[k + 1]) < 0.5 * math.pi:
-            bracket = (ts[k], ts[k + 1], gs[k])
-            break
-    if bracket is None:
+    turn = cmath.exp(-1j * target)
+    ts = [cap * k / 64.0 for k in range(1, 65)]
+    signs = [((w - 1.0) * turn).imag * target for w in flow.advance(r, np.array(ts)).tolist()]
+    k = next((k for k, sign in enumerate(signs) if sign <= 0.0), None)
+    if k is None:
         return None
-    a, b, ga = bracket
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        gm, w = angle(mid)
-        if abs(gm) <= 1e-12:
-            return mid, w
-        if ga * gm < 0:
-            b = mid
-        else:
-            a, ga = mid, gm
-        if b - a <= 1e-17 * cap:
-            break
-    mid = 0.5 * (a + b)
-    gm, w = angle(mid)
-    return (mid, w) if abs(gm) <= 1e-9 else None
+    a, b = (ts[k - 1] if k else 0.0), ts[k]
+    found, steps = None, 0
+    try:
+        while a < (mid := 0.5 * (a + b)) < b:
+            steps += 1
+            w = flow.advance(r, mid)
+            s = ((w - 1.0) * turn).imag
+            if abs(s) <= 1e-12 * abs(w - 1.0):
+                return mid, w
+            found = (mid, w) if abs(s) <= RESIDUAL_FLOOR else None
+            a, b = (a, mid) if s * target < 0.0 else (mid, b)
+        return found
+    finally:
+        _count(bisection_steps=steps)
 
 
 def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> GapConstruction:
@@ -324,9 +316,10 @@ def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> Ga
     of 1 enters.  Any other flow, and a group with |2 Im a + beta| <=
     AUTOMORPHISM_TOL max(|a|, |beta|), the trivial flow G = 0 among them, is
     refused (CaseMismatch) before any orbit runs.  The first usable n is the
-    smallest one where the angle equation brackets a root; the levels stop at
-    the ladder's top rung below the escape radius, n = LADDER_TOP
-    (BisectionError).
+    smallest one where the angle equation brackets a root; a later level
+    with no root below t_{n-1}/2 nor below 0.95 t_{n-1} ends in
+    BisectionError, as does the ladder's top rung below the escape radius,
+    n = LADDER_TOP.  A level's angle is resolved to about 2.2e-16 / |w - 1|.
     """
     if N < 1:
         raise ValueError("need at least one level")
@@ -349,7 +342,7 @@ def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> Ga
         found = _solve_angle(flow, r, target, cap)
         if found is None and levels:
             # The root can sit marginally above t_{n-1}/2; widen once.
-            found = _solve_angle(flow, r, target, 0.95 * t_prev)
+            found = _solve_angle(flow, r, target, cap := 0.95 * t_prev)
             if found is None:
                 raise BisectionError(f"no root in (0, {cap:.3e}) at level n = {n}")
         if found is not None:

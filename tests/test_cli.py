@@ -366,6 +366,23 @@ def test_exit_code_on_an_escaping_case_1_flow(tmp_path):
     assert read_report(tmp_path / "out")["error"]["type"] == "EscapeError"
 
 
+@pytest.mark.parametrize("d", [1e-6, 1e-7, 1e-8, 1e-9])
+def test_a_case_2_build_too_deep_for_its_angle_is_reported_by_the_angle_verdict(tmp_path, d):
+    # the hyperbolic group whose fixed point lies d from 1 builds from level 20 on, where the angle of w - 1
+    # resolves only to about 2.2e-16 / |w - 1|: the run reports that residual against angle_threshold 1e-9
+    payload = json.loads((CONFIGS / "bloch_gap_auto_parabolic.json").read_text())
+    inner = {"type": "automorphism", "kind": "hyperbolic", "rate": 1.0}
+    flow = {"type": "rotated", "inner": inner, "gamma": [math.cos(d), math.sin(d)]}
+    cfg = write_config(tmp_path, "c.json", {**payload, "flow": flow})
+    assert run("bloch-gap-auto", cfg, tmp_path / "out") == 1
+    verdicts = {v["name"]: v for v in read_report(tmp_path / "out")["verdicts"]}
+    gc = sl.construct_case2(flow_from_json(flow), N=6)
+    residual = max(abs(math.atan2((lv.w - 1).imag, (lv.w - 1).real) - gc.target_angle) for lv in gc.levels)
+    assert verdicts["angle-equation-solved"] == {"name": "angle-equation-solved", "passed": False,
+                                                 "threshold": 1e-9, "value": residual}
+    assert residual < 1e-5
+
+
 @pytest.mark.parametrize("flow, error", [
     ({"type": "automorphism", "kind": "parabolic", "speed": 1e300, "reflect": True}, "InverseError"),
     ({"type": "automorphism", "kind": "hyperbolic", "rate": 1e300}, "CaseMismatch"),
@@ -809,7 +826,8 @@ def test_metadata_counts_the_integrators_work(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"flow": RADIAL, "n_points": 5})
     assert run("flow-check", cfg, tmp_path / "out") == 0
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-    assert meta["counters"] == {"integrator_runs": 3, "accepted_steps": 26, "rejected_steps": 0, "rhs_evals": 315}
+    assert meta["counters"] == {"integrator_runs": 3, "accepted_steps": 26, "rejected_steps": 0, "rhs_evals": 315,
+                                "newton_iterations": 0, "bisection_steps": 0}
     assert "counters" not in read_report(tmp_path / "out")
 
 
@@ -822,7 +840,29 @@ def test_a_refused_run_writes_its_metadata_with_the_integrators_work(tmp_path, c
     assert read_report(tmp_path / "out")["error"]["type"] == "EscapeError"
     assert sorted(os.listdir(tmp_path / "out")) == ["metadata.json", "report.json"]
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-    assert meta["counters"] == {"integrator_runs": 1, "accepted_steps": 1, "rejected_steps": 1, "rhs_evals": 25}
+    assert meta["counters"] == {"integrator_runs": 1, "accepted_steps": 1, "rejected_steps": 1, "rhs_evals": 25,
+                                "newton_iterations": 0, "bisection_steps": 0}
+
+
+def test_metadata_counts_the_bisections_of_the_angle_equation(tmp_path):
+    # the shipped case-2 build: 7 sample batches (level 1 finds no root) and 191 scalar advances after them,
+    # the 198 advance calls of the build; a closed-form flow integrates nothing and inverts in closed form
+    assert run("bloch-gap-auto", str(CONFIGS / "bloch_gap_auto_parabolic.json"), tmp_path / "out") == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["counters"] == {"integrator_runs": 0, "accepted_steps": 0, "rejected_steps": 0, "rhs_evals": 0,
+                                "newton_iterations": 0, "bisection_steps": 191}
+
+
+def test_metadata_counts_the_newton_passes_of_a_forward_only_map(tmp_path):
+    # the shipped parabolic trace with h given by its forward Moebius map alone: one inverse_at call on the
+    # trajectory's batch, whose Newton loop makes 9 passes (one forward jet each) before every point converges
+    payload = json.loads((CONFIGS / "flow_trace_parabolic.json").read_text())
+    h = {"forward": {"op": "mobius", "a": [1, 0], "b": [1, 0], "c": [-1, 0], "d": [1, 0]}}
+    cfg = write_config(tmp_path, "c.json", {**payload, "flow": {**payload["flow"], "h": h}, "t_max": 2.0})
+    assert run("flow-trace", cfg, tmp_path / "out") == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["counters"] == {"integrator_runs": 0, "accepted_steps": 0, "rejected_steps": 0, "rhs_evals": 0,
+                                "newton_iterations": 9, "bisection_steps": 0}
 
 
 @pytest.mark.parametrize("flow, evals", [

@@ -436,7 +436,7 @@ def test_case2_takes_the_boundary_orbits_side_next_to_a_fixed_point(a, beta):
                                   automorphism_ode(0.5j, 1.0)], ids=["closed-form", "ode"])
 def test_case2_first_advance_is_the_first_levels_angle_sample(monkeypatch, flow):
     # the side comes from the generator, so the first orbit run is _solve_angle's sample of
-    # r_1 = 1/2 at cap 1e-9 and cap k/64, k = 1..64
+    # r_1 = 1/2 at cap k/64, k = 1..64: the residual's sign at t = 0 needs no advance
     calls = []
     advance = sl.FlowModel.advance
 
@@ -447,7 +447,7 @@ def test_case2_first_advance_is_the_first_levels_angle_sample(monkeypatch, flow)
     monkeypatch.setattr(sl.FlowModel, "advance", recorded)
     sl.construct_case2(flow, N=2, t_first_cap=0.5)
     z, t = calls[0]
-    assert z == 0.5 and t.tolist() == [0.5e-9] + [0.5 * k / 64 for k in range(1, 65)]
+    assert z == 0.5 and t.tolist() == [0.5 * k / 64 for k in range(1, 65)]
 
 
 def test_case2_refuses_a_group_that_fixes_1_without_running_an_orbit(monkeypatch):
@@ -477,7 +477,7 @@ def rotated_group(kind, d):
 @pytest.mark.parametrize("flow, outcome", [
     *[(rotated_group("hyperbolic", 10.0 ** -e), outcome) for e, outcome in [
         (1, range(3, 9)), (2, range(6, 12)), (3, range(10, 16)), (4, range(13, 19)), (5, range(16, 22)),
-        (6, "level n = 23"), (7, "level n = 26"), (8, range(28, 34)), (9, "level n = 34")]],
+        (6, range(20, 26)), (7, range(23, 29)), (8, range(26, 32)), (9, range(30, 36))]],
     *[(rotated_group("parabolic", 10.0 ** -e), outcome) for e, outcome in [
         (1, range(8, 14)), (2, range(15, 21)), (3, range(21, 27)), (4, range(28, 34)),
         (5, sl.CaseMismatch), (6, sl.CaseMismatch), (7, sl.CaseMismatch), (8, sl.CaseMismatch),
@@ -489,7 +489,8 @@ def rotated_group(kind, d):
 def test_case2_builds_or_refuses_a_group_by_its_fixed_points_distance_from_1(flow, outcome):
     # built: the levels, all on the ladder below the escape radius; CaseMismatch: |G(1)| at most 1e-9 of
     # max(|a|, |beta|), with the fixed point 1e-5 or less from 1 (relative |G(1)| 5e-11 at 1e-5); BisectionError:
-    # the angle equation lost its root at a level, or found too few by the ladder's top rung
+    # the angle equation found too few roots by the ladder's top rung.  The hyperbolic groups 1e-6 to 1e-9 from 1
+    # build from n = 20 on, where the angle of w - 1 resolves only to about 2.2e-16 / |w - 1|
     if isinstance(outcome, range):
         gc = sl.construct_case2(flow, N=6)
         assert [lv.n for lv in gc.levels] == list(outcome) and gc.levels[-1].r < sl.flows.ESCAPE_RADIUS
@@ -499,6 +500,59 @@ def test_case2_builds_or_refuses_a_group_by_its_fixed_points_distance_from_1(flo
     else:
         with pytest.raises(outcome, match=r"G\(1\) = 0"):
             sl.construct_case2(flow, N=6)
+
+
+def test_case2_names_the_widest_window_it_searched_for_a_lost_root(monkeypatch):
+    # the elliptic group at omega = 6e6 finds no root at level 5, neither below t_4/2 nor in the widened
+    # window below 0.95 t_4; the error names the second window, the wider one
+    calls = []
+    solve = sl.gap._solve_angle
+
+    def recorded(flow, r, target, cap):
+        found = solve(flow, r, target, cap)
+        calls.append((r, cap, found))
+        return found
+
+    monkeypatch.setattr(sl.gap, "_solve_angle", recorded)
+    with pytest.raises(sl.BisectionError) as refused:
+        sl.construct_case2(sl.Automorphism(kind="elliptic", omega=6e6), N=6)
+    t4 = [found[0] for _, _, found in calls if found is not None][-1]
+    r5 = 1 - 2.0 ** -5
+    assert calls[-2:] == [(r5, t4 / 2, None), (r5, 0.95 * t4, None)]
+    assert str(refused.value) == f"no root in (0, {0.95 * t4:.3e}) at level n = 5"
+
+
+def rotated_automorphism(kind, size, reflect, angle):
+    fields = {"elliptic": {"omega": size}, "hyperbolic": {"rate": size},
+              "parabolic": {"speed": size, "reflect": reflect}}[kind]
+    return sl.RotatedFlow(sl.Automorphism(kind=kind, **fields), cmath.exp(1j * angle))
+
+
+signs = st.sampled_from([-1.0, 1.0])
+near_hyperbolic = st.builds(  # the fixed point e^{-+i d} a distance d from 1, d log-uniform in [1e-9, 1e-1]
+    lambda rate, e, sign: rotated_automorphism("hyperbolic", rate, False, sign * 10.0 ** e),
+    st.floats(0.2, 5.0), st.floats(-9.0, -1.0), signs)
+any_rotation = st.builds(  # every fixed point 0.01 or more from 1: no group fixes 1 or comes near it
+    lambda kind, size, sign, reflect, angle: rotated_automorphism(kind, sign * size if kind == "elliptic" else size,
+                                                                  reflect, angle),
+    st.sampled_from(["elliptic", "hyperbolic", "parabolic"]), st.floats(0.2, 5.0), signs, st.booleans(),
+    st.one_of(st.floats(0.01, math.pi - 0.01), st.floats(math.pi + 0.01, 2 * math.pi - 0.01)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(near_hyperbolic, any_rotation))
+def test_case2_builds_three_consecutive_levels_of_a_rotated_group(flow):
+    # each level is the scalar advance its bisection accepted, at an angle residual within 1e-12 |w - 1| or,
+    # where the bracket could shrink no further, within the resolution of w; the build is reproducible
+    gc = sl.construct_case2(flow, N=3)
+    n0 = gc.levels[0].n
+    assert [lv.n for lv in gc.levels] == [n0, n0 + 1, n0 + 2]
+    assert gc.levels[0].t > gc.levels[1].t > gc.levels[2].t > 0.0
+    for lv in gc.levels:
+        assert lv.r == 1 - 2.0 ** -lv.n and lv.w == flow.advance(lv.r, lv.t)
+        s = abs(((lv.w - 1.0) * cmath.exp(-1j * gc.target_angle)).imag)  # the residual _solve_angle bisects on
+        assert s <= 1e-12 * abs(lv.w - 1.0) or s <= sl.gap.RESIDUAL_FLOOR
+    assert sl.construct_case2(flow, N=3).levels == gc.levels
 
 
 def test_case2_runs_each_levels_orbit_once(monkeypatch):
