@@ -112,12 +112,11 @@ _COUNTS = contextvars.ContextVar("work_counts", default=None)
 def counting():
     """A dict of the work done inside the block, summed over its calls: the
     integrator's runs, accepted and rejected trial steps and right-hand-side
-    evaluations (``_integrate``), Newton's passes (``ConformalMap.inverse_at``)
-    and the angle equation's scalar advances (``gap._solve_angle``).  Each
-    call counts in locals and adds its counts once, as it returns or raises;
-    a refused run's last trial step counts in full."""
+    evaluations (``_integrate``) and Newton's passes (``ConformalMap.inverse_at``).
+    Each call counts in locals and adds its counts once, as it returns or
+    raises; a refused run's last trial step counts in full."""
     counts = dict.fromkeys(("integrator_runs", "accepted_steps", "rejected_steps", "rhs_evals",
-                            "newton_iterations", "bisection_steps"), 0)
+                            "newton_iterations"), 0)
     token = _COUNTS.set(counts)
     try:
         yield counts

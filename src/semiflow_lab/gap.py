@@ -20,7 +20,7 @@ from .blaschke import BlaschkeProduct, _refuse_repeated, _rho_rows, interpolatio
 from .cocycles import Coboundary, Weight, WeightedSemigroup, _multiplier, _z_derivative, weighted_z_derivative
 from .errors import BisectionError, CaseMismatch, DepthExceeded, DomainError, record
 from .flows import AUTOMORPHISM_TOL, ESCAPE_RADIUS, FlowModel, RotatedFlow, automorphism_generator
-from .flows import _count, boundary_orbit
+from .flows import boundary_orbit
 from .pointwise import points, times
 
 # Level starts r_n = 1 - 2^{-j_n} sit on a dyadic ladder that must stay below
@@ -36,7 +36,6 @@ GRID_SLACK = -1e-6  # its least grid gap less the certified lower bound: integra
 # A separability gap at or below this is roundoff: the pair's two rotated
 # products coincide, so it witnesses no separation.
 SEPARATION_FLOOR = 1e-12
-RESIDUAL_FLOOR = 4.0 * 2.0 ** -52  # a stalled angle bisection's largest accepted |s|: 4 eps, w's resolution
 
 
 def _margins(r: float, w: complex, prev_r: float | None):
@@ -273,37 +272,37 @@ def bloch_gap_verdicts(gc: GapConstruction, reports) -> list:
     return out
 
 
-def _solve_angle(flow: FlowModel, r: float, target: float, cap: float):
-    """(t, phi_t(r)) for the first t in (0, cap] the samples bracket with
-    arg(phi_t(r) - 1) = target, or None.
+def _angle_time(a: complex, beta: float, u0: float, target: float) -> float:
+    """The least t > 0 with arg(phi_t(1 + u0) - 1) = target for the group G = a + i beta z -
+    conj(a) z^2, math.inf for none.
 
-    The sign of s(w) = Im((w - 1) e^{-i target}) = |w - 1| sin(arg(w - 1) - target) decides:
-    Re(w - 1) < 0 on the disc, so s vanishes on the target ray alone, with no branch cut,
-    and is (1 - r) sin(target) at t = 0.  The samples cap k/64, k = 1..64, are one advance
-    call; bisection then advances one time at a time until |s| <= 1e-12 |w - 1|.  A bracket
-    that stops shrinking accepts its last point only at |s| <= RESIDUAL_FLOOR: s jumps there.
-    The point returned is the last scalar advance's, so the caller runs no orbit again.
+    phi_t is z -> ((1 + i beta tau/2) z + a tau) / (conj(a) tau z + 1 - i beta tau/2), from
+    exp(tM) = cosh(mu t) I + sinh(mu t)/mu M, M = [[i beta/2, a], [conj(a), -i beta/2]],
+    M^2 = mu^2 I, mu^2 = |a|^2 - beta^2/4, tau = tanh(mu t)/mu.  So phi_t(1 + u0) - 1 =
+    (u0 + tau n1)/(1 + tau d1), and the residual s = Im(e^{-i target}(phi_t - 1)), which
+    vanishes on the disc on the target ray alone (Re(phi_t - 1) < 0 there), is a real
+    quadratic in tau over |1 + tau d1|^2.  Its roots, found in stable form, map back to t
+    (atan, mod pi/nu, where mu = i nu; tau itself at mu = 0).  The group is scaled to
+    max(|a|, |beta|) = 1 first, so no coefficient overflows.
     """
+    scale = max(abs(a), abs(beta))
+    a, beta = a / scale, beta / scale
     turn = cmath.exp(-1j * target)
-    ts = [cap * k / 64.0 for k in range(1, 65)]
-    signs = [((w - 1.0) * turn).imag * target for w in flow.advance(r, np.array(ts)).tolist()]
-    k = next((k for k, sign in enumerate(signs) if sign <= 0.0), None)
-    if k is None:
-        return None
-    a, b = (ts[k - 1] if k else 0.0), ts[k]
-    found, steps = None, 0
-    try:
-        while a < (mid := 0.5 * (a + b)) < b:
-            steps += 1
-            w = flow.advance(r, mid)
-            s = ((w - 1.0) * turn).imag
-            if abs(s) <= 1e-12 * abs(w - 1.0):
-                return mid, w
-            found = (mid, w) if abs(s) <= RESIDUAL_FLOOR else None
-            a, b = (a, mid) if s * target < 0.0 else (mid, b)
-        return found
-    finally:
-        _count(bisection_steps=steps)
+    n1 = 1j * (2.0 * a.imag + beta) + (0.5j * beta - a.conjugate()) * u0
+    d1_bar = a * (1.0 + u0) + 0.5j * beta  # conj(d1), d1 = conj(a)(1 + u0) - i beta/2
+    c2, c1, c0 = (turn * n1 * d1_bar).imag, (turn * (n1 + u0 * d1_bar)).imag, (turn * u0).imag
+    disc = c1 * c1 - 4.0 * c2 * c0
+    q = -0.5 * (c1 + math.copysign(math.sqrt(max(disc, 0.0)), c1))
+    taus = [] if disc < 0.0 or q == 0.0 else [c0 / q] + ([q / c2] if c2 else [])
+    mu2 = abs(a) ** 2 - 0.25 * beta * beta
+    mu = math.sqrt(abs(mu2))
+    if mu2 > 0.0:
+        ts = [math.atanh(mu * tau) / mu for tau in taus if abs(mu * tau) < 1.0]
+    elif mu2 < 0.0:
+        ts = [(math.atan(mu * tau) / mu) % (math.pi / mu) for tau in taus]
+    else:
+        ts = taus
+    return min((t for t in ts if t > 0.0), default=math.inf) / scale
 
 
 def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> GapConstruction:
@@ -315,11 +314,13 @@ def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> Ga
     fixes 1 exactly when it is 0, and its sign is the half-plane the boundary orbit
     of 1 enters.  Any other flow, and a group with |2 Im a + beta| <=
     AUTOMORPHISM_TOL max(|a|, |beta|), the trivial flow G = 0 among them, is
-    refused (CaseMismatch) before any orbit runs.  The first usable n is the
-    smallest one where the angle equation brackets a root; a later level
-    with no root below t_{n-1}/2 nor below 0.95 t_{n-1} ends in
-    BisectionError, as does the ladder's top rung below the escape radius,
-    n = LADDER_TOP.  A level's angle is resolved to about 2.2e-16 / |w - 1|.
+    refused (CaseMismatch) before any orbit runs.  Level n's t_n is the least root
+    of the angle equation, solved in closed form on (a, beta) (``_angle_time``), and
+    w_n = flow.advance(r_n, t_n), one orbit run a level, so an integrated group is
+    judged on its own orbit.  Rungs whose root lies above t_first_cap, or that have
+    none, are skipped until the first level; a later root above 0.95 t_{n-1} ends in
+    BisectionError, naming that root, as does the ladder's top rung below the escape
+    radius, n = LADDER_TOP.
     """
     if N < 1:
         raise ValueError("need at least one level")
@@ -335,22 +336,18 @@ def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> Ga
 
     levels = []
     ratios = []
-    t_prev = None
     for n in range(1, LADDER_TOP + 1):
+        t = _angle_time(a, beta, -2.0 ** (-n), target)
+        if levels and t > (cap := 0.95 * levels[-1].t):
+            raise BisectionError(f"no root in (0, {cap:.3e}) at level n = {n}: the least is t = {t:.5e}")
+        if t > t_first_cap:  # before the first level only: later roots lie below 0.95 t_1
+            continue
         r = 1.0 - 2.0 ** (-n)
-        cap = t_first_cap if t_prev is None else t_prev / 2.0
-        found = _solve_angle(flow, r, target, cap)
-        if found is None and levels:
-            # The root can sit marginally above t_{n-1}/2; widen once.
-            found = _solve_angle(flow, r, target, cap := 0.95 * t_prev)
-            if found is None:
-                raise BisectionError(f"no root in (0, {cap:.3e}) at level n = {n}")
-        if found is not None:
-            t_prev, w = found
-            levels.append(GapLevel(n=n, t=t_prev, r=r, w=w))
-            ratios.append((1.0 - w.real) / 2.0 ** (-n))
-            if len(levels) == N:
-                break
+        w = flow.advance(r, t)
+        levels.append(GapLevel(n=n, t=t, r=r, w=w))
+        ratios.append((1.0 - w.real) / 2.0 ** (-n))
+        if len(levels) == N:
+            break
     else:
         raise BisectionError(f"angle equation gave {len(levels)} of {N} levels by depth {LADDER_TOP}")
 

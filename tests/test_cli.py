@@ -366,10 +366,12 @@ def test_exit_code_on_an_escaping_case_1_flow(tmp_path):
     assert read_report(tmp_path / "out")["error"]["type"] == "EscapeError"
 
 
-@pytest.mark.parametrize("d", [1e-6, 1e-7, 1e-8, 1e-9])
-def test_a_case_2_build_too_deep_for_its_angle_is_reported_by_the_angle_verdict(tmp_path, d):
+@pytest.mark.parametrize("d, angle_passes", [pytest.param(1e-6, True, id="1e-06"), pytest.param(1e-7, False, id="1e-07"),
+                                               pytest.param(1e-8, False, id="1e-08"), pytest.param(1e-9, False, id="1e-09")])
+def test_a_case_2_build_too_deep_for_its_angle_is_reported_by_the_angle_verdict(tmp_path, d, angle_passes):
     # the hyperbolic group whose fixed point lies d from 1 builds from level 20 on, where the angle of w - 1
-    # resolves only to about 2.2e-16 / |w - 1|: the run reports that residual against angle_threshold 1e-9
+    # resolves only to about 2.2e-16 / |w - 1|: the run reports that residual against angle_threshold 1e-9,
+    # which d = 1e-6 meets (6.4e-10); every d exits 1, its depth ratios outside the window
     payload = json.loads((CONFIGS / "bloch_gap_auto_parabolic.json").read_text())
     inner = {"type": "automorphism", "kind": "hyperbolic", "rate": 1.0}
     flow = {"type": "rotated", "inner": inner, "gamma": [math.cos(d), math.sin(d)]}
@@ -378,26 +380,35 @@ def test_a_case_2_build_too_deep_for_its_angle_is_reported_by_the_angle_verdict(
     verdicts = {v["name"]: v for v in read_report(tmp_path / "out")["verdicts"]}
     gc = sl.construct_case2(flow_from_json(flow), N=6)
     residual = max(abs(math.atan2((lv.w - 1).imag, (lv.w - 1).real) - gc.target_angle) for lv in gc.levels)
-    assert verdicts["angle-equation-solved"] == {"name": "angle-equation-solved", "passed": False,
+    assert verdicts["angle-equation-solved"] == {"name": "angle-equation-solved", "passed": angle_passes,
                                                  "threshold": 1e-9, "value": residual}
+    assert not verdicts["depth-ratio-window"]["passed"] and verdicts["pseudohyperbolic-separation"]["passed"]
     assert residual < 1e-5
 
 
 @pytest.mark.parametrize("flow, error", [
-    ({"type": "automorphism", "kind": "parabolic", "speed": 1e300, "reflect": True}, "InverseError"),
+    ({"type": "automorphism", "kind": "parabolic", "speed": 1e300, "reflect": True}, None),
     ({"type": "automorphism", "kind": "hyperbolic", "rate": 1e300}, "CaseMismatch"),
-    ({"type": "automorphism", "kind": "elliptic", "omega": 1e300}, "BisectionError"),
+    ({"type": "automorphism", "kind": "elliptic", "omega": 1e300}, None),
     ({"type": "automorphism", "kind": "hyperbolic", "rate": 1e-300}, "CaseMismatch"),
 ], ids=["parabolic", "hyperbolic", "elliptic", "hyperbolic-slow"])
 def test_a_group_whose_generator_squares_out_of_range_ends_in_its_typed_error(tmp_path, capsys, flow, error):
     # |a|^2 and beta^2 overflowed a Python float (OverflowError, no report.json), or underflowed
-    # to a zero discriminant and a ZeroDivisionError; case 2 now reads only G(1) = i (2 Im a + beta)
-    # against max(|a|, |beta|), which squares nothing, and the run ends in the error its construction meets
+    # to a zero discriminant and a ZeroDivisionError; case 2 reads G(1) = i (2 Im a + beta) against
+    # max(|a|, |beta|) and solves the angle equation on the group scaled to max(|a|, |beta|) = 1, which
+    # squares nothing out of range: the groups that move 1 build, with every verdict passing, and the
+    # two that fix 1 end in their typed error
     payload = json.loads((CONFIGS / "bloch_gap_auto_parabolic.json").read_text())
     cfg = write_config(tmp_path, "c.json", {**payload, "flow": flow})
-    assert run("bloch-gap-auto", cfg, tmp_path / "out") == 1
-    assert read_report(tmp_path / "out")["error"]["type"] == error
-    assert capsys.readouterr().err.startswith(f"{error}: ")
+    report_exit = run("bloch-gap-auto", cfg, tmp_path / "out")
+    report = read_report(tmp_path / "out")
+    if error is None:
+        assert report_exit == 0 and capsys.readouterr().err == ""
+        assert [(v["name"], v["passed"]) for v in report["verdicts"]] == [
+            ("angle-equation-solved", True), ("depth-ratio-window", True), ("pseudohyperbolic-separation", True)]
+    else:
+        assert report_exit == 1 and report["error"]["type"] == error
+        assert capsys.readouterr().err.startswith(f"{error}: ")
 
 
 def test_trivial_flow_is_a_case_mismatch(tmp_path, capsys):
@@ -827,7 +838,7 @@ def test_metadata_counts_the_integrators_work(tmp_path):
     assert run("flow-check", cfg, tmp_path / "out") == 0
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert meta["counters"] == {"integrator_runs": 3, "accepted_steps": 26, "rejected_steps": 0, "rhs_evals": 315,
-                                "newton_iterations": 0, "bisection_steps": 0}
+                                "newton_iterations": 0}
     assert "counters" not in read_report(tmp_path / "out")
 
 
@@ -841,16 +852,7 @@ def test_a_refused_run_writes_its_metadata_with_the_integrators_work(tmp_path, c
     assert sorted(os.listdir(tmp_path / "out")) == ["metadata.json", "report.json"]
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert meta["counters"] == {"integrator_runs": 1, "accepted_steps": 1, "rejected_steps": 1, "rhs_evals": 25,
-                                "newton_iterations": 0, "bisection_steps": 0}
-
-
-def test_metadata_counts_the_bisections_of_the_angle_equation(tmp_path):
-    # the shipped case-2 build: 7 sample batches (level 1 finds no root) and 191 scalar advances after them,
-    # the 198 advance calls of the build; a closed-form flow integrates nothing and inverts in closed form
-    assert run("bloch-gap-auto", str(CONFIGS / "bloch_gap_auto_parabolic.json"), tmp_path / "out") == 0
-    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-    assert meta["counters"] == {"integrator_runs": 0, "accepted_steps": 0, "rejected_steps": 0, "rhs_evals": 0,
-                                "newton_iterations": 0, "bisection_steps": 191}
+                                "newton_iterations": 0}
 
 
 def test_metadata_counts_the_newton_passes_of_a_forward_only_map(tmp_path):
@@ -862,7 +864,7 @@ def test_metadata_counts_the_newton_passes_of_a_forward_only_map(tmp_path):
     assert run("flow-trace", cfg, tmp_path / "out") == 0
     meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
     assert meta["counters"] == {"integrator_runs": 0, "accepted_steps": 0, "rejected_steps": 0, "rhs_evals": 0,
-                                "newton_iterations": 9, "bisection_steps": 0}
+                                "newton_iterations": 9}
 
 
 @pytest.mark.parametrize("flow, evals", [

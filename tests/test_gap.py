@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -371,16 +372,16 @@ def probe_side(flow, cap=1.0):
 
 
 class FirstAngle(Exception):
-    """Raised by a stand-in for gap._solve_angle with the target angle it was handed."""
+    """Raised by a stand-in for gap._angle_time with the target angle it was handed."""
 
 
 def case2_target(flow):
-    """The target angle construct_case2 hands its first _solve_angle call, where it is stopped."""
-    def solve(flow, r, target, cap):
+    """The target angle construct_case2 hands its first _angle_time call, where it is stopped."""
+    def solve(a, beta, u0, target):
         raise FirstAngle(target)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sl.gap, "_solve_angle", solve)
+        patch.setattr(sl.gap, "_angle_time", solve)
         with pytest.raises(FirstAngle) as stopped:
             sl.construct_case2(flow, N=1)
     return stopped.value.args[0]
@@ -435,8 +436,8 @@ def test_case2_takes_the_boundary_orbits_side_next_to_a_fixed_point(a, beta):
 @pytest.mark.parametrize("flow", [sl.Automorphism(kind="parabolic", speed=1.0, reflect=True),
                                   automorphism_ode(0.5j, 1.0)], ids=["closed-form", "ode"])
 def test_case2_first_advance_is_the_first_levels_angle_sample(monkeypatch, flow):
-    # the side comes from the generator, so the first orbit run is _solve_angle's sample of
-    # r_1 = 1/2 at cap k/64, k = 1..64: the residual's sign at t = 0 needs no advance
+    # the side comes from the generator and the angle equation is solved on it, so the first orbit run is
+    # the first level's own: its r and t, one point
     calls = []
     advance = sl.FlowModel.advance
 
@@ -445,9 +446,8 @@ def test_case2_first_advance_is_the_first_levels_angle_sample(monkeypatch, flow)
         return advance(self, z, t)
 
     monkeypatch.setattr(sl.FlowModel, "advance", recorded)
-    sl.construct_case2(flow, N=2, t_first_cap=0.5)
-    z, t = calls[0]
-    assert z == 0.5 and t.tolist() == [0.5 * k / 64 for k in range(1, 65)]
+    gc = sl.construct_case2(flow, N=2, t_first_cap=0.5)
+    assert calls[0] == (gc.levels[0].r, gc.levels[0].t)
 
 
 def test_case2_refuses_a_group_that_fixes_1_without_running_an_orbit(monkeypatch):
@@ -503,23 +503,23 @@ def test_case2_builds_or_refuses_a_group_by_its_fixed_points_distance_from_1(flo
 
 
 def test_case2_names_the_widest_window_it_searched_for_a_lost_root(monkeypatch):
-    # the elliptic group at omega = 6e6 finds no root at level 5, neither below t_4/2 nor in the widened
-    # window below 0.95 t_4; the error names the second window, the wider one
+    # this rotated parabolic group's least root at level 2, t = 0.58681, lies above 0.95 t_1 = 0.58040, the
+    # window a later level searches; the error names that window and the root found
     calls = []
-    solve = sl.gap._solve_angle
+    solve = sl.gap._angle_time
 
-    def recorded(flow, r, target, cap):
-        found = solve(flow, r, target, cap)
-        calls.append((r, cap, found))
-        return found
+    def recorded(a, beta, u0, target):
+        calls.append((u0, solve(a, beta, u0, target)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(sl.gap, "_solve_angle", recorded)
+    monkeypatch.setattr(sl.gap, "_angle_time", recorded)
+    flow = sl.RotatedFlow(sl.Automorphism(kind="parabolic", speed=30.81803915072436), cmath.exp(0.11687256381773845j))
     with pytest.raises(sl.BisectionError) as refused:
-        sl.construct_case2(sl.Automorphism(kind="elliptic", omega=6e6), N=6)
-    t4 = [found[0] for _, _, found in calls if found is not None][-1]
-    r5 = 1 - 2.0 ** -5
-    assert calls[-2:] == [(r5, t4 / 2, None), (r5, 0.95 * t4, None)]
-    assert str(refused.value) == f"no root in (0, {0.95 * t4:.3e}) at level n = 5"
+        sl.construct_case2(flow, N=6)
+    (u1, t1), (u2, t2) = calls
+    assert (u1, u2) == (-0.5, -0.25) and t1 <= 1.0
+    assert t2 == pytest.approx(0.58681, abs=1e-5) and 0.95 * t1 == pytest.approx(0.58040, abs=1e-5)
+    assert str(refused.value) == f"no root in (0, {0.95 * t1:.3e}) at level n = 2: the least is t = {t2:.5e}"
 
 
 def rotated_automorphism(kind, size, reflect, angle):
@@ -539,25 +539,77 @@ any_rotation = st.builds(  # every fixed point 0.01 or more from 1: no group fix
     st.one_of(st.floats(0.01, math.pi - 0.01), st.floats(math.pi + 0.01, 2 * math.pi - 0.01)))
 
 
+def angle_residual(w, target):
+    """s(w) = Im((w - 1) e^{-i target}), which vanishes on the disc on the target ray alone."""
+    return ((w - 1.0) * cmath.exp(-1j * target)).imag
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(near_hyperbolic, any_rotation))
 def test_case2_builds_three_consecutive_levels_of_a_rotated_group(flow):
-    # each level is the scalar advance its bisection accepted, at an angle residual within 1e-12 |w - 1| or,
-    # where the bracket could shrink no further, within the resolution of w; the build is reproducible
+    # each level is the one advance made at its closed-form t, at an angle residual within 4 eps, about the
+    # resolution of w; the build is reproducible
     gc = sl.construct_case2(flow, N=3)
     n0 = gc.levels[0].n
     assert [lv.n for lv in gc.levels] == [n0, n0 + 1, n0 + 2]
     assert gc.levels[0].t > gc.levels[1].t > gc.levels[2].t > 0.0
     for lv in gc.levels:
         assert lv.r == 1 - 2.0 ** -lv.n and lv.w == flow.advance(lv.r, lv.t)
-        s = abs(((lv.w - 1.0) * cmath.exp(-1j * gc.target_angle)).imag)  # the residual _solve_angle bisects on
-        assert s <= 1e-12 * abs(lv.w - 1.0) or s <= sl.gap.RESIDUAL_FLOOR
+        assert abs(angle_residual(lv.w, gc.target_angle)) <= 4 * 2.0 ** -52
     assert sl.construct_case2(flow, N=3).levels == gc.levels
 
 
+def check_least_root(flow, r, t, target):
+    """s(phi_t(r)) keeps the sign it has at t = 0 on t k/256 for k < 256 (one batched advance) and changes
+    sign across t (1 +- 1e-9): t is the orbit's first crossing of the target ray."""
+    start = math.copysign(1.0, angle_residual(r, target))
+    assert all(angle_residual(w, target) * start > 0.0 for w in flow.advance(r, t * np.arange(256) / 256.0).tolist())
+    below, above = (angle_residual(flow.advance(r, t * f), target) for f in (1 - 1e-9, 1 + 1e-9))
+    assert below * start > 0.0 > above * start
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_rotation)
+def test_case2_level_times_are_the_least_roots_on_the_flow_itself(flow):
+    # the closed-form t_n, checked on the flow's own orbit
+    gc = sl.construct_case2(flow, N=3)
+    for lv in gc.levels:
+        check_least_root(flow, lv.r, lv.t, gc.target_angle)
+
+
+@pytest.mark.parametrize("omega", [100.0, -100.0])
+def test_case2_takes_a_root_past_half_a_revolution(omega):
+    # the elliptic group fixing p = 0.9 (a = -i omega p, beta = omega (1 + p^2)) turns the orbit of r_1 = 1/2
+    # more than half a revolution, t > pi/(2 nu), before it crosses the ray: tau = tan(nu t)/nu < 0 there, and
+    # t comes back mod pi/nu.  Level 2's orbit goes as far round, so its root lies above 0.95 t_1: refused
+    p = 0.9
+    a, beta = -1j * omega * p, omega * (1 + p * p)
+    flow = automorphism_ode(a, beta)
+    target = math.copysign(3 * math.pi / 4, omega)
+    t1 = sl.gap._angle_time(a, beta, -0.5, target)
+    nu = abs(omega) * (1 - p * p) / 2
+    assert math.pi / (2 * nu) < t1 < math.pi / nu
+    check_least_root(flow, 0.5, t1, target)
+    with pytest.raises(sl.BisectionError, match=r"at level n = 2: the least is t = 2\.24118e-01"):
+        sl.construct_case2(flow, N=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(5.0, 300.0), signs)
+def test_case2_builds_a_fast_elliptic_group(e, sign):
+    # a rotation with omega log-uniform in [1e5, 1e300]: the angle equation is solved on the group scaled to
+    # |beta| = 1, so nothing overflows, and each level's root is its first, however short
+    flow = sl.Automorphism(kind="elliptic", omega=sign * 10.0 ** e)
+    gc = sl.construct_case2(flow, N=6)
+    assert [lv.n for lv in gc.levels] == list(range(2, 8))
+    for lv in gc.levels:
+        assert lv.w == flow.advance(lv.r, lv.t)
+        assert abs(angle_residual(lv.w, gc.target_angle)) <= 4 * 2.0 ** -52
+
+
 def test_case2_runs_each_levels_orbit_once(monkeypatch):
-    # the shipped case-2 build: _solve_angle hands back phi_t(r) from the scalar advance that accepted t, so a
-    # level makes no advance after it (re-advancing each level would make 204)
+    # the shipped case-2 build: t_n comes from the generator, so the build makes one advance a level, at
+    # (r_n, t_n) (the sampled bisection made 198)
     calls = []
     advance = sl.FlowModel.advance
 
@@ -567,10 +619,7 @@ def test_case2_runs_each_levels_orbit_once(monkeypatch):
 
     monkeypatch.setattr(sl.FlowModel, "advance", recorded)
     gc = sl.construct_case2(sl.Automorphism(kind="parabolic", speed=1.0, reflect=True), N=6)
-    assert len(calls) == 198
-    for lv in gc.levels:  # each level's point is the last advance made on its r, at its t
-        z, t = [(z, t) for z, t in calls if z == lv.r][-1]
-        assert t == lv.t
+    assert calls == [(lv.r, lv.t) for lv in gc.levels] and len(calls) == 6
     monkeypatch.setattr(sl.FlowModel, "advance", advance)
     assert [lv.w for lv in gc.levels] == [gc.flow.advance(lv.r, lv.t) for lv in gc.levels]
 
