@@ -2,12 +2,15 @@
 
 A product is stored as its zero list (multiplicity by repetition) plus a
 unimodular phase e^{i*theta}, and is itself an expression-tree leaf of
-``analytic``.  Infinite products are represented by truncation.
+``analytic``.  Infinite products are represented by truncation, and every
+evaluation is one forward walk over the factors (``_products``).
 
 ``pseudo_distance`` takes points or arrays; the certificates read the deflated
 products, the multiplicity test and the least separation off one row of rho
 per zero (``_rho_rows``), and sample all their pseudo-discs in one expression.
-A deflated product below the double range is refused with its log10.
+The truncations of one product are its prefixes, so one walk and one row per
+zero serve them all.  A deflated product below the double range is refused
+with its log10.
 """
 
 from __future__ import annotations
@@ -44,12 +47,13 @@ class BlaschkeProduct(AnalyticFn):
         return cmath.exp(1j * self.theta)
 
     def _emit(self, em, node, z, order):
-        # the module's functions are looked up on every call, so a rebound
-        # blaschke_eval or blaschke_derivative is the one that runs
+        # the module's functions are looked up on every call, so a rebound one is the one that runs
         em.namespace["_blaschke"] = sys.modules[__name__]
         B, coeffs = em.bind(node), [em.name() for _ in range(min(order, 1) + 1)]
-        for value, read in zip(coeffs, ("blaschke_eval", "blaschke_derivative")):
-            em.do(f"{value} = _blaschke.{read}({B}, {z})")  # run, and counted, even when nothing reads it
+        if not order:  # the walk without the slope
+            em.do(f"{coeffs[0]} = _blaschke.blaschke_eval({B}, {z})")
+            return coeffs
+        em.do(f"{coeffs[0]}, {coeffs[1]} = _blaschke._product({B}, {z}, slope=True, guard=True)")
         if order > 1:
             coeffs += self._series()._emit(em, em.bind(f"{B}._series()"), z, order)[2:]
         return coeffs
@@ -92,33 +96,45 @@ def _b_factor_derivative(a: complex, z):
     return (abs(a) / a) * (abs(a) ** 2 - 1.0) / (den * den)
 
 
+def _products(phase, zeros, z, slope):
+    """The forward product rule, the one walk over the factors behind every Blaschke evaluation.
+
+    The running product v starts at the phase with v' = 0, and each factor b makes
+    (v b)' = v b' + v' b and then v b; (v, v') is yielded at the start and after each
+    factor, v' None without slope.  At a zero z_k the factor b_k vanishes exactly, so
+    every earlier term drops and the rule has no cancellation there.
+    """
+    value, d = full(z, phase), (full(z, 0.0) if slope else None)
+    yield value, d
+    for a in zeros:
+        b = b_factor(a, z)
+        if slope:
+            d = value * _b_factor_derivative(a, z) + d * b
+        value = value * b
+        yield value, d
+
+
+def _product(B: BlaschkeProduct, z, slope: bool, guard: bool):
+    """(B(z), B'(z)) at a point or an array of points, from one walk; B'(z) is None without
+    slope.  With guard, a value that left the disc at a point of |z| <= 1 - 1e-9 is refused."""
+    z = points(z)
+    for value, d in _products(B.phase, B.zeros, z, slope):
+        pass
+    if guard and B.zeros:
+        raise_at((abs(z) <= 1.0 - 1e-9) & outside(value), z, DomainError,
+                 "finite Blaschke product left the disc at {}")
+    return value, d
+
+
 def blaschke_eval(B: BlaschkeProduct, z):
     """Evaluate the product at a point or an array of points; |z| <= 1 allowed
     so boundary modulus can be checked."""
-    z = points(z)
-    val = full(z, B.phase)
-    for a in B.zeros:
-        val = val * b_factor(a, z)
-    if B.zeros:
-        raise_at((abs(z) <= 1.0 - 1e-9) & outside(val), z, DomainError,
-                 "finite Blaschke product left the disc at {}")
-    return val
+    return _product(B, z, slope=False, guard=True)[0]
 
 
 def blaschke_derivative(B: BlaschkeProduct, z):
-    """B' at a point or an array of points, by the forward product rule.
-
-    The running product v starts at e^{i*theta} with v' = 0, and each factor b
-    makes (v b)' = v b' + v' b.  At a zero z_k the factor b_k vanishes exactly,
-    so every earlier term drops and the formula has no cancellation there.
-    """
-    z = points(z)
-    value, slope = full(z, B.phase), full(z, 0.0)
-    for a in B.zeros:
-        b = b_factor(a, z)
-        slope = value * _b_factor_derivative(a, z) + slope * b
-        value = value * b
-    return slope
+    """B' at a point or an array of points, by the forward product rule (``_products``)."""
+    return _product(B, z, slope=True, guard=False)[1]
 
 
 def pseudo_distance(z, w):
@@ -143,24 +159,32 @@ def _disc_points(centers, radius: float, n_radii: int, n_angles: int) -> np.ndar
     return np.concatenate([a, (a - u) / (1.0 - a.conj() * u)], axis=1)
 
 
-def _rho_rows(zeros, marked):
-    """What the certificates read off each marked zero a_n's row rho(a_n, a_j) over all the zeros
-    a_j, made one row at a time so that memory stays O(len(zeros)): the deflated products
-    |(B / b_{a_n})(a_n)| = prod_{j != n} rho(a_n, a_j); the sum of the factors' log10 for each
-    product below the normal double range, 0 or subnormal (-inf where a factor is 0); and, for
-    each marked zero but the last, its least rho to the marked zeros after it."""
+def _rho_rows(zeros, marked, prefixes=None):
+    """What the certificates read off the marked zeros' rows of rho, for each prefix (k, m): the
+    first k zeros, of which the first m marked ones are read; by default the one prefix
+    (len(zeros), len(marked)).  A prefix's row for its marked zero a_n is rho(a_n, a_j) over its
+    zeros a_j, and it gives: the deflated product |(B_k / b_{a_n})(a_n)| = prod_{j != n} rho(a_n, a_j);
+    the sum of the factors' log10 for each product below the normal double range, 0 or subnormal
+    (-inf where a factor is 0); and, for each of its marked zeros but the last, the least rho to
+    its marked zeros after it.  Each marked zero's row over the longest prefix serves every prefix,
+    and the rows are made one at a time, so that memory stays O(len(zeros))."""
     zs, marked = np.array(zeros, dtype=complex), np.array(marked, dtype=int)
-    products, log10s, later = [], [], []
-    for k, n in enumerate(marked):
-        row = pseudo_distance(zs[n], zs)
-        if k + 1 < len(marked):
-            later.append(float(row[marked[k + 1:]].min()))
+    prefixes = [(len(zs), len(marked))] if prefixes is None else prefixes
+    found = [([], [], []) for _ in prefixes]  # (products, log10s, later) a prefix
+    longest, most = max((k for k, _ in prefixes), default=0), max((m for _, m in prefixes), default=0)
+    for p, n in enumerate(marked[:most]):
+        row = pseudo_distance(zs[n], zs[:longest])
+        reading = [(row[:k], m, out) for (k, m), out in zip(prefixes, found) if p < m]
+        for part, m, (_, _, later) in reading:
+            if p + 1 < m:
+                later.append(float(part[marked[p + 1:m]].min()))
         row[n] = 1.0
-        products.append(float(np.prod(row)))
-        if products[-1] < sys.float_info.min:
-            with np.errstate(divide="ignore"):
-                log10s.append(float(np.sum(np.log10(row))))
-    return products, log10s, later
+        for part, _, (products, log10s, _) in reading:
+            products.append(float(np.prod(part)))
+            if products[-1] < sys.float_info.min:
+                with np.errstate(divide="ignore"):
+                    log10s.append(float(np.sum(np.log10(part))))
+    return found
 
 
 def _least_delta(products, log10s) -> float:
@@ -197,7 +221,7 @@ def interpolation_delta(B: BlaschkeProduct) -> InterpolationReport:
     the sequence to be interpolating.
     """
     zeros = B.zeros
-    per, log10s, later = _rho_rows(zeros, range(len(zeros)))
+    per, log10s, later = _rho_rows(zeros, range(len(zeros)))[0]
     _refuse_repeated(zeros, later)
     ordered = sorted(zeros, key=abs)
     ratios = [(1.0 - abs(b)) / (1.0 - abs(a)) for a, b in zip(ordered, ordered[1:])]
@@ -240,21 +264,50 @@ def gpv_bound_check(
     The report carries exactly what was computed; no constant is floored.
     """
     marked = list(range(len(B.zeros)) if marked is None else marked)
+    return _gpv_reports(B, marked, [(len(B.zeros), len(marked))], alpha, samples_per_disc, truncation_tail)[0]
+
+
+def gpv_truncations(B: BlaschkeProduct, counts, alpha: float = 0.1, samples_per_disc: int = 80) -> list:
+    """``gpv_bound_check`` of each truncation B_k, the phase times B's first k factors, k in
+    ``counts``, every zero of B_k marked: the reports of separate calls, field for field, from
+    one forward pass over the discs of the longest truncation."""
+    counts = list(counts)
+    if not all(0 <= k <= len(B.zeros) for k in counts):  # a longer one would read no slope
+        raise ValueError(f"truncation counts {counts} must lie in 0..{len(B.zeros)}")
+    return _gpv_reports(B, range(max(counts, default=0)), [(k, k) for k in counts], alpha, samples_per_disc)
+
+
+def _gpv_reports(B, marked, prefixes, alpha, samples_per_disc, truncation_tail=0.0) -> list:
+    """The ``gpv_bound_check`` report of each prefix (k, m): the phase times B's first k factors,
+    checked on the pseudo-discs of the first m marked zeros.  Every refusal is raised first, in
+    the order of the prefixes; then one forward pass over the discs of all the prefixes reads each
+    prefix's slopes off the rows of its m discs after factor k."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    centers = [B.zeros[i] for i in marked]
+    read = _rho_rows(B.zeros, marked, prefixes)
+    deltas = [_least_delta(deflated, log10s) for deflated, log10s, _ in read]
 
-    deflated, log10s, later = _rho_rows(B.zeros, marked)
-    delta = _least_delta(deflated, log10s)
+    # every disc's samples as one (discs, points) batch, each row's centre first; no disc, no pass
+    centers = [B.zeros[i] for i in marked[:max((m for _, m in prefixes), default=0)]]
+    local = [[] for _ in prefixes]
+    if centers:
+        zs = _disc_points(centers, alpha, 5, max(8, samples_per_disc // 5))
+        scale = 1 - np.abs(zs[:, :1])
+        steps = _products(B.phase, B.zeros[:max(k for k, _ in prefixes)], zs, True)
+        for factors, (_, slope) in enumerate(steps):
+            for i, (k, m) in enumerate(prefixes):
+                if k == factors and m:
+                    local[i] = np.min(np.abs(slope[:m]) * scale[:m], axis=1).tolist()
 
     threshold = pseudo_sum(alpha, alpha)
-    min_rho = min(later, default=None)
-    disjoint = min_rho is None or min_rho > threshold  # fewer than two discs: disjoint vacuously
-
-    # every disc's samples as one (discs, points) batch, each row's centre first; no disc, no call
-    zs = _disc_points(centers, alpha, 5, max(8, samples_per_disc // 5))
-    local = np.min(np.abs(blaschke_derivative(B, zs)) * (1 - np.abs(zs[:, :1])), axis=1).tolist() if centers else []
-    rows = tuple(GpvRow(index=i, center=a, deflated=defl, beta_local=beta)
-                 for i, a, defl, beta in zip(marked, centers, deflated, local))
-    return GpvReport(delta=delta, alpha=alpha, disjoint=disjoint, min_pairwise_rho=min_rho, rho_threshold=threshold,
-                     beta_hat=min(local, default=0.0), per_zero=rows, truncation_tail=truncation_tail)
+    reports = []
+    for (_, m), delta, (deflated, _, later), betas in zip(prefixes, deltas, read, local):
+        min_rho = min(later, default=None)
+        rows = tuple(GpvRow(index=i, center=B.zeros[i], deflated=defl, beta_local=beta)
+                     for i, defl, beta in zip(marked[:m], deflated, betas))
+        reports.append(GpvReport(
+            delta=delta, alpha=alpha,
+            disjoint=min_rho is None or min_rho > threshold,  # fewer than two discs: disjoint vacuously
+            min_pairwise_rho=min_rho, rho_threshold=threshold, beta_hat=min(betas, default=0.0),
+            per_zero=rows, truncation_tail=truncation_tail))
+    return reports

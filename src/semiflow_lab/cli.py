@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import BlochGridNorm, GridSpec, H2Norm, fn_from_json
-from .blaschke import BlaschkeProduct, gpv_bound_check, radial_zeros
+from .blaschke import BlaschkeProduct, gpv_truncations, radial_zeros
 from .cocycles import (
     WeightedSemigroup,
     check_cocycle_identity,
@@ -325,19 +325,17 @@ def run_gpv(config, seed):
             raise ConfigError("stability_counts need a geometric 'family': listed zeros name no truncations")
         counts = config_numbers("stability_counts", config["stability_counts"])
         counts = [_geometric_count("stability_counts", config_integer("stability_counts", c), ratio) for c in counts]
-    B = BlaschkeProduct(zeros)
-    report = gpv_bound_check(B, alpha=alpha, samples_per_disc=samples)
+    # the family and every truncation are prefixes of the longest product: one pass reads them all
+    sizes = list(dict.fromkeys([len(zeros), *counts]))
+    longest = BlaschkeProduct(radial_zeros(max(sizes), ratio) if counts else zeros)
+    reports = dict(zip(sizes, gpv_truncations(longest, sizes, alpha=alpha, samples_per_disc=samples)))
+    report = reports[len(zeros)]
     verdicts = [
         ("pseudo-discs-disjoint", report.disjoint, report.min_pairwise_rho, report.rho_threshold),
         ("derivative-lower-bound-positive", report.beta_hat > 0.0, report.beta_hat, 0.0),
     ]
-    if counts:  # one product per distinct count; the family's own count is the report's product
-        betas = [
-            report.beta_hat if count == len(zeros) else gpv_bound_check(
-                BlaschkeProduct(radial_zeros(count, ratio)), alpha=alpha, samples_per_disc=samples
-            ).beta_hat
-            for count in dict.fromkeys(counts)
-        ]
+    if counts:
+        betas = [reports[count].beta_hat for count in dict.fromkeys(counts)]
         factor = max(betas) / min(betas)
         verdicts.append(("beta-hat-stable", factor < 2.0, factor, 2.0))
     rows = [

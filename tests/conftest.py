@@ -29,6 +29,22 @@ def integrations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def blaschke_passes(monkeypatch):
+    """(factors, shape of the points, slope walked) of every forward Blaschke pass the test makes."""
+    from semiflow_lab import blaschke
+
+    calls = []
+    walk = blaschke._products
+
+    def counted(phase, zeros, z, slope):
+        calls.append((len(zeros), np.shape(z), slope))
+        return walk(phase, zeros, z, slope)
+
+    monkeypatch.setattr(blaschke, "_products", counted)
+    return calls
+
+
 def fn_corpus():
     """Representative expression trees covering every node kind."""
     blaschke = sl.BlaschkeProduct((0.3, -0.4 + 0.2j, 0.5j))

@@ -278,17 +278,14 @@ def test_equal_tree_rebuilt_from_json_reuses_the_compiled_code():
     assert sl.Constant(2)._eval_code.__code__ is plus._eval_code.__code__  # lines that read alike compile once
 
 
-def test_blaschke_eval_computes_no_derivative(monkeypatch):
-    # order 0 of a jet computes no derivative: evaluating B must not touch B'
-    def forbidden(*args):
-        raise AssertionError("blaschke_derivative called by eval")
-
-    monkeypatch.setattr(sl.blaschke, "blaschke_derivative", forbidden)
+def test_blaschke_eval_computes_no_derivative(blaschke_passes):
+    # order 0 of a jet walks the factors without a slope; order 1 walks them once, B and B' together
     f = sl.Product((sl.BlaschkeProduct((0.3, 0.5j)), sl.Identity()))
     f.eval(0.2)
     f.eval(np.array([0.1, -0.4j]))
-    with pytest.raises(AssertionError):
-        f.jet(0.2)
+    assert blaschke_passes == [(2, (), False), (2, (2,), False)]
+    f.jet(0.2)
+    assert blaschke_passes[2:] == [(2, (), True)]
 
 
 def same(a, b):

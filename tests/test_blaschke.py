@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import semiflow_lab as sl
-from semiflow_lab import blaschke
+from semiflow_lab import blaschke, cli
 from semiflow_lab.cli import random_disc_points
 
 
@@ -139,6 +140,33 @@ def test_derivative_is_the_mobius_factor_product_rule(zeros, repeat, theta, zs):
             assert abs(value - want) <= 1e-12 * scale
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(zero_points, max_size=8), st.floats(0.01, 2 * math.pi - 0.01),
+       st.lists(zero_points, min_size=1, max_size=6))
+def test_jet_is_the_value_and_the_derivative_bit_for_bit(zeros, theta, zs):
+    # the leaf's jet walks the factors once for B and B'; it is the pair of the two separate walks
+    # bit for bit, at a point and on a batch, with a phase, a zero at 0 and points at the zeros
+    B = sl.BlaschkeProduct([0j, *zeros], theta)
+    zs = np.array([*zs, *B.zeros])
+    value, slope = B.jet(zs)
+    assert np.array_equal(value, sl.blaschke_eval(B, zs)) and np.array_equal(slope, sl.blaschke_derivative(B, zs))
+    for z in zs.tolist():
+        assert B.jet(z) == (sl.blaschke_eval(B, z), sl.blaschke_derivative(B, z))
+
+
+def test_the_jet_keeps_the_disc_guard_of_eval():
+    # at |z| = 1 - 2e-9 a zero 1e-15 from the circle gives |b(z)| = 1 in rounding; the jet's one walk
+    # refuses the value there as blaschke_eval does, naming the point, alone or in a batch
+    B = sl.BlaschkeProduct((1.0 - 1e-15,), theta=0.4)
+    z = (1.0 - 2e-9) * cmath.exp(0.5j)
+    message = rf"^finite Blaschke product left the disc at {re.escape(str(z))}$"
+    for evaluate in (sl.blaschke_eval, lambda B, z: B.jet(z)):
+        for at in (z, np.array([0.1, z, z])):
+            with pytest.raises(sl.DomainError, match=message):
+                evaluate(B, at)
+    assert abs(sl.blaschke_derivative(B, z)) > 0  # B' alone carries no guard
+
+
 def test_pseudo_distance_basics():
     assert sl.pseudo_distance(0.3 + 0.2j, 0.3 + 0.2j) == 0
     assert sl.pseudo_distance(0, 0.4 - 0.3j) == pytest.approx(0.5)
@@ -243,18 +271,67 @@ def gpv_rows_one_disc_a_call(B, marked, alpha, samples_per_disc):
     (sl.radial_zeros(12), [0, 3, 4, 7, 11]),
     (sl.radial_zeros(40), None),
 ], ids=["geometric", "listed", "one-zero", "none-marked", "marked-subset", "forty-zeros"])
-def test_gpv_batch_is_the_per_disc_evaluation_bit_for_bit(monkeypatch, zeros, marked):
-    # every marked disc is a row of one (discs, points) batch, evaluated by one call; no disc, no call
-    calls = []
-    derivative = blaschke.blaschke_derivative
-    monkeypatch.setattr(blaschke, "blaschke_derivative", lambda B, z: calls.append(z.shape) or derivative(B, z))
+def test_gpv_batch_is_the_per_disc_evaluation_bit_for_bit(blaschke_passes, zeros, marked):
+    # every marked disc is a row of one (discs, points) batch, evaluated by one forward pass; no disc, no pass
     B = sl.BlaschkeProduct(zeros)
     rep = sl.gpv_bound_check(B, marked=marked, alpha=0.1, samples_per_disc=80)
     marked = range(len(zeros)) if marked is None else marked
+    assert blaschke_passes == ([(len(zeros), (len(marked), 81), True)] if marked else [])
     want = gpv_rows_one_disc_a_call(B, marked, 0.1, 80)
     assert rep.per_zero == want
     assert rep.beta_hat == min((r.beta_local for r in want), default=0.0)
-    assert calls == ([(len(marked), 81)] if marked else [])
+
+
+@st.composite
+def truncated_families(draw):
+    """A geometric family (count 1-20, ratio 0.2-0.9), stability counts with repeats, below and above
+    the family's own, none putting a zero at 1.0, an alpha and a disc sampling."""
+    ratio = draw(st.floats(0.2, 0.9))
+    deepest = max(k for k in range(1, 31) if 1.0 - ratio ** k < 1.0)
+    count = draw(st.integers(1, min(20, deepest)))
+    counts = draw(st.lists(st.integers(1, deepest), min_size=1, max_size=6))
+    counts += draw(st.lists(st.sampled_from(counts), max_size=3))  # repeats
+    return count, ratio, counts, draw(st.floats(0.01, 0.6)), draw(st.integers(1, 120))
+
+
+@settings(max_examples=60, deadline=None)
+@given(truncated_families())
+def test_the_truncations_of_one_pass_are_separate_checks_field_for_field(family):
+    # one pass over the longest truncation's discs gives each truncation the report of its own
+    # gpv_bound_check, and gpv's main report and beta-hat-stable factor read those reports
+    count, ratio, counts, alpha, samples = family
+    separate = {k: sl.gpv_bound_check(sl.BlaschkeProduct(sl.radial_zeros(k, ratio)), alpha=alpha,
+                                      samples_per_disc=samples) for k in [count, *counts]}
+    longest = sl.BlaschkeProduct(sl.radial_zeros(max(separate), ratio))
+    assert sl.gpv_truncations(longest, counts, alpha=alpha, samples_per_disc=samples) == [separate[k] for k in counts]
+    with pytest.raises(ValueError, match="must lie in"):  # a truncation longer than the product
+        sl.gpv_truncations(longest, [len(longest.zeros) + 1])
+    config = {"family": {"kind": "geometric", "count": count, "ratio": ratio}, "alpha": alpha,
+              "samples_per_disc": samples, "stability_counts": counts}
+    verdicts, tables, extra = cli.run_gpv(config, 0)
+    assert extra == {"gpv_report": sl.json_form(separate[count])}
+    betas = [separate[k].beta_hat for k in counts]
+    assert verdicts[-1][:2] == ("beta-hat-stable", max(betas) / min(betas) < 2.0)
+    assert verdicts[-1][2] == max(betas) / min(betas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(zero_points, zero_points.map(lambda a: 0.999 * a + 0.001)), min_size=1, max_size=9),
+       st.floats(0.0, 2 * math.pi), st.data())
+def test_truncations_of_any_product_are_separate_checks_or_the_first_refusal(zeros, theta, data):
+    # listed zeros in any order, with a phase: each truncation's report is its own gpv_bound_check's,
+    # and a truncation that is refused refuses the whole call, the first one in the order of the counts
+    counts = data.draw(st.lists(st.integers(0, len(zeros)), min_size=1, max_size=5))
+    B = sl.BlaschkeProduct(zeros, theta)
+    separate = []
+    for k in counts:
+        try:
+            separate.append(sl.gpv_bound_check(sl.BlaschkeProduct(zeros[:k], theta), alpha=0.2, samples_per_disc=8))
+        except sl.HypothesisError as refusal:
+            with pytest.raises(sl.HypothesisError, match=f"^{re.escape(str(refusal))}$"):
+                sl.gpv_truncations(B, counts, alpha=0.2, samples_per_disc=8)
+            return
+    assert sl.gpv_truncations(B, counts, alpha=0.2, samples_per_disc=8) == separate
 
 
 near_circle_points = st.builds(lambda k, t: (1.0 - 10.0 ** -k) * cmath.exp(1j * t),

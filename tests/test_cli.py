@@ -12,7 +12,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import semiflow_lab as sl
-from semiflow_lab import cli
+from semiflow_lab import blaschke, cli
 from semiflow_lab.cli import main
 from semiflow_lab.errors import (
     COUNT_LIMIT,
@@ -170,18 +170,34 @@ def test_gpv_stability_products_use_the_family_ratio(tmp_path):
     assert verdict["value"] == max(betas) / min(betas)
 
 
-def test_gpv_makes_one_product_per_distinct_count(tmp_path, monkeypatch):
-    # the family's own count reuses the report's product, and a repeated count is made once
-    calls = []
-    check = cli.gpv_bound_check
-    monkeypatch.setattr(cli, "gpv_bound_check", lambda B, **kw: calls.append(len(B.zeros)) or check(B, **kw))
+def test_gpv_makes_one_product_per_distinct_count(tmp_path, blaschke_passes):
+    # the family and every truncation, repeated or not, are read off one forward pass over the
+    # longest product's (discs, points) batch
     assert run("gpv", str(CONFIGS / "gpv_geometric.json"), tmp_path / "shipped") == 0
-    assert calls == [12, 8, 10, 14]
-    calls.clear()
+    assert blaschke_passes == [(14, (14, 81), True)]
+    blaschke_passes.clear()
     family = {"kind": "geometric", "count": 6, "ratio": 0.3}
     cfg = write_config(tmp_path, "c.json", {"family": family, "stability_counts": [4, 6, 4, 8, 8]})
     assert run("gpv", cfg, tmp_path / "out") == 0
-    assert calls == [6, 4, 8]
+    assert blaschke_passes == [(8, (8, 81), True)]
+    blaschke_passes.clear()
+    cfg = write_config(tmp_path, "d.json", {"family": family, "stability_counts": [2, 3]})
+    assert run("gpv", cfg, tmp_path / "out2") == 0
+    assert blaschke_passes == [(6, (6, 81), True)]
+
+
+def test_a_truncation_below_the_double_range_is_refused_before_any_blaschke_pass(tmp_path, capsys, monkeypatch):
+    # the 3,000-zero truncation's deflated product underflows; its refusal comes before the pass over
+    # the family's 40 discs, and no factor of any product is ever evaluated
+    factors = []
+    factor = blaschke.b_factor
+    monkeypatch.setattr(blaschke, "b_factor", lambda a, z: factors.append(a) or factor(a, z))
+    cfg = write_config(tmp_path, "c.json", {"family": {"kind": "geometric", "count": 40, "ratio": 0.999},
+                                            "samples_per_disc": 40, "stability_counts": [40, 3000]})
+    assert run("gpv", cfg, tmp_path / "out") == 1
+    refusal = "HypothesisError: deflated product below the double range (log10 delta = -1603.85)\n"
+    assert capsys.readouterr().err == refusal
+    assert factors == []
 
 
 @pytest.mark.parametrize("payload", [{"family": {"count": 1}}, {"zeros": [[0.5, 0]]}],

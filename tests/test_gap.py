@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import semiflow_lab as sl
-from semiflow_lab import blaschke
 from conftest import group_fixed_points, replaced
 
 
@@ -702,19 +701,17 @@ def test_separability_matrix_equals_the_difference_tree_norms(zeros, rotations):
     ((0.5 + 0.1j, 0.8 - 0.2j, 0.3 + 0.6j), [0.0, 0.37, 1.1, 2.9, 3.05, 5.5, 6.2]),
     (sl.radial_zeros(10), [2.0 * math.pi * k / 20 for k in range(20)]),
 ], ids=["shipped", "uneven", "twenty"])
-def test_separability_batch_is_the_per_rotation_trees_bit_for_bit(monkeypatch, zeros, rotations):
-    # the rotations are one (rotations, points) batch, sampled by one call; each row is the
-    # rotation's own tree B(e^{-it} z)
-    calls = []
-    derivative = blaschke.blaschke_derivative
-    monkeypatch.setattr(blaschke, "blaschke_derivative", lambda B, z: calls.append(z.shape[0]) or derivative(B, z))
+def test_separability_batch_is_the_per_rotation_trees_bit_for_bit(blaschke_passes, zeros, rotations):
+    # the rotations are one (rotations, points) batch, sampled by one forward pass a grid, B and B'
+    # together, after the values at the origin; each row is the rotation's own tree B(e^{-it} z)
     B = sl.BlaschkeProduct(zeros)
     coarse = separability_grid(B.zeros, rotations)
     for grid in (coarse, coarse.refine()):
-        calls.clear()
+        blaschke_passes.clear()
         rep = sl.separability_witness(B, rotations, grid)
-        assert calls == [len(rotations)]
         norm = sl.BlochGridNorm(grid)
+        rows = len(rotations)
+        assert blaschke_passes == [(len(zeros), (rows, 1), False), (len(zeros), (rows, len(norm.points) - 1), True)]
         fns = [sl.Compose(B, sl.Polynomial((0.0, cmath.exp(-1j * th)))) for th in rep.rotations]
         samples = [norm.sample(f, f.derivative()) for f in fns]
         want = [[0.0 if i == j else float(norm.reduce(samples[i] - samples[j])) for j in range(len(fns))]
