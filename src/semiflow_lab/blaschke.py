@@ -159,31 +159,29 @@ def _disc_points(centers, radius: float, n_radii: int, n_angles: int) -> np.ndar
     return np.concatenate([a, (a - u) / (1.0 - a.conj() * u)], axis=1)
 
 
-def _rho_rows(zeros, marked, prefixes=None):
-    """What the certificates read off the marked zeros' rows of rho, for each prefix (k, m): the
-    first k zeros, of which the first m marked ones are read; by default the one prefix
-    (len(zeros), len(marked)).  A prefix's row for its marked zero a_n is rho(a_n, a_j) over its
-    zeros a_j, and it gives: the deflated product |(B_k / b_{a_n})(a_n)| = prod_{j != n} rho(a_n, a_j);
-    the sum of the factors' log10 for each product below the normal double range, 0 or subnormal
-    (-inf where a factor is 0); and, for each of its marked zeros but the last, the least rho to
-    its marked zeros after it.  Each marked zero's row over the longest prefix serves every prefix,
+def _rho_rows(zeros, counts=None):
+    """What the certificates read off the rows of rho, for each prefix of the zeros, a count k
+    naming the first k of them; by default the whole list.  The row of a_n is rho(a_n, a_j) over
+    the zeros, and its first k entries give: the deflated product |(B_k / b_{a_n})(a_n)| =
+    prod_{j != n} rho(a_n, a_j); the sum of the factors' log10 for each product below the normal
+    double range, 0 or subnormal (-inf where a factor is 0); and, for each zero but the last, the
+    least rho to the zeros after it.  Each zero's row over the longest prefix serves every prefix,
     and the rows are made one at a time, so that memory stays O(len(zeros))."""
-    zs, marked = np.array(zeros, dtype=complex), np.array(marked, dtype=int)
-    prefixes = [(len(zs), len(marked))] if prefixes is None else prefixes
-    found = [([], [], []) for _ in prefixes]  # (products, log10s, later) a prefix
-    longest, most = max((k for k, _ in prefixes), default=0), max((m for _, m in prefixes), default=0)
-    for p, n in enumerate(marked[:most]):
+    zs = np.array(zeros, dtype=complex)
+    counts = [len(zs)] if counts is None else counts
+    found = [([], [], []) for _ in counts]  # (products, log10s, later) a prefix
+    longest = max(counts, default=0)
+    for n in range(longest):
         row = pseudo_distance(zs[n], zs[:longest])
-        reading = [(row[:k], m, out) for (k, m), out in zip(prefixes, found) if p < m]
-        for part, m, (_, _, later) in reading:
-            if p + 1 < m:
-                later.append(float(part[marked[p + 1:m]].min()))
         row[n] = 1.0
-        for part, _, (products, log10s, _) in reading:
-            products.append(float(np.prod(part)))
-            if products[-1] < sys.float_info.min:
-                with np.errstate(divide="ignore"):
-                    log10s.append(float(np.sum(np.log10(part))))
+        for k, (products, log10s, later) in zip(counts, found):
+            if n < k:
+                products.append(float(np.prod(row[:k])))
+                if products[-1] < sys.float_info.min:
+                    with np.errstate(divide="ignore"):
+                        log10s.append(float(np.sum(np.log10(row[:k]))))
+                if n + 1 < k:
+                    later.append(float(row[n + 1:k].min()))
     return found
 
 
@@ -221,7 +219,7 @@ def interpolation_delta(B: BlaschkeProduct) -> InterpolationReport:
     the sequence to be interpolating.
     """
     zeros = B.zeros
-    per, log10s, later = _rho_rows(zeros, range(len(zeros)))[0]
+    per, log10s, later = _rho_rows(zeros)[0]
     _refuse_repeated(zeros, later)
     ordered = sorted(zeros, key=abs)
     ratios = [(1.0 - abs(b)) / (1.0 - abs(a)) for a, b in zip(ordered, ordered[1:])]
@@ -246,68 +244,50 @@ class GpvReport:
     rho_threshold: float
     beta_hat: float
     per_zero: tuple
-    truncation_tail: float
 
 
-def gpv_bound_check(
-    B: BlaschkeProduct,
-    marked=None,
-    alpha: float = 0.1,
-    samples_per_disc: int = 80,
-    truncation_tail: float = 0.0,
-) -> GpvReport:
+def gpv_bound_check(B: BlaschkeProduct, alpha: float = 0.1, samples_per_disc: int = 80) -> GpvReport:
     """Empirical check of the derivative lower bound on pseudo-discs.
 
-    For marked zeros a_n with deflated product bounded below by delta > 0,
-    verifies (a) the discs Delta(a_n, alpha) are pairwise disjoint and
+    For the zeros a_n, their deflated product bounded below by delta > 0, verifies
+    (a) the discs Delta(a_n, alpha) are pairwise disjoint and
     (b) beta_hat = min_n min_{z in Delta(a_n, alpha)} |B'(z)| (1 - |a_n|) > 0.
     The report carries exactly what was computed; no constant is floored.
     """
-    marked = list(range(len(B.zeros)) if marked is None else marked)
-    return _gpv_reports(B, marked, [(len(B.zeros), len(marked))], alpha, samples_per_disc, truncation_tail)[0]
+    return gpv_truncations(B, [len(B.zeros)], alpha, samples_per_disc)[0]
 
 
 def gpv_truncations(B: BlaschkeProduct, counts, alpha: float = 0.1, samples_per_disc: int = 80) -> list:
     """``gpv_bound_check`` of each truncation B_k, the phase times B's first k factors, k in
-    ``counts``, every zero of B_k marked: the reports of separate calls, field for field, from
-    one forward pass over the discs of the longest truncation."""
+    ``counts``: the reports of separate calls, field for field.  Every refusal is raised first, in
+    the order of the counts; then one forward pass over the discs of the longest truncation reads
+    each truncation's slopes off the rows of its k discs after factor k."""
     counts = list(counts)
     if not all(0 <= k <= len(B.zeros) for k in counts):  # a longer one would read no slope
         raise ValueError(f"truncation counts {counts} must lie in 0..{len(B.zeros)}")
-    return _gpv_reports(B, range(max(counts, default=0)), [(k, k) for k in counts], alpha, samples_per_disc)
-
-
-def _gpv_reports(B, marked, prefixes, alpha, samples_per_disc, truncation_tail=0.0) -> list:
-    """The ``gpv_bound_check`` report of each prefix (k, m): the phase times B's first k factors,
-    checked on the pseudo-discs of the first m marked zeros.  Every refusal is raised first, in
-    the order of the prefixes; then one forward pass over the discs of all the prefixes reads each
-    prefix's slopes off the rows of its m discs after factor k."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    read = _rho_rows(B.zeros, marked, prefixes)
+    read = _rho_rows(B.zeros, counts)
     deltas = [_least_delta(deflated, log10s) for deflated, log10s, _ in read]
 
     # every disc's samples as one (discs, points) batch, each row's centre first; no disc, no pass
-    centers = [B.zeros[i] for i in marked[:max((m for _, m in prefixes), default=0)]]
-    local = [[] for _ in prefixes]
-    if centers:
-        zs = _disc_points(centers, alpha, 5, max(8, samples_per_disc // 5))
+    longest, local = max(counts, default=0), {}
+    if longest:
+        zs = _disc_points(B.zeros[:longest], alpha, 5, max(8, samples_per_disc // 5))
         scale = 1 - np.abs(zs[:, :1])
-        steps = _products(B.phase, B.zeros[:max(k for k, _ in prefixes)], zs, True)
-        for factors, (_, slope) in enumerate(steps):
-            for i, (k, m) in enumerate(prefixes):
-                if k == factors and m:
-                    local[i] = np.min(np.abs(slope[:m]) * scale[:m], axis=1).tolist()
+        for k, (_, slope) in enumerate(_products(B.phase, B.zeros[:longest], zs, True)):
+            if k in counts:
+                local[k] = np.min(np.abs(slope[:k]) * scale[:k], axis=1).tolist()
 
     threshold = pseudo_sum(alpha, alpha)
     reports = []
-    for (_, m), delta, (deflated, _, later), betas in zip(prefixes, deltas, read, local):
-        min_rho = min(later, default=None)
+    for k, delta, (deflated, _, later) in zip(counts, deltas, read):
+        betas, min_rho = local.get(k, []), min(later, default=None)
         rows = tuple(GpvRow(index=i, center=B.zeros[i], deflated=defl, beta_local=beta)
-                     for i, defl, beta in zip(marked[:m], deflated, betas))
+                     for i, (defl, beta) in enumerate(zip(deflated, betas)))
         reports.append(GpvReport(
             delta=delta, alpha=alpha,
             disjoint=min_rho is None or min_rho > threshold,  # fewer than two discs: disjoint vacuously
             min_pairwise_rho=min_rho, rho_threshold=threshold, beta_hat=min(betas, default=0.0),
-            per_zero=rows, truncation_tail=truncation_tail))
+            per_zero=rows))
     return reports

@@ -634,22 +634,20 @@ def boundary_orbit(flow: FlowModel, gamma0: complex, t: float) -> BoundaryOrbit:
         raise ValueError("gamma0 must be unimodular")
     gamma0 /= abs(gamma0)
     vals = flow.advance((1.0 - 2.0 ** -np.arange(3.0, 31.0)) * gamma0, t).tolist()
-    incs = [abs(b - a) for a, b in zip(vals, vals[1:])]
-    if len(incs) >= 6:
-        head = max(incs[:3])
-        tail = max(incs[-3:])
-        # a radial limit shrinks the tail by orders of magnitude; a tail
-        # comparable to the head means the values are bouncing, not settling
-        if tail > 1e-6 and tail > 1e-3 * head:
-            raise NoConvergence("radial increments are not decaying")
+    incs = [abs(b - a) for a, b in zip(vals, vals[1:])]  # 27 increments of the 28 rungs
+    head = max(incs[:3])
+    tail = max(incs[-3:])
+    # a radial limit shrinks the tail by orders of magnitude; a tail
+    # comparable to the head means the values are bouncing, not settling
+    if tail > 1e-6 and tail > 1e-3 * head:
+        raise NoConvergence("radial increments are not decaying")
     limit = vals[-1]
-    if len(vals) >= 3:
-        d1 = vals[-2] - vals[-3]
-        d2 = vals[-1] - vals[-2]
-        dd = d2 - d1
-        if abs(d1) > 0 and abs(dd) > 1e-300 and abs(d2 / d1) < 0.95:
-            limit = vals[-1] - d2 * d2 / dd  # Aitken acceleration of the tail
-    converged = bool(incs and incs[-1] < 1e-6)
+    d1 = vals[-2] - vals[-3]
+    d2 = vals[-1] - vals[-2]
+    dd = d2 - d1
+    if abs(d1) > 0 and abs(dd) > 1e-300 and abs(d2 / d1) < 0.95:
+        limit = vals[-1] - d2 * d2 / dd  # Aitken acceleration of the tail
+    converged = incs[-1] < 1e-6
     verdict = "inside" if abs(limit) < 1.0 - 1e-6 else "boundary"
     return BoundaryOrbit(
         limit=limit, converged=converged, verdict=verdict, increments=tuple(incs)

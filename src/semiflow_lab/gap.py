@@ -352,7 +352,7 @@ def construct_case2(flow: FlowModel, N: int = 6, t_first_cap: float = 1.0) -> Ga
         raise BisectionError(f"angle equation gave {len(levels)} of {N} levels by depth {LADDER_TOP}")
 
     pts = [complex(lv.r) for lv in levels] + [lv.w for lv in levels]
-    min_sep = min(_rho_rows(pts, range(len(pts)))[0][2])
+    min_sep = min(_rho_rows(pts)[0][2])
     gc = GapConstruction(
         flow=flow,
         gamma0=1.0,
@@ -396,7 +396,7 @@ def separability_witness(
     (numpy's complex product is not commutative bit for bit).
     """
     rots = reduce_rotations(rotations)
-    _refuse_repeated(B.zeros, _rho_rows(B.zeros, range(len(B.zeros)))[0][2])  # reads no delta
+    _refuse_repeated(B.zeros, _rho_rows(B.zeros)[0][2])  # reads no delta
     norm = BlochGridNorm(grid)
     gamma = np.array([cmath.exp(-1j * th) for th in rots], dtype=complex).reshape(-1, 1)  # one rotation a row
     samples = norm.sample(lambda z: B.eval(gamma * z + 0j), lambda z: B.jet(gamma * z + 0j)[1] * gamma)

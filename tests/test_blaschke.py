@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import semiflow_lab as sl
@@ -207,7 +207,7 @@ def test_interpolation_rejects_multiplicity():
 
 def test_gpv_single_zero():
     B = sl.BlaschkeProduct((0.5,))
-    rep = sl.gpv_bound_check(B, marked=[0], alpha=0.3)
+    rep = sl.gpv_bound_check(B, alpha=0.3)
     assert rep.disjoint and rep.min_pairwise_rho is None  # no pair to measure
     assert rep.beta_hat > 0
 
@@ -247,37 +247,39 @@ def test_gpv_beta_stability_across_truncation():
 def test_gpv_zero_delta_raises():
     B = sl.BlaschkeProduct((0.5, 0.5))  # repeated zero kills the deflated product
     with pytest.raises(sl.HypothesisError):
-        sl.gpv_bound_check(B, marked=[0], alpha=0.1)
+        sl.gpv_bound_check(B, alpha=0.1)
 
 
-def gpv_rows_one_disc_a_call(B, marked, alpha, samples_per_disc):
-    """The GpvRow of each marked zero, its disc evaluated by a blaschke_derivative call of its own."""
+def gpv_rows_one_disc_a_call(B, alpha, samples_per_disc):
+    """The GpvRow of each zero, its disc evaluated by a blaschke_derivative call of its own."""
     per_zero = sl.interpolation_delta(B).per_zero
     n_angles = max(8, samples_per_disc // 5)
     rows = []
-    for i in marked:
-        a = B.zeros[i]
+    for i, a in enumerate(B.zeros):
         zs = blaschke._disc_points([a], alpha, 5, n_angles)[0]
         beta = float(np.min(np.abs(sl.blaschke_derivative(B, zs)) * (1.0 - abs(a))))
         rows.append(blaschke.GpvRow(index=i, center=a, deflated=per_zero[i], beta_local=beta))
     return tuple(rows)
 
 
-@pytest.mark.parametrize("zeros, marked", [
+@pytest.mark.parametrize("zeros, count", [
     (sl.radial_zeros(12), None),
     ((0.0, 0.5 + 0.3j, 0.5 - 0.3j, -0.6, -0.2j), None),  # the origin and a conjugate pair
     ((0.4 - 0.2j,), None),
-    (sl.radial_zeros(12), []),
-    (sl.radial_zeros(12), [0, 3, 4, 7, 11]),
+    (sl.radial_zeros(12), 0),
+    (sl.radial_zeros(12), 5),
     (sl.radial_zeros(40), None),
-], ids=["geometric", "listed", "one-zero", "none-marked", "marked-subset", "forty-zeros"])
-def test_gpv_batch_is_the_per_disc_evaluation_bit_for_bit(blaschke_passes, zeros, marked):
-    # every marked disc is a row of one (discs, points) batch, evaluated by one forward pass; no disc, no pass
+], ids=["geometric", "listed", "one-zero", "count-zero", "prefix", "forty-zeros"])
+def test_gpv_batch_is_the_per_disc_evaluation_bit_for_bit(blaschke_passes, zeros, count):
+    # every disc of the product, or of its truncation to count zeros, is a row of one (discs, points)
+    # batch, evaluated by one forward pass; no disc, no pass
     B = sl.BlaschkeProduct(zeros)
-    rep = sl.gpv_bound_check(B, marked=marked, alpha=0.1, samples_per_disc=80)
-    marked = range(len(zeros)) if marked is None else marked
-    assert blaschke_passes == ([(len(zeros), (len(marked), 81), True)] if marked else [])
-    want = gpv_rows_one_disc_a_call(B, marked, 0.1, 80)
+    if count is None:
+        rep, count = sl.gpv_bound_check(B, alpha=0.1, samples_per_disc=80), len(zeros)
+    else:
+        (rep,) = sl.gpv_truncations(B, [count], alpha=0.1, samples_per_disc=80)
+    assert blaschke_passes == ([(count, (count, 81), True)] if count else [])
+    want = gpv_rows_one_disc_a_call(sl.BlaschkeProduct(zeros[:count]), 0.1, 80)
     assert rep.per_zero == want
     assert rep.beta_hat == min((r.beta_local for r in want), default=0.0)
 
@@ -349,7 +351,7 @@ def test_rho_rows_are_the_scalar_products_and_least_distances(zeros, repeat, dat
     # each agrees with math.prod / min over that row's entries, its own entry dropped, to 1e-12 relative
     # (test_pseudo_distance_takes_a_point_and_an_array checks the array rho against the scalar one)
     zeros = [complex(a) for a in zeros + zeros[:1] * repeat]  # repeat: a zero twice
-    marked = data.draw(st.lists(st.sampled_from(range(len(zeros))), max_size=10))  # a zero may be marked twice
+    k = data.draw(st.integers(0, len(zeros)))  # gpv reads the truncation to the first k zeros
     rows = [sl.pseudo_distance(a, np.array(zeros)).tolist() for a in zeros]
     want = [math.prod(x for j, x in enumerate(row) if j != n) for n, row in enumerate(rows)]
     B = sl.BlaschkeProduct(zeros)
@@ -359,15 +361,16 @@ def test_rho_rows_are_the_scalar_products_and_least_distances(zeros, repeat, dat
     else:
         rep = sl.interpolation_delta(B)
         assert all(map(_close, rep.per_zero, want)) and rep.delta == min(rep.per_zero)
-    refused = [n for n in marked if want[n] < sys.float_info.min]  # 0 or subnormal
+    deflated = [math.prod(x for j, x in enumerate(row[:k]) if j != n) for n, row in enumerate(rows[:k])]
+    refused = [n for n in range(k) if deflated[n] < sys.float_info.min]  # 0 or subnormal
     if refused:
-        vanishing = any(x == 0.0 for n in refused for j, x in enumerate(rows[n]) if j != n)
+        vanishing = any(x == 0.0 for n in refused for j, x in enumerate(rows[n][:k]) if j != n)
         with pytest.raises(sl.HypothesisError, match=r"\(delta = 0\)" if vanishing else "below the double range"):
-            sl.gpv_bound_check(B, marked=marked, samples_per_disc=8)
+            sl.gpv_truncations(B, [k], samples_per_disc=8)
         return
-    rep = sl.gpv_bound_check(B, marked=marked, samples_per_disc=8)
-    assert all(_close(r.deflated, want[n]) for r, n in zip(rep.per_zero, marked))
-    least = min((rows[m][q] for k, m in enumerate(marked) for q in marked[k + 1:]), default=None)
+    (rep,) = sl.gpv_truncations(B, [k], samples_per_disc=8)
+    assert len(rep.per_zero) == k and all(_close(r.deflated, w) for r, w in zip(rep.per_zero, deflated))
+    least = min((rows[n][q] for n in range(k) for q in range(n + 1, k)), default=None)
     if least is None:
         assert rep.min_pairwise_rho is None
     else:
@@ -412,6 +415,25 @@ def test_the_least_normal_deflated_product_is_reported():
     B = sl.BlaschkeProduct(LISTED_FAMILY[:39])
     for check in (sl.interpolation_delta, sl.gpv_bound_check):
         assert check(B).delta == pytest.approx(8.2768e-304, rel=1e-4)
+
+
+@st.composite
+def prefixed_zeros(draw):
+    """Zeros, perhaps with the first one repeated and perhaps followed by the first 40 of the listed
+    family (a subnormal deflated product), and counts of their prefixes, 0 and repeats allowed."""
+    zeros = draw(st.lists(st.one_of(zero_points, near_circle_points), max_size=8))
+    zeros += zeros[:1] * draw(st.booleans()) + LISTED_FAMILY[:40] * draw(st.booleans())
+    counts = draw(st.lists(st.integers(0, len(zeros)), min_size=1, max_size=5))
+    return zeros, counts + draw(st.lists(st.sampled_from(counts), max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(prefixed_zeros())
+@example(([0.3j, 0.3j] + LISTED_FAMILY[:40], [0, 42, 2, 42, 1]))  # a repeated zero, a subnormal row
+def test_rho_rows_of_prefixes_are_the_rows_of_each_prefix_bit_for_bit(prefixed):
+    # the rows over the longest prefix give each prefix what its own rows give, bit for bit
+    zeros, counts = prefixed
+    assert blaschke._rho_rows(zeros, counts) == [blaschke._rho_rows(zeros[:k])[0] for k in counts]
 
 
 @settings(max_examples=200, deadline=None)

@@ -154,7 +154,7 @@ def test_gpv_subcommand(tmp_path):
     names = {v["name"] for v in report["verdicts"]}
     assert "pseudo-discs-disjoint" in names and "beta-hat-stable" in names
     gpv = json.loads((tmp_path / "out" / "gpv_report.json").read_text())
-    assert {"delta", "alpha", "disjoint", "beta_hat", "per_zero", "truncation_tail"} <= set(gpv)
+    assert set(gpv) == {"delta", "alpha", "disjoint", "min_pairwise_rho", "rho_threshold", "beta_hat", "per_zero"}
 
 
 def test_gpv_stability_products_use_the_family_ratio(tmp_path):
